@@ -77,7 +77,7 @@ def build_train_config(args, filecfg) -> TrainConfig:
     )
 
 
-def _load_sequences(args, cfg: NetworkConfig, split: str):
+def _load_sequences(args, cfg: NetworkConfig):
     """Resolve the dataset source flags; returns (train_list, test_list)."""
     n_sources = sum(bool(x) for x in (args.synthetic, args.data, args.cache))
     if n_sources != 1:
@@ -132,8 +132,6 @@ def make_parser() -> argparse.ArgumentParser:
         description="SPD-matrix network for skeletal hand-gesture recognition",
     )
     parser.add_argument("--config", help="INI config file; flags override")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="cap worker threads (0 = machine default)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train the network, write checkpoints + metrics")
@@ -203,12 +201,24 @@ def _extract_split(sequences, params, cfg):
     return features, labels
 
 
+def _write_report(out_dir: Path, report, n_classes: int):
+    """confusion.csv and report.csv (the accuracy) in out_dir, plus the
+    per-class table on stdout."""
+    names = classify.class_names(n_classes)
+    classify.confusion_csv(out_dir / "confusion.csv", report, names)
+    with open(out_dir / "report.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["accuracy_percent"])
+        writer.writerow([f"{report.accuracy:.4f}"])
+    print(classify.report_table(report, names))
+
+
 def cmd_train(args, filecfg) -> int:
     _require_path(args.data, "--data")
     _require_path(args.cache, "--cache")
     cfg = build_network_config(args, filecfg)
     tcfg = build_train_config(args, filecfg)
-    train_set, _ = _load_sequences(args, cfg, "train")
+    train_set, _ = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     optim.train(
@@ -234,7 +244,7 @@ def cmd_pipeline(args, filecfg) -> int:
             f"checkpoint was trained with {ckpt_cfg.n_classes} classes, requested {cfg.n_classes}"
         )
     cfg = ckpt_cfg
-    train_set, test_set = _load_sequences(args, cfg, "both")
+    train_set, test_set = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -251,13 +261,7 @@ def cmd_pipeline(args, filecfg) -> int:
                                seed=args.seed, n_classes=cfg.n_classes)
     classify.save_model(out_dir / "svm_model.bin", model)
     report = classify.evaluate(model, test_x, test_y)
-    names = classify.class_names(cfg.n_classes)
-    classify.confusion_csv(out_dir / "confusion.csv", report, names)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["accuracy_percent"])
-        writer.writerow([f"{report.accuracy:.4f}"])
-    print(classify.report_table(report, names))
+    _write_report(out_dir, report, cfg.n_classes)
     print(f"accuracy: {report.accuracy:.2f}%")
     return EXIT_OK
 
@@ -267,7 +271,7 @@ def cmd_extract(args, filecfg) -> int:
     _require_path(args.cache, "--cache")
     _require_path(args.checkpoint, "--checkpoint")
     params, cfg = network.load_checkpoint(args.checkpoint)
-    train_set, test_set = _load_sequences(args, cfg, args.split)
+    train_set, test_set = _load_sequences(args, cfg)
     chosen = train_set if args.split == "train" else test_set
     features, labels = _extract_split(chosen, params, cfg)
     np.savez(args.out, features=features, labels=labels, n_classes=np.array([cfg.n_classes]))
@@ -294,15 +298,9 @@ def cmd_eval(args, filecfg) -> int:
     with np.load(args.features) as blob:
         features, labels = blob["features"], blob["labels"]
     report = classify.evaluate(model, features, labels)
-    names = classify.class_names(model.n_classes)
     out_dir = Path(args.report_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    classify.confusion_csv(out_dir / "confusion.csv", report, names)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["accuracy_percent"])
-        writer.writerow([f"{report.accuracy:.4f}"])
-    print(classify.report_table(report, names))
+    _write_report(out_dir, report, model.n_classes)
     return EXIT_OK
 
 

@@ -3,7 +3,9 @@
 Each check builds the scalar probe L(theta) = <C, layer(theta)> for a random
 symmetric cotangent C (or the cross-entropy loss for the composed network),
 compares the analytic gradient against central differences at h = 1e-5, and
-reports the worst relative error over seeded random instances.
+reports the worst relative error over seeded random instances.  Each check
+calls the implementation the network runs, on a small stack of inputs where
+that implementation is batched.
 """
 
 from __future__ import annotations
@@ -62,37 +64,39 @@ def _check_graph_conv(rng):
     return max(err_f, err_w)
 
 
-def _check_gauss(rng, mode):
+def _check_gauss(rng, unbiased, lambda_reg):
+    # A (2, 3) stack of n d-vectors, so the batching is checked too.
     n, d = 5, 4
-    cfg = spd_ops.GaussAggConfig(mode, lambda_reg=0.1)
-    vectors = rng.standard_normal((n, d))
-    cot = _random_sym(rng, d + 1)
-    analytic = spd_ops.gauss_agg_backward(vectors, cfg, cot)
-    numeric = fd_grad(lambda v: float(np.sum(cot * spd_ops.gauss_agg(v, cfg))), vectors)
+    denom = n - 1 if unbiased else n
+    vectors = rng.standard_normal((2, 3, n, d))
+    cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
+    _, mu, centered = network._batched_gauss(vectors, denom, lambda_reg)
+    analytic = network._gauss_backward_batched(centered, mu, cot, denom)
+    numeric = fd_grad(
+        lambda v: float(np.sum(cot * network._batched_gauss(v, denom, lambda_reg)[0])), vectors
+    )
     return rel_error(analytic, numeric)
 
 
-def _check_spectral(rng, kind):
-    d = 5
-    if kind == "re_eig":
-        eps = 1e-4
-        x = _random_spd(rng, d, shift=0.0)
-        # Keep eigenvalues away from the clamp kink so FD is valid.
-        vals = np.linalg.eigvalsh(x)
-        x += (2e-3 - min(vals.min(), 0.0)) * np.eye(d)
-        fwd = lambda s: spd_ops.re_eig(0.5 * (s + s.T), eps)
-        bwd = lambda s, c, cache: spd_ops.re_eig_backward(s, eps, c, cache)
-    else:
-        x = _random_spd(rng, d)
-        fwd = lambda s: spd_ops.log_eig(0.5 * (s + s.T))
-        bwd = spd_ops.log_eig_backward
-    cot = _random_sym(rng, d)
-    cache = linalg.sym_eig(x)
-    analytic = bwd(x, cot, cache)
-    numeric = fd_grad(lambda s: float(np.sum(cot * fwd(0.5 * (s + s.T)))), x)
+def _check_reeig_log(rng):
+    # Eigenvalues straddle eps but stay at least eps/2 from the kink, so
+    # central differences at DEFAULT_H see a smooth map; the threshold is
+    # scaled with the spectrum to make that margin wide.
+    d, eps = 5, 0.1
+    q, _ = np.linalg.qr(rng.standard_normal((2, 3, d, d)))
+    below = rng.uniform(-1.0, 0.5 * eps, (2, 3, 2))
+    above = rng.uniform(1.5 * eps, 2.0, (2, 3, d - 2))
+    x = (q * np.concatenate([below, above], axis=-1)[..., None, :]) @ np.swapaxes(q, -1, -2)
+    x = linalg.symmetrize(x)
+    fn = linalg.reeig_log_fn(eps)
+    cot = linalg.symmetrize(rng.standard_normal((2, 3, d, d)))
+    analytic = linalg.spectral_fn_backward_cached(fn, cot, linalg.sym_eig_batch(x))
+    probe = lambda s: float(
+        np.sum(cot * linalg.spectral_apply_cached(linalg.sym_eig_batch(linalg.symmetrize(s)), fn))
+    )
     # FD differentiates through the symmetrization, whose adjoint is the
     # identity on the symmetric analytic gradient.
-    return rel_error(analytic, linalg.symmetrize(numeric))
+    return rel_error(analytic, linalg.symmetrize(fd_grad(probe, x)))
 
 
 def _check_half_vec(rng):
@@ -175,10 +179,9 @@ def _check_network(rng):
 
 LAYERS = {
     "graph_conv": _check_graph_conv,
-    "gauss_agg_biased": lambda rng: _check_gauss(rng, "biased"),
-    "gauss_agg_unbiased": lambda rng: _check_gauss(rng, "unbiased"),
-    "re_eig": lambda rng: _check_spectral(rng, "re_eig"),
-    "log_eig": lambda rng: _check_spectral(rng, "log_eig"),
+    "gauss_frame": lambda rng: _check_gauss(rng, True, 0.0),
+    "gauss_range": lambda rng: _check_gauss(rng, False, 0.1),
+    "reeig_log": _check_reeig_log,
     "half_vec": _check_half_vec,
     "spd_spat_agg": _check_spat_agg,
     "fc": _check_fc,

@@ -1,13 +1,15 @@
 """Dense symmetric linear algebra.
 
 Eigendecomposition with a fixed sign convention, spectral matrix functions
-f(S) = U f(V) U^T, the eigendecomposition chain rule (Daleckii-Krein form)
-shared by every spectral layer's backward pass, and QR row-orthonormalization
-used for Stiefel retractions.
+f(S) = U f(V) U^T (LOG for the final LogEig; ``reeig_log_fn`` for the frame
+ReEig+LogEig, one map), the eigendecomposition chain rule (Daleckii-Krein
+form) shared by every spectral layer's backward pass, and QR
+row-orthonormalization used for Stiefel retractions.
 
-All functions are pure and operate on plain float64 numpy arrays.  Batched
-variants accept arrays of shape (..., d, d) and are used by the network for
-speed; the unbatched entry points are thin wrappers with input validation.
+All functions are pure and operate on plain float64 numpy arrays.  The
+spectral functions are batched over leading axes, (..., d, d), and take the
+eigendecomposition as a cache so the network decomposes each matrix once;
+there are no unbatched or validating variants.
 """
 
 from __future__ import annotations
@@ -42,27 +44,24 @@ EXP = SpectralFn(np.exp, np.exp)
 IDENTITY = SpectralFn(lambda x: x, lambda x: np.ones_like(x))
 
 
-def clamp_fn(eps: float) -> SpectralFn:
-    """Eigenvalue rectifier max(eps, x); subgradient 1 at exactly x == eps."""
+def reeig_log_fn(eps: float) -> SpectralFn:
+    """ReEig then LogEig as one map, log(max(x, eps)).
+
+    The derivative is 1/x for x >= eps and 0 below, so at exactly x == eps
+    it takes the rectifier's subgradient 1.  Because max(., eps) keeps the
+    eigenvalue order, the composite's divided differences are the product
+    of the two layers' kernels and one chain-rule pass replaces two.
+    """
+    if eps <= 0:
+        raise InvalidInput("rectification threshold must be positive")
     return SpectralFn(
-        lambda x: np.maximum(x, eps),
-        lambda x: np.where(x >= eps, 1.0, 0.0),
+        lambda x: np.log(np.maximum(x, eps)),
+        lambda x: np.where(x >= eps, 1.0 / np.maximum(x, eps), 0.0),
     )
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
-
-
-def check_symmetric(s: np.ndarray, name: str = "matrix") -> np.ndarray:
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim < 2 or s.shape[-1] != s.shape[-2]:
-        raise InvalidInput(f"{name} must be square, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
-        raise InvalidInput(f"{name} has non-finite entries")
-    if not np.allclose(s, np.swapaxes(s, -1, -2), rtol=0.0, atol=1e-8 * max(1.0, np.abs(s).max())):
-        raise InvalidInput(f"{name} is not symmetric")
-    return symmetrize(s)
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -85,12 +84,6 @@ def sym_eig_batch(s: np.ndarray) -> EigenPair:
     return EigenPair(_fix_signs(np.ascontiguousarray(vecs)), np.ascontiguousarray(vals))
 
 
-def sym_eig(s: np.ndarray) -> EigenPair:
-    """Eigendecomposition of a symmetric matrix, descending eigenvalues."""
-    s = check_symmetric(s, "sym_eig input")
-    return sym_eig_batch(s)
-
-
 def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = fn.f(values)
@@ -106,14 +99,10 @@ def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None) ->
 
 
 def spectral_apply_cached(cache: EigenPair, fn: SpectralFn, context: str | None = None) -> np.ndarray:
+    """U diag(f(V)) U^T for the eigendecomposition (U, V) in ``cache``."""
     fv = _apply_fn(fn, cache.values, context)
     u = cache.vectors
     return symmetrize((u * fv[..., None, :]) @ np.swapaxes(u, -1, -2))
-
-
-def spectral_apply(s: np.ndarray, fn: SpectralFn) -> np.ndarray:
-    """U diag(f(V)) U^T for the eigendecomposition U V U^T of s."""
-    return spectral_apply_cached(sym_eig(s), fn)
 
 
 def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
@@ -135,27 +124,12 @@ def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     return np.where(near, deriv, quotient)
 
 
-def spectral_fn_backward(
-    s: np.ndarray,
-    fn: SpectralFn,
-    grad_out: np.ndarray,
-    cache: EigenPair,
-) -> np.ndarray:
-    """Adjoint of spectral_apply: dL/dS given dL/df(S) = grad_out.
+def spectral_fn_backward_cached(fn: SpectralFn, grad_out: np.ndarray, cache: EigenPair) -> np.ndarray:
+    """Adjoint of spectral_apply_cached: dL/dS given dL/df(S) = grad_out.
 
     With G = U^T grad_out U, returns U (K * G) U^T where K is the
     divided-difference kernel of ``loewner_matrix``.
     """
-    s = np.asarray(s, dtype=np.float64)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape[-2:] != s.shape[-2:]:
-        raise InvalidInput(
-            f"grad_out shape {grad_out.shape} does not match input shape {s.shape}"
-        )
-    return spectral_fn_backward_cached(fn, grad_out, cache)
-
-
-def spectral_fn_backward_cached(fn: SpectralFn, grad_out: np.ndarray, cache: EigenPair) -> np.ndarray:
     u = cache.vectors
     ut = np.swapaxes(u, -1, -2)
     g = ut @ grad_out @ u

@@ -3,13 +3,16 @@
 Pipeline per sequence (one branch per finger):
 
     coordinates -> graph_conv -> per-finger per-frame GaussAgg (unbiased)
-    -> ReEig -> per pyramid range: LogEig each frame -> HalfVec -> GaussAgg
+    -> ReEig+LogEig each frame -> HalfVec -> per pyramid range: GaussAgg
     (biased + ridge) -> SPDSpatAgg over all branches/ranges -> LogEig
     -> HalfVec -> affine FC -> logits (softmax lives in the loss).
 
-The per-frame spectral layers are evaluated batched over frames and fingers;
-``tests/oracles.py`` holds a straight-line per-equation reference the batched
-path is checked against.
+Every layer has one implementation, batched over frames and fingers, and it
+is the one the gradient checks test.  GaussAgg lives here
+(``_batched_gauss`` and its adjoint); ReEig followed by LogEig is the single
+spectral map ``linalg.reeig_log_fn``, one eigendecomposition forward and one
+chain-rule pass backward.  ``tests/oracles.py`` holds a straight-line
+per-equation reference the batched path is checked against.
 
 Checkpoint format (little-endian):
     magic b"SPDN" | uint32 version=1
@@ -190,13 +193,16 @@ def _as_frames(seq) -> np.ndarray:
 def _label_of(seq, n_classes: int) -> int:
     if isinstance(seq, tuple):
         return int(seq[1])
-    if n_classes == 28 and getattr(seq, "label_28", None) is not None:
-        return int(seq.label_28)
-    return int(seq.label_14)
+    return int(seq.label(n_classes))
 
 
-def _batched_gauss(vectors: np.ndarray, denom: int, n: int, lambda_reg: float):
-    """Gaussian embedding over the second-to-last axis of (..., n, d)."""
+def _batched_gauss(vectors: np.ndarray, denom: int, lambda_reg: float):
+    """Gaussian embedding over the second-to-last axis of (..., n, d).
+
+    Returns ([[Sigma + lambda_reg*I + mu mu^T, mu], [mu^T, 1]], mu, centered)
+    with Sigma the centered scatter divided by ``denom``: n - 1 (unbiased)
+    for the frames, n (biased) for the pyramid ranges.
+    """
     mu = vectors.mean(axis=-2)
     centered = vectors - mu[..., None, :]
     sigma = np.swapaxes(centered, -1, -2) @ centered / denom
@@ -211,7 +217,7 @@ def _batched_gauss(vectors: np.ndarray, denom: int, n: int, lambda_reg: float):
     return out, mu, centered
 
 
-def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None, debug: bool = False):
+def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
     """Run the full pipeline; returns (logits, final_spd, tape)."""
     graph = graph or cfg.graph()
     frames = _as_frames(seq)
@@ -224,15 +230,10 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     fingers = skeleton.finger_partition(feats, graph)              # (n_F, S, J, d1)
     fingers = np.ascontiguousarray(fingers.transpose(1, 0, 2, 3))  # (S, n_F, J, d1)
 
-    j = cfg.joints_per_finger
-    x2, frame_mu, frame_centered = _batched_gauss(fingers, j - 1, j, 0.0)
+    x2, frame_mu, frame_centered = _batched_gauss(fingers, cfg.joints_per_finger - 1, 0.0)
     frame_eig = linalg.sym_eig_batch(x2)
-    clamped = np.maximum(frame_eig.values, cfg.eps)
-    if debug:
-        assert clamped.min() >= cfg.eps * (1 - 1e-6)
-    # ReEig then LogEig share the eigenbasis: clamping preserves the
-    # descending order, so (U, clamped) is a valid eigendecomposition of X3.
-    y3 = (frame_eig.vectors * np.log(clamped)[..., None, :]) @ np.swapaxes(
+    reeig_log = linalg.reeig_log_fn(cfg.eps)
+    y3 = (frame_eig.vectors * reeig_log.f(frame_eig.values)[..., None, :]) @ np.swapaxes(
         frame_eig.vectors, -1, -2
     )
     z = spd_ops.half_vec(linalg.symmetrize(y3))                    # (S, n_F, hv)
@@ -241,12 +242,9 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     temp = np.empty((cfg.n_fingers, cfg.n_Q, cfg.temp_dim, cfg.temp_dim))
     range_mu = np.empty((cfg.n_fingers, cfg.n_Q, cfg.half_dim))
     for q, (tb, te) in enumerate(ranges):
-        zq = z[:, tb - 1 : te]
         n = te - tb + 1
-        temp[:, q], range_mu[:, q], _ = _batched_gauss(zq, n, n, cfg.lambda_reg)
+        temp[:, q], range_mu[:, q], _ = _batched_gauss(z[:, tb - 1 : te], n, cfg.lambda_reg)
     temp_flat = temp.reshape(cfg.n_L, cfg.temp_dim, cfg.temp_dim)
-    if debug:
-        assert np.linalg.eigvalsh(temp_flat).min() > 0
 
     final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
     final_eig = linalg.sym_eig_batch(final_spd)
@@ -266,7 +264,7 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
         frame_mu=frame_mu,
         frame_centered=frame_centered,
         frame_eig=frame_eig,
-        clamped_values=clamped,
+        clamped_values=np.maximum(frame_eig.values, cfg.eps),
         z=z,
         ranges=ranges,
         range_mu=range_mu,
@@ -284,9 +282,14 @@ def extract_feature(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandG
     return tape.feature
 
 
-def _gauss_backward_batched(centered: np.ndarray, mu: np.ndarray, grad_out: np.ndarray, denom: int, n: int):
-    """Batched adjoint of the Gaussian embedding through mu and Sigma."""
-    d = centered.shape[-1]
+def _gauss_backward_batched(centered: np.ndarray, mu: np.ndarray, grad_out: np.ndarray, denom: int):
+    """Batched adjoint of ``_batched_gauss``: gradients w.r.t. the input
+    vectors (..., n, d) given its ``centered`` and ``mu`` outputs.
+
+    d<A, Sigma>/dz_k = (2/denom) A (z_k - mu); the mean-shift term cancels
+    because the centered vectors sum to zero.
+    """
+    n, d = centered.shape[-2:]
     a = linalg.symmetrize(grad_out[..., :d, :d])
     b = 0.5 * (grad_out[..., :d, d] + grad_out[..., d, :d])
     amu = (a @ mu[..., :, None])[..., 0]
@@ -313,17 +316,13 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
     for q, (tb, te) in enumerate(tape.ranges):
         n = te - tb + 1
         centered = tape.z[:, tb - 1 : te] - tape.range_mu[:, q][:, None, :]
-        dz[:, tb - 1 : te] += _gauss_backward_batched(
-            centered, tape.range_mu[:, q], dtemp[:, q], n, n
-        )
+        dz[:, tb - 1 : te] += _gauss_backward_batched(centered, tape.range_mu[:, q], dtemp[:, q], n)
 
     dy3 = spd_ops.half_vec_adjoint(dz, cfg.frame_spd_dim)
-    log_cache = EigenPair(tape.frame_eig.vectors, tape.clamped_values)
-    dx3 = linalg.spectral_fn_backward_cached(linalg.LOG, dy3, log_cache)
-    dx2 = linalg.spectral_fn_backward_cached(linalg.clamp_fn(cfg.eps), dx3, tape.frame_eig)
-
-    j = cfg.joints_per_finger
-    dfingers = _gauss_backward_batched(tape.frame_centered, tape.frame_mu, dx2, j - 1, j)
+    dx2 = linalg.spectral_fn_backward_cached(linalg.reeig_log_fn(cfg.eps), dy3, tape.frame_eig)
+    dfingers = _gauss_backward_batched(
+        tape.frame_centered, tape.frame_mu, dx2, cfg.joints_per_finger - 1
+    )
     dfeats = np.ascontiguousarray(dfingers.transpose(1, 0, 2, 3)).reshape(
         cfg.n_F, graph.n_out_nodes, cfg.d1
     )

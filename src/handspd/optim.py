@@ -27,7 +27,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 20
     seed: int = 0
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -109,7 +108,7 @@ def train(
     metrics = []
     for epoch in range(1, train_cfg.epochs + 1):
         start = time.perf_counter()
-        order = rng.permutation(n) if train_cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         epoch_loss = 0.0
         correct = 0
         for lo in range(0, n, train_cfg.batch_size):

@@ -1,115 +1,21 @@
-"""SPD layer primitives: GaussAgg, ReEig, LogEig, HalfVec, SPDSpatAgg.
+"""SPD layer primitives: HalfVec and SPDSpatAgg.
 
-Each layer has a forward and an exact backward (adjoint).  Forwards return
-plain matrices; eigendecomposition caches needed by the spectral backwards
-are produced by the caller (see ``network.LayerTape``) so that every
-function here stays pure.
+Each layer has a forward and an exact backward (adjoint), both pure.  The
+other layers have one batched implementation each, where the network runs
+them: GaussAgg is ``network._batched_gauss`` and its adjoint, and ReEig plus
+LogEig is the single spectral map ``linalg.reeig_log_fn``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .errors import InvalidInput
-from .linalg import EigenPair
-
-BIASED = "biased"
-UNBIASED = "unbiased"
-
-
-@dataclass(frozen=True)
-class GaussAggConfig:
-    """Covariance normalization mode plus an optional ridge on Sigma."""
-
-    normalization: str = BIASED
-    lambda_reg: float = 0.0
-
-    def __post_init__(self):
-        if self.normalization not in (BIASED, UNBIASED):
-            raise InvalidInput(f"unknown normalization {self.normalization!r}")
-        if self.lambda_reg < 0:
-            raise InvalidInput("lambda_reg must be nonnegative")
-
-
-def _check_vectors(vectors: np.ndarray, cfg: GaussAggConfig) -> np.ndarray:
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if vectors.ndim != 2:
-        raise InvalidInput(f"expected an (n, d) array, got shape {vectors.shape}")
-    n = vectors.shape[0]
-    if n < 1 or (cfg.normalization == UNBIASED and n < 2):
-        raise InvalidInput(f"{cfg.normalization} covariance needs more samples (got {n})")
-    return vectors
-
-
-def gauss_agg(vectors: np.ndarray, cfg: GaussAggConfig) -> np.ndarray:
-    """Embed sample statistics into the (d+1)x(d+1) Gaussian block matrix.
-
-    Returns [[Sigma + lambda_reg*I + mu mu^T, mu], [mu^T, 1]] with mu the
-    sample mean and Sigma the biased (1/n) or unbiased (1/(n-1)) covariance.
-    """
-    vectors = _check_vectors(vectors, cfg)
-    n, d = vectors.shape
-    mu = vectors.mean(axis=0)
-    centered = vectors - mu
-    denom = n if cfg.normalization == BIASED else n - 1
-    sigma = centered.T @ centered / denom
-    out = np.empty((d + 1, d + 1))
-    out[:d, :d] = sigma + np.outer(mu, mu)
-    out[:d, :d][np.diag_indices(d)] += cfg.lambda_reg
-    out[:d, d] = mu
-    out[d, :d] = mu
-    out[d, d] = 1.0
-    return out
-
-
-def gauss_agg_backward(vectors: np.ndarray, cfg: GaussAggConfig, grad_out: np.ndarray) -> np.ndarray:
-    """Gradients of <grad_out, gauss_agg(vectors)> w.r.t. each input vector."""
-    vectors = _check_vectors(vectors, cfg)
-    n, d = vectors.shape
-    grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != (d + 1, d + 1):
-        raise InvalidInput(f"grad_out shape {grad_out.shape}, expected {(d + 1, d + 1)}")
-    a = linalg.symmetrize(grad_out[:d, :d])
-    b = 0.5 * (grad_out[:d, d] + grad_out[d, :d])
-    mu = vectors.mean(axis=0)
-    centered = vectors - mu
-    denom = n if cfg.normalization == BIASED else n - 1
-    # d<A, Sigma>/dz_k = (2/denom) A (z_k - mu); the mean-shift term cancels
-    # because the centered vectors sum to zero.
-    return (2.0 / denom) * centered @ a + (2.0 * a @ mu + 2.0 * b) / n
-
-
-def re_eig(x: np.ndarray, eps: float) -> np.ndarray:
-    """Clamp eigenvalues of a symmetric matrix from below at eps."""
-    if eps <= 0:
-        raise InvalidInput("rectification threshold must be positive")
-    return linalg.spectral_apply(x, linalg.clamp_fn(eps))
-
-
-def re_eig_backward(x: np.ndarray, eps: float, grad_out: np.ndarray, cache: EigenPair) -> np.ndarray:
-    if eps <= 0:
-        raise InvalidInput("rectification threshold must be positive")
-    return linalg.spectral_fn_backward(x, linalg.clamp_fn(eps), grad_out, cache)
-
-
-def log_eig(x: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix."""
-    return linalg.spectral_apply(x, linalg.LOG)
-
-
-def log_eig_backward(x: np.ndarray, grad_out: np.ndarray, cache: EigenPair) -> np.ndarray:
-    return linalg.spectral_fn_backward(x, linalg.LOG, grad_out, cache)
 
 
 def half_vec_dim(d: int) -> int:
     return d * (d + 1) // 2
-
-
-def _triu_rows_cols(d: int):
-    return np.triu_indices(d)
 
 
 def half_vec(y: np.ndarray) -> np.ndarray:
@@ -120,7 +26,7 @@ def half_vec(y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=np.float64)
     d = y.shape[-1]
-    rows, cols = _triu_rows_cols(d)
+    rows, cols = np.triu_indices(d)
     scale = np.where(rows == cols, 1.0, np.sqrt(2.0))
     return y[..., rows, cols] * scale
 
@@ -136,7 +42,7 @@ def half_vec_adjoint(g: np.ndarray, dim: int | None = None) -> np.ndarray:
         dim = int(round((np.sqrt(8 * length + 1) - 1) / 2))
     if half_vec_dim(dim) != length:
         raise InvalidInput(f"length {length} is not a triangular number for dim {dim}")
-    rows, cols = _triu_rows_cols(dim)
+    rows, cols = np.triu_indices(dim)
     # Off-diagonal mass splits evenly between (i,j) and (j,i): sqrt(2)/2.
     scale = np.where(rows == cols, 1.0, np.sqrt(2.0) / 2.0)
     out = np.zeros(g.shape[:-1] + (dim, dim))

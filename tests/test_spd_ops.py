@@ -1,116 +1,148 @@
+"""Layer primitives: GaussAgg (network._batched_gauss and its adjoint), the
+composite ReEig+LogEig spectral map, and spd_ops' HalfVec and SPDSpatAgg."""
+
 import numpy as np
 import pytest
 
-from handspd import linalg, spd_ops
+from handspd import linalg, network, spd_ops
 from handspd.errors import InvalidInput
 from handspd.gradcheck import fd_grad, rel_error
-from handspd.spd_ops import GaussAggConfig
+from handspd.network import NetworkConfig
 
 import oracles
 
 
+def _gauss(vectors, mode, lambda_reg=0.0):
+    """GaussAgg with the biased (1/n) or unbiased (1/(n-1)) covariance."""
+    n = vectors.shape[-2]
+    denom = n - 1 if mode == "unbiased" else n
+    return network._batched_gauss(vectors, denom, lambda_reg)
+
+
+def _reeig_log(x, eps):
+    return linalg.spectral_apply_cached(linalg.sym_eig_batch(x), linalg.reeig_log_fn(eps))
+
+
 class TestGaussAgg:
+    """GaussAgg's one implementation, network._batched_gauss and its adjoint."""
+
     @pytest.mark.parametrize("mode", ["biased", "unbiased"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_matches_definitional_oracle(self, mode, lam):
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((7, 4))
-        cfg = GaussAggConfig(mode, lambda_reg=lam)
         expected = oracles.gauss_agg_reference(
             vectors, unbiased=(mode == "unbiased"), lambda_reg=lam
         )
-        assert np.abs(spd_ops.gauss_agg(vectors, cfg) - expected).max() < 1e-12
+        assert np.abs(_gauss(vectors, mode, lam)[0] - expected).max() < 1e-12
+
+    @pytest.mark.parametrize("mode", ["biased", "unbiased"])
+    def test_batched_stack_matches_oracle_slice_by_slice(self, mode):
+        rng = np.random.default_rng(4)
+        vectors = rng.standard_normal((2, 3, 6, 4))
+        out, mu, centered = _gauss(vectors, mode, 0.5)
+        assert out.shape == (2, 3, 5, 5)
+        for i in range(2):
+            for j in range(3):
+                expected = oracles.gauss_agg_reference(
+                    vectors[i, j], unbiased=(mode == "unbiased"), lambda_reg=0.5
+                )
+                assert np.abs(out[i, j] - expected).max() < 1e-12
+                assert np.abs(centered[i, j] + mu[i, j] - vectors[i, j]).max() < 1e-12
 
     def test_hand_computed_two_samples(self):
         # Samples (0,) and (2,): mu = 1, biased sigma = 1.
-        out = spd_ops.gauss_agg(np.array([[0.0], [2.0]]), GaussAggConfig("biased"))
+        out = _gauss(np.array([[0.0], [2.0]]), "biased")[0]
         assert np.allclose(out, [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
         # Unbiased sigma = 2.
-        out = spd_ops.gauss_agg(np.array([[0.0], [2.0]]), GaussAggConfig("unbiased"))
+        out = _gauss(np.array([[0.0], [2.0]]), "unbiased")[0]
         assert np.allclose(out, [[3.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
     def test_output_positive_definite_with_ridge(self):
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((3, 5))  # fewer samples than dims
-        out = spd_ops.gauss_agg(vectors, GaussAggConfig("biased", lambda_reg=1e-3))
+        out = _gauss(vectors, "biased", 1e-3)[0]
         assert np.linalg.eigvalsh(out).min() > 0
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(2)
-        out = spd_ops.gauss_agg(rng.standard_normal((6, 3)), GaussAggConfig("unbiased"))
+        out = _gauss(rng.standard_normal((6, 3)), "unbiased")[0]
         assert np.abs(out - out.T).max() == 0.0
 
     def test_rejects_bad_config(self):
+        # The ridge is NetworkConfig.lambda_reg; the denominators are fixed
+        # per stage, so no normalization mode can be misspelled.
         with pytest.raises(InvalidInput):
-            GaussAggConfig("median")
-        with pytest.raises(InvalidInput):
-            GaussAggConfig("biased", lambda_reg=-1.0)
+            NetworkConfig(lambda_reg=-1.0)
 
     def test_rejects_too_few_samples(self):
+        # Unbiased frame covariances need two joints per finger; biased range
+        # covariances need a non-empty range, i.e. n_F >= n_T.
         with pytest.raises(InvalidInput):
-            spd_ops.gauss_agg(np.ones((1, 3)), GaussAggConfig("unbiased"))
+            NetworkConfig(joints_per_finger=1).graph()
         with pytest.raises(InvalidInput):
-            spd_ops.gauss_agg(np.ones((0, 3)), GaussAggConfig("biased"))
+            NetworkConfig(n_F=2, n_T=3)
 
     @pytest.mark.parametrize("mode", ["biased", "unbiased"])
     def test_backward_matches_finite_differences(self, mode):
         rng = np.random.default_rng(3)
         vectors = rng.standard_normal((5, 3))
-        cfg = GaussAggConfig(mode, lambda_reg=0.2)
+        denom = 5 if mode == "biased" else 4
         cot = rng.standard_normal((4, 4))
-        analytic = spd_ops.gauss_agg_backward(vectors, cfg, cot)
-        numeric = fd_grad(lambda v: float(np.sum(cot * spd_ops.gauss_agg(v, cfg))), vectors)
+        _, mu, centered = _gauss(vectors, mode, 0.2)
+        analytic = network._gauss_backward_batched(centered, mu, cot, denom)
+        numeric = fd_grad(lambda v: float(np.sum(cot * _gauss(v, mode, 0.2)[0])), vectors)
         assert rel_error(analytic, numeric) < 1e-7
-
-    def test_backward_shape_check(self):
-        with pytest.raises(InvalidInput):
-            spd_ops.gauss_agg_backward(
-                np.ones((4, 3)), GaussAggConfig("biased"), np.ones((3, 3))
-            )
 
 
 class TestReEig:
+    """The rectifying half of the composite ReEig+LogEig map."""
+
     def test_clamps_small_eigenvalues(self):
-        out = spd_ops.re_eig(np.diag([5.0, 1e-9, -2.0]), 1e-4)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(out)), [1e-4, 1e-4, 5.0])
+        out = _reeig_log(np.diag([5.0, 1e-9, -2.0]), 1e-4)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(out)), np.log([1e-4, 1e-4, 5.0]))
 
     def test_identity_above_threshold(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((4, 4))
         x = a @ a.T + np.eye(4)
-        assert np.abs(spd_ops.re_eig(x, 1e-4) - x).max() < 1e-12
+        assert np.abs(_reeig_log(x, 1e-4) - oracles.logm(x)).max() < 1e-12
 
     def test_matches_basis_free_oracle(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((5, 5))
         x = a @ a.T / 50.0  # eigenvalues straddle the threshold
-        expected = oracles.clamp_eig(x, 1e-2)
-        assert np.abs(spd_ops.re_eig(x, 1e-2) - expected).max() < 1e-10
+        expected = oracles.logm(oracles.clamp_eig(x, 1e-2))
+        assert np.abs(_reeig_log(x, 1e-2) - expected).max() < 1e-10
 
     def test_output_always_positive_definite(self):
+        # The rectified matrix exp(out) has every eigenvalue >= eps.
         rng = np.random.default_rng(2)
         for _ in range(20):
             s = rng.standard_normal((4, 4))
             s = s + s.T
-            out = spd_ops.re_eig(s, 1e-4)
-            assert np.linalg.eigvalsh(out).min() >= 1e-4 * (1 - 1e-6)
+            out = _reeig_log(s, 1e-4)
+            assert np.exp(np.linalg.eigvalsh(out).min()) >= 1e-4 * (1 - 1e-6)
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(InvalidInput):
-            spd_ops.re_eig(np.eye(2), 0.0)
+            linalg.reeig_log_fn(0.0)
         with pytest.raises(InvalidInput):
-            spd_ops.re_eig_backward(np.eye(2), -1.0, np.eye(2), linalg.sym_eig(np.eye(2)))
+            linalg.reeig_log_fn(-1.0)
 
 
 class TestLogEig:
+    """The logarithm half of the composite ReEig+LogEig map."""
+
     def test_matches_basis_free_oracle(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((5, 5))
         x = a @ a.T + 0.3 * np.eye(5)
-        assert np.abs(spd_ops.log_eig(x) - oracles.logm(x)).max() < 1e-10
+        expected = oracles.logm(oracles.clamp_eig(x, 1e-4))
+        assert np.abs(_reeig_log(x, 1e-4) - expected).max() < 1e-10
 
     def test_log_of_scaled_identity(self):
-        out = spd_ops.log_eig(3.0 * np.eye(4))
+        out = _reeig_log(3.0 * np.eye(4), 1e-4)
         assert np.allclose(out, np.log(3.0) * np.eye(4), atol=1e-14)
 
     def test_backward_matches_finite_differences(self):
@@ -119,8 +151,9 @@ class TestLogEig:
         x = a @ a.T / 4 + 0.5 * np.eye(4)
         cot = rng.standard_normal((4, 4))
         cot = 0.5 * (cot + cot.T)
-        analytic = spd_ops.log_eig_backward(x, cot, linalg.sym_eig(x))
-        numeric = fd_grad(lambda s: float(np.sum(cot * spd_ops.log_eig(0.5 * (s + s.T)))), x)
+        fn = linalg.reeig_log_fn(1e-4)
+        analytic = linalg.spectral_fn_backward_cached(fn, cot, linalg.sym_eig_batch(x))
+        numeric = fd_grad(lambda s: float(np.sum(cot * _reeig_log(0.5 * (s + s.T), 1e-4))), x)
         assert rel_error(analytic, linalg.symmetrize(numeric)) < 1e-6
 
 
