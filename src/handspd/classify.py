@@ -27,10 +27,16 @@ class SvmModel:
     C: float = 1.0
     tol: float = 0.1
     dual_history: list = field(default_factory=list)  # per class, per pass
+    passes: list = field(default_factory=list)        # per class
+    converged: list = field(default_factory=list)     # per class; False at max_passes
 
     @property
     def n_classes(self) -> int:
         return self.weights.shape[0]
+
+    def unconverged_classes(self) -> list[int]:
+        """1-based classes whose solver stopped at max_passes."""
+        return [cls for cls, ok in enumerate(self.converged, start=1) if not ok]
 
 
 @dataclass
@@ -49,7 +55,8 @@ def _dcd_binary(x: np.ndarray, y: np.ndarray, c: float, tol: float, rng, max_pas
 
     min_a 0.5 a^T (Q + I/(2C)) a - e^T a  over a >= 0, with w = X^T (a*y).
     Exact single-coordinate minimization, so the dual objective never
-    increases across passes.
+    increases across passes.  Returns (w, dual objective per pass,
+    converged), with converged False when max_passes ran out first.
     """
     n, _ = x.shape
     alpha = np.zeros(n)
@@ -72,8 +79,8 @@ def _dcd_binary(x: np.ndarray, y: np.ndarray, c: float, tol: float, rng, max_pas
                     alpha[i] = new
         history.append(_dual_objective(w, alpha, c))
         if pg_max - pg_min < tol:
-            break
-    return w, history
+            return w, history, True
+    return w, history, False
 
 
 def svm_train(
@@ -98,13 +105,15 @@ def svm_train(
     if n_classes is None:
         n_classes = int(labels.max())
     weights = np.zeros((n_classes, x.shape[1]))
-    history = []
+    model = SvmModel(weights=weights, C=C, tol=tol)
     for cls in range(1, n_classes + 1):
         y = np.where(labels == cls, 1.0, -1.0)
         rng = np.random.default_rng((seed, cls))
-        weights[cls - 1], h = _dcd_binary(x, y, C, tol, rng, max_passes)
-        history.append(h)
-    return SvmModel(weights=weights, C=C, tol=tol, dual_history=history)
+        weights[cls - 1], history, converged = _dcd_binary(x, y, C, tol, rng, max_passes)
+        model.dual_history.append(history)
+        model.passes.append(len(history))
+        model.converged.append(converged)
+    return model
 
 
 def decision_values(model: SvmModel, features: np.ndarray) -> np.ndarray:

@@ -77,8 +77,22 @@ def build_train_config(args, filecfg) -> TrainConfig:
     )
 
 
+def _split_by_trial(sequences, per_class: int, source: str):
+    """Trials below ``per_class`` train, the rest test; neither may be empty."""
+    train = [s for s in sequences if s.trial < per_class]
+    test = [s for s in sequences if s.trial >= per_class]
+    for name, part in (("train", train), ("test", test)):
+        if not part:
+            raise ConfigError(f"--per-class {per_class} leaves the {name} split of {source} empty")
+    return train, test
+
+
 def _load_sequences(args, cfg: NetworkConfig):
-    """Resolve the dataset source flags; returns (train_list, test_list)."""
+    """Resolve the dataset source flags; returns (train_list, test_list).
+
+    Synthetic gestures and a cache split by trial (``--per-class``); a
+    dataset root splits by its own split files.
+    """
     n_sources = sum(bool(x) for x in (args.synthetic, args.data, args.cache))
     if n_sources != 1:
         raise ConfigError("exactly one of --synthetic, --data, --cache is required")
@@ -90,21 +104,18 @@ def _load_sequences(args, cfg: NetworkConfig):
             seed=args.data_seed,
             length=cfg.n_F,
         )
-        train, test = [], []
-        for seq in full:
-            (train if seq.trial < args.per_class else test).append(seq)
-        return train, test
+        return _split_by_trial(full, args.per_class, "--synthetic")
     if args.cache:
         sequences = data.load_cache(args.cache)
         sequences = [data.resample(s, cfg.n_F, args.resample_method) for s in sequences]
-        return sequences, sequences
+        return _split_by_trial(sequences, args.per_class, "--cache")
     sequences = data.load_dhg(args.data)
     sequences = [data.resample(s, cfg.n_F, args.resample_method) for s in sequences]
     split_obj = data.dhg_split(sequences, args.data)
     return split_obj.train, split_obj.test
 
 
-def _add_data_flags(sub, with_synth_sizes=True):
+def _add_data_flags(sub):
     sub.add_argument("--data", help="DHG/SHREC'17 dataset root directory")
     sub.add_argument("--cache", help="internal dataset cache (.npz)")
     sub.add_argument("--synthetic", action="store_true", help="generate synthetic gestures")
@@ -112,9 +123,9 @@ def _add_data_flags(sub, with_synth_sizes=True):
                      choices=[data.INTERPOLATE, data.PAD_LAST])
     sub.add_argument("--noise", type=float, default=0.01, help="synthetic noise sigma")
     sub.add_argument("--data-seed", type=int, default=0, help="synthetic data seed")
-    if with_synth_sizes:
-        sub.add_argument("--per-class", type=int, default=50, help="synthetic train sequences per class")
-        sub.add_argument("--test-per-class", type=int, default=25, help="synthetic test sequences per class")
+    sub.add_argument("--per-class", type=int, default=50,
+                     help="trials below this train, the rest test (--synthetic and --cache)")
+    sub.add_argument("--test-per-class", type=int, default=25, help="synthetic test sequences per class")
 
 
 def _add_net_flags(sub):
@@ -176,7 +187,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--layer", action="append", help="restrict to one layer (repeatable)")
+    p.add_argument("--layer", action="append",
+                   help=f"restrict to one layer (repeatable): {', '.join(gradcheck.LAYERS)}")
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset cache")
@@ -211,6 +223,14 @@ def _write_report(out_dir: Path, report, n_classes: int):
         writer.writerow(["accuracy_percent"])
         writer.writerow([f"{report.accuracy:.4f}"])
     print(classify.report_table(report, names))
+
+
+def _warn_unconverged(model: classify.SvmModel):
+    missed = model.unconverged_classes()
+    if missed:
+        listed = ", ".join(f"{cls} ({model.passes[cls - 1]} passes)" for cls in missed)
+        noun = "class" if len(missed) == 1 else "classes"
+        print(f"warning: the SVM solver did not converge for {noun} {listed}", file=sys.stderr)
 
 
 def cmd_train(args, filecfg) -> int:
@@ -259,6 +279,7 @@ def cmd_pipeline(args, filecfg) -> int:
 
     model = classify.svm_train(train_x, train_y, C=args.svm_c, tol=args.svm_tol,
                                seed=args.seed, n_classes=cfg.n_classes)
+    _warn_unconverged(model)
     classify.save_model(out_dir / "svm_model.bin", model)
     report = classify.evaluate(model, test_x, test_y)
     _write_report(out_dir, report, cfg.n_classes)
@@ -286,6 +307,7 @@ def cmd_svm(args, filecfg) -> int:
         n_classes = int(blob["n_classes"][0]) if "n_classes" in blob else None
     model = classify.svm_train(features, labels, C=args.svm_c, tol=args.svm_tol,
                                seed=args.seed, n_classes=n_classes)
+    _warn_unconverged(model)
     classify.save_model(args.out, model)
     print(f"SVM model written to {args.out}")
     return EXIT_OK

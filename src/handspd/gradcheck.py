@@ -64,39 +64,45 @@ def _check_graph_conv(rng):
     return max(err_f, err_w)
 
 
-def _check_gauss(rng, unbiased, lambda_reg):
+def _check_gauss_range(rng):
     # A (2, 3) stack of n d-vectors, so the batching is checked too.
-    n, d = 5, 4
-    denom = n - 1 if unbiased else n
+    n, d, lambda_reg = 5, 4, 0.1
     vectors = rng.standard_normal((2, 3, n, d))
     cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
-    _, mu, centered = network._batched_gauss(vectors, denom, lambda_reg)
-    analytic = network._gauss_backward_batched(centered, mu, cot, denom)
+    _, mu, centered = network._batched_gauss(vectors, n, lambda_reg)
+    analytic = network._gauss_backward_batched(centered, mu, cot, n)
     numeric = fd_grad(
-        lambda v: float(np.sum(cot * network._batched_gauss(v, denom, lambda_reg)[0])), vectors
+        lambda v: float(np.sum(cot * network._batched_gauss(v, n, lambda_reg)[0])), vectors
     )
     return rel_error(analytic, numeric)
 
 
-def _check_reeig_log(rng):
-    # Eigenvalues straddle eps but stay at least eps/2 from the kink, so
-    # central differences at DEFAULT_H see a smooth map; the threshold is
-    # scaled with the spectrum to make that margin wide.
-    d, eps = 5, 0.1
-    q, _ = np.linalg.qr(rng.standard_normal((2, 3, d, d)))
-    below = rng.uniform(-1.0, 0.5 * eps, (2, 3, 2))
-    above = rng.uniform(1.5 * eps, 2.0, (2, 3, d - 2))
-    x = (q * np.concatenate([below, above], axis=-1)[..., None, :]) @ np.swapaxes(q, -1, -2)
-    x = linalg.symmetrize(x)
-    fn = linalg.reeig_log_fn(eps)
-    cot = linalg.symmetrize(rng.standard_normal((2, 3, d, d)))
-    analytic = linalg.spectral_fn_backward_cached(fn, cot, linalg.sym_eig_batch(x))
-    probe = lambda s: float(
-        np.sum(cot * linalg.spectral_apply_cached(linalg.sym_eig_batch(linalg.symmetrize(s)), fn))
+def _check_frame_log(rng):
+    # A (2, 3) stack of n d-vectors whose centered parts have two large and
+    # one small squared singular value, so each Gram matrix B^T B has three
+    # eigenvalues above eps, one in (0, eps) and its structural zero.  eps
+    # sits at the geometric mean of the gap, which keeps every eigenvalue at
+    # least eps/2 from the kink and central differences on a smooth map.
+    n, d = 4, 4
+    # basis[..., 1:] spans the zero-sum vectors, so its rows are centered.
+    basis, _ = np.linalg.qr(
+        np.concatenate([np.ones((2, 3, n, 1)), rng.standard_normal((2, 3, n, n - 1))], axis=-1)
     )
-    # FD differentiates through the symmetrization, whose adjoint is the
-    # identity on the symmetric analytic gradient.
-    return rel_error(analytic, linalg.symmetrize(fd_grad(probe, x)))
+    directions, _ = np.linalg.qr(rng.standard_normal((2, 3, d, n - 1)))
+    gram_values = np.concatenate(
+        [rng.uniform(0.5, 2.0, (2, 3, 2)), rng.uniform(0.001, 0.005, (2, 3, 1))], axis=-1
+    )
+    centered = (basis[..., 1:] * np.sqrt((n - 1) * gram_values)[..., None, :]) @ np.swapaxes(
+        directions, -1, -2
+    )
+    vectors = centered + 0.3 * rng.standard_normal((2, 3, 1, d))
+    values = network._frame_log(vectors, 1.0)[2].values
+    eps = float(np.sqrt(values[..., 2].min() * values[..., 3].max()))
+    cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
+    _, factor, gram_eig, w = network._frame_log(vectors, eps)
+    analytic = network._frame_log_backward(cot, factor, gram_eig, w, eps)
+    numeric = fd_grad(lambda v: float(np.sum(cot * network._frame_log(v, eps)[0])), vectors)
+    return rel_error(analytic, numeric)
 
 
 def _check_half_vec(rng):
@@ -179,9 +185,8 @@ def _check_network(rng):
 
 LAYERS = {
     "graph_conv": _check_graph_conv,
-    "gauss_frame": lambda rng: _check_gauss(rng, True, 0.0),
-    "gauss_range": lambda rng: _check_gauss(rng, False, 0.1),
-    "reeig_log": _check_reeig_log,
+    "frame_log": _check_frame_log,
+    "gauss_range": _check_gauss_range,
     "half_vec": _check_half_vec,
     "spd_spat_agg": _check_spat_agg,
     "fc": _check_fc,

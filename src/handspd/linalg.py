@@ -1,10 +1,11 @@
 """Dense symmetric linear algebra.
 
 Eigendecomposition with a fixed sign convention, spectral matrix functions
-f(S) = U f(V) U^T (LOG for the final LogEig; ``reeig_log_fn`` for the frame
-ReEig+LogEig, one map), the eigendecomposition chain rule (Daleckii-Krein
-form) shared by every spectral layer's backward pass, and QR
-row-orthonormalization used for Stiefel retractions.
+f(S) = U f(V) U^T (LOG for the final LogEig; ``gram_log_fn`` for the frame
+ReEig+LogEig, applied to the small Gram matrix B^T B of each low-rank frame
+matrix B B^T), the eigendecomposition chain rule (Daleckii-Krein form)
+shared by every spectral layer's backward pass, and QR row-orthonormalization
+used for Stiefel retractions.
 
 All functions are pure and operate on plain float64 numpy arrays.  The
 spectral functions are batched over leading axes, (..., d, d), and take the
@@ -44,20 +45,27 @@ EXP = SpectralFn(np.exp, np.exp)
 IDENTITY = SpectralFn(lambda x: x, lambda x: np.ones_like(x))
 
 
-def reeig_log_fn(eps: float) -> SpectralFn:
-    """ReEig then LogEig as one map, log(max(x, eps)).
+def gram_log_fn(eps: float) -> SpectralFn:
+    """h(x) = (log max(x, eps) - log eps) / x, with h = 0 for x <= eps.
 
-    The derivative is 1/x for x >= eps and 0 below, so at exactly x == eps
-    it takes the rectifier's subgradient 1.  Because max(., eps) keeps the
-    eigenvalue order, the composite's divided differences are the product
-    of the two layers' kernels and one chain-rule pass replaces two.
+    For X = B B^T this gives log max(X, eps) = log(eps) I + B h(B^T B) B^T
+    exactly: B v / sqrt(x) is a unit eigenvector of X for each eigenpair
+    (x, v) of the Gram matrix with x > 0, and every other eigenvalue of X is 0.
+    The derivative is (1 - log(x / eps)) / x^2 for x >= eps and 0 below, so
+    at exactly x == eps it takes the rectifier's subgradient 1.
     """
     if eps <= 0:
         raise InvalidInput("rectification threshold must be positive")
-    return SpectralFn(
-        lambda x: np.log(np.maximum(x, eps)),
-        lambda x: np.where(x >= eps, 1.0 / np.maximum(x, eps), 0.0),
-    )
+
+    def h(x):
+        top = np.maximum(x, eps)
+        return np.log(top / eps) / top
+
+    def dh(x):
+        top = np.maximum(x, eps)
+        return np.where(x >= eps, (1.0 - np.log(top / eps)) / (top * top), 0.0)
+
+    return SpectralFn(h, dh)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:

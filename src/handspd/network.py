@@ -8,11 +8,16 @@ Pipeline per sequence (one branch per finger):
     -> HalfVec -> affine FC -> logits (softmax lives in the loss).
 
 Every layer has one implementation, batched over frames and fingers, and it
-is the one the gradient checks test.  GaussAgg lives here
-(``_batched_gauss`` and its adjoint); ReEig followed by LogEig is the single
-spectral map ``linalg.reeig_log_fn``, one eigendecomposition forward and one
-chain-rule pass backward.  ``tests/oracles.py`` holds a straight-line
-per-equation reference the batched path is checked against.
+is the one the gradient checks test.  The per-frame GaussAgg, ReEig and
+LogEig are one map (``_frame_log`` and its adjoint): a frame matrix of J
+joint features is X2 = B B^T with B = [[C^T/sqrt(J-1), mu], [0, 1]] of shape
+(d1+1) x (J+1), so its rank is at most J and its nonzero spectrum is that of
+the (J+1) x (J+1) Gram matrix B^T B.  The forward pass eigendecomposes the
+Gram matrix, never X2; the backward pass is one chain-rule pass through the
+same decomposition.  The pyramid ranges use the full-rank GaussAgg
+``_batched_gauss`` and its adjoint.  ``tests/oracles.py`` holds a
+straight-line per-equation reference, dense eigendecompositions included,
+that the batched path is checked against.
 
 Checkpoint format (little-endian):
     magic b"SPDN" | uint32 version=1
@@ -158,11 +163,9 @@ class LayerTape:
     """Forward intermediates consumed by the backward pass."""
 
     frames: np.ndarray            # (n_F, n_joints, 3)
-    finger_feats: np.ndarray      # (S, n_F, J, d1)
-    frame_mu: np.ndarray          # (S, n_F, d1)
-    frame_centered: np.ndarray    # (S, n_F, J, d1)
-    frame_eig: EigenPair          # of the pre-ReEig frame matrices, batched
-    clamped_values: np.ndarray    # (S, n_F, m) eigenvalues after ReEig
+    frame_factor: np.ndarray      # (S, n_F, d1+1, J+1) B with X2 = B B^T
+    frame_eig: EigenPair          # of the Gram matrices B^T B, batched
+    frame_w: np.ndarray           # (S, n_F, J+1, J+1) h(B^T B), gram_log_fn
     z: np.ndarray                 # (S, n_F, half_dim)
     ranges: list                  # pyramid (t_b, t_e), 1-based inclusive
     range_mu: np.ndarray          # (S, n_Q, half_dim)
@@ -200,8 +203,8 @@ def _batched_gauss(vectors: np.ndarray, denom: int, lambda_reg: float):
     """Gaussian embedding over the second-to-last axis of (..., n, d).
 
     Returns ([[Sigma + lambda_reg*I + mu mu^T, mu], [mu^T, 1]], mu, centered)
-    with Sigma the centered scatter divided by ``denom``: n - 1 (unbiased)
-    for the frames, n (biased) for the pyramid ranges.
+    with Sigma the centered scatter divided by ``denom``; the pyramid ranges
+    use n (biased).  The per-frame embedding is ``_frame_log``.
     """
     mu = vectors.mean(axis=-2)
     centered = vectors - mu[..., None, :]
@@ -217,6 +220,54 @@ def _batched_gauss(vectors: np.ndarray, denom: int, lambda_reg: float):
     return out, mu, centered
 
 
+def _frame_log(vectors: np.ndarray, eps: float):
+    """log max(X2, eps) of the unbiased Gaussian embedding X2 of each set of
+    n d-vectors in (..., n, d), through the (n+1) x (n+1) Gram matrix.
+
+    X2 = [[Sigma + mu mu^T, mu], [mu^T, 1]] = B B^T with
+    B = [[centered^T / sqrt(n-1), mu], [0, 1]], and
+    log max(X2, eps) = log(eps) I + B W B^T with W = h(B^T B), h from
+    ``linalg.gram_log_fn``.  Returns (that log, B, eig(B^T B), W).
+    """
+    n, d = vectors.shape[-2:]
+    mu = vectors.mean(axis=-2)
+    factor = np.zeros(vectors.shape[:-2] + (d + 1, n + 1))
+    factor[..., :d, :n] = np.swapaxes(vectors - mu[..., None, :], -1, -2) / np.sqrt(n - 1)
+    factor[..., :d, n] = mu
+    factor[..., d, n] = 1.0
+    factor_t = np.swapaxes(factor, -1, -2)
+    gram_eig = linalg.sym_eig_batch(factor_t @ factor)
+    u = gram_eig.vectors
+    w = (u * linalg.gram_log_fn(eps).f(gram_eig.values)[..., None, :]) @ np.swapaxes(u, -1, -2)
+    y = factor @ w @ factor_t
+    idx = np.arange(d + 1)
+    y[..., idx, idx] += np.log(eps)
+    return linalg.symmetrize(y), factor, gram_eig, w
+
+
+def _frame_log_backward(
+    grad_out: np.ndarray, factor: np.ndarray, gram_eig: EigenPair, w: np.ndarray, eps: float
+):
+    """Adjoint of ``_frame_log``: gradients w.r.t. its input vectors (..., n, d).
+
+    With G = sym(grad_out) and dM the Daleckii-Krein adjoint of h at
+    B^T G B, the gradient w.r.t. B is 2 G B W + 2 B dM; every Gram
+    eigenvalue enters, those at or below eps included.  The centered block
+    of B maps back to each vector and mu to each with weight 1/n.  The
+    centered block's mean shift cancels: B (1, ..., 1, 0)^T = 0, so W and dM
+    annihilate that vector and the block's columns of the gradient sum to zero.
+    """
+    n = factor.shape[-1] - 1
+    g = linalg.symmetrize(grad_out)
+    dm = linalg.spectral_fn_backward_cached(
+        linalg.gram_log_fn(eps), np.swapaxes(factor, -1, -2) @ g @ factor, gram_eig
+    )
+    dfactor = 2.0 * (g @ factor @ w + factor @ dm)
+    dcentered = np.swapaxes(dfactor[..., :-1, :n], -1, -2) / np.sqrt(n - 1)
+    dmu = dfactor[..., :-1, n]
+    return dcentered + dmu[..., None, :] / n
+
+
 def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
     """Run the full pipeline; returns (logits, final_spd, tape)."""
     graph = graph or cfg.graph()
@@ -230,13 +281,8 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     fingers = skeleton.finger_partition(feats, graph)              # (n_F, S, J, d1)
     fingers = np.ascontiguousarray(fingers.transpose(1, 0, 2, 3))  # (S, n_F, J, d1)
 
-    x2, frame_mu, frame_centered = _batched_gauss(fingers, cfg.joints_per_finger - 1, 0.0)
-    frame_eig = linalg.sym_eig_batch(x2)
-    reeig_log = linalg.reeig_log_fn(cfg.eps)
-    y3 = (frame_eig.vectors * reeig_log.f(frame_eig.values)[..., None, :]) @ np.swapaxes(
-        frame_eig.vectors, -1, -2
-    )
-    z = spd_ops.half_vec(linalg.symmetrize(y3))                    # (S, n_F, hv)
+    y3, frame_factor, frame_eig, frame_w = _frame_log(fingers, cfg.eps)
+    z = spd_ops.half_vec(y3)                                       # (S, n_F, hv)
 
     ranges = pyramid_split(cfg.n_F, cfg.n_T)
     temp = np.empty((cfg.n_fingers, cfg.n_Q, cfg.temp_dim, cfg.temp_dim))
@@ -260,11 +306,9 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
 
     tape = LayerTape(
         frames=frames,
-        finger_feats=fingers,
-        frame_mu=frame_mu,
-        frame_centered=frame_centered,
+        frame_factor=frame_factor,
         frame_eig=frame_eig,
-        clamped_values=np.maximum(frame_eig.values, cfg.eps),
+        frame_w=frame_w,
         z=z,
         ranges=ranges,
         range_mu=range_mu,
@@ -319,10 +363,7 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
         dz[:, tb - 1 : te] += _gauss_backward_batched(centered, tape.range_mu[:, q], dtemp[:, q], n)
 
     dy3 = spd_ops.half_vec_adjoint(dz, cfg.frame_spd_dim)
-    dx2 = linalg.spectral_fn_backward_cached(linalg.reeig_log_fn(cfg.eps), dy3, tape.frame_eig)
-    dfingers = _gauss_backward_batched(
-        tape.frame_centered, tape.frame_mu, dx2, cfg.joints_per_finger - 1
-    )
+    dfingers = _frame_log_backward(dy3, tape.frame_factor, tape.frame_eig, tape.frame_w, cfg.eps)
     dfeats = np.ascontiguousarray(dfingers.transpose(1, 0, 2, 3)).reshape(
         cfg.n_F, graph.n_out_nodes, cfg.d1
     )

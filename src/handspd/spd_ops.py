@@ -2,8 +2,9 @@
 
 Each layer has a forward and an exact backward (adjoint), both pure.  The
 other layers have one batched implementation each, where the network runs
-them: GaussAgg is ``network._batched_gauss`` and its adjoint, and ReEig plus
-LogEig is the single spectral map ``linalg.reeig_log_fn``.
+them: the per-frame GaussAgg, ReEig and LogEig are the single map
+``network._frame_log``, and the pyramid-range GaussAgg is
+``network._batched_gauss``, each with its adjoint.
 """
 
 from __future__ import annotations

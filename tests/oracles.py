@@ -4,6 +4,8 @@ Everything here is deliberately written as straight-line loops over the
 defining formulas, sharing no code path with the package internals.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 
@@ -63,6 +65,22 @@ def gauss_agg_reference(vectors, unbiased=False, lambda_reg=0.0):
     return out
 
 
+def gauss_agg_backward_reference(vectors, grad, unbiased=False):
+    """Gradient of <grad, gauss_agg_reference(vectors)> w.r.t. each vector,
+    by the product rule on Sigma, mu mu^T and the mu border."""
+    vectors = np.asarray(vectors, dtype=float)
+    n, d = vectors.shape
+    a = 0.5 * (grad[:d, :d] + grad[:d, :d].T)
+    border = grad[:d, d] + grad[d, :d]
+    mu = vectors.mean(axis=0)
+    denom = (n - 1) if unbiased else n
+    out = np.zeros((n, d))
+    for k in range(n):
+        # The mean shift of the centered vectors sums to zero over k.
+        out[k] = 2.0 * a @ (vectors[k] - mu) / denom + (2.0 * a @ mu + border) / n
+    return out
+
+
 def half_vec_reference(y):
     d = y.shape[0]
     out = []
@@ -83,6 +101,40 @@ def logm(x):
 def clamp_eig(x, eps):
     vals, vecs = np.linalg.eigh(x)
     return vecs @ np.diag(np.where(vals > eps, vals, eps)) @ vecs.T
+
+
+# A scalar map and its derivative; duck-types handspd.linalg.SpectralFn.
+SpectralFn = namedtuple("SpectralFn", "f df")
+
+
+def reeig_log_fn(eps):
+    """ReEig then LogEig on a dense matrix's spectrum, log(max(x, eps)).
+
+    The derivative is 1/x for x >= eps and 0 below (subgradient 1 of the
+    rectifier at x == eps).
+    """
+    return SpectralFn(
+        lambda x: np.log(np.maximum(x, eps)),
+        lambda x: np.where(x >= eps, 1.0 / np.maximum(x, eps), 0.0),
+    )
+
+
+def reeig_log_backward_reference(x, grad, eps):
+    """Daleckii-Krein adjoint of X -> log(max(X, eps)) on one dense matrix,
+    every divided difference written out (f' at the midpoint within a
+    relative 1e-10 of a tie)."""
+    fn = reeig_log_fn(eps)
+    vals, vecs = np.linalg.eigh(x)
+    m = len(vals)
+    kernel = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            a, b = vals[i], vals[j]
+            if abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b)):
+                kernel[i, j] = fn.df(0.5 * (a + b))
+            else:
+                kernel[i, j] = (fn.f(a) - fn.f(b)) / (a - b)
+    return vecs @ (kernel * (vecs.T @ grad @ vecs)) @ vecs.T
 
 
 # ---------------------------------------------------------------------------

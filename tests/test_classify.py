@@ -23,7 +23,7 @@ class TestBinarySolver:
         x, labels = _blobs(rng, 15, [(-1.0, 0.5, 0.0), (1.0, -0.5, 0.3)])
         y = np.where(labels == 1, 1.0, -1.0)
         c = 1.0
-        w, _ = classify._dcd_binary(x, y, c, tol=1e-6, rng=np.random.default_rng(0), max_passes=5000)
+        w, _, _ = classify._dcd_binary(x, y, c, tol=1e-6, rng=np.random.default_rng(0), max_passes=5000)
         w_ref, _ = oracles.svm_projected_gradient(x, y, c)
         p = classify.primal_objective(w, x, y, c)
         p_ref = oracles.svm_primal_reference(w_ref, x, y, c)
@@ -33,7 +33,7 @@ class TestBinarySolver:
         rng = np.random.default_rng(0)
         x, labels = _blobs(rng, 20, [(-1.0, 0.0), (1.0, 0.0)], spread=0.8)
         y = np.where(labels == 1, 1.0, -1.0)
-        _, history = classify._dcd_binary(
+        _, history, _ = classify._dcd_binary(
             x, y, 2.0, tol=1e-8, rng=np.random.default_rng(1), max_passes=500
         )
         assert len(history) >= 2
@@ -68,6 +68,22 @@ class TestMulticlass:
         scores = classify.decision_values(model, x)
         assert scores.shape == (30, 3)
         assert np.array_equal(classify.svm_predict(model, x), scores.argmax(axis=1) + 1)
+
+    def test_convergence_recorded_per_class(self):
+        rng = np.random.default_rng(0)
+        x, y = _blobs(rng, 25, [(3.0, 0.0), (-3.0, 0.0), (0.0, 3.0)])
+        model = classify.svm_train(x, y, tol=0.01, seed=0)
+        assert model.converged == [True, True, True]
+        assert model.passes == [len(h) for h in model.dual_history]
+        assert model.unconverged_classes() == []
+
+    def test_max_passes_reached_is_reported(self):
+        rng = np.random.default_rng(0)
+        x, y = _blobs(rng, 25, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
+        model = classify.svm_train(x, y, tol=1e-8, seed=0, max_passes=1)
+        assert model.passes == [1, 1, 1]
+        assert model.converged == [False, False, False]
+        assert model.unconverged_classes() == [1, 2, 3]
 
     def test_tie_breaks_to_lowest_class(self):
         model = classify.SvmModel(weights=np.zeros((3, 2)))

@@ -4,7 +4,9 @@ import sys
 import numpy as np
 import pytest
 
-from handspd import cli
+from handspd import classify, cli, data, gradcheck
+from handspd.errors import ConfigError
+from handspd.network import NetworkConfig
 
 # Reduced geometry keeps every CLI run fast: 8-frame sequences, 2 conv
 # channels, 2 pyramid levels, 4 synthetic classes.
@@ -48,6 +50,22 @@ class TestGradcheckCommand:
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "half_vec" in out and "PASS" in out
+
+    def test_help_lists_every_registered_layer(self, capsys):
+        with pytest.raises(SystemExit):
+            run_cli("gradcheck", "--help")
+        out = capsys.readouterr().out
+        assert all(name in out for name in gradcheck.LAYERS)
+
+    def test_frame_log_layer(self, capsys):
+        code = run_cli("gradcheck", "--instances", "1", "--layer", "frame_log")
+        assert code == cli.EXIT_OK
+        assert "frame_log" in capsys.readouterr().out
+
+    def test_unknown_layer_is_config_error(self, capsys):
+        code = run_cli("gradcheck", "--layer", "reeig_log")
+        assert code == cli.EXIT_CONFIG
+        assert "frame_log" in capsys.readouterr().err
 
     def test_corrupted_gradients_exit_nonzero(self, capsys):
         code = run_cli("gradcheck", "--instances", "1", "--layer", "half_vec", "--corrupt")
@@ -131,12 +149,33 @@ class TestEndToEndCommands:
                        "--length", "8", "--out", str(cache)) == cli.EXIT_OK
         out_dir = tmp_path / "pipe_cache"
         code = run_cli(
-            "pipeline", "--cache", str(cache),
+            "pipeline", "--cache", str(cache), "--per-class", "1",
             "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
             "--out-dir", str(out_dir),
         )
         assert code == cli.EXIT_OK
         assert (out_dir / "report.csv").is_file()
+        with np.load(out_dir / "features.npz") as blob:
+            assert blob["train_features"].shape[0] == 4  # 4 classes x trial 0
+            assert blob["test_features"].shape[0] == 4   # 4 classes x trial 1
+
+    def test_svm_warns_about_unconverged_classes(self, trained_dir, tmp_path, capsys, monkeypatch):
+        feats = tmp_path / "features.npz"
+        code = run_cli(
+            "extract", *TOY_DATA,
+            "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
+            "--split", "train", "--out", str(feats),
+        )
+        assert code == cli.EXIT_OK
+        capsys.readouterr()
+        train = classify.svm_train
+        monkeypatch.setattr(classify, "svm_train",
+                            lambda *a, **k: train(*a, **{**k, "tol": 1e-12, "max_passes": 1}))
+        code = run_cli("svm", "--features", str(feats), "--out", str(tmp_path / "model.bin"))
+        assert code == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "did not converge for classes 1 (1 passes), 2 (1 passes), 3 (1 passes), 4 (1 passes)" in err
 
     def test_config_file_supplies_network_options(self, tmp_path):
         ini = tmp_path / "cfg.ini"
@@ -150,6 +189,37 @@ class TestEndToEndCommands:
         from handspd import network
         _, cfg = network.load_checkpoint(out_dir / "checkpoint_final.bin")
         assert (cfg.d1, cfg.n_T, cfg.n_F, cfg.n_classes) == (2, 2, 8, 4)
+
+
+class TestCacheSplit:
+    @pytest.fixture
+    def cache(self, tmp_path):
+        path = tmp_path / "cache.npz"
+        assert run_cli("synth", "--classes", "4", "--per-class", "3",
+                       "--length", "8", "--out", str(path)) == cli.EXIT_OK
+        return path
+
+    def _args(self, cache, per_class):
+        return cli.make_parser().parse_args(
+            ["extract", "--cache", str(cache), "--per-class", str(per_class),
+             "--checkpoint", "unused.bin", "--out", "unused.npz"]
+        )
+
+    def test_splits_are_disjoint_and_cover_the_cache(self, cache):
+        cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
+        train, test = cli._load_sequences(self._args(cache, 2), cfg)
+        key = lambda s: (s.label_14, s.subject, s.trial)
+        train_keys, test_keys = {key(s) for s in train}, {key(s) for s in test}
+        assert len(train) == 8 and len(test) == 4
+        assert not train_keys & test_keys
+        assert train_keys | test_keys == {key(s) for s in data.load_cache(cache)}
+        assert all(s.trial < 2 for s in train) and all(s.trial == 2 for s in test)
+
+    @pytest.mark.parametrize("per_class", [0, 3])
+    def test_empty_split_is_config_error(self, cache, per_class):
+        cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
+        with pytest.raises(ConfigError, match="--per-class"):
+            cli._load_sequences(self._args(cache, per_class), cfg)
 
 
 class TestConsoleScript:

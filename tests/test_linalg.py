@@ -122,7 +122,7 @@ class TestSpectralFnBackward:
         s = a @ a.T / 5 + 0.5 * np.eye(5)
         c = rng.standard_normal((5, 5))
         c = 0.5 * (c + c.T)
-        for fn in (linalg.LOG, linalg.reeig_log_fn(1e-4)):
+        for fn in (linalg.LOG, oracles.reeig_log_fn(1e-4), linalg.gram_log_fn(1e-4)):
             analytic = linalg.spectral_fn_backward_cached(fn, c, linalg.sym_eig_batch(s))
             probe = lambda m: float(
                 np.sum(c * _apply(0.5 * (m + m.T), fn))

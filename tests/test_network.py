@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handspd import linalg, network, optim
+from handspd import data, linalg, network, optim, skeleton
 from handspd.data import GestureSequence
 from handspd.errors import InvalidInput, SpectralDomainError
 from handspd.gradcheck import fd_grad, rel_error, toy_config
@@ -138,6 +138,50 @@ class TestForward:
         assert err.value.context == "log_eig(final_spd)"
 
 
+class TestDegenerateInput:
+    """Degenerate hands through the low-rank frame path, at default scale,
+    against the dense straight-line oracle."""
+
+    def _check_against_oracle(self, cfg, params, frames):
+        _, _, tape = network.forward(frames, params, cfg)
+        _, want, _ = oracles.network_forward_reference(
+            frames, params.conv, params.spat, params.fc_weight, params.fc_bias, cfg
+        )
+        assert np.all(np.isfinite(tape.feature))
+        assert np.abs(tape.feature - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+        return tape
+
+    def test_collapsed_finger(self):
+        # The palm and every joint of finger 2 at the origin: that finger's
+        # joint features are all zero, so each of its frame factors B has rank 1.
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=1)
+        frames = np.random.default_rng(1).standard_normal((cfg.n_F, cfg.n_joints, 3))
+        finger = 1
+        first = 2 + finger * cfg.joints_per_finger
+        frames[:, [1, *range(first, first + cfg.joints_per_finger)]] = 0.0
+        tape = self._check_against_oracle(cfg, params, frames)
+        assert all(np.linalg.matrix_rank(b) == 1 for b in tape.frame_factor[finger])
+
+    def test_static_hand(self):
+        # Every frame identical: the temporal covariances are zero and the
+        # pyramid matrices rest on the ridge.
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=2)
+        frame = np.random.default_rng(2).standard_normal((cfg.n_joints, 3))
+        self._check_against_oracle(cfg, params, np.repeat(frame[None], cfg.n_F, axis=0))
+
+    @pytest.mark.parametrize("scale", [1e3, 1e-3])
+    def test_rescaled_coordinates_give_finite_features(self, scale):
+        # eps and lambda_reg are absolute, so the features change with the
+        # unit of the coordinates, but they stay finite.
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=3)
+        frames = np.random.default_rng(3).standard_normal((cfg.n_F, cfg.n_joints, 3))
+        feature = network.extract_feature(scale * frames, params, cfg)
+        assert np.all(np.isfinite(feature))
+
+
 class TestBackward:
     def test_full_parameter_gradient_matches_finite_differences(self):
         cfg = toy_config()
@@ -154,26 +198,36 @@ class TestBackward:
         )
         assert rel_error(grads.to_vector(), numeric) < 1e-6
 
-    def test_fused_reeig_log_equals_two_step_chain(self):
-        # Default-scale frame matrices have rank <= 4 of 10: most eigenvalues
-        # sit near zero, below eps, in near-tied groups.
+    def test_frame_log_backward_matches_dense_chain(self):
+        # Default-scale frame matrices have rank <= 4 of 10: most of their
+        # eigenvalues sit near zero, below eps, in near-tied groups.  On a
+        # synthetic gesture some Gram eigenvalues also fall in (0, eps),
+        # where the range-clamped cross terms of the kernel matter.  The
+        # reference decomposes each 10x10 matrix densely and chains the
+        # ReEig+LogEig kernel with the GaussAgg adjoint.
         cfg = NetworkConfig()
+        graph = cfg.graph()
         rng = np.random.default_rng(5)
-        frames = rng.standard_normal((cfg.n_F, cfg.n_joints, 3))
-        _, _, tape = network.forward(frames, optim.init_params(cfg, seed=5), cfg)
-        eig = tape.frame_eig
-        assert (eig.values < cfg.eps).any() and (eig.values > cfg.eps).any()
-        dy3 = linalg.symmetrize(rng.standard_normal(eig.vectors.shape))
-
-        fused = linalg.spectral_fn_backward_cached(linalg.reeig_log_fn(cfg.eps), dy3, eig)
-        # LogEig's adjoint at the rectified spectrum, then ReEig's adjoint.
-        clamp = linalg.SpectralFn(
-            lambda x: np.maximum(x, cfg.eps), lambda x: np.where(x >= cfg.eps, 1.0, 0.0)
+        frames = data.synth_generate(1, 1, seed=5, length=cfg.n_F)[0].frames
+        params = optim.init_params(cfg, seed=5)
+        _, _, tape = network.forward(frames, params, cfg, graph)
+        gram_values = tape.frame_eig.values
+        assert ((gram_values > 1e-12) & (gram_values < cfg.eps)).any()
+        d = cfg.frame_spd_dim
+        dy3 = linalg.symmetrize(rng.standard_normal((cfg.n_fingers, cfg.n_F, d, d)))
+        got = network._frame_log_backward(
+            dy3, tape.frame_factor, tape.frame_eig, tape.frame_w, cfg.eps
         )
-        clamped = linalg.EigenPair(eig.vectors, np.maximum(eig.values, cfg.eps))
-        dx3 = linalg.spectral_fn_backward_cached(linalg.LOG, dy3, clamped)
-        two_step = linalg.spectral_fn_backward_cached(clamp, dx3, eig)
-        assert np.linalg.norm(fused - two_step) <= 1e-12 * np.linalg.norm(two_step)
+
+        feats = skeleton.graph_conv(frames, params.conv, graph)
+        fingers = skeleton.finger_partition(feats, graph).transpose(1, 0, 2, 3)
+        want = np.empty_like(got)
+        for s in range(cfg.n_fingers):
+            for t in range(cfg.n_F):
+                x2 = oracles.gauss_agg_reference(fingers[s, t], unbiased=True)
+                dx2 = oracles.reeig_log_backward_reference(x2, dy3[s, t], cfg.eps)
+                want[s, t] = oracles.gauss_agg_backward_reference(fingers[s, t], dx2, unbiased=True)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_loss_decreases_along_negative_gradient(self):
         cfg = toy_config()

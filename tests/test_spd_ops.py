@@ -1,5 +1,7 @@
 """Layer primitives: GaussAgg (network._batched_gauss and its adjoint), the
-composite ReEig+LogEig spectral map, and spd_ops' HalfVec and SPDSpatAgg."""
+per-frame GaussAgg+ReEig+LogEig map (network._frame_log and its adjoint), the
+dense ReEig+LogEig reference map it is checked against, and spd_ops' HalfVec
+and SPDSpatAgg."""
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ def _gauss(vectors, mode, lambda_reg=0.0):
 
 
 def _reeig_log(x, eps):
-    return linalg.spectral_apply_cached(linalg.sym_eig_batch(x), linalg.reeig_log_fn(eps))
+    return linalg.spectral_apply_cached(linalg.sym_eig_batch(x), oracles.reeig_log_fn(eps))
 
 
 class TestGaussAgg:
@@ -95,8 +97,52 @@ class TestGaussAgg:
         assert rel_error(analytic, numeric) < 1e-7
 
 
+class TestFrameLog:
+    """network._frame_log: log max(X2, eps) of the unbiased Gaussian embedding
+    X2 = B B^T, computed from the Gram matrix B^T B."""
+
+    @staticmethod
+    def _dense(vectors, eps):
+        x2 = oracles.gauss_agg_reference(vectors, unbiased=True)
+        return oracles.logm(oracles.clamp_eig(x2, eps))
+
+    def test_batched_stack_matches_dense_oracle(self):
+        rng = np.random.default_rng(0)
+        vectors = rng.standard_normal((2, 3, 4, 9))
+        out, factor, gram_eig, _ = network._frame_log(vectors, 1e-4)
+        assert out.shape == (2, 3, 10, 10) and factor.shape == (2, 3, 10, 5)
+        assert gram_eig.values.shape == (2, 3, 5)
+        for i in range(2):
+            for j in range(3):
+                assert np.abs(out[i, j] - self._dense(vectors[i, j], 1e-4)).max() < 1e-10
+
+    def test_factor_reproduces_the_embedding(self):
+        rng = np.random.default_rng(1)
+        vectors = rng.standard_normal((4, 3))
+        _, factor, _, _ = network._frame_log(vectors, 1e-4)
+        expected = oracles.gauss_agg_reference(vectors, unbiased=True)
+        assert np.abs(factor @ factor.T - expected).max() < 1e-12
+
+    def test_gram_eigenvalues_between_zero_and_eps(self):
+        # Small centered spread: Gram eigenvalues in (0, eps) besides the
+        # structural zero and the mean direction's eigenvalue near 1.
+        rng = np.random.default_rng(2)
+        vectors = 0.5 + 1e-3 * rng.standard_normal((4, 3))
+        out, _, gram_eig, _ = network._frame_log(vectors, 1e-2)
+        assert ((gram_eig.values > 1e-9) & (gram_eig.values < 1e-2)).sum() == 3
+        assert np.abs(out - self._dense(vectors, 1e-2)).max() < 1e-10
+
+    def test_collapsed_vectors(self):
+        # All vectors equal: B has rank 1 and X2 has one eigenvalue 1 + |mu|^2.
+        vectors = np.tile([0.3, -1.2, 2.0], (4, 1))
+        out, factor, _, _ = network._frame_log(vectors, 1e-4)
+        assert np.linalg.matrix_rank(factor) == 1
+        assert np.all(np.isfinite(out))
+        assert np.abs(out - self._dense(vectors, 1e-4)).max() < 1e-10
+
+
 class TestReEig:
-    """The rectifying half of the composite ReEig+LogEig map."""
+    """The rectifying half of the dense ReEig+LogEig reference map."""
 
     def test_clamps_small_eigenvalues(self):
         out = _reeig_log(np.diag([5.0, 1e-9, -2.0]), 1e-4)
@@ -126,13 +172,13 @@ class TestReEig:
 
     def test_rejects_nonpositive_threshold(self):
         with pytest.raises(InvalidInput):
-            linalg.reeig_log_fn(0.0)
+            linalg.gram_log_fn(0.0)
         with pytest.raises(InvalidInput):
-            linalg.reeig_log_fn(-1.0)
+            linalg.gram_log_fn(-1.0)
 
 
 class TestLogEig:
-    """The logarithm half of the composite ReEig+LogEig map."""
+    """The logarithm half of the dense ReEig+LogEig reference map."""
 
     def test_matches_basis_free_oracle(self):
         rng = np.random.default_rng(0)
@@ -151,7 +197,7 @@ class TestLogEig:
         x = a @ a.T / 4 + 0.5 * np.eye(4)
         cot = rng.standard_normal((4, 4))
         cot = 0.5 * (cot + cot.T)
-        fn = linalg.reeig_log_fn(1e-4)
+        fn = oracles.reeig_log_fn(1e-4)
         analytic = linalg.spectral_fn_backward_cached(fn, cot, linalg.sym_eig_batch(x))
         numeric = fd_grad(lambda s: float(np.sum(cot * _reeig_log(0.5 * (s + s.T), 1e-4))), x)
         assert rel_error(analytic, linalg.symmetrize(numeric)) < 1e-6
