@@ -2,8 +2,9 @@
 gradcheck / synth.
 
 Configuration comes from an optional INI-style config file (flat key=value
-under [network], [train], [data] sections) with command-line flags taking
-precedence.  Exit codes: 0 success, 1 runtime numerical failure,
+under [network] and [train] sections) with command-line flags taking
+precedence; ``pipeline`` and ``extract`` take the network configuration
+from the checkpoint.  Exit codes: 0 success, 1 runtime numerical failure,
 2 configuration error.
 """
 
@@ -57,23 +58,23 @@ def _cfg_get(filecfg, key, flag_value, default, cast):
 
 
 def build_network_config(args, filecfg) -> NetworkConfig:
-    mode = _cfg_get(filecfg, "network.classes", getattr(args, "classes", None), 14, int)
+    mode = _cfg_get(filecfg, "network.classes", args.classes, 14, int)
     return NetworkConfig(
-        d1=_cfg_get(filecfg, "network.d1", getattr(args, "d1", None), 9, int),
-        n_T=_cfg_get(filecfg, "network.levels", getattr(args, "levels", None), 3, int),
-        n_F=_cfg_get(filecfg, "network.length", getattr(args, "length", None), 171, int),
-        eps=_cfg_get(filecfg, "network.eps", getattr(args, "eps", None), 1e-4, float),
-        lambda_reg=_cfg_get(filecfg, "network.lambda_reg", getattr(args, "lambda_reg", None), 1e-4, float),
+        d1=_cfg_get(filecfg, "network.d1", args.d1, 9, int),
+        n_T=_cfg_get(filecfg, "network.levels", args.levels, 3, int),
+        n_F=_cfg_get(filecfg, "network.length", args.length, 171, int),
+        eps=_cfg_get(filecfg, "network.eps", args.eps, 1e-4, float),
+        lambda_reg=_cfg_get(filecfg, "network.lambda_reg", args.lambda_reg, 1e-4, float),
         n_classes=mode,
     )
 
 
 def build_train_config(args, filecfg) -> TrainConfig:
     return TrainConfig(
-        batch_size=_cfg_get(filecfg, "train.batch_size", getattr(args, "batch_size", None), 30, int),
-        learning_rate=_cfg_get(filecfg, "train.learning_rate", getattr(args, "lr", None), 0.01, float),
-        epochs=_cfg_get(filecfg, "train.epochs", getattr(args, "epochs", None), 20, int),
-        seed=_cfg_get(filecfg, "train.seed", getattr(args, "seed", None), 0, int),
+        batch_size=_cfg_get(filecfg, "train.batch_size", args.batch_size, 30, int),
+        learning_rate=_cfg_get(filecfg, "train.learning_rate", args.lr, 0.01, float),
+        epochs=_cfg_get(filecfg, "train.epochs", args.epochs, 20, int),
+        seed=_cfg_get(filecfg, "train.seed", args.seed, 0, int),
     )
 
 
@@ -128,15 +129,6 @@ def _add_data_flags(sub):
     sub.add_argument("--test-per-class", type=int, default=25, help="synthetic test sequences per class")
 
 
-def _add_net_flags(sub):
-    sub.add_argument("--classes", type=int, help="number of classes (14 or 28 for DHG)")
-    sub.add_argument("--d1", type=int, help="conv output channels")
-    sub.add_argument("--levels", type=int, help="temporal pyramid levels")
-    sub.add_argument("--length", type=int, help="normalized sequence length")
-    sub.add_argument("--eps", type=float, help="eigenvalue rectification threshold")
-    sub.add_argument("--lambda-reg", type=float, help="temporal covariance ridge")
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="handspd",
@@ -147,7 +139,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the network, write checkpoints + metrics")
     _add_data_flags(p)
-    _add_net_flags(p)
+    p.add_argument("--classes", type=int, help="number of classes (14 or 28 for DHG)")
+    p.add_argument("--d1", type=int, help="conv output channels")
+    p.add_argument("--levels", type=int, help="temporal pyramid levels")
+    p.add_argument("--length", type=int, help="normalized sequence length")
+    p.add_argument("--eps", type=float, help="eigenvalue rectification threshold")
+    p.add_argument("--lambda-reg", type=float, help="temporal covariance ridge")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", type=float)
@@ -156,7 +153,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pipeline", help="extract features, train SVM, evaluate")
     _add_data_flags(p)
-    _add_net_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--svm-c", type=float, default=1.0)
@@ -167,7 +163,6 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="extract feature vectors with a checkpoint")
     _add_data_flags(p)
-    _add_net_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output .npz with features + labels")
     p.add_argument("--split", default="test", choices=["train", "test"])
@@ -257,13 +252,7 @@ def cmd_pipeline(args, filecfg) -> int:
     _require_path(args.data, "--data")
     _require_path(args.cache, "--cache")
     _require_path(args.checkpoint, "--checkpoint")
-    params, ckpt_cfg = network.load_checkpoint(args.checkpoint)
-    cfg = build_network_config(args, filecfg)
-    if ckpt_cfg.n_classes != cfg.n_classes and getattr(args, "classes", None) is not None:
-        raise ConfigError(
-            f"checkpoint was trained with {ckpt_cfg.n_classes} classes, requested {cfg.n_classes}"
-        )
-    cfg = ckpt_cfg
+    params, cfg = network.load_checkpoint(args.checkpoint)
     train_set, test_set = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -5,9 +5,10 @@ The on-disk layout follows the public DHG/SHREC'17 distribution:
 
     root/gesture_G/finger_F/subject_S/essai_E/skeleton_world.txt
 
-with one frame per line, 66 whitespace-separated floats (22 joints x xyz),
-and split list files ``train_gestures.txt`` / ``test_gestures.txt`` whose
-lines start with the four integers  gesture finger subject essai.
+(``skeletons_world.txt`` in the SHREC'17 release) with one frame per line,
+66 whitespace-separated floats (22 joints x xyz), and split list files
+``train_gestures.txt`` / ``test_gestures.txt`` whose lines start with the
+four integers  gesture finger subject essai.
 """
 
 from __future__ import annotations
@@ -83,14 +84,14 @@ _DIR_RE = re.compile(r"gesture_(\d+)/finger_(\d+)/subject_(\d+)/essai_(\d+)$")
 
 
 def _skeleton_file(directory: Path) -> Path:
-    for name in ("skeleton_world.txt", "skeleton.txt"):
+    # The world-coordinate file: DHG's name, then SHREC'17's.  The other
+    # .txt files beside it (image coordinates, general information) have
+    # other formats.
+    for name in ("skeleton_world.txt", "skeletons_world.txt"):
         candidate = directory / name
         if candidate.is_file():
             return candidate
-    txts = sorted(directory.glob("*.txt"))
-    if not txts:
-        raise ConfigError(f"no skeleton file in {directory}")
-    return txts[0]
+    raise ConfigError(f"no skeleton_world.txt or skeletons_world.txt in {directory}")
 
 
 def load_dhg(root) -> list[GestureSequence]:

@@ -97,7 +97,7 @@ def _check_frame_log(rng):
     )
     vectors = centered + 0.3 * rng.standard_normal((2, 3, 1, d))
     values = network._frame_log(vectors, 1.0)[2].values
-    eps = float(np.sqrt(values[..., 2].min() * values[..., 3].max()))
+    eps = float(np.sqrt(values[..., 2].min() * values[..., 1].max()))
     cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
     _, factor, gram_eig, w = network._frame_log(vectors, eps)
     analytic = network._frame_log_backward(cot, factor, gram_eig, w, eps)

@@ -1,6 +1,6 @@
 """Dense symmetric linear algebra.
 
-Eigendecomposition with a fixed sign convention, spectral matrix functions
+Batched eigendecomposition, spectral matrix functions
 f(S) = U f(V) U^T (LOG for the final LogEig; ``gram_log_fn`` for the frame
 ReEig+LogEig, applied to the small Gram matrix B^T B of each low-rank frame
 matrix B B^T), the eigendecomposition chain rule (Daleckii-Krein form)
@@ -25,8 +25,10 @@ from .errors import InvalidInput, RankError, SpectralDomainError
 class EigenPair(NamedTuple):
     """Eigendecomposition S = vectors @ diag(values) @ vectors.T.
 
-    Eigenvalues are sorted descending; each eigenvector's first component
-    of magnitude above 1e-12 is positive.
+    Eigenvalues ascend, as ``np.linalg.eigh`` returns them.  Eigenvector
+    signs are LAPACK's and follow no convention: every consumer (U f(V) U^T,
+    the Daleckii-Krein adjoint, the minimum eigenvalue) is invariant to the
+    choice of eigenbasis.
     """
 
     vectors: np.ndarray
@@ -72,24 +74,13 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    # First component with |v| > 1e-12 made positive, per column.
-    significant = np.abs(vectors) > 1e-12
-    first = np.argmax(significant, axis=-2)
-    lead = np.take_along_axis(vectors, first[..., None, :], axis=-2)
-    sign = np.where(lead < 0, -1.0, 1.0)
-    return vectors * sign
-
-
 def sym_eig_batch(s: np.ndarray) -> EigenPair:
     """Batched eigendecomposition of symmetric (..., d, d) arrays.
 
     No input validation; caller guarantees symmetry and finiteness.
     """
     vals, vecs = np.linalg.eigh(s)
-    vals = vals[..., ::-1]
-    vecs = vecs[..., ::-1]
-    return EigenPair(_fix_signs(np.ascontiguousarray(vecs)), np.ascontiguousarray(vals))
+    return EigenPair(vecs, vals)
 
 
 def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None) -> np.ndarray:

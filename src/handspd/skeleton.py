@@ -13,6 +13,14 @@ using one 3-vector filter per (label, channel) where the label is
 produced for the finger joints only (nodes 3..n_joints); node 3 is the
 single node whose label-3 neighbor is the palm.
 
+The graph is held as one fixed 0/1 label-incidence matrix A of shape
+(3 * n_out_nodes, n_joints): row 3*o + (label-1) picks out-node o's
+neighbor of that label.  The convolution is then two matrix products,
+(A @ frame) reshaped to (n_out_nodes, 9) times the (9, d1) stacked
+filters, and its adjoint is two more: the weight gradient is the gathered
+coordinates' transpose times the output gradient, and the coordinate
+gradient is A^T times the output gradient pushed through the filters.
+
 A reduced hand (fewer fingers / shorter chains, same topology) is supported
 for desk-scale tests.
 """
@@ -35,19 +43,15 @@ class HandGraph:
     # Derived, filled in __post_init__.
     n_joints: int = field(init=False)
     neighbors: tuple = field(init=False)          # 1-based adjacency incl. self
-    finger_joints: tuple = field(init=False)      # 1-based joint ids per finger
     out_nodes: tuple = field(init=False)          # 1-based nodes with output features
-    _self_idx: np.ndarray = field(init=False, repr=False)
-    _succ_idx: np.ndarray = field(init=False, repr=False)
-    _succ_mask: np.ndarray = field(init=False, repr=False)
-    _pred_idx: np.ndarray = field(init=False, repr=False)
-    _pred_mask: np.ndarray = field(init=False, repr=False)
+    # (3 * n_out_nodes, n_joints) 0/1: row 3*o + (label-1) selects out-node
+    # o's neighbor of that label, or is zero when there is none.
+    incidence: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_fingers < 1 or self.joints_per_finger < 2:
             raise InvalidInput("need at least one finger with two joints")
         n = 2 + self.n_fingers * self.joints_per_finger
-        fingers = []
         edges = {i: {i} for i in range(1, n + 1)}
 
         def connect(a, b):
@@ -57,44 +61,27 @@ class HandGraph:
         connect(1, 2)
         for f in range(self.n_fingers):
             base = 3 + f * self.joints_per_finger
-            chain = list(range(base, base + self.joints_per_finger))
-            fingers.append(tuple(chain))
+            chain = range(base, base + self.joints_per_finger)
             connect(2, base)
             for a, b in zip(chain, chain[1:]):
                 connect(a, b)
 
         out_nodes = tuple(range(3, n + 1))
-        self_idx = np.array([i - 1 for i in out_nodes])
-        succ = np.array([i + 1 if i + 1 in edges[i] else i for i in out_nodes])
-        succ_mask = np.array([i + 1 in edges[i] for i in out_nodes], dtype=np.float64)
-        pred = np.array([i - 1 if i - 1 in edges[i] else i for i in out_nodes])
-        pred_mask = np.array([i - 1 in edges[i] for i in out_nodes], dtype=np.float64)
+        incidence = np.zeros((N_LABELS * len(out_nodes), n))
+        for o, i in enumerate(out_nodes):
+            # Labels 1, 2, 3: the node itself, i + 1, i - 1.
+            for label, j in enumerate((i, i + 1, i - 1)):
+                if j in edges[i]:
+                    incidence[N_LABELS * o + label, j - 1] = 1.0
 
         object.__setattr__(self, "n_joints", n)
         object.__setattr__(self, "neighbors", tuple(frozenset(edges[i]) for i in range(1, n + 1)))
-        object.__setattr__(self, "finger_joints", tuple(fingers))
         object.__setattr__(self, "out_nodes", out_nodes)
-        object.__setattr__(self, "_self_idx", self_idx)
-        object.__setattr__(self, "_succ_idx", succ - 1)
-        object.__setattr__(self, "_succ_mask", succ_mask[:, None])
-        object.__setattr__(self, "_pred_idx", pred - 1)
-        object.__setattr__(self, "_pred_mask", pred_mask[:, None])
+        object.__setattr__(self, "incidence", incidence)
 
     @property
     def n_out_nodes(self) -> int:
         return len(self.out_nodes)
-
-    def neighbor_labels(self, i: int):
-        """Convolution neighbors of 1-based node i as (joint, label) pairs."""
-        pairs = []
-        for j in sorted(self.neighbors[i - 1]):
-            if j == i:
-                pairs.append((j, 1))
-            elif j - i == 1:
-                pairs.append((j, 2))
-            elif j - i == -1:
-                pairs.append((j, 3))
-        return pairs
 
 
 DEFAULT_GRAPH = HandGraph()
@@ -118,6 +105,16 @@ def _check_weights(weights: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _gather(frame: np.ndarray, graph: HandGraph) -> np.ndarray:
+    """(..., n_out_nodes, 9): each out-node's label-1, 2, 3 neighbor coordinates."""
+    return (graph.incidence @ frame).reshape(frame.shape[:-2] + (graph.n_out_nodes, 3 * N_LABELS))
+
+
+def _stack_filters(weights: np.ndarray) -> np.ndarray:
+    """(9, d1) with row 3*(label-1) + xyz, matching ``_gather``'s columns."""
+    return weights.transpose(0, 2, 1).reshape(3 * N_LABELS, weights.shape[1])
+
+
 def graph_conv(frame: np.ndarray, weights: np.ndarray, graph: HandGraph = DEFAULT_GRAPH) -> np.ndarray:
     """Per-node features: sum over labeled neighbors of w_label^T p_j.
 
@@ -126,10 +123,7 @@ def graph_conv(frame: np.ndarray, weights: np.ndarray, graph: HandGraph = DEFAUL
     """
     frame = _check_frame(frame, graph)
     weights = _check_weights(weights)
-    out = frame[..., graph._self_idx, :] @ weights[0].T
-    out += graph._succ_mask * (frame[..., graph._succ_idx, :] @ weights[1].T)
-    out += graph._pred_mask * (frame[..., graph._pred_idx, :] @ weights[2].T)
-    return out
+    return _gather(frame, graph) @ _stack_filters(weights)
 
 
 def graph_conv_backward(
@@ -142,25 +136,17 @@ def graph_conv_backward(
     frame = _check_frame(frame, graph)
     weights = _check_weights(weights)
     grad_out = np.asarray(grad_out, dtype=np.float64)
-    if grad_out.shape != frame.shape[:-2] + (graph.n_out_nodes, weights.shape[1]):
+    d1 = weights.shape[1]
+    if grad_out.shape != frame.shape[:-2] + (graph.n_out_nodes, d1):
         raise InvalidInput(f"grad_out shape {grad_out.shape} does not match conv output")
 
-    grad_frame = np.zeros_like(frame)
-    grad_weights = np.zeros_like(weights)
-    gathered = (
-        (graph._self_idx, np.ones((graph.n_out_nodes, 1)), 0),
-        (graph._succ_idx, graph._succ_mask, 1),
-        (graph._pred_idx, graph._pred_mask, 2),
+    gathered = _gather(frame, graph).reshape(-1, 3 * N_LABELS)
+    grad_stacked = gathered.T @ grad_out.reshape(-1, d1)          # (9, d1)
+    grad_weights = grad_stacked.reshape(N_LABELS, 3, d1).transpose(0, 2, 1)
+    grad_gathered = (grad_out @ _stack_filters(weights).T).reshape(
+        frame.shape[:-2] + (N_LABELS * graph.n_out_nodes, 3)
     )
-    flat_go = grad_out.reshape(-1, graph.n_out_nodes, weights.shape[1])
-    flat_frame = frame.reshape(-1, graph.n_joints, 3)
-    flat_gframe = grad_frame.reshape(-1, graph.n_joints, 3)
-    for idx, mask, label in gathered:
-        masked = flat_go * mask          # (B, n_out, d1)
-        contrib = masked @ weights[label]  # (B, n_out, 3)
-        np.add.at(flat_gframe, (slice(None), idx), contrib)
-        grad_weights[label] = np.einsum("bnc,bnx->cx", masked, flat_frame[:, idx])
-    return grad_frame, grad_weights
+    return graph.incidence.T @ grad_gathered, grad_weights
 
 
 def finger_partition(features: np.ndarray, graph: HandGraph = DEFAULT_GRAPH) -> np.ndarray:

@@ -43,6 +43,17 @@ class TestArgumentHandling:
         code = run_cli("train", *TOY_DATA, "--d1", "0", "--out-dir", str(tmp_path))
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "command", [["extract", "--out", "features.npz"], ["pipeline", "--out-dir", "eval"]],
+        ids=["extract", "pipeline"],
+    )
+    def test_network_flags_rejected_where_the_checkpoint_decides(self, command, capsys):
+        # extract and pipeline take the network configuration from the checkpoint.
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*command, *TOY_DATA, "--checkpoint", "model.bin", "--length", "8")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --length 8" in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_on_a_small_subset(self, capsys):

@@ -126,13 +126,13 @@ class TestCache:
             data.load_cache(path)
 
 
-def _write_dhg_tree(root, entries):
+def _write_dhg_tree(root, entries, name="skeleton_world.txt"):
     """entries: iterable of (gesture, finger, subject, trial, frames)."""
     for g, f, s, e, frames in entries:
         d = root / f"gesture_{g}" / f"finger_{f}" / f"subject_{s}" / f"essai_{e}"
         d.mkdir(parents=True)
         lines = [" ".join(f"{v:.6f}" for v in frame.ravel()) for frame in frames]
-        (d / "skeleton_world.txt").write_text("\n".join(lines) + "\n")
+        (d / name).write_text("\n".join(lines) + "\n")
 
 
 class TestDiskLoading:
@@ -147,6 +147,24 @@ class TestDiskLoading:
         assert seqs[1].label_28 == 6
         assert np.abs(seqs[0].frames - frames_a).max() < 1e-5  # 6-decimal text round trip
         assert seqs[0].frames.shape == (4, 22, 3)
+
+    @pytest.mark.parametrize("name", ["skeleton_world.txt", "skeletons_world.txt"])
+    def test_world_file_chosen_among_other_txt_files(self, tmp_path, name):
+        # DHG and SHREC'17 names; the release's other .txt files sort first.
+        frames = _valid_frames(3)
+        _write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)], name=name)
+        d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
+        (d / "general_informations.txt").write_text("0 1 2 3 4\n")
+        (d / "skeletons_image.txt").write_text(" ".join(["0"] * 44) + "\n")
+        seqs = data.load_dhg(tmp_path)
+        assert np.abs(seqs[0].frames - frames).max() < 1e-5
+
+    def test_missing_world_file_names_directory(self, tmp_path):
+        d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
+        d.mkdir(parents=True)
+        (d / "general_informations.txt").write_text("0 1 2 3 4\n")
+        with pytest.raises(ConfigError, match="essai_1"):
+            data.load_dhg(tmp_path)
 
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(ConfigError):

@@ -13,13 +13,8 @@ class TestHandGraphTopology:
     def test_default_counts(self):
         assert DEFAULT_GRAPH.n_joints == 22
         assert DEFAULT_GRAPH.n_out_nodes == 20
-        assert DEFAULT_GRAPH.finger_joints == (
-            (3, 4, 5, 6),
-            (7, 8, 9, 10),
-            (11, 12, 13, 14),
-            (15, 16, 17, 18),
-            (19, 20, 21, 22),
-        )
+        assert DEFAULT_GRAPH.incidence.shape == (60, 22)
+        assert HandGraph(5, 4) == DEFAULT_GRAPH and hash(HandGraph(5, 4)) == hash(DEFAULT_GRAPH)
 
     def test_default_adjacency_matches_oracle(self):
         expected = oracles.hand_edges(5, 4)
@@ -31,20 +26,25 @@ class TestHandGraphTopology:
         assert palm == {1, 2, 3, 7, 11, 15, 19}
 
     def test_neighbor_labels(self):
+        def labeled(i):
+            # Out-node i's three incidence rows as sorted 1-based (joint, label) pairs.
+            rows = DEFAULT_GRAPH.incidence[3 * (i - 3) : 3 * (i - 2)]
+            assert set(np.unique(rows)) <= {0.0, 1.0} and np.all(rows.sum(axis=1) <= 1)
+            return sorted((int(j) + 1, int(label) + 1) for label, j in zip(*np.nonzero(rows)))
+
         # Finger base 3: itself (label 1), successor 4 (label 2), palm 2 (label 3).
-        assert DEFAULT_GRAPH.neighbor_labels(3) == [(2, 3), (3, 1), (4, 2)]
+        assert labeled(3) == [(2, 3), (3, 1), (4, 2)]
         # Fingertip 6: itself and predecessor only.
-        assert DEFAULT_GRAPH.neighbor_labels(6) == [(5, 3), (6, 1)]
+        assert labeled(6) == [(5, 3), (6, 1)]
         # Base of the second finger (7): palm is a graph neighbor but |2-7| > 1,
         # so only itself and its successor contribute.
-        assert DEFAULT_GRAPH.neighbor_labels(7) == [(7, 1), (8, 2)]
+        assert labeled(7) == [(7, 1), (8, 2)]
         # Mid-chain joint: predecessor, self, successor.
-        assert DEFAULT_GRAPH.neighbor_labels(12) == [(11, 3), (12, 1), (13, 2)]
+        assert labeled(12) == [(11, 3), (12, 1), (13, 2)]
 
     def test_reduced_graph(self):
         g = HandGraph(2, 3)
         assert g.n_joints == 8
-        assert g.finger_joints == ((3, 4, 5), (6, 7, 8))
         expected = oracles.hand_edges(2, 3)
         for i in range(1, 9):
             assert set(g.neighbors[i - 1]) == expected[i]
@@ -127,6 +127,18 @@ class TestGraphConv:
             gf_sum += w_t
         assert np.abs(gw - gf_sum).max() < 1e-12
 
+    def test_backward_is_the_adjoint_at_full_size(self):
+        # The conv is bilinear, so <G, conv(F, W)> equals both <dF, F> and
+        # <dW, W> for the gradients (dF, dW) of that inner product.
+        rng = np.random.default_rng(5)
+        frames = rng.standard_normal((171, DEFAULT_GRAPH.n_joints, 3))
+        weights = rng.standard_normal((3, 9, 3))
+        cot = rng.standard_normal((171, DEFAULT_GRAPH.n_out_nodes, 9))
+        gf, gw = skeleton.graph_conv_backward(frames, weights, cot)
+        inner = np.sum(cot * skeleton.graph_conv(frames, weights))
+        assert abs(np.sum(gf * frames) - inner) <= 1e-12 * abs(inner)
+        assert abs(np.sum(gw * weights) - inner) <= 1e-12 * abs(inner)
+
 
 class TestFingerPartition:
     def test_partition_follows_chain_order(self):
@@ -136,6 +148,17 @@ class TestFingerPartition:
         assert parts.shape == (2, 3, 2)
         assert np.array_equal(parts[0], feats[0:3])
         assert np.array_equal(parts[1], feats[3:6])
+        # Partitioning the out-nodes' own joint ids yields each finger's chain.
+        ids = np.array(graph.out_nodes, dtype=float)[:, None]
+        assert skeleton.finger_partition(ids, graph)[..., 0].tolist() == [[3, 4, 5], [6, 7, 8]]
+        ids = np.array(DEFAULT_GRAPH.out_nodes, dtype=float)[:, None]
+        assert skeleton.finger_partition(ids)[..., 0].tolist() == [
+            [3, 4, 5, 6],
+            [7, 8, 9, 10],
+            [11, 12, 13, 14],
+            [15, 16, 17, 18],
+            [19, 20, 21, 22],
+        ]
 
     def test_default_shape(self):
         parts = skeleton.finger_partition(np.zeros((7, 20, 9)))
