@@ -65,24 +65,25 @@ def _check_graph_conv(rng):
 
 
 def _check_gauss_range(rng):
-    # A (2, 3) stack of n d-vectors, so the batching is checked too.
-    n, d, lambda_reg = 5, 4, 0.1
-    vectors = rng.standard_normal((2, 3, n, d))
-    cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
-    _, mu, centered = network._batched_gauss(vectors, n, lambda_reg)
-    analytic = network._gauss_backward_batched(centered, mu, cot, n)
-    numeric = fd_grad(
-        lambda v: float(np.sum(cot * network._batched_gauss(v, n, lambda_reg)[0])), vectors
-    )
+    # The pyramid on a (2, 7, d) stack of frames: n_T = 3 gives six
+    # overlapping ranges cut into four segments, so every frame enters three
+    # ranges and the segment sums are checked too.
+    n_f, n_t, d, lambda_reg = 7, 3, 4, 0.1
+    z = rng.standard_normal((2, n_f, d))
+    ranges = network.pyramid_split(n_f, n_t)
+    cot = linalg.symmetrize(rng.standard_normal((2, len(ranges), d + 1, d + 1)))
+    analytic = network._gauss_backward_batched(z, ranges, cot)
+    numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, ranges, lambda_reg))), z)
     return rel_error(analytic, numeric)
 
 
 def _check_frame_log(rng):
     # A (2, 3) stack of n d-vectors whose centered parts have two large and
-    # one small squared singular value, so each Gram matrix B^T B has three
-    # eigenvalues above eps, one in (0, eps) and its structural zero.  eps
-    # sits at the geometric mean of the gap, which keeps every eigenvalue at
-    # least eps/2 from the kink and central differences on a smooth map.
+    # one small squared singular value, so each n x n Gram matrix B^T B has
+    # its smallest eigenvalue in (0, eps) and the other three above eps.
+    # eps sits at the geometric mean of the gap between the smallest two,
+    # which keeps every eigenvalue at least eps/2 from the kink and central
+    # differences on a smooth map.
     n, d = 4, 4
     # basis[..., 1:] spans the zero-sum vectors, so its rows are centered.
     basis, _ = np.linalg.qr(
@@ -97,7 +98,7 @@ def _check_frame_log(rng):
     )
     vectors = centered + 0.3 * rng.standard_normal((2, 3, 1, d))
     values = network._frame_log(vectors, 1.0)[2].values
-    eps = float(np.sqrt(values[..., 2].min() * values[..., 1].max()))
+    eps = float(np.sqrt(values[..., 1].min() * values[..., 0].max()))
     cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
     _, factor, gram_eig, w = network._frame_log(vectors, eps)
     analytic = network._frame_log_backward(cot, factor, gram_eig, w, eps)

@@ -109,7 +109,10 @@ def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
 
     K(i,j) = (f(l_i) - f(l_j)) / (l_i - l_j) away from ties; within the
     guard tau = 1e-10 * max(1, |l_i|, |l_j|) it switches to f'((l_i+l_j)/2),
-    the exact limit value, avoiding catastrophic cancellation.
+    the exact limit value, avoiding catastrophic cancellation.  For LOG the
+    quotient is Higham's 2 atanh((l_i - l_j) / (l_i + l_j)) / (l_i - l_j)
+    (Functions of Matrices, 2008), which stays accurate to rounding at close
+    eigenvalues above the guard, where log(l_i) - log(l_j) cancels.
     """
     li = values[..., :, None]
     lj = values[..., None, :]
@@ -118,7 +121,10 @@ def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     near = np.abs(diff) <= tau
     fv = _apply_fn(fn, values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = (fv[..., :, None] - fv[..., None, :]) / diff
+        if fn is LOG:
+            quotient = 2.0 * np.arctanh(diff / (li + lj)) / diff
+        else:
+            quotient = (fv[..., :, None] - fv[..., None, :]) / diff
     deriv = fn.df(0.5 * (li + lj))
     return np.where(near, deriv, quotient)
 

@@ -10,13 +10,15 @@ Pipeline per sequence (one branch per finger):
 Every layer has one implementation, batched over frames and fingers, and it
 is the one the gradient checks test.  The per-frame GaussAgg, ReEig and
 LogEig are one map (``_frame_log`` and its adjoint): a frame matrix of J
-joint features is X2 = B B^T with B = [[C^T/sqrt(J-1), mu], [0, 1]] of shape
-(d1+1) x (J+1), so its rank is at most J and its nonzero spectrum is that of
-the (J+1) x (J+1) Gram matrix B^T B.  The forward pass eigendecomposes the
-Gram matrix, never X2; the backward pass is one chain-rule pass through the
-same decomposition.  The pyramid ranges use the full-rank GaussAgg
-``_batched_gauss`` and its adjoint.  ``tests/oracles.py`` holds a
-straight-line per-equation reference, dense eigendecompositions included,
+joint vectors V is X2 = B B^T with B = [[V^T H / sqrt(J-1), mu], [0, 1]] of
+shape (d1+1) x J, H the J x (J-1) Helmert basis of zero-sum vectors, so the
+nonzero spectrum of X2 is that of the J x J Gram matrix B^T B.  The forward
+pass eigendecomposes the Gram matrix, never X2; the backward pass is one
+chain-rule pass through the same decomposition.  The temporal pyramid
+(``_batched_gauss`` and its adjoint) cuts the frames at every range
+boundary into disjoint segments, takes each segment's raw moment of
+[z, 1] once and sums the moments of each range.  ``tests/oracles.py`` holds
+a straight-line per-equation reference, dense eigendecompositions included,
 that the batched path is checked against.
 
 Checkpoint format (little-endian):
@@ -163,12 +165,11 @@ class LayerTape:
     """Forward intermediates consumed by the backward pass."""
 
     frames: np.ndarray            # (n_F, n_joints, 3)
-    frame_factor: np.ndarray      # (S, n_F, d1+1, J+1) B with X2 = B B^T
+    frame_factor: np.ndarray      # (S, n_F, d1+1, J) B with X2 = B B^T
     frame_eig: EigenPair          # of the Gram matrices B^T B, batched
-    frame_w: np.ndarray           # (S, n_F, J+1, J+1) h(B^T B), gram_log_fn
+    frame_w: np.ndarray           # (S, n_F, J, J) h(B^T B), gram_log_fn
     z: np.ndarray                 # (S, n_F, half_dim)
     ranges: list                  # pyramid (t_b, t_e), 1-based inclusive
-    range_mu: np.ndarray          # (S, n_Q, half_dim)
     temp_outputs: np.ndarray      # (n_L, D, D) SPDTempAgg outputs X4
     final_eig: EigenPair          # of the SPDSpatAgg output
     feature: np.ndarray           # (feature_dim,) FC input
@@ -186,6 +187,20 @@ def pyramid_split(n_F: int, n_T: int) -> list[tuple[int, int]]:
     return ranges
 
 
+def pyramid_segments(ranges: list[tuple[int, int]], n_F: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut [1, n_F] at every range boundary into disjoint segments.
+
+    Returns the 0-based cuts (segment s is frames cuts[s]+1 .. cuts[s+1],
+    1-based) and the (n_Q, n_seg) weights: 1/n_q where segment s lies in
+    range q of n_q frames, else 0.  Every range is a union of segments.
+    """
+    cuts = np.array(sorted({0, n_F} | {tb - 1 for tb, _ in ranges} | {te for _, te in ranges}))
+    tb = np.array([r[0] for r in ranges])[:, None] - 1
+    te = np.array([r[1] for r in ranges])[:, None]
+    inside = (cuts[:-1] >= tb) & (cuts[1:] <= te)
+    return cuts, inside / (te - tb)
+
+
 def _as_frames(seq) -> np.ndarray:
     if isinstance(seq, tuple):
         seq = seq[0]
@@ -199,42 +214,59 @@ def _label_of(seq, n_classes: int) -> int:
     return int(seq.label(n_classes))
 
 
-def _batched_gauss(vectors: np.ndarray, denom: int, lambda_reg: float):
-    """Gaussian embedding over the second-to-last axis of (..., n, d).
+def _with_ones(z: np.ndarray) -> np.ndarray:
+    """[z, 1]: the vectors (..., n, d) with a trailing coordinate 1."""
+    return np.concatenate([z, np.ones(z.shape[:-1] + (1,))], axis=-1)
 
-    Returns ([[Sigma + lambda_reg*I + mu mu^T, mu], [mu^T, 1]], mu, centered)
-    with Sigma the centered scatter divided by ``denom``; the pyramid ranges
-    use n (biased).  The per-frame embedding is ``_frame_log``.
+
+def _batched_gauss(z: np.ndarray, ranges: list[tuple[int, int]], lambda_reg: float) -> np.ndarray:
+    """Biased Gaussian embedding of every pyramid range of frames (..., n_F, d).
+
+    Returns (..., n_Q, d+1, d+1) with range q's
+    [[Sigma + lambda_reg*I + mu mu^T, mu], [mu^T, 1]] = M_q / n_q + ridge,
+    M_q = [z, 1]^T [z, 1] over its frames, the sum of its segments' moments
+    (``pyramid_segments``): each frame enters one segment moment.
     """
-    mu = vectors.mean(axis=-2)
-    centered = vectors - mu[..., None, :]
-    sigma = np.swapaxes(centered, -1, -2) @ centered / denom
-    d = vectors.shape[-1]
-    out = np.zeros(vectors.shape[:-2] + (d + 1, d + 1))
-    out[..., :d, :d] = sigma + mu[..., :, None] * mu[..., None, :]
-    idx = np.arange(d)
+    cuts, weights = pyramid_segments(ranges, z.shape[-2])
+    zt = _with_ones(z)
+    dim = zt.shape[-1]
+    moments = np.stack(
+        [np.swapaxes(zt[..., a:b, :], -1, -2) @ zt[..., a:b, :] for a, b in zip(cuts[:-1], cuts[1:])],
+        axis=-3,
+    )
+    out = (weights @ moments.reshape(moments.shape[:-2] + (dim * dim,))).reshape(
+        moments.shape[:-3] + (len(ranges), dim, dim)
+    )
+    idx = np.arange(dim - 1)
     out[..., idx, idx] += lambda_reg
-    out[..., :d, d] = mu
-    out[..., d, :d] = mu
-    out[..., d, d] = 1.0
-    return out, mu, centered
+    return out
+
+
+def _zero_sum_basis(n: int) -> np.ndarray:
+    """H / sqrt(n-1), H the n x (n-1) Helmert basis: orthonormal columns, each
+    orthogonal to (1, ..., 1), so H H^T = I - 11^T / n is the centring map."""
+    rows = np.arange(n)[:, None]
+    cols = np.arange(1, n)[None, :]
+    helmert = np.where(rows < cols, 1.0, np.where(rows == cols, -cols, 0.0)) / np.sqrt(cols * (cols + 1))
+    return helmert / np.sqrt(n - 1)
 
 
 def _frame_log(vectors: np.ndarray, eps: float):
     """log max(X2, eps) of the unbiased Gaussian embedding X2 of each set of
-    n d-vectors in (..., n, d), through the (n+1) x (n+1) Gram matrix.
+    n d-vectors V in (..., n, d), through the n x n Gram matrix.
 
     X2 = [[Sigma + mu mu^T, mu], [mu^T, 1]] = B B^T with
-    B = [[centered^T / sqrt(n-1), mu], [0, 1]], and
+    B = [[V^T H / sqrt(n-1), mu], [0, 1]] of shape (d+1) x n, H the Helmert
+    basis (``_zero_sum_basis`` is H / sqrt(n-1); V^T H H^T V is the centred
+    scatter), and
     log max(X2, eps) = log(eps) I + B W B^T with W = h(B^T B), h from
     ``linalg.gram_log_fn``.  Returns (that log, B, eig(B^T B), W).
     """
     n, d = vectors.shape[-2:]
-    mu = vectors.mean(axis=-2)
-    factor = np.zeros(vectors.shape[:-2] + (d + 1, n + 1))
-    factor[..., :d, :n] = np.swapaxes(vectors - mu[..., None, :], -1, -2) / np.sqrt(n - 1)
-    factor[..., :d, n] = mu
-    factor[..., d, n] = 1.0
+    factor = np.zeros(vectors.shape[:-2] + (d + 1, n))
+    factor[..., :d, : n - 1] = np.swapaxes(vectors, -1, -2) @ _zero_sum_basis(n)
+    factor[..., :d, n - 1] = vectors.mean(axis=-2)
+    factor[..., d, n - 1] = 1.0
     factor_t = np.swapaxes(factor, -1, -2)
     gram_eig = linalg.sym_eig_batch(factor_t @ factor)
     u = gram_eig.vectors
@@ -252,20 +284,17 @@ def _frame_log_backward(
 
     With G = sym(grad_out) and dM the Daleckii-Krein adjoint of h at
     B^T G B, the gradient w.r.t. B is 2 G B W + 2 B dM; every Gram
-    eigenvalue enters, those at or below eps included.  The centered block
-    of B maps back to each vector and mu to each with weight 1/n.  The
-    centered block's mean shift cancels: B (1, ..., 1, 0)^T = 0, so W and dM
-    annihilate that vector and the block's columns of the gradient sum to zero.
+    eigenvalue enters, those at or below eps included.  The block V^T H of B
+    maps back to the vectors through H, and mu to each with weight 1/n.
     """
-    n = factor.shape[-1] - 1
+    n = factor.shape[-1]
     g = linalg.symmetrize(grad_out)
     dm = linalg.spectral_fn_backward_cached(
         linalg.gram_log_fn(eps), np.swapaxes(factor, -1, -2) @ g @ factor, gram_eig
     )
     dfactor = 2.0 * (g @ factor @ w + factor @ dm)
-    dcentered = np.swapaxes(dfactor[..., :-1, :n], -1, -2) / np.sqrt(n - 1)
-    dmu = dfactor[..., :-1, n]
-    return dcentered + dmu[..., None, :] / n
+    dvectors = _zero_sum_basis(n) @ np.swapaxes(dfactor[..., :-1, :-1], -1, -2)
+    return dvectors + dfactor[..., None, :-1, -1] / n
 
 
 def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
@@ -285,11 +314,7 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     z = spd_ops.half_vec(y3)                                       # (S, n_F, hv)
 
     ranges = pyramid_split(cfg.n_F, cfg.n_T)
-    temp = np.empty((cfg.n_fingers, cfg.n_Q, cfg.temp_dim, cfg.temp_dim))
-    range_mu = np.empty((cfg.n_fingers, cfg.n_Q, cfg.half_dim))
-    for q, (tb, te) in enumerate(ranges):
-        n = te - tb + 1
-        temp[:, q], range_mu[:, q], _ = _batched_gauss(z[:, tb - 1 : te], n, cfg.lambda_reg)
+    temp = _batched_gauss(z, ranges, cfg.lambda_reg)               # (S, n_Q, D, D)
     temp_flat = temp.reshape(cfg.n_L, cfg.temp_dim, cfg.temp_dim)
 
     final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
@@ -311,7 +336,6 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
         frame_w=frame_w,
         z=z,
         ranges=ranges,
-        range_mu=range_mu,
         temp_outputs=temp_flat,
         final_eig=final_eig,
         feature=feature,
@@ -326,18 +350,26 @@ def extract_feature(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandG
     return tape.feature
 
 
-def _gauss_backward_batched(centered: np.ndarray, mu: np.ndarray, grad_out: np.ndarray, denom: int):
-    """Batched adjoint of ``_batched_gauss``: gradients w.r.t. the input
-    vectors (..., n, d) given its ``centered`` and ``mu`` outputs.
+def _gauss_backward_batched(z: np.ndarray, ranges: list[tuple[int, int]], grad_out: np.ndarray) -> np.ndarray:
+    """Adjoint of ``_batched_gauss``: gradients w.r.t. the frames (..., n_F, d)
+    given grad_out (..., n_Q, d+1, d+1).
 
-    d<A, Sigma>/dz_k = (2/denom) A (z_k - mu); the mean-shift term cancels
-    because the centered vectors sum to zero.
+    Segment s's moment enters range q with weight w_qs, so its frames
+    [z, 1]_s get 2 [z, 1]_s A_s with A_s = sum_q w_qs sym(grad_out_q); the
+    trailing coordinate's column is dropped.
     """
-    n, d = centered.shape[-2:]
-    a = linalg.symmetrize(grad_out[..., :d, :d])
-    b = 0.5 * (grad_out[..., :d, d] + grad_out[..., d, :d])
-    amu = (a @ mu[..., :, None])[..., 0]
-    return (2.0 / denom) * centered @ a + ((2.0 * amu + 2.0 * b) / n)[..., None, :]
+    cuts, weights = pyramid_segments(ranges, z.shape[-2])
+    zt = _with_ones(z)
+    dim = zt.shape[-1]
+    a = linalg.symmetrize(
+        (2.0 * weights.T @ grad_out.reshape(grad_out.shape[:-2] + (dim * dim,))).reshape(
+            grad_out.shape[:-3] + (len(cuts) - 1, dim, dim)
+        )
+    )
+    dz = np.empty_like(z)
+    for s, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        dz[..., lo:hi, :] = zt[..., lo:hi, :] @ a[..., s, :, :-1]
+    return dz
 
 
 def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
@@ -356,12 +388,7 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
     dtemp, grads.spat = spd_ops.spd_spat_agg_backward(tape.temp_outputs, params.spat, dfinal)
     dtemp = dtemp.reshape(cfg.n_fingers, cfg.n_Q, cfg.temp_dim, cfg.temp_dim)
 
-    dz = np.zeros_like(tape.z)
-    for q, (tb, te) in enumerate(tape.ranges):
-        n = te - tb + 1
-        centered = tape.z[:, tb - 1 : te] - tape.range_mu[:, q][:, None, :]
-        dz[:, tb - 1 : te] += _gauss_backward_batched(centered, tape.range_mu[:, q], dtemp[:, q], n)
-
+    dz = _gauss_backward_batched(tape.z, tape.ranges, dtemp)
     dy3 = spd_ops.half_vec_adjoint(dz, cfg.frame_spd_dim)
     dfingers = _frame_log_backward(dy3, tape.frame_factor, tape.frame_eig, tape.frame_w, cfg.eps)
     dfeats = np.ascontiguousarray(dfingers.transpose(1, 0, 2, 3)).reshape(

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -128,6 +129,18 @@ class TestSpectralFnBackward:
             )
             numeric = linalg.symmetrize(fd_grad(probe, s))
             assert rel_error(analytic, numeric) < 1e-5
+
+    @pytest.mark.parametrize("lam", [1e-2, 1.0, 1e3])
+    def test_log_divided_differences_at_close_eigenvalues(self, lam):
+        # Relative gaps 1e-10 ... 1e-5 straddle the tie guard (1e-10 relative
+        # above 1); above it the raw quotient of logs cancels catastrophically.
+        for gap in 10.0 ** np.arange(-10, -4):
+            a, b = lam, lam * (1.0 + gap)
+            with mpmath.workdps(50):
+                want = (mpmath.log(a) - mpmath.log(b)) / (mpmath.mpf(a) - mpmath.mpf(b))
+            got = linalg.loewner_matrix(np.array([a, b]), linalg.LOG)
+            for entry in (got[0, 1], got[1, 0]):
+                assert abs((entry - want) / want) <= 1e-14
 
     def test_adjoint_identity(self):
         # <C, d/dt f(S + tD)> == <backward(C), D> for symmetric directions D.

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from handspd import data, linalg, network, optim, skeleton
 from handspd.data import GestureSequence
@@ -39,6 +40,19 @@ class TestPyramidSplit:
                 covered.extend(range(tb, te + 1))
                 pos += 1
             assert covered == list(range(1, n_f + 1))
+
+    @given(st.integers(1, 5).flatmap(lambda n_t: st.tuples(st.integers(n_t, 400), st.just(n_t))))
+    def test_segments_tile_the_sequence_and_compose_every_range(self, size):
+        n_f, n_t = size
+        ranges = network.pyramid_split(n_f, n_t)
+        cuts, weights = network.pyramid_segments(ranges, n_f)
+        assert cuts[0] == 0 and cuts[-1] == n_f and np.all(np.diff(cuts) > 0)
+        assert weights.shape == (len(ranges), len(cuts) - 1)
+        for (tb, te), row in zip(ranges, weights):
+            inside = np.flatnonzero(row)
+            covered = [t for s in inside for t in range(cuts[s] + 1, cuts[s + 1] + 1)]
+            assert covered == list(range(tb, te + 1))
+            assert np.all(row[inside] == 1.0 / (te - tb + 1))
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidInput):
@@ -170,6 +184,15 @@ class TestDegenerateInput:
         params = optim.init_params(cfg, seed=2)
         frame = np.random.default_rng(2).standard_normal((cfg.n_joints, 3))
         self._check_against_oracle(cfg, params, np.repeat(frame[None], cfg.n_F, axis=0))
+
+    @pytest.mark.parametrize("n_f", [3, 12])
+    def test_short_sequence(self, n_f):
+        # n_F = n_T = 3 gives single-frame ranges; at n_F = 12 < half_dim + 1
+        # every range covariance is rank-deficient and rests on the ridge.
+        cfg = NetworkConfig(n_F=n_f)
+        params = optim.init_params(cfg, seed=4)
+        frames = np.random.default_rng(4).standard_normal((cfg.n_F, cfg.n_joints, 3))
+        self._check_against_oracle(cfg, params, frames)
 
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
     def test_rescaled_coordinates_give_finite_features(self, scale):

@@ -1,7 +1,7 @@
-"""Layer primitives: GaussAgg (network._batched_gauss and its adjoint), the
-per-frame GaussAgg+ReEig+LogEig map (network._frame_log and its adjoint), the
-dense ReEig+LogEig reference map it is checked against, and spd_ops' HalfVec
-and SPDSpatAgg."""
+"""Layer primitives: the pyramid's GaussAgg (network._batched_gauss and its
+adjoint), the per-frame GaussAgg+ReEig+LogEig map (network._frame_log and its
+adjoint), the dense ReEig+LogEig reference map it is checked against, and
+spd_ops' HalfVec and SPDSpatAgg."""
 
 import numpy as np
 import pytest
@@ -14,11 +14,9 @@ from handspd.network import NetworkConfig
 import oracles
 
 
-def _gauss(vectors, mode, lambda_reg=0.0):
-    """GaussAgg with the biased (1/n) or unbiased (1/(n-1)) covariance."""
-    n = vectors.shape[-2]
-    denom = n - 1 if mode == "unbiased" else n
-    return network._batched_gauss(vectors, denom, lambda_reg)
+def _single_range(vectors, lambda_reg=0.0):
+    """The pyramid's GaussAgg of an (n, d) set over its one range [(1, n)]."""
+    return network._batched_gauss(vectors[None], [(1, len(vectors))], lambda_reg)[0, 0]
 
 
 def _reeig_log(x, eps):
@@ -26,49 +24,41 @@ def _reeig_log(x, eps):
 
 
 class TestGaussAgg:
-    """GaussAgg's one implementation, network._batched_gauss and its adjoint."""
+    """The pyramid's biased GaussAgg, network._batched_gauss and its adjoint."""
 
-    @pytest.mark.parametrize("mode", ["biased", "unbiased"])
     @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_matches_definitional_oracle(self, mode, lam):
+    def test_matches_definitional_oracle(self, lam):
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((7, 4))
-        expected = oracles.gauss_agg_reference(
-            vectors, unbiased=(mode == "unbiased"), lambda_reg=lam
-        )
-        assert np.abs(_gauss(vectors, mode, lam)[0] - expected).max() < 1e-12
+        expected = oracles.gauss_agg_reference(vectors, lambda_reg=lam)
+        assert np.abs(_single_range(vectors, lam) - expected).max() < 1e-12
 
-    @pytest.mark.parametrize("mode", ["biased", "unbiased"])
-    def test_batched_stack_matches_oracle_slice_by_slice(self, mode):
+    def test_pyramid_stack_matches_oracle_range_by_range(self):
+        # n_F = 7, n_T = 3: overlapping ranges of 7, 3, 4, 2, 2 and 3 frames.
         rng = np.random.default_rng(4)
-        vectors = rng.standard_normal((2, 3, 6, 4))
-        out, mu, centered = _gauss(vectors, mode, 0.5)
-        assert out.shape == (2, 3, 5, 5)
-        for i in range(2):
-            for j in range(3):
-                expected = oracles.gauss_agg_reference(
-                    vectors[i, j], unbiased=(mode == "unbiased"), lambda_reg=0.5
-                )
-                assert np.abs(out[i, j] - expected).max() < 1e-12
-                assert np.abs(centered[i, j] + mu[i, j] - vectors[i, j]).max() < 1e-12
+        z = rng.standard_normal((2, 7, 4))
+        ranges = network.pyramid_split(7, 3)
+        out = network._batched_gauss(z, ranges, 0.5)
+        assert out.shape == (2, 6, 5, 5)
+        for s in range(2):
+            for q, (tb, te) in enumerate(ranges):
+                expected = oracles.gauss_agg_reference(z[s, tb - 1 : te], lambda_reg=0.5)
+                assert np.abs(out[s, q] - expected).max() < 1e-12
 
     def test_hand_computed_two_samples(self):
         # Samples (0,) and (2,): mu = 1, biased sigma = 1.
-        out = _gauss(np.array([[0.0], [2.0]]), "biased")[0]
+        out = _single_range(np.array([[0.0], [2.0]]))
         assert np.allclose(out, [[2.0, 1.0], [1.0, 1.0]], atol=1e-14)
-        # Unbiased sigma = 2.
-        out = _gauss(np.array([[0.0], [2.0]]), "unbiased")[0]
-        assert np.allclose(out, [[3.0, 1.0], [1.0, 1.0]], atol=1e-14)
 
     def test_output_positive_definite_with_ridge(self):
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((3, 5))  # fewer samples than dims
-        out = _gauss(vectors, "biased", 1e-3)[0]
+        out = _single_range(vectors, 1e-3)
         assert np.linalg.eigvalsh(out).min() > 0
 
     def test_symmetric_output(self):
         rng = np.random.default_rng(2)
-        out = _gauss(rng.standard_normal((6, 3)), "unbiased")[0]
+        out = _single_range(rng.standard_normal((6, 3)))
         assert np.abs(out - out.T).max() == 0.0
 
     def test_rejects_bad_config(self):
@@ -85,15 +75,14 @@ class TestGaussAgg:
         with pytest.raises(InvalidInput):
             NetworkConfig(n_F=2, n_T=3)
 
-    @pytest.mark.parametrize("mode", ["biased", "unbiased"])
-    def test_backward_matches_finite_differences(self, mode):
+    def test_backward_matches_finite_differences(self):
+        # Overlapping ranges: every frame enters three of the six.
         rng = np.random.default_rng(3)
-        vectors = rng.standard_normal((5, 3))
-        denom = 5 if mode == "biased" else 4
-        cot = rng.standard_normal((4, 4))
-        _, mu, centered = _gauss(vectors, mode, 0.2)
-        analytic = network._gauss_backward_batched(centered, mu, cot, denom)
-        numeric = fd_grad(lambda v: float(np.sum(cot * _gauss(v, mode, 0.2)[0])), vectors)
+        z = rng.standard_normal((2, 7, 3))
+        ranges = network.pyramid_split(7, 3)
+        cot = rng.standard_normal((2, 6, 4, 4))
+        analytic = network._gauss_backward_batched(z, ranges, cot)
+        numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, ranges, 0.2))), z)
         assert rel_error(analytic, numeric) < 1e-7
 
 
@@ -110,8 +99,8 @@ class TestFrameLog:
         rng = np.random.default_rng(0)
         vectors = rng.standard_normal((2, 3, 4, 9))
         out, factor, gram_eig, _ = network._frame_log(vectors, 1e-4)
-        assert out.shape == (2, 3, 10, 10) and factor.shape == (2, 3, 10, 5)
-        assert gram_eig.values.shape == (2, 3, 5)
+        assert out.shape == (2, 3, 10, 10) and factor.shape == (2, 3, 10, 4)
+        assert gram_eig.values.shape == (2, 3, 4)
         for i in range(2):
             for j in range(3):
                 assert np.abs(out[i, j] - self._dense(vectors[i, j], 1e-4)).max() < 1e-10
@@ -124,8 +113,8 @@ class TestFrameLog:
         assert np.abs(factor @ factor.T - expected).max() < 1e-12
 
     def test_gram_eigenvalues_between_zero_and_eps(self):
-        # Small centered spread: Gram eigenvalues in (0, eps) besides the
-        # structural zero and the mean direction's eigenvalue near 1.
+        # Small centered spread: three Gram eigenvalues in (0, eps) besides
+        # the mean direction's eigenvalue near 1.
         rng = np.random.default_rng(2)
         vectors = 0.5 + 1e-3 * rng.standard_normal((4, 3))
         out, _, gram_eig, _ = network._frame_log(vectors, 1e-2)
