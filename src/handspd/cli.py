@@ -184,7 +184,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--layer", action="append",
                    help=f"restrict to one layer (repeatable): {', '.join(gradcheck.LAYERS)}")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset cache")
     p.add_argument("--classes", type=int, default=4)
@@ -316,8 +315,7 @@ def cmd_eval(args, filecfg) -> int:
 
 
 def cmd_gradcheck(args, filecfg) -> int:
-    results = gradcheck.run(seed=args.seed, n_instances=args.instances,
-                            layers=args.layer, corrupt=args.corrupt)
+    results = gradcheck.run(seed=args.seed, n_instances=args.instances, layers=args.layer)
     print(gradcheck.format_table(results))
     return EXIT_OK if all(e < gradcheck.THRESHOLD for e in results.values()) else EXIT_NUMERICAL
 

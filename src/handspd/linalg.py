@@ -11,6 +11,11 @@ All functions are pure and operate on plain float64 numpy arrays.  The
 spectral functions are batched over leading axes, (..., d, d), and take the
 eigendecomposition as a cache so the network decomposes each matrix once;
 there are no unbatched or validating variants.
+
+Operand contract: matrix inputs and cotangents are symmetric and finite,
+and outputs are symmetric up to rounding; nothing re-symmetrizes them.
+``np.linalg.eigh`` reads one triangle only.  Inputs are checked once, in
+``network.forward``, not here.
 """
 
 from __future__ import annotations
@@ -36,13 +41,25 @@ class EigenPair(NamedTuple):
 
 
 class SpectralFn(NamedTuple):
-    """A scalar map and its derivative, lifted to symmetric matrices."""
+    """A scalar map and its derivative, lifted to symmetric matrices.
+
+    ``dd(a, b)``, when given, is the divided difference (f(a) - f(b)) / (a - b)
+    in a form that stays accurate at close a, b; without it the adjoint
+    takes the raw quotient.
+    """
 
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
+    dd: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
-LOG = SpectralFn(np.log, lambda x: 1.0 / x)
+def _log_dd(a, b):
+    # Higham's 2 atanh((a - b) / (a + b)) / (a - b) (Functions of Matrices,
+    # 2008): log(a) - log(b) cancels at close a, b; this form does not.
+    return 2.0 * np.arctanh((a - b) / (a + b)) / (a - b)
+
+
+LOG = SpectralFn(np.log, lambda x: 1.0 / x, _log_dd)
 EXP = SpectralFn(np.exp, np.exp)
 IDENTITY = SpectralFn(lambda x: x, lambda x: np.ones_like(x))
 
@@ -54,7 +71,9 @@ def gram_log_fn(eps: float) -> SpectralFn:
     exactly: B v / sqrt(x) is a unit eigenvector of X for each eigenpair
     (x, v) of the Gram matrix with x > 0, and every other eigenvalue of X is 0.
     The derivative is (1 - log(x / eps)) / x^2 for x >= eps and 0 below, so
-    at exactly x == eps it takes the rectifier's subgradient 1.
+    at exactly x == eps it takes the rectifier's subgradient 1.  For
+    a, b > eps the divided difference is (b L(a, b) - log(b / eps)) / (a b),
+    L the LOG divided difference, which does not cancel at close a, b.
     """
     if eps <= 0:
         raise InvalidInput("rectification threshold must be positive")
@@ -67,7 +86,12 @@ def gram_log_fn(eps: float) -> SpectralFn:
         top = np.maximum(x, eps)
         return np.where(x >= eps, (1.0 - np.log(top / eps)) / (top * top), 0.0)
 
-    return SpectralFn(h, dh)
+    def dd(a, b):
+        above = (a > eps) & (b > eps)
+        stable = (b * _log_dd(a, b) - np.log(b / eps)) / (a * b)
+        return np.where(above, stable, (h(a) - h(b)) / (a - b))
+
+    return SpectralFn(h, dh, dd)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -101,29 +125,28 @@ def spectral_apply_cached(cache: EigenPair, fn: SpectralFn, context: str | None 
     """U diag(f(V)) U^T for the eigendecomposition (U, V) in ``cache``."""
     fv = _apply_fn(fn, cache.values, context)
     u = cache.vectors
-    return symmetrize((u * fv[..., None, :]) @ np.swapaxes(u, -1, -2))
+    return (u * fv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
 def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     """Divided-difference kernel K(i,j) of the Daleckii-Krein chain rule.
 
-    K(i,j) = (f(l_i) - f(l_j)) / (l_i - l_j) away from ties; within the
-    guard tau = 1e-10 * max(1, |l_i|, |l_j|) it switches to f'((l_i+l_j)/2),
-    the exact limit value, avoiding catastrophic cancellation.  For LOG the
-    quotient is Higham's 2 atanh((l_i - l_j) / (l_i + l_j)) / (l_i - l_j)
-    (Functions of Matrices, 2008), which stays accurate to rounding at close
-    eigenvalues above the guard, where log(l_i) - log(l_j) cancels.
+    K(i,j) = (f(l_i) - f(l_j)) / (l_i - l_j) away from ties, through
+    ``fn.dd`` where given, which stays accurate to rounding at close
+    eigenvalues above the guard; within the guard
+    tau = 1e-10 * max(1, |l_i|, |l_j|) it switches to f'((l_i+l_j)/2), the
+    exact limit value, avoiding catastrophic cancellation.
     """
     li = values[..., :, None]
     lj = values[..., None, :]
     diff = li - lj
     tau = 1e-10 * np.maximum(1.0, np.maximum(np.abs(li), np.abs(lj)))
     near = np.abs(diff) <= tau
-    fv = _apply_fn(fn, values)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if fn is LOG:
-            quotient = 2.0 * np.arctanh(diff / (li + lj)) / diff
+        if fn.dd is not None:
+            quotient = fn.dd(li, lj)
         else:
+            fv = _apply_fn(fn, values)
             quotient = (fv[..., :, None] - fv[..., None, :]) / diff
     deriv = fn.df(0.5 * (li + lj))
     return np.where(near, deriv, quotient)
@@ -133,13 +156,14 @@ def spectral_fn_backward_cached(fn: SpectralFn, grad_out: np.ndarray, cache: Eig
     """Adjoint of spectral_apply_cached: dL/dS given dL/df(S) = grad_out.
 
     With G = U^T grad_out U, returns U (K * G) U^T where K is the
-    divided-difference kernel of ``loewner_matrix``.
+    divided-difference kernel of ``loewner_matrix``; symmetric whenever
+    grad_out is.
     """
     u = cache.vectors
     ut = np.swapaxes(u, -1, -2)
     g = ut @ grad_out @ u
     k = loewner_matrix(cache.values, fn)
-    return symmetrize(u @ (k * g) @ ut)
+    return u @ (k * g) @ ut
 
 
 def qr_orthonormalize(m: np.ndarray) -> np.ndarray:

@@ -19,7 +19,9 @@ chain-rule pass through the same decomposition.  The temporal pyramid
 boundary into disjoint segments, takes each segment's raw moment of
 [z, 1] once and sums the moments of each range.  ``tests/oracles.py`` holds
 a straight-line per-equation reference, dense eigendecompositions included,
-that the batched path is checked against.
+that the batched path is checked against.  ``forward`` checks its input
+once (frame shape, finite coordinates, every parameter shape); the layers
+below it assume that check passed and validate nothing.
 
 Checkpoint format (little-endian):
     magic b"SPDN" | uint32 version=1
@@ -106,6 +108,15 @@ class NetworkConfig:
 
     def graph(self) -> HandGraph:
         return HandGraph(self.n_fingers, self.joints_per_finger)
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Shape of each ``NetworkParams`` array, in field (and checkpoint) order."""
+        return {
+            "conv": (3, self.d1, 3),
+            "spat": (self.n_L, self.d_spat, self.temp_dim),
+            "fc_weight": (self.n_classes, self.feature_dim),
+            "fc_bias": (self.n_classes,),
+        }
 
 
 @dataclass
@@ -274,7 +285,7 @@ def _frame_log(vectors: np.ndarray, eps: float):
     y = factor @ w @ factor_t
     idx = np.arange(d + 1)
     y[..., idx, idx] += np.log(eps)
-    return linalg.symmetrize(y), factor, gram_eig, w
+    return y, factor, gram_eig, w
 
 
 def _frame_log_backward(
@@ -282,29 +293,44 @@ def _frame_log_backward(
 ):
     """Adjoint of ``_frame_log``: gradients w.r.t. its input vectors (..., n, d).
 
-    With G = sym(grad_out) and dM the Daleckii-Krein adjoint of h at
+    With G = grad_out (symmetric) and dM the Daleckii-Krein adjoint of h at
     B^T G B, the gradient w.r.t. B is 2 G B W + 2 B dM; every Gram
     eigenvalue enters, those at or below eps included.  The block V^T H of B
     maps back to the vectors through H, and mu to each with weight 1/n.
     """
     n = factor.shape[-1]
-    g = linalg.symmetrize(grad_out)
     dm = linalg.spectral_fn_backward_cached(
-        linalg.gram_log_fn(eps), np.swapaxes(factor, -1, -2) @ g @ factor, gram_eig
+        linalg.gram_log_fn(eps), np.swapaxes(factor, -1, -2) @ grad_out @ factor, gram_eig
     )
-    dfactor = 2.0 * (g @ factor @ w + factor @ dm)
+    dfactor = 2.0 * (grad_out @ factor @ w + factor @ dm)
     dvectors = _zero_sum_basis(n) @ np.swapaxes(dfactor[..., :-1, :-1], -1, -2)
     return dvectors + dfactor[..., None, :-1, -1] / n
 
 
-def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
-    """Run the full pipeline; returns (logits, final_spd, tape)."""
-    graph = graph or cfg.graph()
-    frames = _as_frames(seq)
+def _check_input(frames: np.ndarray, params: NetworkParams, cfg: NetworkConfig):
+    """The network's one input check; the layers below assume it passed."""
     if frames.shape != (cfg.n_F, cfg.n_joints, 3):
         raise InvalidInput(
             f"sequence shape {frames.shape}, expected {(cfg.n_F, cfg.n_joints, 3)}"
         )
+    if not np.isfinite(frames).all():
+        raise InvalidInput("joint coordinates contain non-finite values")
+    for name, shape in cfg.param_shapes().items():
+        got = np.shape(getattr(params, name))
+        if got != shape:
+            raise InvalidInput(f"params.{name} has shape {got}, expected {shape}")
+
+
+def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
+    """Run the full pipeline; returns (logits, final_spd, tape).
+
+    Raises ``InvalidInput`` for a frame stack not of shape
+    (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
+    shape does not match ``cfg.param_shapes()``.
+    """
+    graph = graph or cfg.graph()
+    frames = _as_frames(seq)
+    _check_input(frames, params, cfg)
 
     feats = skeleton.graph_conv(frames, params.conv, graph)        # (n_F, n_out, d1)
     fingers = skeleton.finger_partition(feats, graph)              # (n_F, S, J, d1)
@@ -356,7 +382,8 @@ def _gauss_backward_batched(z: np.ndarray, ranges: list[tuple[int, int]], grad_o
 
     Segment s's moment enters range q with weight w_qs, so its frames
     [z, 1]_s get 2 [z, 1]_s A_s with A_s = sum_q w_qs sym(grad_out_q); the
-    trailing coordinate's column is dropped.
+    trailing coordinate's column is dropped.  The symmetrization keeps this
+    the exact adjoint of M = [z, 1]^T [z, 1] for any grad_out, symmetric or not.
     """
     cuts, weights = pyramid_segments(ranges, z.shape[-2])
     zt = _with_ones(z)
@@ -479,19 +506,13 @@ def load_checkpoint(path):
             joints_per_finger=jpf,
             d_spat=d_spat,
         )
-        shapes = [
-            (3, cfg.d1, 3),
-            (cfg.n_L, cfg.d_spat, cfg.temp_dim),
-            (cfg.n_classes, cfg.feature_dim),
-            (cfg.n_classes,),
-        ]
-        arrays = []
-        for shape in shapes:
+        arrays = {}
+        for name, shape in cfg.param_shapes().items():
             count = int(np.prod(shape))
             buf = fh.read(8 * count)
             if len(buf) != 8 * count:
                 raise InvalidInput(f"{path}: truncated checkpoint")
-            arrays.append(np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape))
+            arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
         if fh.read(1):
             raise InvalidInput(f"{path}: trailing bytes in checkpoint")
-    return NetworkParams(*arrays), cfg
+    return NetworkParams(**arrays), cfg

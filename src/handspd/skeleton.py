@@ -23,6 +23,10 @@ gradient is A^T times the output gradient pushed through the filters.
 
 A reduced hand (fewer fingers / shorter chains, same topology) is supported
 for desk-scale tests.
+
+Operand contract: the convolution and its adjoint take finite coordinates
+of shape (..., n_joints, 3) and (3, d1, 3) filters, and do not check
+them; ``network.forward`` checks its input once, with ``InvalidInput``.
 """
 
 from __future__ import annotations
@@ -87,24 +91,6 @@ class HandGraph:
 DEFAULT_GRAPH = HandGraph()
 
 
-def _check_frame(frame: np.ndarray, graph: HandGraph) -> np.ndarray:
-    frame = np.asarray(frame, dtype=np.float64)
-    if frame.shape[-2:] != (graph.n_joints, 3):
-        raise InvalidInput(
-            f"expected (..., {graph.n_joints}, 3) joint coordinates, got {frame.shape}"
-        )
-    if not np.all(np.isfinite(frame)):
-        raise InvalidInput("joint coordinates contain non-finite values")
-    return frame
-
-
-def _check_weights(weights: np.ndarray) -> np.ndarray:
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 3 or weights.shape[0] != N_LABELS or weights.shape[2] != 3:
-        raise InvalidInput(f"expected (3, d1, 3) filter weights, got {weights.shape}")
-    return weights
-
-
 def _gather(frame: np.ndarray, graph: HandGraph) -> np.ndarray:
     """(..., n_out_nodes, 9): each out-node's label-1, 2, 3 neighbor coordinates."""
     return (graph.incidence @ frame).reshape(frame.shape[:-2] + (graph.n_out_nodes, 3 * N_LABELS))
@@ -121,8 +107,6 @@ def graph_conv(frame: np.ndarray, weights: np.ndarray, graph: HandGraph = DEFAUL
     frame: (..., n_joints, 3); weights: (3, d1, 3) indexed [label-1, channel].
     Returns (..., n_out_nodes, d1) covering nodes 3..n_joints.
     """
-    frame = _check_frame(frame, graph)
-    weights = _check_weights(weights)
     return _gather(frame, graph) @ _stack_filters(weights)
 
 
@@ -132,13 +116,9 @@ def graph_conv_backward(
     grad_out: np.ndarray,
     graph: HandGraph = DEFAULT_GRAPH,
 ):
-    """Exact adjoint of graph_conv: (coordinate gradients, weight gradients)."""
-    frame = _check_frame(frame, graph)
-    weights = _check_weights(weights)
-    grad_out = np.asarray(grad_out, dtype=np.float64)
+    """Exact adjoint of graph_conv: (coordinate gradients, weight gradients)
+    for grad_out of graph_conv's output shape."""
     d1 = weights.shape[1]
-    if grad_out.shape != frame.shape[:-2] + (graph.n_out_nodes, d1):
-        raise InvalidInput(f"grad_out shape {grad_out.shape} does not match conv output")
 
     gathered = _gather(frame, graph).reshape(-1, 3 * N_LABELS)
     grad_stacked = gathered.T @ grad_out.reshape(-1, d1)          # (9, d1)

@@ -103,8 +103,9 @@ def clamp_eig(x, eps):
     return vecs @ np.diag(np.where(vals > eps, vals, eps)) @ vecs.T
 
 
-# A scalar map and its derivative; duck-types handspd.linalg.SpectralFn.
-SpectralFn = namedtuple("SpectralFn", "f df")
+# A scalar map and its derivative; duck-types handspd.linalg.SpectralFn, whose
+# kernel then takes the raw divided difference (no ``dd``).
+SpectralFn = namedtuple("SpectralFn", "f df dd", defaults=(None,))
 
 
 def reeig_log_fn(eps):

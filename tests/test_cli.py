@@ -57,7 +57,7 @@ class TestArgumentHandling:
 
 class TestGradcheckCommand:
     def test_passes_on_a_small_subset(self, capsys):
-        code = run_cli("gradcheck", "--instances", "2", "--layer", "half_vec", "--layer", "fc")
+        code = run_cli("gradcheck", "--instances", "2", "--layer", "half_vec", "--layer", "graph_conv")
         assert code == cli.EXIT_OK
         out = capsys.readouterr().out
         assert "half_vec" in out and "PASS" in out
@@ -77,11 +77,6 @@ class TestGradcheckCommand:
         code = run_cli("gradcheck", "--layer", "reeig_log")
         assert code == cli.EXIT_CONFIG
         assert "frame_log" in capsys.readouterr().err
-
-    def test_corrupted_gradients_exit_nonzero(self, capsys):
-        code = run_cli("gradcheck", "--instances", "1", "--layer", "half_vec", "--corrupt")
-        assert code == cli.EXIT_NUMERICAL
-        assert "FAIL" in capsys.readouterr().out
 
 
 class TestSynthCommand:

@@ -1,7 +1,26 @@
 import numpy as np
 import pytest
 
-from handspd import gradcheck
+from handspd import cli, gradcheck, network, skeleton, spd_ops
+from handspd.network import NetworkParams
+
+# The backward pass each gradcheck layer certifies.
+BACKWARDS = {
+    "graph_conv": (skeleton, "graph_conv_backward"),
+    "frame_log": (network, "_frame_log_backward"),
+    "gauss_range": (network, "_gauss_backward_batched"),
+    "half_vec": (spd_ops, "half_vec_adjoint"),
+    "spd_spat_agg": (spd_ops, "spd_spat_agg_backward"),
+    "network": (network, "backward"),
+}
+
+
+def _scaled(value, factor=1.01):
+    if isinstance(value, tuple):
+        return tuple(_scaled(v, factor) for v in value)
+    if isinstance(value, NetworkParams):
+        return value.from_vector(factor * value.to_vector())
+    return factor * value
 
 
 class TestFiniteDifferences:
@@ -34,19 +53,28 @@ class TestFiniteDifferences:
 
 class TestHarness:
     def test_layer_subset(self):
-        results = gradcheck.run(seed=0, n_instances=2, layers=["half_vec", "fc"])
-        assert set(results) == {"half_vec", "fc"}
+        results = gradcheck.run(seed=0, n_instances=2, layers=["half_vec", "spd_spat_agg"])
+        assert set(results) == {"half_vec", "spd_spat_agg"}
         assert all(err < gradcheck.THRESHOLD for err in results.values())
 
     def test_unknown_layer_rejected(self):
         with pytest.raises(KeyError):
             gradcheck.run(layers=["not_a_layer"])
 
-    def test_corrupt_negative_control(self):
-        # The harness must be able to report failures, not just successes.
-        results = gradcheck.run(seed=0, n_instances=1, layers=["half_vec"], corrupt=True)
-        assert results["half_vec"] >= 1.0
+    @pytest.mark.parametrize("layer", list(gradcheck.LAYERS))
+    def test_scaled_backward_fails(self, layer, monkeypatch, capsys):
+        # Negative control: every check must read the analytic gradient of
+        # the backward pass it certifies, so one that is 1% off must FAIL,
+        # in the report and in the command's exit code.
+        assert set(BACKWARDS) == set(gradcheck.LAYERS)
+        module, name = BACKWARDS[layer]
+        backward = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, **kwargs: _scaled(backward(*args, **kwargs)))
+        results = gradcheck.run(seed=0, n_instances=1, layers=[layer])
+        assert results[layer] >= gradcheck.THRESHOLD
         assert "FAIL" in gradcheck.format_table(results)
+        assert cli.main(["gradcheck", "--instances", "1", "--layer", layer]) == cli.EXIT_NUMERICAL
+        assert "FAIL" in capsys.readouterr().out
 
     def test_seeded_reproducibility(self):
         r1 = gradcheck.run(seed=3, n_instances=2, layers=["gauss_range"])

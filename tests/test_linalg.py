@@ -134,13 +134,19 @@ class TestSpectralFnBackward:
     def test_log_divided_differences_at_close_eigenvalues(self, lam):
         # Relative gaps 1e-10 ... 1e-5 straddle the tie guard (1e-10 relative
         # above 1); above it the raw quotient of logs cancels catastrophically.
-        for gap in 10.0 ** np.arange(-10, -4):
-            a, b = lam, lam * (1.0 + gap)
-            with mpmath.workdps(50):
-                want = (mpmath.log(a) - mpmath.log(b)) / (mpmath.mpf(a) - mpmath.mpf(b))
-            got = linalg.loewner_matrix(np.array([a, b]), linalg.LOG)
-            for entry in (got[0, 1], got[1, 0]):
-                assert abs((entry - want) / want) <= 1e-14
+        # The same holds for the frame map's h(x) = log(x / eps) / x.
+        eps = 1e-4
+        with mpmath.workdps(50):
+            log = mpmath.log
+            gram_log = lambda x: mpmath.log(x / mpmath.mpf(eps)) / x
+        for fn, f in ((linalg.LOG, log), (linalg.gram_log_fn(eps), gram_log)):
+            for gap in 10.0 ** np.arange(-10, -4):
+                a, b = lam, lam * (1.0 + gap)
+                with mpmath.workdps(50):
+                    want = (f(mpmath.mpf(a)) - f(mpmath.mpf(b))) / (mpmath.mpf(a) - mpmath.mpf(b))
+                got = linalg.loewner_matrix(np.array([a, b]), fn)
+                for entry in (got[0, 1], got[1, 0]):
+                    assert abs((entry - want) / want) <= 1e-14
 
     def test_adjoint_identity(self):
         # <C, d/dt f(S + tD)> == <backward(C), D> for symmetric directions D.

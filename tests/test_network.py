@@ -144,6 +144,42 @@ class TestForward:
         with pytest.raises(InvalidInput):
             network.forward(frames[:-1], params, cfg)
 
+    # The layers check nothing; forward checks its input once, at default
+    # scale (the 22-joint hand).
+
+    def test_input_validation(self):
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=0)
+        with pytest.raises(InvalidInput):
+            network.forward(np.zeros((cfg.n_F, 21, 3)), params, cfg)
+        with pytest.raises(InvalidInput):
+            network.forward(np.full((cfg.n_F, 22, 3), np.nan), params, cfg)
+        params.conv = np.zeros((2, cfg.d1, 3))
+        with pytest.raises(InvalidInput):
+            network.forward(np.zeros((cfg.n_F, 22, 3)), params, cfg)
+
+    def test_spat_shape_validation(self):
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=0)
+        frames = np.zeros((cfg.n_F, cfg.n_joints, 3))
+        for spat in (params.spat[:, :, :3], params.spat[:2]):
+            bad = params.copy()
+            bad.spat = spat
+            with pytest.raises(InvalidInput, match="spat"):
+                network.forward(frames, bad, cfg)
+
+    def test_fc_shape_validation(self):
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=0)
+        frames = np.zeros((cfg.n_F, cfg.n_joints, 3))
+        for name, shape in (("fc_weight", (cfg.n_classes, cfg.feature_dim - 1)),
+                            ("fc_weight", (cfg.n_classes + 1, cfg.feature_dim)),
+                            ("fc_bias", (cfg.n_classes + 1,))):
+            bad = params.copy()
+            setattr(bad, name, np.zeros(shape))
+            with pytest.raises(InvalidInput, match=name):
+                network.forward(frames, bad, cfg)
+
     def test_zero_spat_weights_raise_domain_error(self):
         cfg, params, frames = self._toy_case()
         params.spat = np.zeros_like(params.spat)

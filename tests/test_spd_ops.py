@@ -285,12 +285,3 @@ class TestSpdSpatAgg:
             gw, fd_grad(lambda ws: float(np.sum(cot * spd_ops.spd_spat_agg(inputs, ws))), weights)
         )
         assert err_x < 1e-7 and err_w < 1e-7
-
-    def test_shape_validation(self):
-        inputs, weights = self._random_case(2)
-        with pytest.raises(InvalidInput):
-            spd_ops.spd_spat_agg(inputs[:, :, :3], weights)
-        with pytest.raises(InvalidInput):
-            spd_ops.spd_spat_agg(inputs[:2], weights)
-        with pytest.raises(InvalidInput):
-            spd_ops.spd_spat_agg_backward(inputs, weights, np.ones((3, 3)))
