@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from handspd import classify, cli, data, gradcheck
+from handspd import classify, cli, data, gradcheck, spd_ops
 from handspd.errors import ConfigError
 from handspd.network import NetworkConfig
 
@@ -77,6 +77,13 @@ class TestGradcheckCommand:
         code = run_cli("gradcheck", "--layer", "reeig_log")
         assert code == cli.EXIT_CONFIG
         assert "frame_log" in capsys.readouterr().err
+
+    def test_corrupted_gradients_exit_nonzero(self, monkeypatch, capsys):
+        backward = spd_ops.half_vec_adjoint
+        monkeypatch.setattr(spd_ops, "half_vec_adjoint", lambda *args: -backward(*args))
+        code = run_cli("gradcheck", "--instances", "1", "--layer", "half_vec")
+        assert code == cli.EXIT_NUMERICAL
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestSynthCommand:

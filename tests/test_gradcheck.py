@@ -61,6 +61,15 @@ class TestHarness:
         with pytest.raises(KeyError):
             gradcheck.run(layers=["not_a_layer"])
 
+    def test_corrupt_negative_control(self, monkeypatch):
+        # The harness must be able to report failures, not just successes:
+        # a backward pass with the wrong sign reads as a relative error of 2.
+        backward = spd_ops.half_vec_adjoint
+        monkeypatch.setattr(spd_ops, "half_vec_adjoint", lambda *args: -backward(*args))
+        results = gradcheck.run(seed=0, n_instances=1, layers=["half_vec"])
+        assert results["half_vec"] >= 1.0
+        assert "FAIL" in gradcheck.format_table(results)
+
     @pytest.mark.parametrize("layer", list(gradcheck.LAYERS))
     def test_scaled_backward_fails(self, layer, monkeypatch, capsys):
         # Negative control: every check must read the analytic gradient of
