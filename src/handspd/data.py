@@ -168,9 +168,10 @@ def resample(seq: GestureSequence, target_len: int = DEFAULT_LENGTH, method: str
         t_old = np.linspace(0.0, 1.0, n)
         t_new = np.linspace(0.0, 1.0, target_len)
         flat = seq.frames.reshape(n, -1)
-        out = np.empty((target_len, flat.shape[1]))
-        for col in range(flat.shape[1]):
-            out[:, col] = np.interp(t_new, t_old, flat[:, col])
+        # np.interp's own arithmetic on every column at once, exact knots copied.
+        j = np.clip(np.searchsorted(t_old, t_new, side="right") - 1, 0, n - 2)
+        slope = (flat[j + 1] - flat[j]) / (t_old[j + 1] - t_old[j])[:, None]
+        out = np.where((t_old[j] == t_new)[:, None], flat[j], slope * (t_new - t_old[j])[:, None] + flat[j])
         out[0] = flat[0]
         out[-1] = flat[-1]
         frames = out.reshape(target_len, *seq.frames.shape[1:])

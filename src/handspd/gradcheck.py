@@ -45,16 +45,6 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(num / den)
 
 
-def _random_sym(rng, d):
-    a = rng.standard_normal((d, d))
-    return 0.5 * (a + a.T)
-
-
-def _random_spd(rng, d, shift=0.5):
-    a = rng.standard_normal((d, d))
-    return a @ a.T / d + shift * np.eye(d)
-
-
 def _check_graph_conv(rng):
     graph = HandGraph(2, 3)
     d1 = 3
@@ -103,15 +93,15 @@ def _check_frame_log(rng):
     values = network._frame_log(vectors, 1.0)[2].values
     eps = float(np.sqrt(values[..., 1].min() * values[..., 0].max()))
     cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
-    _, factor, gram_eig, w = network._frame_log(vectors, eps)
-    analytic = network._frame_log_backward(cot, factor, gram_eig, w, eps)
+    _, factor, gram_eig, h = network._frame_log(vectors, eps)
+    analytic = network._frame_log_backward(cot, factor, gram_eig, h, eps)
     numeric = fd_grad(lambda v: float(np.sum(cot * network._frame_log(v, eps)[0])), vectors)
     return rel_error(analytic, numeric)
 
 
 def _check_half_vec(rng):
     d = 6
-    y = _random_sym(rng, d)
+    y = linalg.symmetrize(rng.standard_normal((d, d)))
     cot = rng.standard_normal(spd_ops.half_vec_dim(d))
     analytic = spd_ops.half_vec_adjoint(cot, d)
     numeric = fd_grad(lambda s: float(cot @ spd_ops.half_vec(0.5 * (s + s.T))), y)
@@ -120,11 +110,12 @@ def _check_half_vec(rng):
 
 def _check_spat_agg(rng):
     n_l, d_in, d_out = 3, 5, 4
-    inputs = np.stack([_random_spd(rng, d_in) for _ in range(n_l)])
+    a = rng.standard_normal((n_l, d_in, d_in))
+    inputs = a @ np.swapaxes(a, -1, -2) / d_in + 0.5 * np.eye(d_in)
     weights = np.stack(
         [linalg.qr_orthonormalize(rng.standard_normal((d_out, d_in))) for _ in range(n_l)]
     )
-    cot = _random_sym(rng, d_out)
+    cot = linalg.symmetrize(rng.standard_normal((d_out, d_out)))
     gx, gw = spd_ops.spd_spat_agg_backward(inputs, weights, cot)
     err_x = rel_error(
         gx, fd_grad(lambda xs: float(np.sum(cot * spd_ops.spd_spat_agg(xs, weights))), inputs)
@@ -133,6 +124,20 @@ def _check_spat_agg(rng):
         gw, fd_grad(lambda ws: float(np.sum(cot * spd_ops.spd_spat_agg(inputs, ws))), weights)
     )
     return max(err_x, err_w)
+
+
+def _check_final_log(rng):
+    # The final LogEig on (3, 6, 6) spectra with two pairs at relative gaps
+    # 1e-9 ... 1e-6 (the kernel's atanh form) and one exact tie (its guard).
+    base = rng.uniform(0.5, 2.0, (3, 3))
+    close = base[:, :2] * (1.0 + 10.0 ** rng.uniform(-9, -6, (3, 2)))
+    values = np.concatenate([base, close, base[:, 2:]], axis=-1)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 6, 6)))
+    s = linalg.symmetrize((q * values[:, None, :]) @ np.swapaxes(q, -1, -2))
+    cot = linalg.symmetrize(rng.standard_normal((3, 6, 6)))
+    analytic = linalg.spectral_fn_backward_cached(linalg.LOG, cot, linalg.sym_eig_batch(s))
+    log_of = lambda m: linalg.spectral_apply_cached(linalg.sym_eig_batch(linalg.symmetrize(m)), linalg.LOG)
+    return rel_error(analytic, fd_grad(lambda m: float(np.sum(cot * log_of(m))), s))
 
 
 def toy_config(n_classes: int = 3) -> NetworkConfig:
@@ -167,6 +172,7 @@ LAYERS = {
     "gauss_range": _check_gauss_range,
     "half_vec": _check_half_vec,
     "spd_spat_agg": _check_spat_agg,
+    "final_log": _check_final_log,
     "network": _check_network,
 }
 

@@ -20,6 +20,7 @@ and outputs are symmetric up to rounding; nothing re-symmetrizes them.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -128,6 +129,19 @@ def spectral_apply_cached(cache: EigenPair, fn: SpectralFn, context: str | None 
     return (u * fv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
 
+@functools.cache
+def _pair_maps(n: int):
+    """Pairs i < j of an n x n matrix, and the slot that each of its n*n
+    entries reads in [diagonal, pairs]; read-only."""
+    rows, cols = np.triu_indices(n, 1)
+    slot = np.diag(np.arange(n))
+    slot[rows, cols] = slot[cols, rows] = n + np.arange(rows.size)
+    maps = (rows, cols, slot.ravel())
+    for m in maps:
+        m.setflags(write=False)
+    return maps
+
+
 def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     """Divided-difference kernel K(i,j) of the Daleckii-Krein chain rule.
 
@@ -135,21 +149,21 @@ def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     ``fn.dd`` where given, which stays accurate to rounding at close
     eigenvalues above the guard; within the guard
     tau = 1e-10 * max(1, |l_i|, |l_j|) it switches to f'((l_i+l_j)/2), the
-    exact limit value, avoiding catastrophic cancellation.
+    exact limit value, avoiding catastrophic cancellation.  Each pair i < j
+    is evaluated once and mirrored (K is exactly symmetric); K(i,i) = f'(l_i).
     """
-    li = values[..., :, None]
-    lj = values[..., None, :]
-    diff = li - lj
-    tau = 1e-10 * np.maximum(1.0, np.maximum(np.abs(li), np.abs(lj)))
-    near = np.abs(diff) <= tau
+    rows, cols, slot = _pair_maps(values.shape[-1])
+    li, lj = values[..., rows], values[..., cols]
+    near = np.abs(li - lj) <= 1e-10 * np.maximum(1.0, np.maximum(np.abs(li), np.abs(lj)))
     with np.errstate(divide="ignore", invalid="ignore"):
         if fn.dd is not None:
             quotient = fn.dd(li, lj)
         else:
             fv = _apply_fn(fn, values)
-            quotient = (fv[..., :, None] - fv[..., None, :]) / diff
-    deriv = fn.df(0.5 * (li + lj))
-    return np.where(near, deriv, quotient)
+            quotient = (fv[..., rows] - fv[..., cols]) / (li - lj)
+    pairs = np.where(near, fn.df(0.5 * (li + lj)), quotient)
+    k = np.concatenate([fn.df(values), pairs], axis=-1)[..., slot]
+    return k.reshape(values.shape + values.shape[-1:])
 
 
 def spectral_fn_backward_cached(fn: SpectralFn, grad_out: np.ndarray, cache: EigenPair) -> np.ndarray:
@@ -157,7 +171,7 @@ def spectral_fn_backward_cached(fn: SpectralFn, grad_out: np.ndarray, cache: Eig
 
     With G = U^T grad_out U, returns U (K * G) U^T where K is the
     divided-difference kernel of ``loewner_matrix``; symmetric whenever
-    grad_out is.
+    grad_out is.  The network runs it for the final LogEig only.
     """
     u = cache.vectors
     ut = np.swapaxes(u, -1, -2)

@@ -12,9 +12,9 @@ is the one the gradient checks test.  The per-frame GaussAgg, ReEig and
 LogEig are one map (``_frame_log`` and its adjoint): a frame matrix of J
 joint vectors V is X2 = B B^T with B = [[V^T H / sqrt(J-1), mu], [0, 1]] of
 shape (d1+1) x J, H the J x (J-1) Helmert basis of zero-sum vectors, so the
-nonzero spectrum of X2 is that of the J x J Gram matrix B^T B.  The forward
-pass eigendecomposes the Gram matrix, never X2; the backward pass is one
-chain-rule pass through the same decomposition.  The temporal pyramid
+nonzero spectrum of X2 is that of the J x J Gram matrix B^T B = U diag(l) U^T.
+The forward pass decomposes it, never X2, and keeps P = B U and h(l); the
+backward pass is one chain-rule pass in that eigenbasis.  The temporal pyramid
 (``_batched_gauss`` and its adjoint) cuts the frames at every range
 boundary into disjoint segments, takes each segment's raw moment of
 [z, 1] once and sums the moments of each range.  ``tests/oracles.py`` holds
@@ -176,9 +176,9 @@ class LayerTape:
     """Forward intermediates consumed by the backward pass."""
 
     frames: np.ndarray            # (n_F, n_joints, 3)
-    frame_factor: np.ndarray      # (S, n_F, d1+1, J) B with X2 = B B^T
-    frame_eig: EigenPair          # of the Gram matrices B^T B, batched
-    frame_w: np.ndarray           # (S, n_F, J, J) h(B^T B), gram_log_fn
+    frame_factor: np.ndarray      # (S, n_F, d1+1, J) P = B U, X2 = P P^T
+    frame_eig: EigenPair          # (U, l) of the Gram matrices B^T B, batched
+    frame_h: np.ndarray           # (S, n_F, J) h(l), gram_log_fn
     z: np.ndarray                 # (S, n_F, half_dim)
     ranges: list                  # pyramid (t_b, t_e), 1-based inclusive
     temp_outputs: np.ndarray      # (n_L, D, D) SPDTempAgg outputs X4
@@ -253,13 +253,13 @@ def _batched_gauss(z: np.ndarray, ranges: list[tuple[int, int]], lambda_reg: flo
     return out
 
 
-def _zero_sum_basis(n: int) -> np.ndarray:
-    """H / sqrt(n-1), H the n x (n-1) Helmert basis: orthonormal columns, each
-    orthogonal to (1, ..., 1), so H H^T = I - 11^T / n is the centring map."""
+def _frame_basis(n: int) -> np.ndarray:
+    """C = [H / sqrt(n-1), 1/n], H the n x (n-1) Helmert basis (H H^T = I - 11^T / n
+    is the centring map): V^T C is the top of the frame factor B of vectors V."""
     rows = np.arange(n)[:, None]
     cols = np.arange(1, n)[None, :]
     helmert = np.where(rows < cols, 1.0, np.where(rows == cols, -cols, 0.0)) / np.sqrt(cols * (cols + 1))
-    return helmert / np.sqrt(n - 1)
+    return np.concatenate([helmert / np.sqrt(n - 1), np.full((n, 1), 1.0 / n)], axis=1)
 
 
 def _frame_log(vectors: np.ndarray, eps: float):
@@ -267,44 +267,39 @@ def _frame_log(vectors: np.ndarray, eps: float):
     n d-vectors V in (..., n, d), through the n x n Gram matrix.
 
     X2 = [[Sigma + mu mu^T, mu], [mu^T, 1]] = B B^T with
-    B = [[V^T H / sqrt(n-1), mu], [0, 1]] of shape (d+1) x n, H the Helmert
-    basis (``_zero_sum_basis`` is H / sqrt(n-1); V^T H H^T V is the centred
-    scatter), and
-    log max(X2, eps) = log(eps) I + B W B^T with W = h(B^T B), h from
-    ``linalg.gram_log_fn``.  Returns (that log, B, eig(B^T B), W).
+    B = [[V^T C], [0, 1]] of shape (d+1) x n, C = [H / sqrt(n-1), 1/n] from
+    ``_frame_basis`` (V^T H H^T V is the centred scatter, V^T 1/n = mu).
+    With B^T B = U diag(l) U^T and P = B U, the factor in the Gram
+    eigenbasis (X2 = P P^T, P^T P = diag(l)),
+    log max(X2, eps) = log(eps) I + P diag(h(l)) P^T, h from
+    ``linalg.gram_log_fn``.  Returns (that log, P, eig(B^T B), h(l)).
     """
     n, d = vectors.shape[-2:]
     factor = np.zeros(vectors.shape[:-2] + (d + 1, n))
-    factor[..., :d, : n - 1] = np.swapaxes(vectors, -1, -2) @ _zero_sum_basis(n)
-    factor[..., :d, n - 1] = vectors.mean(axis=-2)
+    factor[..., :d, :] = np.swapaxes(vectors, -1, -2) @ _frame_basis(n)
     factor[..., d, n - 1] = 1.0
-    factor_t = np.swapaxes(factor, -1, -2)
-    gram_eig = linalg.sym_eig_batch(factor_t @ factor)
-    u = gram_eig.vectors
-    w = (u * linalg.gram_log_fn(eps).f(gram_eig.values)[..., None, :]) @ np.swapaxes(u, -1, -2)
-    y = factor @ w @ factor_t
+    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor)
+    p = factor @ gram_eig.vectors
+    h = linalg.gram_log_fn(eps).f(gram_eig.values)
+    y = (p * h[..., None, :]) @ np.swapaxes(p, -1, -2)
     idx = np.arange(d + 1)
     y[..., idx, idx] += np.log(eps)
-    return y, factor, gram_eig, w
+    return y, p, gram_eig, h
 
 
-def _frame_log_backward(
-    grad_out: np.ndarray, factor: np.ndarray, gram_eig: EigenPair, w: np.ndarray, eps: float
-):
+def _frame_log_backward(grad_out: np.ndarray, p: np.ndarray, gram_eig: EigenPair, h: np.ndarray, eps: float):
     """Adjoint of ``_frame_log``: gradients w.r.t. its input vectors (..., n, d).
 
-    With G = grad_out (symmetric) and dM the Daleckii-Krein adjoint of h at
-    B^T G B, the gradient w.r.t. B is 2 G B W + 2 B dM; every Gram
-    eigenvalue enters, those at or below eps included.  The block V^T H of B
-    maps back to the vectors through H, and mu to each with weight 1/n.
+    With G = grad_out (symmetric) and K the ``linalg.loewner_matrix`` kernel
+    of h, dB = 2 [(G P) * h + P (K * P^T G P)] U^T: the Daleckii-Krein chain
+    rule in the Gram eigenbasis, every eigenvalue entering, those at or below
+    eps included.  Only dB's top d rows, those of V^T C, are formed: dV^T = dB_top C^T.
     """
-    n = factor.shape[-1]
-    dm = linalg.spectral_fn_backward_cached(
-        linalg.gram_log_fn(eps), np.swapaxes(factor, -1, -2) @ grad_out @ factor, gram_eig
-    )
-    dfactor = 2.0 * (grad_out @ factor @ w + factor @ dm)
-    dvectors = _zero_sum_basis(n) @ np.swapaxes(dfactor[..., :-1, :-1], -1, -2)
-    return dvectors + dfactor[..., None, :-1, -1] / n
+    gp = grad_out @ p
+    k = linalg.loewner_matrix(gram_eig.values, linalg.gram_log_fn(eps))
+    top = gp[..., :-1, :] * h[..., None, :] + p[..., :-1, :] @ (k * (np.swapaxes(p, -1, -2) @ gp))
+    to_vectors = np.swapaxes(gram_eig.vectors, -1, -2) @ _frame_basis(p.shape[-1]).T
+    return np.swapaxes(2.0 * top @ to_vectors, -1, -2)
 
 
 def _check_input(frames: np.ndarray, params: NetworkParams, cfg: NetworkConfig):
@@ -336,7 +331,7 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     fingers = skeleton.finger_partition(feats, graph)              # (n_F, S, J, d1)
     fingers = np.ascontiguousarray(fingers.transpose(1, 0, 2, 3))  # (S, n_F, J, d1)
 
-    y3, frame_factor, frame_eig, frame_w = _frame_log(fingers, cfg.eps)
+    y3, frame_factor, frame_eig, frame_h = _frame_log(fingers, cfg.eps)
     z = spd_ops.half_vec(y3)                                       # (S, n_F, hv)
 
     ranges = pyramid_split(cfg.n_F, cfg.n_T)
@@ -359,7 +354,7 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
         frames=frames,
         frame_factor=frame_factor,
         frame_eig=frame_eig,
-        frame_w=frame_w,
+        frame_h=frame_h,
         z=z,
         ranges=ranges,
         temp_outputs=temp_flat,
@@ -405,24 +400,20 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
     Gradients are Euclidean (un-projected) for the Stiefel parameters.
     """
     graph = graph or cfg.graph()
-    grads = params.zeros_like()
-    grads.fc_weight = np.outer(dlogits, tape.feature)
-    grads.fc_bias = dlogits.copy()
-
     dfeature = params.fc_weight.T @ dlogits
     dy = spd_ops.half_vec_adjoint(dfeature, cfg.d_spat)
     dfinal = linalg.spectral_fn_backward_cached(linalg.LOG, dy, tape.final_eig)
-    dtemp, grads.spat = spd_ops.spd_spat_agg_backward(tape.temp_outputs, params.spat, dfinal)
+    dtemp, dspat = spd_ops.spd_spat_agg_backward(tape.temp_outputs, params.spat, dfinal)
     dtemp = dtemp.reshape(cfg.n_fingers, cfg.n_Q, cfg.temp_dim, cfg.temp_dim)
 
     dz = _gauss_backward_batched(tape.z, tape.ranges, dtemp)
     dy3 = spd_ops.half_vec_adjoint(dz, cfg.frame_spd_dim)
-    dfingers = _frame_log_backward(dy3, tape.frame_factor, tape.frame_eig, tape.frame_w, cfg.eps)
+    dfingers = _frame_log_backward(dy3, tape.frame_factor, tape.frame_eig, tape.frame_h, cfg.eps)
     dfeats = np.ascontiguousarray(dfingers.transpose(1, 0, 2, 3)).reshape(
         cfg.n_F, graph.n_out_nodes, cfg.d1
     )
-    dframe, grads.conv = skeleton.graph_conv_backward(tape.frames, params.conv, dfeats, graph)
-    return grads, dframe
+    dframe, dconv = skeleton.graph_conv_backward(tape.frames, params.conv, dfeats, graph)
+    return NetworkParams(dconv, dspat, np.outer(dlogits, tape.feature), dlogits.copy()), dframe
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

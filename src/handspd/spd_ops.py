@@ -26,11 +26,13 @@ def half_vec_dim(d: int) -> int:
 
 @cache
 def _triu_maps(d: int):
-    """Flat indices of the upper triangle of a d x d matrix in row-major
-    order, of its mirror image in the lower triangle, and the half_vec
-    scale (1 on the diagonal, sqrt 2 off it); read-only, shared by callers."""
+    """Flat row-major indices of the upper triangle of a d x d matrix, the
+    half_vec scale (1 on the diagonal, sqrt 2 off it), and the half_vec slot
+    that each of the d*d entries reads; read-only, shared by callers."""
     rows, cols = np.triu_indices(d)
-    maps = (rows * d + cols, cols * d + rows, np.where(rows == cols, 1.0, np.sqrt(2.0)))
+    slot = np.empty((d, d), dtype=np.intp)
+    slot[rows, cols] = slot[cols, rows] = np.arange(rows.size)
+    maps = (rows * d + cols, np.where(rows == cols, 1.0, np.sqrt(2.0)), slot.ravel())
     for m in maps:
         m.setflags(write=False)
     return maps
@@ -43,7 +45,7 @@ def half_vec(y: np.ndarray) -> np.ndarray:
     norm of the input.  Supports batched input (..., d, d) -> (..., d(d+1)/2).
     """
     d = y.shape[-1]
-    upper, _, scale = _triu_maps(d)
+    upper, scale, _ = _triu_maps(d)
     return y.reshape(y.shape[:-2] + (d * d,))[..., upper] * scale
 
 
@@ -58,13 +60,9 @@ def half_vec_adjoint(g: np.ndarray, dim: int | None = None) -> np.ndarray:
         dim = int(round((np.sqrt(8 * length + 1) - 1) / 2))
     if half_vec_dim(dim) != length:
         raise InvalidInput(f"length {length} is not a triangular number for dim {dim}")
-    upper, lower, scale = _triu_maps(dim)
+    _, scale, slot = _triu_maps(dim)
     # Off-diagonal mass splits evenly between (i,j) and (j,i): sqrt(2)/2.
-    half = g / scale
-    out = np.zeros(g.shape[:-1] + (dim * dim,))
-    out[..., upper] = half
-    out[..., lower] = half
-    return out.reshape(g.shape[:-1] + (dim, dim))
+    return (g / scale)[..., slot].reshape(g.shape[:-1] + (dim, dim))
 
 
 def spd_spat_agg(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -120,21 +120,29 @@ def reeig_log_fn(eps):
     )
 
 
-def reeig_log_backward_reference(x, grad, eps):
-    """Daleckii-Krein adjoint of X -> log(max(X, eps)) on one dense matrix,
-    every divided difference written out (f' at the midpoint within a
-    relative 1e-10 of a tie)."""
-    fn = reeig_log_fn(eps)
-    vals, vecs = np.linalg.eigh(x)
-    m = len(vals)
+def loewner_reference(values, fn):
+    """Divided-difference kernel of one spectrum, every pair (i, j) written
+    out: fn.dd(l_i, l_j) where given, else the raw quotient, and f' at the
+    midpoint within a relative 1e-10 of a tie."""
+    m = len(values)
     kernel = np.zeros((m, m))
     for i in range(m):
         for j in range(m):
-            a, b = vals[i], vals[j]
+            a, b = values[i], values[j]
             if abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b)):
                 kernel[i, j] = fn.df(0.5 * (a + b))
+            elif fn.dd is not None:
+                kernel[i, j] = fn.dd(a, b)
             else:
                 kernel[i, j] = (fn.f(a) - fn.f(b)) / (a - b)
+    return kernel
+
+
+def reeig_log_backward_reference(x, grad, eps):
+    """Daleckii-Krein adjoint of X -> log(max(X, eps)) on one dense matrix,
+    every divided difference written out."""
+    vals, vecs = np.linalg.eigh(x)
+    kernel = loewner_reference(vals, reeig_log_fn(eps))
     return vecs @ (kernel * (vecs.T @ grad @ vecs)) @ vecs.T
 
 

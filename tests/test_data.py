@@ -54,6 +54,21 @@ class TestResample:
         assert np.array_equal(out.frames[-1], frames[-1])
         assert (out.label_14, out.label_28, out.subject, out.trial, out.finger) == (2, 4, 3, 4, 2)
 
+    def test_interpolation_is_bitwise_np_interp(self):
+        # The vectorised interpolation repeats np.interp's arithmetic, so it
+        # must agree to the last bit with one np.interp call per column.
+        rng = np.random.default_rng(6)
+        for n in range(2, 401):
+            frames = rng.standard_normal((n, 2, 3))
+            seq = GestureSequence(frames, label_14=1)
+            t_old = np.linspace(0.0, 1.0, n)
+            for target in (8, 57, 171, 400):
+                t_new = np.linspace(0.0, 1.0, target)
+                want = np.stack(
+                    [np.interp(t_new, t_old, col) for col in frames.reshape(n, -1).T], axis=-1
+                ).reshape(target, 2, 3)
+                assert np.array_equal(data.resample(seq, target).frames, want), (n, target)
+
     def test_pad_last(self):
         seq = GestureSequence(_valid_frames(4), label_14=1)
         out = data.resample(seq, 6, method=data.PAD_LAST)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from handspd import cli, gradcheck, network, skeleton, spd_ops
+from handspd import cli, gradcheck, linalg, network, skeleton, spd_ops
 from handspd.network import NetworkParams
 
 # The backward pass each gradcheck layer certifies.
@@ -11,6 +11,7 @@ BACKWARDS = {
     "gauss_range": (network, "_gauss_backward_batched"),
     "half_vec": (spd_ops, "half_vec_adjoint"),
     "spd_spat_agg": (spd_ops, "spd_spat_agg_backward"),
+    "final_log": (linalg, "spectral_fn_backward_cached"),
     "network": (network, "backward"),
 }
 

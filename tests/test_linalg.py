@@ -2,8 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from handspd import linalg
+from handspd import data, linalg, network, optim
 from handspd.errors import RankError, SpectralDomainError
+from handspd.network import NetworkConfig
 
 import oracles
 
@@ -162,6 +163,42 @@ class TestSpectralFnBackward:
         directional = np.sum(c * (fwd(s + h * d) - fwd(s - h * d))) / (2 * h)
         adjoint = np.sum(linalg.spectral_fn_backward_cached(linalg.LOG, c, linalg.sym_eig_batch(s)) * d)
         assert abs(directional - adjoint) / max(abs(adjoint), 1e-8) < 1e-6
+
+
+class TestLoewnerMatrix:
+    @staticmethod
+    def _frame_gram_values():
+        cfg = NetworkConfig()
+        frames = data.synth_generate(1, 1, seed=2, length=cfg.n_F)[0].frames
+        _, _, tape = network.forward(frames, optim.init_params(cfg, seed=2), cfg)
+        return cfg, tape.frame_eig.values
+
+    @staticmethod
+    def _tied_spectrum():
+        # 56 eigenvalues over five decades: exact ties, ties inside the
+        # guard, and pairs at relative gaps 1e-9 ... 1e-5 above it.
+        base = np.geomspace(1e-2, 1e3, 28)
+        gaps = np.resize([0.0, 1e-12, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5], 28)
+        return np.sort(np.concatenate([base, base * (1.0 + gaps)]))
+
+    def test_symmetric_with_derivative_diagonal(self):
+        cfg, values = self._frame_gram_values()
+        for fn in (linalg.gram_log_fn(cfg.eps), linalg.LOG, oracles.reeig_log_fn(cfg.eps), linalg.EXP):
+            k = linalg.loewner_matrix(values, fn)
+            assert np.array_equal(k, np.swapaxes(k, -1, -2))
+            assert np.array_equal(np.diagonal(k, axis1=-2, axis2=-1), fn.df(values))
+
+    def test_matches_all_pairs_reference(self):
+        cfg, values = self._frame_gram_values()
+        for fn in (linalg.gram_log_fn(cfg.eps), oracles.reeig_log_fn(cfg.eps)):
+            got = linalg.loewner_matrix(values[0], fn)
+            want = np.stack([oracles.loewner_reference(v, fn) for v in values[0]])
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        values = self._tied_spectrum()
+        assert values.shape == (56,) and np.any(np.diff(values) == 0.0)
+        got = linalg.loewner_matrix(values, linalg.LOG)
+        want = oracles.loewner_reference(values, linalg.LOG)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestQrOrthonormalize:

@@ -203,7 +203,8 @@ class TestDegenerateInput:
 
     def test_collapsed_finger(self):
         # The palm and every joint of finger 2 at the origin: that finger's
-        # joint features are all zero, so each of its frame factors B has rank 1.
+        # joint features are all zero, so each of its frame factors B, and so
+        # each P = B U on the tape, has rank 1.
         cfg = NetworkConfig()
         params = optim.init_params(cfg, seed=1)
         frames = np.random.default_rng(1).standard_normal((cfg.n_F, cfg.n_joints, 3))
@@ -275,7 +276,7 @@ class TestBackward:
         d = cfg.frame_spd_dim
         dy3 = linalg.symmetrize(rng.standard_normal((cfg.n_fingers, cfg.n_F, d, d)))
         got = network._frame_log_backward(
-            dy3, tape.frame_factor, tape.frame_eig, tape.frame_w, cfg.eps
+            dy3, tape.frame_factor, tape.frame_eig, tape.frame_h, cfg.eps
         )
 
         feats = skeleton.graph_conv(frames, params.conv, graph)

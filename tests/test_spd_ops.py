@@ -88,7 +88,8 @@ class TestGaussAgg:
 
 class TestFrameLog:
     """network._frame_log: log max(X2, eps) of the unbiased Gaussian embedding
-    X2 = B B^T, computed from the Gram matrix B^T B."""
+    X2 = B B^T, computed from the Gram matrix B^T B = U diag(l) U^T; it
+    returns the factor P = B U in that eigenbasis and h(l)."""
 
     @staticmethod
     def _dense(vectors, eps):
@@ -108,9 +109,12 @@ class TestFrameLog:
     def test_factor_reproduces_the_embedding(self):
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((4, 3))
-        _, factor, _, _ = network._frame_log(vectors, 1e-4)
+        _, factor, gram_eig, h = network._frame_log(vectors, 1e-4)
         expected = oracles.gauss_agg_reference(vectors, unbiased=True)
         assert np.abs(factor @ factor.T - expected).max() < 1e-12
+        # P's columns are orthogonal, with squared norms the Gram eigenvalues.
+        assert np.abs(factor.T @ factor - np.diag(gram_eig.values)).max() < 1e-12
+        assert np.array_equal(h, linalg.gram_log_fn(1e-4).f(gram_eig.values))
 
     def test_gram_eigenvalues_between_zero_and_eps(self):
         # Small centered spread: three Gram eigenvalues in (0, eps) besides
@@ -122,7 +126,8 @@ class TestFrameLog:
         assert np.abs(out - self._dense(vectors, 1e-2)).max() < 1e-10
 
     def test_collapsed_vectors(self):
-        # All vectors equal: B has rank 1 and X2 has one eigenvalue 1 + |mu|^2.
+        # All vectors equal: B, and so P = B U, has rank 1 and X2 has one
+        # eigenvalue 1 + |mu|^2.
         vectors = np.tile([0.3, -1.2, 2.0], (4, 1))
         out, factor, _, _ = network._frame_log(vectors, 1e-4)
         assert np.linalg.matrix_rank(factor) == 1
@@ -231,6 +236,19 @@ class TestHalfVec:
         lhs = float(g @ spd_ops.half_vec(y))
         rhs = float(np.sum(spd_ops.half_vec_adjoint(g, d) * y))
         assert abs(lhs - rhs) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 4, 10])
+    def test_adjoint_matches_literal_mirror(self, d):
+        # Entry (i, j) and its mirror both read g's slot for the pair,
+        # divided by sqrt 2 off the diagonal: bit for bit, batched.
+        g = np.random.default_rng(d).standard_normal((2, 3, spd_ops.half_vec_dim(d)))
+        want = np.empty((2, 3, d, d))
+        k = 0
+        for i in range(d):
+            for j in range(i, d):
+                want[..., i, j] = want[..., j, i] = g[..., k] / (1.0 if i == j else np.sqrt(2.0))
+                k += 1
+        assert np.array_equal(spd_ops.half_vec_adjoint(g, d), want)
 
     def test_round_trip_through_adjoint_scaling(self):
         # half_vec(half_vec_adjoint(g)) recovers g exactly.
