@@ -5,11 +5,25 @@ L2-loss (squared hinge) SVM without a bias term, one-vs-rest for
 multiclass.  Coordinates are visited in a freshly seeded random
 permutation each pass; termination uses the projected-gradient spread
 criterion over a full pass.
+
+Classes are fitted in parallel by ``fork``ed workers, one per CPU this
+process may run on, which share the features copy-on-write; off Linux or
+with one CPU, in turn in this process.  Class k draws from
+``default_rng((seed, k))``, so the model is the same for any worker count;
+there is no flag.  Python >= 3.12 warns about ``fork()`` in a multi-threaded
+process; BLAS threads make every numpy process so, and the warning is left.
+
+Model file (little-endian): b"SPDM", u32 version, i64 k and d, f64 C and
+tol, k*d f64 weights; version 2 adds the fit record: i64 r (k, or 0 without
+one), then 3 rows of r f64: passes, converged (1/0), final dual objective.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import multiprocessing
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -18,7 +32,7 @@ import numpy as np
 from .errors import InvalidInput
 
 MODEL_MAGIC = b"SPDM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 @dataclass
@@ -26,7 +40,7 @@ class SvmModel:
     weights: np.ndarray            # (n_classes, dim), one-vs-rest
     C: float = 1.0
     tol: float = 0.1
-    dual_history: list = field(default_factory=list)  # per class, per pass
+    dual_history: list = field(default_factory=list)  # per class, per pass; last pass only when loaded
     passes: list = field(default_factory=list)        # per class
     converged: list = field(default_factory=list)     # per class; False at max_passes
 
@@ -50,37 +64,67 @@ def _dual_objective(w: np.ndarray, alpha: np.ndarray, c: float) -> float:
     return 0.5 * float(w @ w) + float(alpha @ alpha) / (4.0 * c) - float(alpha.sum())
 
 
-def _dcd_binary(x: np.ndarray, y: np.ndarray, c: float, tol: float, rng, max_passes: int):
+def _q_diagonal(x: np.ndarray, c: float) -> list:
+    """Diagonal of the dual Hessian Q + I/(2C): squared row norms + 1/(2C)."""
+    return (np.einsum("ij,ij->i", x, x) + 1.0 / (2.0 * c)).tolist()
+
+
+def _dcd_binary(x: np.ndarray, y: np.ndarray, c: float, tol: float, rng, max_passes: int, qii: list | None = None):
     """LIBLINEAR-style dual coordinate descent for the squared-hinge dual.
 
-    min_a 0.5 a^T (Q + I/(2C)) a - e^T a  over a >= 0, with w = X^T (a*y).
-    Exact single-coordinate minimization, so the dual objective never
-    increases across passes.  Returns (w, dual objective per pass,
-    converged), with converged False when max_passes ran out first.
+    min_a 0.5 a^T (Q + I/(2C)) a - e^T a  over a >= 0, with w = X^T (a*y);
+    qii = diag(Q + I/(2C)) as a list.  Exact single-coordinate minimization,
+    so the dual objective never increases across passes.  Returns (w, dual
+    objective per pass, converged), converged False when max_passes ran out.
     """
-    n, _ = x.shape
-    alpha = np.zeros(n)
+    if qii is None:
+        qii = _q_diagonal(x, c)
+    rows = list(x)
+    n = len(rows)
+    y = y.tolist()
+    alpha = [0.0] * n
     w = np.zeros(x.shape[1])
     diag = 1.0 / (2.0 * c)
-    qii = np.einsum("ij,ij->i", x, x) + diag
     history = []
     for _ in range(max_passes):
-        order = rng.permutation(n)
         pg_max, pg_min = -np.inf, np.inf
-        for i in order:
-            g = y[i] * (x[i] @ w) - 1.0 + alpha[i] * diag
-            pg = min(g, 0.0) if alpha[i] == 0.0 else g
+        for i in rng.permutation(n).tolist():
+            a, yi, xi = alpha[i], y[i], rows[i]
+            g = float(yi * xi.dot(w)) - 1.0 + a * diag
+            pg = min(g, 0.0) if a == 0.0 else g
             pg_max = max(pg_max, pg)
             pg_min = min(pg_min, pg)
             if pg != 0.0:
-                new = max(alpha[i] - g / qii[i], 0.0)
-                if new != alpha[i]:
-                    w += (new - alpha[i]) * y[i] * x[i]
+                new = max(a - g / qii[i], 0.0)
+                if new != a:
+                    w += (new - a) * yi * xi
                     alpha[i] = new
-        history.append(_dual_objective(w, alpha, c))
+        history.append(_dual_objective(w, np.array(alpha), c))
         if pg_max - pg_min < tol:
             return w, history, True
     return w, history, False
+
+
+_worker_fit = None  # svm_train's shared state; set only in its pool workers
+
+
+def _init_worker(*fit):
+    global _worker_fit
+    _worker_fit = fit
+
+
+def _fit_class(cls: int, fit: tuple | None = None):
+    """One-vs-rest fit of class ``cls``; ``fit`` defaults to the worker's."""
+    x, labels, qii, c, tol, seed, max_passes = fit or _worker_fit
+    y = np.where(labels == cls, 1.0, -1.0)
+    return _dcd_binary(x, y, c, tol, np.random.default_rng((seed, cls)), max_passes, qii)
+
+
+def _worker_count(n_classes: int) -> int:
+    """Pool size for svm_train; 1 fits in this process."""
+    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(n_classes, len(os.sched_getaffinity(0)))
 
 
 def svm_train(
@@ -92,24 +136,29 @@ def svm_train(
     n_classes: int | None = None,
     max_passes: int = 1000,
 ) -> SvmModel:
-    """One-vs-rest training; labels are 1-based integers."""
+    """One-vs-rest training, the classes in parallel; labels are 1-based integers."""
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise InvalidInput(f"need (n, d) features with n labels, got {x.shape} / {labels.shape}")
-    if C <= 0 or tol <= 0:
-        raise InvalidInput("C and tol must be positive")
+    if C <= 0 or tol <= 0 or max_passes < 1:
+        raise InvalidInput("C, tol and max_passes must be positive")
     present = np.unique(labels)
     if present.size < 2:
         raise InvalidInput("training data contains a single class")
     if n_classes is None:
         n_classes = int(labels.max())
-    weights = np.zeros((n_classes, x.shape[1]))
-    model = SvmModel(weights=weights, C=C, tol=tol)
-    for cls in range(1, n_classes + 1):
-        y = np.where(labels == cls, 1.0, -1.0)
-        rng = np.random.default_rng((seed, cls))
-        weights[cls - 1], history, converged = _dcd_binary(x, y, C, tol, rng, max_passes)
+    fit = (x, labels, _q_diagonal(x, C), C, tol, seed, max_passes)
+    classes = range(1, n_classes + 1)
+    workers = _worker_count(n_classes)
+    if workers > 1:
+        with multiprocessing.get_context("fork").Pool(workers, _init_worker, fit) as pool:
+            results = pool.map(_fit_class, classes, chunksize=1)
+    else:
+        results = map(functools.partial(_fit_class, fit=fit), classes)
+    model = SvmModel(weights=np.zeros((n_classes, x.shape[1])), C=C, tol=tol)
+    for cls, (w, history, converged) in enumerate(results):
+        model.weights[cls] = w
         model.dual_history.append(history)
         model.passes.append(len(history))
         model.converged.append(converged)
@@ -159,22 +208,35 @@ def save_model(path, model: SvmModel):
         fh.write(struct.pack("<2q", *model.weights.shape))
         fh.write(struct.pack("<2d", model.C, model.tol))
         fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
+        record = np.array([model.passes, model.converged, [h[-1] for h in model.dual_history]], dtype="<f8")
+        fh.write(struct.pack("<q", len(model.passes)) + record.tobytes())
+
+
+def _read(fh, path, size: int) -> bytes:
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise InvalidInput(f"{path}: truncated model file")
+    return buf
 
 
 def load_model(path) -> SvmModel:
     with open(path, "rb") as fh:
         if fh.read(4) != MODEL_MAGIC:
             raise InvalidInput(f"{path}: not an SVM model file")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != MODEL_VERSION:
+        (version,) = struct.unpack("<I", _read(fh, path, 4))
+        if version not in (1, MODEL_VERSION):
             raise InvalidInput(f"{path}: unsupported model version {version}")
-        k, d = struct.unpack("<2q", fh.read(16))
-        c, tol = struct.unpack("<2d", fh.read(16))
-        buf = fh.read(8 * k * d)
-        if len(buf) != 8 * k * d:
-            raise InvalidInput(f"{path}: truncated model file")
-        weights = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(k, d)
-    return SvmModel(weights=weights, C=c, tol=tol)
+        k, d = struct.unpack("<2q", _read(fh, path, 16))
+        c, tol = struct.unpack("<2d", _read(fh, path, 16))
+        weights = np.frombuffer(_read(fh, path, 8 * k * d), dtype="<f8").astype(np.float64).reshape(k, d)
+        model = SvmModel(weights=weights, C=c, tol=tol)
+        if version == 1:
+            return model
+        (r,) = struct.unpack("<q", _read(fh, path, 8))
+        passes, converged, dual = np.frombuffer(_read(fh, path, 24 * r), dtype="<f8").reshape(3, r)
+        model.passes, model.converged = passes.astype(int).tolist(), (converged == 1.0).tolist()
+        model.dual_history = [[v] for v in dual.tolist()]
+    return model
 
 
 def confusion_csv(path, report: EvalReport, class_names):

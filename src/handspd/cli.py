@@ -24,8 +24,6 @@ from .errors import (
     HandSpdError,
     InvalidInput,
     ParseError,
-    RankError,
-    SpectralDomainError,
 )
 from .network import NetworkConfig
 from .optim import TrainConfig
@@ -305,6 +303,7 @@ def cmd_eval(args, filecfg) -> int:
     _require_path(args.model, "--model")
     _require_path(args.features, "--features")
     model = classify.load_model(args.model)
+    _warn_unconverged(model)
     with np.load(args.features) as blob:
         features, labels = blob["features"], blob["labels"]
     report = classify.evaluate(model, features, labels)
@@ -348,7 +347,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, InvalidInput, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SpectralDomainError, RankError, HandSpdError) as exc:
+    except HandSpdError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -24,6 +24,10 @@ class SpectralDomainError(HandSpdError):
         self.context = context
 
 
+class EigenDecompositionError(HandSpdError):
+    """LAPACK's eigensolver failed (e.g. on an overflowed matrix); the message names the layer."""
+
+
 class RankError(HandSpdError):
     """A matrix expected to have full row rank is rank-deficient."""
 

@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidInput, RankError, SpectralDomainError
+from .errors import EigenDecompositionError, InvalidInput, RankError, SpectralDomainError
 
 
 class EigenPair(NamedTuple):
@@ -99,12 +99,16 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def sym_eig_batch(s: np.ndarray) -> EigenPair:
+def sym_eig_batch(s: np.ndarray, *, context: str = "sym_eig_batch") -> EigenPair:
     """Batched eigendecomposition of symmetric (..., d, d) arrays.
 
-    No input validation; caller guarantees symmetry and finiteness.
+    No input validation; caller guarantees symmetry and finiteness.  A
+    LAPACK failure raises ``EigenDecompositionError`` naming ``context``.
     """
-    vals, vecs = np.linalg.eigh(s)
+    try:
+        vals, vecs = np.linalg.eigh(s)
+    except np.linalg.LinAlgError as exc:
+        raise EigenDecompositionError(f"{exc} [{context}]") from exc
     return EigenPair(vecs, vals)
 
 

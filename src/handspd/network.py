@@ -278,7 +278,7 @@ def _frame_log(vectors: np.ndarray, eps: float):
     factor = np.zeros(vectors.shape[:-2] + (d + 1, n))
     factor[..., :d, :] = np.swapaxes(vectors, -1, -2) @ _frame_basis(n)
     factor[..., d, n - 1] = 1.0
-    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor)
+    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, context="frame_log(gram)")
     p = factor @ gram_eig.vectors
     h = linalg.gram_log_fn(eps).f(gram_eig.values)
     y = (p * h[..., None, :]) @ np.swapaxes(p, -1, -2)
@@ -321,7 +321,9 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
 
     Raises ``InvalidInput`` for a frame stack not of shape
     (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
-    shape does not match ``cfg.param_shapes()``.
+    shape does not match ``cfg.param_shapes()``, and
+    ``EigenDecompositionError`` naming the layer when an eigensolver fails
+    (finite coordinates so large that the frame Gram overflows).
     """
     graph = graph or cfg.graph()
     frames = _as_frames(seq)
@@ -339,14 +341,14 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     temp_flat = temp.reshape(cfg.n_L, cfg.temp_dim, cfg.temp_dim)
 
     final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
-    final_eig = linalg.sym_eig_batch(final_spd)
+    final_eig = linalg.sym_eig_batch(final_spd, context="log_eig(final_spd)")
     if final_eig.values.min() <= 0:
         raise SpectralDomainError(
             "non-positive eigenvalue in the aggregated SPD matrix",
             eigenvalue=float(final_eig.values.min()),
             context="log_eig(final_spd)",
         )
-    y = linalg.spectral_apply_cached(final_eig, linalg.LOG)
+    y = linalg.spectral_apply_cached(final_eig, linalg.LOG, context="log_eig(final_spd)")
     feature = spd_ops.half_vec(y)                                  # (feature_dim,)
     logits = params.fc_weight @ feature + params.fc_bias
 

@@ -263,6 +263,35 @@ def svm_projected_gradient(x, y, c, tol=1e-8, max_iter=200000):
     return w, alpha
 
 
+def dcd_binary_reference(x, y, c, tol, rng, max_passes):
+    """The dual coordinate descent loop on numpy arrays and scalars, as the
+    package first wrote it: the fast solver must reproduce its every iterate.
+    Returns (w, dual objective per pass, converged)."""
+    n, _ = x.shape
+    alpha = np.zeros(n)
+    w = np.zeros(x.shape[1])
+    diag = 1.0 / (2.0 * c)
+    qii = np.einsum("ij,ij->i", x, x) + diag
+    history = []
+    for _ in range(max_passes):
+        order = rng.permutation(n)
+        pg_max, pg_min = -np.inf, np.inf
+        for i in order:
+            g = y[i] * (x[i] @ w) - 1.0 + alpha[i] * diag
+            pg = min(g, 0.0) if alpha[i] == 0.0 else g
+            pg_max = max(pg_max, pg)
+            pg_min = min(pg_min, pg)
+            if pg != 0.0:
+                new = max(alpha[i] - g / qii[i], 0.0)
+                if new != alpha[i]:
+                    w += (new - alpha[i]) * y[i] * x[i]
+                    alpha[i] = new
+        history.append(0.5 * float(w @ w) + float(alpha @ alpha) / (4.0 * c) - float(alpha.sum()))
+        if pg_max - pg_min < tol:
+            return w, history, True
+    return w, history, False
+
+
 def svm_primal_reference(w, x, y, c):
     loss = 0.0
     for xi, yi in zip(x, y):

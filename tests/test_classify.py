@@ -1,3 +1,6 @@
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -113,6 +116,57 @@ class TestMulticlass:
         assert model.weights.shape == (5, 2)
 
 
+class TestMatchesReference:
+    """svm_train reproduces the reference loop bitwise, class by class, in
+    this process and on pools of 2 and of 4 (more workers than most CI
+    machines have cores)."""
+
+    @pytest.fixture(params=[1, 2, 4], ids=["in_process", "pool2", "pool4"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(classify, "_worker_count", lambda n_classes: request.param)
+        return request.param
+
+    def _assert_matches(self, x, labels, n_classes, seed, **kw):
+        model = classify.svm_train(x, labels, seed=seed, n_classes=n_classes, **kw)
+        c, tol, max_passes = kw.get("C", 1.0), kw.get("tol", 0.1), kw.get("max_passes", 1000)
+        assert model.n_classes == n_classes
+        for cls in range(1, n_classes + 1):
+            y = np.where(labels == cls, 1.0, -1.0)
+            rng = np.random.default_rng((seed, cls))
+            w, history, converged = oracles.dcd_binary_reference(x, y, c, tol, rng, max_passes)
+            assert np.array_equal(model.weights[cls - 1], w)
+            assert model.dual_history[cls - 1] == history
+            assert model.passes[cls - 1] == len(history)
+            assert model.converged[cls - 1] == converged
+        return model
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_converged_fit(self, workers, seed):
+        rng = np.random.default_rng(seed)
+        centers = [(1.5, 0.0, 0.3), (-1.5, 0.2, 0.0), (0.0, 1.5, -0.4), (0.1, -1.5, 0.0)]
+        x, labels = _blobs(rng, 12, centers, spread=0.9)
+        model = self._assert_matches(x, labels, 4, seed, C=2.0, tol=1e-3)
+        assert all(model.converged)
+
+    def test_fit_out_of_passes(self, workers):
+        rng = np.random.default_rng(3)
+        x, labels = _blobs(rng, 10, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
+        model = self._assert_matches(x, labels, 3, 3, tol=1e-12, max_passes=4)
+        assert model.passes == [4, 4, 4] and not any(model.converged)
+
+    def test_classes_beyond_the_labels_present(self, workers):
+        rng = np.random.default_rng(5)
+        x, labels = _blobs(rng, 9, [(2.0, 0.0, 1.0), (-2.0, 0.0, 0.0), (0.0, 2.0, -1.0)])
+        model = self._assert_matches(x, labels, 6, 5)
+        assert set(classify.svm_predict(model, x).tolist()) <= {1, 2, 3}
+
+    def test_worker_count(self):
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        assert classify._worker_count(14) == min(14, len(os.sched_getaffinity(0)))
+        assert classify._worker_count(1) == 1
+
+
 class TestEvaluate:
     def test_confusion_counts(self):
         model = classify.SvmModel(weights=np.array([[1.0, 0.0], [-1.0, 0.0]]))
@@ -139,6 +193,39 @@ class TestModelSerialization:
         assert np.array_equal(loaded.weights, model.weights)
         assert loaded.C == model.C
         assert loaded.tol == model.tol
+
+    def test_round_trip_keeps_the_fit_record(self, tmp_path):
+        rng = np.random.default_rng(1)
+        x, y = _blobs(rng, 10, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
+        model = classify.svm_train(x, y, tol=1e-3, seed=0, max_passes=3)
+        model.converged[1] = True
+        path = tmp_path / "svm.bin"
+        classify.save_model(path, model)
+        loaded = classify.load_model(path)
+        assert np.array_equal(loaded.weights, model.weights)
+        assert loaded.passes == model.passes == [3, 3, 3]
+        assert loaded.converged == [False, True, False]
+        assert loaded.dual_history == [[h[-1]] for h in model.dual_history]
+        assert loaded.unconverged_classes() == [1, 3]
+
+    def test_version_1_file_loads_without_a_fit_record(self, tmp_path):
+        weights = np.random.default_rng(2).standard_normal((3, 5))
+        path = tmp_path / "svm_v1.bin"
+        path.write_bytes(
+            classify.MODEL_MAGIC + struct.pack("<I2q2d", 1, 3, 5, 2.0, 0.25)
+            + weights.astype("<f8").tobytes()
+        )
+        loaded = classify.load_model(path)
+        assert np.array_equal(loaded.weights, weights)
+        assert (loaded.C, loaded.tol) == (2.0, 0.25)
+        assert loaded.passes == loaded.converged == loaded.dual_history == []
+        assert loaded.unconverged_classes() == []
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "svm.bin"
+        path.write_bytes(classify.MODEL_MAGIC + struct.pack("<I2q2d", 3, 1, 1, 1.0, 0.1) + b"\x00" * 8)
+        with pytest.raises(InvalidInput, match="version 3"):
+            classify.load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

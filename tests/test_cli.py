@@ -190,6 +190,35 @@ class TestEndToEndCommands:
         assert err.count("warning:") == 1
         assert "did not converge for classes 1 (1 passes), 2 (1 passes), 3 (1 passes), 4 (1 passes)" in err
 
+    def test_eval_warns_about_unconverged_classes_in_the_model(self, tmp_path, capsys):
+        rng = np.random.default_rng(0)
+        features = rng.standard_normal((12, 4))
+        labels = np.repeat([1, 2, 3], 4)
+        feats = tmp_path / "features.npz"
+        np.savez(feats, features=features, labels=labels)
+        model = classify.svm_train(features, labels, tol=1e-12, max_passes=2)
+        model.converged[1] = True
+        classify.save_model(tmp_path / "model.bin", model)
+        code = run_cli("eval", "--model", str(tmp_path / "model.bin"), "--features", str(feats),
+                       "--report-dir", str(tmp_path / "report"))
+        assert code == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert err.count("warning:") == 1
+        assert "did not converge for classes 1 (2 passes), 3 (2 passes)" in err
+
+    def test_overflowing_coordinates_exit_numerical(self, tmp_path, capsys):
+        sequences = data.synth_generate(2, 4, 0.01, 0, 8)
+        for seq in sequences:
+            seq.frames *= 1e160
+        cache = tmp_path / "huge.npz"
+        data.save_cache(cache, sequences)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run_cli("train", "--cache", str(cache), "--per-class", "1", *TOY_FLAGS,
+                           "--epochs", "1", "--batch-size", "4", "--out-dir", str(tmp_path / "out"))
+        assert code == cli.EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "numerical failure" in err and "frame_log(gram)" in err
+
     def test_config_file_supplies_network_options(self, tmp_path):
         ini = tmp_path / "cfg.ini"
         ini.write_text(

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from handspd import data, linalg, network, optim, skeleton
 from handspd.data import GestureSequence
-from handspd.errors import InvalidInput, SpectralDomainError
+from handspd.errors import EigenDecompositionError, InvalidInput, SpectralDomainError
 from handspd.gradcheck import fd_grad, rel_error, toy_config
 from handspd.network import NetworkConfig
 
@@ -240,6 +240,18 @@ class TestDegenerateInput:
         frames = np.random.default_rng(3).standard_normal((cfg.n_F, cfg.n_joints, 3))
         feature = network.extract_feature(scale * frames, params, cfg)
         assert np.all(np.isfinite(feature))
+
+
+    def test_overflowing_coordinates_give_a_typed_error(self):
+        # Finite coordinates at 1e160 pass the input check, but the frame
+        # Gram overflows and LAPACK's eigensolver does not converge.
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=3)
+        frames = np.random.default_rng(3).standard_normal((cfg.n_F, cfg.n_joints, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EigenDecompositionError) as err:
+                network.forward(frames * 1e160, params, cfg)
+        assert "frame_log(gram)" in str(err.value)
 
 
 class TestBackward:
