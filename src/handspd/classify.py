@@ -11,7 +11,7 @@ process may run on, which share the features copy-on-write; off Linux or
 with one CPU, in turn in this process.  Class k draws from
 ``default_rng((seed, k))``, so the model is the same for any worker count;
 there is no flag.  Python >= 3.12 warns about ``fork()`` in a multi-threaded
-process; BLAS threads make every numpy process so, and the warning is left.
+process; BLAS threads make every numpy process so.  The warning is not hidden.
 
 Model file (little-endian): b"SPDM", u32 version, i64 k and d, f64 C and
 tol, k*d f64 weights; version 2 adds the fit record: i64 r (k, or 0 without
@@ -25,6 +25,7 @@ import functools
 import multiprocessing
 import os
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,8 +153,11 @@ def svm_train(
     classes = range(1, n_classes + 1)
     workers = _worker_count(n_classes)
     if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers, _init_worker, fit) as pool:
-            results = pool.map(_fit_class, classes, chunksize=1)
+        # A worker that dies (say, OOM-killed) raises BrokenProcessPool here;
+        # a multiprocessing.Pool would wait for its result forever.
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(workers, fork, initializer=_init_worker, initargs=fit) as pool:
+            results = list(pool.map(_fit_class, classes))
     else:
         results = map(functools.partial(_fit_class, fit=fit), classes)
     model = SvmModel(weights=np.zeros((n_classes, x.shape[1])), C=C, tol=tol)

@@ -1,5 +1,8 @@
 import os
+import signal
 import struct
+import threading
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -159,6 +162,23 @@ class TestMatchesReference:
         x, labels = _blobs(rng, 9, [(2.0, 0.0, 1.0), (-2.0, 0.0, 0.0), (0.0, 2.0, -1.0)])
         model = self._assert_matches(x, labels, 6, 5)
         assert set(classify.svm_predict(model, x).tolist()) <= {1, 2, 3}
+
+    def test_a_killed_worker_raises_instead_of_hanging(self, monkeypatch):
+        monkeypatch.setattr(classify, "_worker_count", lambda n_classes: 2)
+        monkeypatch.setattr(classify, "_dcd_binary", lambda *args: os.kill(os.getpid(), signal.SIGKILL))
+        x, labels = _blobs(np.random.default_rng(0), 5, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)])
+        raised = []
+
+        def fit():
+            try:
+                classify.svm_train(x, labels)
+            except BrokenProcessPool as exc:
+                raised.append(exc)
+
+        runner = threading.Thread(target=fit, daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive() and raised
 
     def test_worker_count(self):
         if not hasattr(os, "sched_getaffinity"):
