@@ -22,10 +22,8 @@ from __future__ import annotations
 
 import csv
 import functools
-import multiprocessing
 import os
 import struct
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,7 +121,7 @@ def _fit_class(cls: int, fit: tuple | None = None):
 
 def _worker_count(n_classes: int) -> int:
     """Pool size for svm_train; 1 fits in this process."""
-    if not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods():
+    if not hasattr(os, "sched_getaffinity") or not hasattr(os, "fork"):
         return 1
     return min(n_classes, len(os.sched_getaffinity(0)))
 
@@ -153,8 +151,12 @@ def svm_train(
     classes = range(1, n_classes + 1)
     workers = _worker_count(n_classes)
     if workers > 1:
-        # A worker that dies (say, OOM-killed) raises BrokenProcessPool here;
-        # a multiprocessing.Pool would wait for its result forever.
+        # Imported here: the network's processes import this module but fit
+        # no SVM.  A worker that dies (say, OOM-killed) raises
+        # BrokenProcessPool; a multiprocessing.Pool would wait forever.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         fork = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(workers, fork, initializer=_init_worker, initargs=fit) as pool:
             results = list(pool.map(_fit_class, classes))
