@@ -11,7 +11,7 @@ process may run on, which share the features copy-on-write; off Linux or
 with one CPU, in turn in this process.  Class k draws from
 ``default_rng((seed, k))``, so the model is the same for any worker count;
 there is no flag.  Python >= 3.12 warns about ``fork()`` in a multi-threaded
-process; BLAS threads make every numpy process so.  The warning is not hidden.
+process; BLAS threads make every numpy process so.  It is not silenced.
 
 Model file (little-endian): b"SPDM", u32 version, i64 k and d, f64 C and
 tol, k*d f64 weights; version 2 adds the fit record: i64 r (k, or 0 without
@@ -21,7 +21,6 @@ one), then 3 rows of r f64: passes, converged (1/0), final dual objective.
 from __future__ import annotations
 
 import csv
-import functools
 import os
 import struct
 from dataclasses import dataclass, field
@@ -161,7 +160,7 @@ def svm_train(
         with ProcessPoolExecutor(workers, fork, initializer=_init_worker, initargs=fit) as pool:
             results = list(pool.map(_fit_class, classes))
     else:
-        results = map(functools.partial(_fit_class, fit=fit), classes)
+        results = [_fit_class(cls, fit) for cls in classes]
     model = SvmModel(weights=np.zeros((n_classes, x.shape[1])), C=C, tol=tol)
     for cls, (w, history, converged) in enumerate(results):
         model.weights[cls] = w

@@ -163,6 +163,8 @@ class TestMatchesReference:
         model = self._assert_matches(x, labels, 6, 5)
         assert set(classify.svm_predict(model, x).tolist()) <= {1, 2, 3}
 
+
+class TestWorkerPool:
     def test_a_killed_worker_raises_instead_of_hanging(self, monkeypatch):
         monkeypatch.setattr(classify, "_worker_count", lambda n_classes: 2)
         monkeypatch.setattr(classify, "_dcd_binary", lambda *args: os.kill(os.getpid(), signal.SIGKILL))

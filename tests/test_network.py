@@ -241,7 +241,6 @@ class TestDegenerateInput:
         feature = network.extract_feature(scale * frames, params, cfg)
         assert np.all(np.isfinite(feature))
 
-
     def test_overflowing_coordinates_give_a_typed_error(self):
         # Finite coordinates at 1e160 pass the input check, but the frame
         # Gram overflows and LAPACK's eigensolver does not converge.
