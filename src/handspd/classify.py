@@ -238,6 +238,8 @@ def load_model(path) -> SvmModel:
         if version == 1:
             return model
         (r,) = struct.unpack("<q", _read(fh, path, 8))
+        if r not in (0, k):
+            raise InvalidInput(f"{path}: fit record for {r} of {k} classes")
         passes, converged, dual = np.frombuffer(_read(fh, path, 24 * r), dtype="<f8").reshape(3, r)
         model.passes, model.converged = passes.astype(int).tolist(), (converged == 1.0).tolist()
         model.dual_history = [[v] for v in dual.tolist()]

@@ -243,6 +243,13 @@ class TestModelSerialization:
         assert loaded.passes == loaded.converged == loaded.dual_history == []
         assert loaded.unconverged_classes() == []
 
+    def test_fit_record_of_the_wrong_size_rejected(self, tmp_path):
+        path = tmp_path / "svm.bin"
+        classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3)), passes=[1], converged=[True],
+                                                     dual_history=[[-1.0]]))
+        with pytest.raises(InvalidInput, match="fit record for 1 of 2 classes"):
+            classify.load_model(path)
+
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "svm.bin"
         path.write_bytes(classify.MODEL_MAGIC + struct.pack("<I2q2d", 3, 1, 1, 1.0, 0.1) + b"\x00" * 8)
