@@ -67,16 +67,15 @@ def _q_diagonal(x: np.ndarray, c: float) -> list:
     return (np.einsum("ij,ij->i", x, x) + 1.0 / (2.0 * c)).tolist()
 
 
-def _dcd_binary(x: np.ndarray, y: np.ndarray, c: float, tol: float, rng, max_passes: int, qii: list | None = None):
+def _dcd_binary(x: np.ndarray, y: np.ndarray, c: float, tol: float, rng, max_passes: int, qii: list):
     """LIBLINEAR-style dual coordinate descent for the squared-hinge dual.
 
     min_a 0.5 a^T (Q + I/(2C)) a - e^T a  over a >= 0, with w = X^T (a*y);
-    qii = diag(Q + I/(2C)) as a list.  Exact single-coordinate minimization,
-    so the dual objective never increases across passes.  Returns (w, dual
-    objective per pass, converged), converged False when max_passes ran out.
+    qii = diag(Q + I/(2C)) as a list (``_q_diagonal``).  Exact single-coordinate
+    minimization, so the dual objective never increases across passes.
+    Returns (w, dual objective per pass, converged), converged False when
+    max_passes ran out.
     """
-    if qii is None:
-        qii = _q_diagonal(x, c)
     rows = list(x)
     n = len(rows)
     y = y.tolist()

@@ -156,8 +156,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--svm-c", type=float, default=1.0)
     p.add_argument("--svm-tol", type=float, default=0.1)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--standardize", action="store_true",
-                   help="z-score features before the SVM (off by default)")
 
     p = sub.add_parser("extract", help="extract feature vectors with a checkpoint")
     _add_data_flags(p)
@@ -256,10 +254,6 @@ def cmd_pipeline(args, filecfg) -> int:
 
     train_x, train_y = _extract_split(train_set, params, cfg)
     test_x, test_y = _extract_split(test_set, params, cfg)
-    if args.standardize:
-        mean, std = train_x.mean(axis=0), np.maximum(train_x.std(axis=0), 1e-12)
-        train_x = (train_x - mean) / std
-        test_x = (test_x - mean) / std
     np.savez(out_dir / "features.npz", train_features=train_x, train_labels=train_y,
              test_features=test_x, test_labels=test_y)
 

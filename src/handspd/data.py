@@ -193,12 +193,6 @@ def resample(seq: GestureSequence, target_len: int = DEFAULT_LENGTH, method: str
     )
 
 
-def center_on_wrist(seq: GestureSequence) -> GestureSequence:
-    """Subtract the wrist (joint 1) position from every joint, per frame."""
-    frames = seq.frames - seq.frames[:, :1, :]
-    return GestureSequence(frames, seq.label_14, seq.label_28, seq.subject, seq.trial, seq.finger)
-
-
 def rest_pose() -> np.ndarray:
     """Canonical 22-joint hand at rest: wrist, palm, five splayed chains."""
     pose = np.zeros((N_JOINTS, 3))

@@ -112,9 +112,7 @@ def _check_spat_agg(rng):
     n_l, d_in, d_out = 3, 5, 4
     a = rng.standard_normal((n_l, d_in, d_in))
     inputs = a @ np.swapaxes(a, -1, -2) / d_in + 0.5 * np.eye(d_in)
-    weights = np.stack(
-        [linalg.qr_orthonormalize(rng.standard_normal((d_out, d_in))) for _ in range(n_l)]
-    )
+    weights = linalg.qr_orthonormalize(rng.standard_normal((n_l, d_out, d_in)))
     cot = linalg.symmetrize(rng.standard_normal((d_out, d_out)))
     gx, gw = spd_ops.spd_spat_agg_backward(inputs, weights, cot)
     err_x = rel_error(

@@ -4,8 +4,8 @@ Batched eigendecomposition, spectral matrix functions
 f(S) = U f(V) U^T (LOG for the final LogEig; ``gram_log_fn`` for the frame
 ReEig+LogEig, applied to the small Gram matrix B^T B of each low-rank frame
 matrix B B^T), the eigendecomposition chain rule (Daleckii-Krein form)
-shared by every spectral layer's backward pass, and QR row-orthonormalization
-used for Stiefel retractions.
+shared by every spectral layer's backward pass, and batched QR
+row-orthonormalization used for Stiefel retractions.
 
 All functions are pure and operate on plain float64 numpy arrays.  The
 spectral functions are batched over leading axes, (..., d, d), and take the
@@ -113,7 +113,7 @@ def sym_eig_batch(s: np.ndarray, *, context: str = "sym_eig_batch") -> EigenPair
 
 
 def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = fn.f(values)
     bad = ~np.isfinite(out)
     if np.any(bad):
@@ -185,21 +185,23 @@ def spectral_fn_backward_cached(fn: SpectralFn, grad_out: np.ndarray, cache: Eig
 
 
 def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
-    """Orthonormalize the rows of m (shape p x n, p <= n).
+    """Orthonormalize the rows of each matrix of the stack m (..., p, n), p <= n.
 
     Sign convention: the triangular factor has nonnegative diagonal, making
     the map deterministic and the identity on already-orthonormal input.
+    Returns a C-contiguous stack.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise InvalidInput(f"expected a 2-d array, got shape {m.shape}")
-    rows, cols = m.shape
+    if m.ndim < 2:
+        raise InvalidInput(f"expected a (..., p, n) array, got shape {m.shape}")
+    rows, cols = m.shape[-2:]
     if rows > cols:
         raise RankError(f"cannot orthonormalize {rows} rows in dimension {cols}")
-    q, r = np.linalg.qr(m.T)
-    diag = np.diagonal(r)
-    tol = max(m.shape) * np.finfo(np.float64).eps * max(1.0, float(np.abs(r).max()))
-    if np.any(np.abs(diag) <= tol):
+    q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
+    tol = cols * np.finfo(np.float64).eps * scale
+    if np.any(np.abs(diag) <= tol[..., None]):
         raise RankError("input rows are rank-deficient")
     sign = np.where(diag < 0, -1.0, 1.0)
-    return (q * sign).T
+    return np.ascontiguousarray(np.swapaxes(q * sign[..., None, :], -1, -2))

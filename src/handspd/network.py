@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, skeleton, spd_ops
-from .errors import InvalidInput, SpectralDomainError
+from .errors import InvalidInput
 from .linalg import EigenPair
 from .skeleton import HandGraph
 
@@ -165,10 +165,12 @@ class NetworkParams:
         return NetworkParams(*out)
 
     def validate_stiefel(self, tol: float = 1e-8):
-        for i, w in enumerate(self.spat):
-            err = np.abs(w @ w.T - np.eye(w.shape[0])).max()
-            if err >= tol:
-                raise InvalidInput(f"spat weight {i} is not row-orthonormal (err {err:.2e})")
+        w = self.spat
+        err = np.abs(w @ np.swapaxes(w, -1, -2) - np.eye(w.shape[-2])).max(axis=(-2, -1))
+        bad = np.flatnonzero(err >= tol)
+        if bad.size:
+            i = bad[0]
+            raise InvalidInput(f"spat weight {i} is not row-orthonormal (err {err[i]:.2e})")
 
 
 @dataclass
@@ -280,7 +282,7 @@ def _frame_log(vectors: np.ndarray, eps: float):
     factor[..., d, n - 1] = 1.0
     gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, context="frame_log(gram)")
     p = factor @ gram_eig.vectors
-    h = linalg.gram_log_fn(eps).f(gram_eig.values)
+    h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, "frame_log(gram)")
     y = (p * h[..., None, :]) @ np.swapaxes(p, -1, -2)
     idx = np.arange(d + 1)
     y[..., idx, idx] += np.log(eps)
@@ -323,7 +325,10 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
     shape does not match ``cfg.param_shapes()``, and
     ``EigenDecompositionError`` naming the layer when an eigensolver fails
-    (finite coordinates so large that the frame Gram overflows).
+    (finite coordinates so large that the frame Gram overflows), and
+    ``SpectralDomainError`` naming the layer where a spectral function is
+    undefined or overflows: ``frame_log(gram)`` (coordinates near 1e152) or
+    ``log_eig(final_spd)`` (a non-positive aggregated eigenvalue).
     """
     graph = graph or cfg.graph()
     frames = _as_frames(seq)
@@ -342,12 +347,6 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
 
     final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
     final_eig = linalg.sym_eig_batch(final_spd, context="log_eig(final_spd)")
-    if final_eig.values.min() <= 0:
-        raise SpectralDomainError(
-            "non-positive eigenvalue in the aggregated SPD matrix",
-            eigenvalue=float(final_eig.values.min()),
-            context="log_eig(final_spd)",
-        )
     y = linalg.spectral_apply_cached(final_eig, linalg.LOG, context="log_eig(final_spd)")
     feature = spd_ops.half_vec(y)                                  # (feature_dim,)
     logits = params.fc_weight @ feature + params.fc_bias

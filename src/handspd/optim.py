@@ -1,9 +1,13 @@
 """Parameter updates and the training loop.
 
-Stiefel-constrained weights (the spatial-aggregation matrices) take a
-Riemannian SGD step: project the Euclidean gradient onto the tangent space
-at W, step, then retract back onto the manifold by QR row-orthonormalization.
-Everything else takes plain SGD steps.
+One optimizer step (``apply_gradients``) is one batched Riemannian SGD step
+on the whole (n_L, d_spat, temp_dim) stack of spatial-aggregation weights,
+each on its Stiefel manifold of row-orthonormal matrices: map the
+Euclidean gradients into the tangent spaces, step, and retract the stack
+with one QR row-orthonormalization.  The conv and FC weights and the FC bias
+take plain SGD steps.  Nothing here checks shapes or the learning rate:
+``TrainConfig`` rejects lr <= 0 and ``network.backward`` builds gradients in
+the parameters' shapes.
 """
 
 from __future__ import annotations
@@ -38,32 +42,23 @@ class TrainConfig:
 
 
 def stiefel_tangent(w: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:
-    """Project a Euclidean gradient onto the tangent space at W (rows orthonormal)."""
-    return euclid_grad - w @ symmetrize(w.T @ euclid_grad)
+    """Tangent direction G - W sym(W^T G) at each W (rows orthonormal) for
+    its Euclidean gradient G, over stacks (..., p, n).  It is the orthogonal
+    projection onto the tangent space only when W is square (p == n)."""
+    return euclid_grad - w @ symmetrize(np.swapaxes(w, -1, -2) @ euclid_grad)
 
 
 def stiefel_step(w: np.ndarray, euclid_grad: np.ndarray, lr: float) -> np.ndarray:
-    """One projected-gradient step with QR retraction; preserves orthonormal rows."""
-    if lr <= 0:
-        raise InvalidInput("learning rate must be positive")
-    if w.shape != euclid_grad.shape:
-        raise InvalidInput(f"gradient shape {euclid_grad.shape} != weight shape {w.shape}")
+    """One projected-gradient step with QR retraction on each matrix of the
+    stack (..., p, n); preserves orthonormal rows."""
     return qr_orthonormalize(w - lr * stiefel_tangent(w, euclid_grad))
-
-
-def euclid_step(param: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    if np.shape(param) != np.shape(grad):
-        raise InvalidInput(f"gradient shape {np.shape(grad)} != parameter shape {np.shape(param)}")
-    return param - lr * grad
 
 
 def init_params(cfg: NetworkConfig, seed: int = 0) -> NetworkParams:
     """Seeded initialization: QR-orthonormalized Gaussian Stiefel matrices,
     uniform(+-1/sqrt(fan_in)) conv and FC weights, zero FC bias."""
     rng = np.random.default_rng(seed)
-    spat = np.empty((cfg.n_L, cfg.d_spat, cfg.temp_dim))
-    for i in range(cfg.n_L):
-        spat[i] = qr_orthonormalize(rng.standard_normal((cfg.d_spat, cfg.temp_dim)))
+    spat = qr_orthonormalize(rng.standard_normal((cfg.n_L, cfg.d_spat, cfg.temp_dim)))
     conv = rng.uniform(-1.0, 1.0, size=(3, cfg.d1, 3)) / np.sqrt(3.0)
     bound = 1.0 / np.sqrt(cfg.feature_dim)
     fc_weight = rng.uniform(-bound, bound, size=(cfg.n_classes, cfg.feature_dim))
@@ -71,38 +66,34 @@ def init_params(cfg: NetworkConfig, seed: int = 0) -> NetworkParams:
 
 
 def apply_gradients(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:
-    """One optimizer step over all parameter groups (in place on a copy)."""
-    new = params.copy()
-    new.conv = euclid_step(params.conv, grads.conv, lr)
-    for i in range(params.spat.shape[0]):
-        new.spat[i] = stiefel_step(params.spat[i], grads.spat[i], lr)
-    new.fc_weight = euclid_step(params.fc_weight, grads.fc_weight, lr)
-    new.fc_bias = euclid_step(params.fc_bias, grads.fc_bias, lr)
-    return new
+    """One optimizer step over all parameter groups; returns new parameters."""
+    return NetworkParams(
+        params.conv - lr * grads.conv,
+        stiefel_step(params.spat, grads.spat, lr),
+        params.fc_weight - lr * grads.fc_weight,
+        params.fc_bias - lr * grads.fc_bias,
+    )
 
 
 def train(
     dataset,
     net_cfg: NetworkConfig,
     train_cfg: TrainConfig,
-    params: NetworkParams | None = None,
     checkpoint_dir=None,
     metrics_path=None,
-    checkpoint_epochs=(20,),
-    check_stiefel: bool = False,
     log=None,
 ):
-    """SGD over the dataset; returns (params, per-epoch metrics).
+    """SGD from ``init_params(net_cfg, train_cfg.seed)`` over the dataset;
+    returns (params, per-epoch metrics).
 
     Metrics rows carry epoch, mean_loss, train_accuracy and wall_seconds and
-    are optionally mirrored to a CSV file.  Checkpoints are written for the
-    epochs in ``checkpoint_epochs`` and at the end of training.
+    are optionally mirrored to a CSV file.  The trained parameters are
+    written to ``checkpoint_final.bin`` in ``checkpoint_dir`` when given.
     """
     if not dataset:
         raise InvalidInput("dataset must be non-empty")
     graph = net_cfg.graph()
-    if params is None:
-        params = init_params(net_cfg, train_cfg.seed)
+    params = init_params(net_cfg, train_cfg.seed)
     rng = np.random.default_rng(train_cfg.seed)
     n = len(dataset)
     metrics = []
@@ -120,8 +111,6 @@ def train(
             correct += int((logits.argmax(axis=1) + 1 == labels).sum())
             epoch_loss += loss * len(batch)
             params = apply_gradients(params, grads, train_cfg.learning_rate)
-            if check_stiefel:
-                params.validate_stiefel()
         row = {
             "epoch": epoch,
             "mean_loss": epoch_loss / n,
@@ -131,10 +120,6 @@ def train(
         metrics.append(row)
         if log:
             log(f"epoch {epoch:3d}  loss {row['mean_loss']:.4f}  acc {row['train_accuracy']:.3f}")
-        if checkpoint_dir is not None and epoch in checkpoint_epochs:
-            network.save_checkpoint(
-                Path(checkpoint_dir) / f"checkpoint_epoch{epoch:03d}.bin", params, net_cfg
-            )
     if checkpoint_dir is not None:
         network.save_checkpoint(Path(checkpoint_dir) / "checkpoint_final.bin", params, net_cfg)
     if metrics_path is not None:

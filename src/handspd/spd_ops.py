@@ -49,15 +49,13 @@ def half_vec(y: np.ndarray) -> np.ndarray:
     return y.reshape(y.shape[:-2] + (d * d,))[..., upper] * scale
 
 
-def half_vec_adjoint(g: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Adjoint of half_vec on symmetric matrices: the symmetric Y with
-    <g, half_vec(S)> == <Y, S> for every symmetric S.
+def half_vec_adjoint(g: np.ndarray, dim: int) -> np.ndarray:
+    """Adjoint of half_vec on symmetric dim x dim matrices: the symmetric Y
+    with <g, half_vec(S)> == <Y, S> for every symmetric S.
 
-    Supports batched input (..., d(d+1)/2) -> (..., d, d).
+    Supports batched input (..., dim(dim+1)/2) -> (..., dim, dim).
     """
     length = g.shape[-1]
-    if dim is None:
-        dim = int(round((np.sqrt(8 * length + 1) - 1) / 2))
     if half_vec_dim(dim) != length:
         raise InvalidInput(f"length {length} is not a triangular number for dim {dim}")
     _, scale, slot = _triu_maps(dim)

@@ -1,5 +1,27 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 # Make the sibling oracle module importable regardless of invocation directory.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+
+@pytest.fixture
+def stiefel_checked_steps(monkeypatch) -> list:
+    """Make every optim.apply_gradients call validate the Stiefel weights it
+    returns (``NetworkParams.validate_stiefel`` raises at drift >= 1e-8);
+    the list collects the parameters of each step."""
+    from handspd import optim
+
+    steps = []
+    step = optim.apply_gradients
+
+    def checked(*args):
+        new = step(*args)
+        new.validate_stiefel()
+        steps.append(new)
+        return new
+
+    monkeypatch.setattr(optim, "apply_gradients", checked)
+    return steps

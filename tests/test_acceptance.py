@@ -46,7 +46,7 @@ def test_gradient_checks():
     )
 
 
-def test_spd_invariants():
+def test_spd_invariants(stiefel_checked_steps):
     """1000 seeded forwards (toy and default scale): every frame's log matrix
     has its eigenvalues at or above log(eps), every aggregated matrix stays
     positive definite, and Stiefel weights stay orthonormal after optimizer
@@ -77,7 +77,8 @@ def test_spd_invariants():
             checked += 1
     assert checked == 1000
 
-    # Orthonormality after every optimizer step, across a short training run.
+    # Orthonormality after every optimizer step, across a short training run:
+    # the fixture raises if any step leaves ||WW^T - I||_inf >= 1e-8.
     cfg = toy_config()
     dataset = [
         (np.random.default_rng(k).standard_normal((cfg.n_F, cfg.n_joints, 3)),
@@ -85,9 +86,9 @@ def test_spd_invariants():
         for k in range(12)
     ]
     params, _ = optim.train(
-        dataset, cfg, TrainConfig(batch_size=4, learning_rate=0.05, epochs=3, seed=0),
-        check_stiefel=True,  # raises if any step leaves ||WW^T - I||_inf >= 1e-8
+        dataset, cfg, TrainConfig(batch_size=4, learning_rate=0.05, epochs=3, seed=0)
     )
+    assert len(stiefel_checked_steps) == 3 * 3
     stiefel_err = max(
         float(np.abs(w @ w.T - np.eye(w.shape[0])).max()) for w in params.spat
     )
@@ -224,7 +225,8 @@ def test_svm_correctness():
         y = np.where(x[:, 0] + 0.3 * rng.standard_normal(n) > 0, 1.0, -1.0)
         c = 1.0
         w, history, _ = classify._dcd_binary(
-            x, y, c, tol=1e-6, rng=np.random.default_rng(seed), max_passes=5000
+            x, y, c, tol=1e-6, rng=np.random.default_rng(seed), max_passes=5000,
+            qii=classify._q_diagonal(x, c),
         )
         monotone &= all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         w_ref, _ = oracles.svm_projected_gradient(x, y, c)

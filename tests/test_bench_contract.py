@@ -1,0 +1,63 @@
+"""The benchmark's span map against the program.
+
+``perfbench/workloads.py`` wraps module attributes of the program by name
+(``trace_program``).  A renamed or deleted attribute would crash a traced
+benchmark run; here it fails the test suite instead.  The file is loaded by
+path, as ``perfbench/run.py`` loads the oracles, and its tracer is replaced
+by one that only checks each name.
+"""
+
+import importlib.util
+import sys
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+
+from handspd import optim
+from handspd.gradcheck import toy_config
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class _CheckingTracer:
+    def __init__(self):
+        self.wrapped = []
+
+    def wrap(self, owner, attr, name, observe=None):
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} is not a callable"
+        self.wrapped.append((owner.__name__, attr, name))
+
+
+def test_every_wrapped_name_is_a_callable_of_the_program():
+    workloads = _load_workloads()
+    tracer = _CheckingTracer()
+    workloads.trace_program(tracer, toy_config(), Counter())
+    for owner, attr, name in tracer.wrapped:
+        if isinstance(name, str):
+            assert name in workloads.SPANS, f"{owner}.{attr} records {name!r}, not in SPANS"
+    assert ("handspd.optim", "apply_gradients", "optim.apply_gradients") in tracer.wrapped
+    assert ("handspd.optim", "qr_orthonormalize", "linalg.qr_orthonormalize") in tracer.wrapped
+
+
+def test_one_retraction_per_step_through_the_wrapped_name(monkeypatch):
+    # The span map wraps QR where optim calls it; one step retracts the
+    # whole stack of spatial weights in one call.
+    calls = []
+    qr = optim.qr_orthonormalize
+    monkeypatch.setattr(optim, "qr_orthonormalize", lambda m: calls.append(m.shape) or qr(m))
+    cfg = toy_config()
+    params = optim.init_params(cfg, seed=0)
+    calls.clear()
+    grads = params.from_vector(np.random.default_rng(0).standard_normal(params.to_vector().size))
+    optim.apply_gradients(params, grads, 0.01)
+    assert calls == [(cfg.n_L, cfg.d_spat, cfg.temp_dim)]

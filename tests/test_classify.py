@@ -29,7 +29,8 @@ class TestBinarySolver:
         x, labels = _blobs(rng, 15, [(-1.0, 0.5, 0.0), (1.0, -0.5, 0.3)])
         y = np.where(labels == 1, 1.0, -1.0)
         c = 1.0
-        w, _, _ = classify._dcd_binary(x, y, c, tol=1e-6, rng=np.random.default_rng(0), max_passes=5000)
+        w, _, _ = classify._dcd_binary(x, y, c, tol=1e-6, rng=np.random.default_rng(0), max_passes=5000,
+                                       qii=classify._q_diagonal(x, c))
         w_ref, _ = oracles.svm_projected_gradient(x, y, c)
         p = classify.primal_objective(w, x, y, c)
         p_ref = oracles.svm_primal_reference(w_ref, x, y, c)
@@ -40,7 +41,8 @@ class TestBinarySolver:
         x, labels = _blobs(rng, 20, [(-1.0, 0.0), (1.0, 0.0)], spread=0.8)
         y = np.where(labels == 1, 1.0, -1.0)
         _, history, _ = classify._dcd_binary(
-            x, y, 2.0, tol=1e-8, rng=np.random.default_rng(1), max_passes=500
+            x, y, 2.0, tol=1e-8, rng=np.random.default_rng(1), max_passes=500,
+            qii=classify._q_diagonal(x, 2.0),
         )
         assert len(history) >= 2
         for prev, cur in zip(history, history[1:]):

@@ -83,14 +83,6 @@ class TestResample:
             data.resample(GestureSequence(_valid_frames(), label_14=1), 10, method="mirror")
 
 
-class TestCenterOnWrist:
-    def test_wrist_becomes_origin(self):
-        seq = GestureSequence(_valid_frames(), label_14=1)
-        out = data.center_on_wrist(seq)
-        assert np.abs(out.frames[:, 0]).max() == 0.0
-        assert np.abs((seq.frames[:, 5] - seq.frames[:, 0]) - out.frames[:, 5]).max() < 1e-15
-
-
 class TestSyntheticGenerator:
     def test_counts_labels_and_shapes(self):
         seqs = data.synth_generate(3, 4, noise_sigma=0.01, seed=0, length=20)

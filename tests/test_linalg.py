@@ -227,3 +227,21 @@ class TestQrOrthonormalize:
     def test_too_many_rows_rejected(self):
         with pytest.raises(RankError):
             linalg.qr_orthonormalize(np.ones((3, 2)))
+
+    def test_stack_is_orthonormalized_matrix_by_matrix(self):
+        # Bit for bit the per-matrix map, with each matrix's own rank
+        # tolerance: a tiny matrix beside a huge one is not rank-deficient.
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((3, 2, 4, 7))
+        m[0, 0] *= 1e20
+        m[0, 1] *= 1e-3
+        out = linalg.qr_orthonormalize(m)
+        assert out.shape == m.shape and out.flags.c_contiguous
+        for i in np.ndindex(m.shape[:2]):
+            assert np.array_equal(out[i], linalg.qr_orthonormalize(m[i]))
+
+    def test_one_rank_deficient_matrix_rejects_the_stack(self):
+        m = np.random.default_rng(7).standard_normal((3, 2, 3))
+        m[1, 1] = 2.0 * m[1, 0]
+        with pytest.raises(RankError):
+            linalg.qr_orthonormalize(m)

@@ -252,6 +252,18 @@ class TestDegenerateInput:
                 network.forward(frames * 1e160, params, cfg)
         assert "frame_log(gram)" in str(err.value)
 
+    def test_huge_coordinates_name_the_frame_log(self):
+        # At 1e152 the frame Gram stays finite, but h(l) = log(l / eps) / l
+        # overflows at its largest eigenvalues: the error names the frame
+        # log, not the final LogEig that the NaN would otherwise reach.
+        cfg = NetworkConfig()
+        params = optim.init_params(cfg, seed=0)
+        frames = np.random.default_rng(0).standard_normal((cfg.n_F, cfg.n_joints, 3)) * 1e152
+        with pytest.raises(SpectralDomainError) as err:
+            network.forward(frames, params, cfg)
+        assert err.value.context == "frame_log(gram)"
+        assert err.value.eigenvalue > 1e300
+
 
 class TestBackward:
     def test_full_parameter_gradient_matches_finite_differences(self):

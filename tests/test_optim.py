@@ -77,22 +77,19 @@ class TestStiefelGeometry:
         stepped = optim.stiefel_step(w, (s + s.T) @ w, 0.1)
         assert np.abs(stepped - w).max() < 1e-10
 
-    def test_step_validation(self):
-        w = np.eye(3)
-        with pytest.raises(InvalidInput):
-            optim.stiefel_step(w, np.zeros((2, 3)), 0.1)
-        with pytest.raises(InvalidInput):
-            optim.stiefel_step(w, np.zeros((3, 3)), 0.0)
-
-
-class TestEuclidStep:
-    def test_basic_update(self):
-        out = optim.euclid_step(np.array([1.0, 2.0]), np.array([10.0, -10.0]), 0.1)
-        assert np.allclose(out, [0.0, 3.0], atol=1e-15)
-
-    def test_shape_check(self):
-        with pytest.raises(InvalidInput):
-            optim.euclid_step(np.zeros(3), np.zeros(4), 0.1)
+    def test_batched_step_is_the_per_matrix_step(self):
+        # A stack steps matrix by matrix, bit for bit, and each matrix keeps
+        # orthonormal rows.
+        rng = np.random.default_rng(5)
+        w = qr_orthonormalize(rng.standard_normal((6, 4, 7)))
+        grad = rng.standard_normal((6, 4, 7))
+        tangent = optim.stiefel_tangent(w, grad)
+        stepped = optim.stiefel_step(w, grad, 0.05)
+        assert stepped.shape == (6, 4, 7) and stepped.flags.c_contiguous
+        for i in range(6):
+            assert np.array_equal(tangent[i], optim.stiefel_tangent(w[i], grad[i]))
+            assert np.array_equal(stepped[i], optim.stiefel_step(w[i], grad[i], 0.05))
+        assert np.abs(stepped @ np.swapaxes(stepped, -1, -2) - np.eye(4)).max() < 1e-12
 
 
 class TestTrainConfig:
@@ -131,13 +128,24 @@ class TestApplyGradients:
         rng = np.random.default_rng(0)
         params = optim.init_params(cfg, seed=0)
         grads = params.from_vector(rng.standard_normal(params.to_vector().size))
+        before = params.copy()
         new = optim.apply_gradients(params, grads, 0.01)
         new.validate_stiefel()
         assert not np.array_equal(new.conv, params.conv)
         assert not np.array_equal(new.fc_weight, params.fc_weight)
         assert not np.array_equal(new.fc_bias, params.fc_bias)
-        # Input params untouched (copy semantics).
-        params.validate_stiefel()
+        assert np.array_equal(new.spat, optim.stiefel_step(params.spat, grads.spat, 0.01))
+        # Input params untouched.
+        assert np.array_equal(params.to_vector(), before.to_vector())
+
+    def test_plain_sgd_on_euclidean_groups(self):
+        cfg = toy_config()
+        rng = np.random.default_rng(2)
+        params = optim.init_params(cfg, seed=2)
+        grads = params.from_vector(rng.standard_normal(params.to_vector().size))
+        new = optim.apply_gradients(params, grads, 0.1)
+        for name in ("conv", "fc_weight", "fc_bias"):
+            assert np.array_equal(getattr(new, name), getattr(params, name) - 0.1 * getattr(grads, name))
 
     def test_zero_gradients_leave_params_unchanged(self):
         cfg = toy_config()
@@ -158,21 +166,18 @@ def _toy_dataset(cfg, n, seed=0):
 
 
 class TestTrainLoop:
-    def test_loss_decreases_and_metrics_reported(self, tmp_path):
+    def test_loss_decreases_and_metrics_reported(self, tmp_path, stiefel_checked_steps):
         cfg = toy_config()
         dataset = _toy_dataset(cfg, 12)
         tcfg = TrainConfig(batch_size=4, learning_rate=0.05, epochs=5, seed=0)
         params, metrics = optim.train(
-            dataset, cfg, tcfg,
-            checkpoint_dir=tmp_path, metrics_path=tmp_path / "metrics.csv",
-            checkpoint_epochs=(2,), check_stiefel=True,
+            dataset, cfg, tcfg, checkpoint_dir=tmp_path, metrics_path=tmp_path / "metrics.csv"
         )
+        assert len(stiefel_checked_steps) == 5 * 3 and stiefel_checked_steps[-1] is params
         assert len(metrics) == 5
         assert metrics[-1]["mean_loss"] < metrics[0]["mean_loss"]
         assert {"epoch", "mean_loss", "train_accuracy", "wall_seconds"} <= set(metrics[0])
-        params.validate_stiefel()
-        assert (tmp_path / "checkpoint_epoch002.bin").is_file()
-        assert (tmp_path / "checkpoint_final.bin").is_file()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint_final.bin", "metrics.csv"]
         loaded, loaded_cfg = network.load_checkpoint(tmp_path / "checkpoint_final.bin")
         assert np.array_equal(loaded.to_vector(), params.to_vector())
         assert loaded_cfg == cfg
@@ -197,11 +202,3 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInput):
             optim.train([], toy_config(), TrainConfig(epochs=1))
-
-    def test_resume_from_given_params(self):
-        cfg = toy_config()
-        dataset = _toy_dataset(cfg, 6)
-        tcfg = TrainConfig(batch_size=3, learning_rate=0.02, epochs=1, seed=0)
-        start = optim.init_params(cfg, seed=123)
-        trained, _ = optim.train(dataset, cfg, tcfg, params=start)
-        assert not np.array_equal(trained.to_vector(), start.to_vector())

@@ -254,12 +254,12 @@ class TestHalfVec:
         # half_vec(half_vec_adjoint(g)) recovers g exactly.
         rng = np.random.default_rng(3)
         g = rng.standard_normal(spd_ops.half_vec_dim(4))
-        back = spd_ops.half_vec(spd_ops.half_vec_adjoint(g))
+        back = spd_ops.half_vec(spd_ops.half_vec_adjoint(g, 4))
         assert np.abs(back - g).max() < 1e-14
 
     def test_adjoint_rejects_non_triangular_length(self):
         with pytest.raises(InvalidInput):
-            spd_ops.half_vec_adjoint(np.ones(5))
+            spd_ops.half_vec_adjoint(np.ones(5), 3)
 
     def test_dim_formula(self):
         assert [spd_ops.half_vec_dim(d) for d in (1, 2, 10, 56)] == [1, 3, 55, 1596]
