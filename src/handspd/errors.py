@@ -29,7 +29,11 @@ class EigenDecompositionError(HandSpdError):
 
 
 class RankError(HandSpdError):
-    """A matrix expected to have full row rank is rank-deficient."""
+    """A matrix expected to have full row rank is rank-deficient or not finite."""
+
+
+class QRDecompositionError(HandSpdError):
+    """LAPACK's QR factorization failed; the message names the matrix."""
 
 
 class ParseError(HandSpdError):

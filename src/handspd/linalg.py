@@ -15,7 +15,8 @@ there are no unbatched or validating variants.
 Operand contract: matrix inputs and cotangents are symmetric and finite,
 and outputs are symmetric up to rounding; nothing re-symmetrizes them.
 ``np.linalg.eigh`` reads one triangle only.  Inputs are checked once, in
-``network.forward``, not here.
+``network.forward``, not here; only ``qr_orthonormalize``, which the
+optimizer's step feeds, checks its own stack.
 """
 
 from __future__ import annotations
@@ -25,7 +26,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EigenDecompositionError, InvalidInput, RankError, SpectralDomainError
+from .errors import (
+    EigenDecompositionError,
+    InvalidInput,
+    QRDecompositionError,
+    RankError,
+    SpectralDomainError,
+)
 
 
 class EigenPair(NamedTuple):
@@ -189,7 +196,11 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
 
     Sign convention: the triangular factor has nonnegative diagonal, making
     the map deterministic and the identity on already-orthonormal input.
-    Returns a C-contiguous stack.
+    Returns a C-contiguous stack.  Rank-deficient or non-finite input or
+    factors raise ``RankError``, and a LAPACK failure raises
+    ``QRDecompositionError``; both name the first offending matrix.  Input
+    and factors are checked whole: when a Householder reflector is the
+    identity, a NaN of the input stays above R's diagonal and Q is finite.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim < 2:
@@ -197,11 +208,36 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     rows, cols = m.shape[-2:]
     if rows > cols:
         raise RankError(f"cannot orthonormalize {rows} rows in dimension {cols}")
-    q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
+    _reject(~np.isfinite(m).all(axis=(-2, -1)), RankError, "input is not finite")
+    try:
+        q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
+    except np.linalg.LinAlgError as exc:
+        failed = next((i for i in np.ndindex(m.shape[:-2]) if _qr_fails(m[i])), None)
+        where = "the stack" if failed is None else _matrix_name(failed)
+        raise QRDecompositionError(f"QR factorization failed: {exc} [{where}]") from exc
+    _reject(~(np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(r).all(axis=(-2, -1))),
+            RankError, "QR factors are not finite")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
     tol = cols * np.finfo(np.float64).eps * scale
-    if np.any(np.abs(diag) <= tol[..., None]):
-        raise RankError("input rows are rank-deficient")
+    _reject((np.abs(diag) <= tol[..., None]).any(axis=-1), RankError, "input rows are rank-deficient")
     sign = np.where(diag < 0, -1.0, 1.0)
     return np.ascontiguousarray(np.swapaxes(q * sign[..., None, :], -1, -2))
+
+
+def _qr_fails(a: np.ndarray) -> bool:
+    try:
+        np.linalg.qr(a)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def _matrix_name(index: tuple) -> str:
+    return f"matrix {index[0] if len(index) == 1 else index}" if index else "the matrix"
+
+
+def _reject(bad: np.ndarray, error: type, message: str):
+    """Raise ``error`` naming the first matrix of a stack where ``bad`` is True."""
+    if np.any(bad):
+        raise error(f"{message} [{_matrix_name(tuple(np.argwhere(bad)[0].tolist()))}]")

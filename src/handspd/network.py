@@ -167,7 +167,7 @@ class NetworkParams:
     def validate_stiefel(self, tol: float = 1e-8):
         w = self.spat
         err = np.abs(w @ np.swapaxes(w, -1, -2) - np.eye(w.shape[-2])).max(axis=(-2, -1))
-        bad = np.flatnonzero(err >= tol)
+        bad = np.flatnonzero(~(err < tol))  # NaN drift fails too
         if bad.size:
             i = bad[0]
             raise InvalidInput(f"spat weight {i} is not row-orthonormal (err {err[i]:.2e})")

@@ -266,7 +266,7 @@ def svm_projected_gradient(x, y, c, tol=1e-8, max_iter=200000):
 def dcd_binary_reference(x, y, c, tol, rng, max_passes):
     """The dual coordinate descent loop on numpy arrays and scalars, as the
     package first wrote it: the fast solver must reproduce its every iterate.
-    Returns (w, dual objective per pass, converged)."""
+    Returns (w, dual objective per pass, converged, final alpha)."""
     n, _ = x.shape
     alpha = np.zeros(n)
     w = np.zeros(x.shape[1])
@@ -288,8 +288,8 @@ def dcd_binary_reference(x, y, c, tol, rng, max_passes):
                     alpha[i] = new
         history.append(0.5 * float(w @ w) + float(alpha @ alpha) / (4.0 * c) - float(alpha.sum()))
         if pg_max - pg_min < tol:
-            return w, history, True
-    return w, history, False
+            return w, history, True, alpha
+    return w, history, False, alpha
 
 
 def svm_primal_reference(w, x, y, c):

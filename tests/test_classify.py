@@ -121,6 +121,25 @@ class TestMulticlass:
         assert model.weights.shape == (5, 2)
 
 
+def _assert_matches_reference(x, labels, n_classes, seed, **kw):
+    """Fit with svm_train and check each class bitwise against the
+    reference loop; returns the model and the reference's final alphas."""
+    model = classify.svm_train(x, labels, seed=seed, n_classes=n_classes, **kw)
+    c, tol, max_passes = kw.get("C", 1.0), kw.get("tol", 0.1), kw.get("max_passes", 1000)
+    assert model.n_classes == n_classes
+    alphas = []
+    for cls in range(1, n_classes + 1):
+        y = np.where(labels == cls, 1.0, -1.0)
+        rng = np.random.default_rng((seed, cls))
+        w, history, converged, alpha = oracles.dcd_binary_reference(x, y, c, tol, rng, max_passes)
+        assert np.array_equal(model.weights[cls - 1], w)
+        assert model.dual_history[cls - 1] == history
+        assert model.passes[cls - 1] == len(history)
+        assert model.converged[cls - 1] == converged
+        alphas.append(alpha)
+    return model, alphas
+
+
 class TestMatchesReference:
     """svm_train reproduces the reference loop bitwise, class by class, in
     this process and on pools of 2 and of 4 (more workers than most CI
@@ -131,39 +150,56 @@ class TestMatchesReference:
         monkeypatch.setattr(classify, "_worker_count", lambda n_classes: request.param)
         return request.param
 
-    def _assert_matches(self, x, labels, n_classes, seed, **kw):
-        model = classify.svm_train(x, labels, seed=seed, n_classes=n_classes, **kw)
-        c, tol, max_passes = kw.get("C", 1.0), kw.get("tol", 0.1), kw.get("max_passes", 1000)
-        assert model.n_classes == n_classes
-        for cls in range(1, n_classes + 1):
-            y = np.where(labels == cls, 1.0, -1.0)
-            rng = np.random.default_rng((seed, cls))
-            w, history, converged = oracles.dcd_binary_reference(x, y, c, tol, rng, max_passes)
-            assert np.array_equal(model.weights[cls - 1], w)
-            assert model.dual_history[cls - 1] == history
-            assert model.passes[cls - 1] == len(history)
-            assert model.converged[cls - 1] == converged
-        return model
-
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_converged_fit(self, workers, seed):
         rng = np.random.default_rng(seed)
         centers = [(1.5, 0.0, 0.3), (-1.5, 0.2, 0.0), (0.0, 1.5, -0.4), (0.1, -1.5, 0.0)]
         x, labels = _blobs(rng, 12, centers, spread=0.9)
-        model = self._assert_matches(x, labels, 4, seed, C=2.0, tol=1e-3)
+        model, _ = _assert_matches_reference(x, labels, 4, seed, C=2.0, tol=1e-3)
         assert all(model.converged)
 
     def test_fit_out_of_passes(self, workers):
         rng = np.random.default_rng(3)
         x, labels = _blobs(rng, 10, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
-        model = self._assert_matches(x, labels, 3, 3, tol=1e-12, max_passes=4)
+        model, _ = _assert_matches_reference(x, labels, 3, 3, tol=1e-12, max_passes=4)
         assert model.passes == [4, 4, 4] and not any(model.converged)
 
     def test_classes_beyond_the_labels_present(self, workers):
         rng = np.random.default_rng(5)
         x, labels = _blobs(rng, 9, [(2.0, 0.0, 1.0), (-2.0, 0.0, 0.0), (0.0, 2.0, -1.0)])
-        model = self._assert_matches(x, labels, 6, 5)
+        model, _ = _assert_matches_reference(x, labels, 6, 5)
         assert set(classify.svm_predict(model, x).tolist()) <= {1, 2, 3}
+
+
+class TestMatchesReferenceAtWidth:
+    """The same bitwise match on 320 rows of width 515: wide enough for the
+    SIMD blocks of the dot and the axpy ufuncs, and not a multiple of 8, so
+    their remainder loops run too."""
+
+    @pytest.fixture(params=[1, 2], ids=["in_process", "pool2"])
+    def workers(self, request, monkeypatch):
+        monkeypatch.setattr(classify, "_worker_count", lambda n_classes: request.param)
+        return request.param
+
+    @pytest.fixture(scope="class")
+    def features(self):
+        rng = np.random.default_rng(11)
+        centers = list(0.1 * rng.standard_normal((4, 515)))
+        return _blobs(rng, 80, centers, spread=1.0)
+
+    def test_converged_fit(self, workers, features):
+        model, _ = _assert_matches_reference(*features, 4, 2)
+        assert all(model.converged)
+
+    def test_fit_out_of_passes(self, workers, features):
+        model, _ = _assert_matches_reference(*features, 4, 3, tol=1e-12, max_passes=3)
+        assert model.passes == [3, 3, 3, 3] and not any(model.converged)
+
+    def test_small_c_clamps_some_alphas_to_zero(self, workers, features):
+        model, alphas = _assert_matches_reference(*features, 4, 5, C=0.01)
+        assert all(model.converged)
+        for alpha in alphas:
+            assert np.any(alpha == 0.0) and np.any(alpha > 0.0)
 
 
 class TestWorkerPool:

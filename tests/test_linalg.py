@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from handspd import data, linalg, network, optim
-from handspd.errors import RankError, SpectralDomainError
+from handspd.errors import HandSpdError, QRDecompositionError, RankError, SpectralDomainError
 from handspd.network import NetworkConfig
 
 import oracles
@@ -243,5 +243,37 @@ class TestQrOrthonormalize:
     def test_one_rank_deficient_matrix_rejects_the_stack(self):
         m = np.random.default_rng(7).standard_normal((3, 2, 3))
         m[1, 1] = 2.0 * m[1, 0]
-        with pytest.raises(RankError):
+        with pytest.raises(RankError, match=r"rank-deficient \[matrix 1\]"):
             linalg.qr_orthonormalize(m)
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(RankError, match=r"\[matrix 0\]"):
+            linalg.qr_orthonormalize(np.full((2, 3, 4), np.nan))
+        # The first column is e1, so the first Householder reflector is the
+        # identity: Q comes out finite and the NaN stays above R's diagonal.
+        m = np.stack([np.eye(2, 3), [[1.0, 0.0, 0.0], [np.nan, 1.0, 2.0]]])
+        with pytest.raises(RankError, match=r"not finite \[matrix 1\]"):
+            linalg.qr_orthonormalize(m)
+        with pytest.raises(RankError, match=r"not finite \[matrix \(0, 1\)\]"):
+            linalg.qr_orthonormalize(np.stack([np.eye(2, 3), np.full((2, 3), np.inf)])[None])
+
+    def test_overflowing_factors_rejected(self):
+        m = np.stack([np.eye(3, 4), np.full((3, 4), 1e308)])
+        with pytest.raises(RankError, match=r"factors are not finite \[matrix 1\]"):
+            linalg.qr_orthonormalize(m)
+
+    def test_lapack_failure_is_typed_and_names_the_matrix(self, monkeypatch):
+        qr = np.linalg.qr
+
+        def failing_qr(a):
+            if np.any(a[..., 0, 0] == 7.0):
+                raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+            return qr(a)
+
+        monkeypatch.setattr(np.linalg, "qr", failing_qr)
+        m = np.random.default_rng(8).standard_normal((4, 2, 3))
+        m[2, 0, 0] = 7.0
+        with pytest.raises(QRDecompositionError, match=r"\[matrix 2\]") as err:
+            linalg.qr_orthonormalize(m)
+        assert isinstance(err.value, HandSpdError)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)

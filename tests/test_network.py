@@ -390,6 +390,12 @@ class TestParamsContainer:
         with pytest.raises(InvalidInput):
             params.validate_stiefel()
 
+    def test_validate_stiefel_rejects_nan(self):
+        params = optim.init_params(toy_config(), seed=0)
+        params.spat[2, 1, 1] = np.nan
+        with pytest.raises(InvalidInput, match="spat weight 2"):
+            params.validate_stiefel()
+
 
 class TestCheckpoint:
     def test_bitwise_round_trip(self, tmp_path):

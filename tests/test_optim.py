@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from handspd import network, optim
-from handspd.errors import InvalidInput
+from handspd.errors import InvalidInput, RankError
 from handspd.gradcheck import toy_config
 from handspd.linalg import qr_orthonormalize
 from handspd.optim import TrainConfig
@@ -137,6 +137,13 @@ class TestApplyGradients:
         assert np.array_equal(new.spat, optim.stiefel_step(params.spat, grads.spat, 0.01))
         # Input params untouched.
         assert np.array_equal(params.to_vector(), before.to_vector())
+
+    def test_nan_spat_gradient_raises(self):
+        params = optim.init_params(toy_config(), seed=0)
+        grads = params.from_vector(np.zeros(params.to_vector().size))
+        grads.spat[1, 0, 2] = np.nan
+        with pytest.raises(RankError, match=r"not finite \[matrix 1\]"):
+            optim.apply_gradients(params, grads, 0.01)
 
     def test_plain_sgd_on_euclidean_groups(self):
         cfg = toy_config()
