@@ -213,12 +213,6 @@ def evaluate(model: SvmModel, features: np.ndarray, labels: np.ndarray) -> EvalR
     return EvalReport(accuracy=accuracy, confusion=confusion, per_class_accuracy=per_class)
 
 
-def primal_objective(w: np.ndarray, x: np.ndarray, y: np.ndarray, c: float) -> float:
-    """0.5 ||w||^2 + C * sum max(0, 1 - y w.x)^2 (no bias)."""
-    margins = np.maximum(0.0, 1.0 - y * (x @ w))
-    return 0.5 * float(w @ w) + c * float(margins @ margins)
-
-
 def save_model(path, model: SvmModel):
     with open(path, "wb") as fh:
         fh.write(MODEL_MAGIC)

@@ -33,6 +33,16 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
+# INI keys by section, each with the config field it sets.  A key's flag
+# stores under the key; an INI value takes the type of the field's default.
+_FIELDS = {
+    "network": {"classes": "n_classes", "d1": "d1", "levels": "n_T", "length": "n_F",
+                "eps": "eps", "lambda_reg": "lambda_reg"},
+    "train": {"batch_size": "batch_size", "learning_rate": "learning_rate", "epochs": "epochs",
+              "seed": "seed"},
+}
+
+
 def _load_config_file(path):
     if path is None:
         return {}
@@ -43,37 +53,31 @@ def _load_config_file(path):
     merged = {}
     for section in parser.sections():
         for key, value in parser.items(section):
+            if key not in _FIELDS.get(section, {}):
+                raise ConfigError(f"--config file {path}: unknown key {key} in [{section}]")
             merged[f"{section}.{key}"] = value
     return merged
 
 
-def _cfg_get(filecfg, key, flag_value, default, cast):
-    if flag_value is not None:
-        return flag_value
-    if key in filecfg:
-        return cast(filecfg[key])
-    return default
+def _configure(config, section, args, filecfg):
+    """``config`` with the fields set by a flag, else by the INI section; the
+    dataclass defaults the rest."""
+    fields = {}
+    for key, field in _FIELDS[section].items():
+        value = getattr(args, key)
+        if value is None and f"{section}.{key}" in filecfg:
+            value = type(getattr(config, field))(filecfg[f"{section}.{key}"])
+        if value is not None:
+            fields[field] = value
+    return config(**fields)
 
 
 def build_network_config(args, filecfg) -> NetworkConfig:
-    mode = _cfg_get(filecfg, "network.classes", args.classes, 14, int)
-    return NetworkConfig(
-        d1=_cfg_get(filecfg, "network.d1", args.d1, 9, int),
-        n_T=_cfg_get(filecfg, "network.levels", args.levels, 3, int),
-        n_F=_cfg_get(filecfg, "network.length", args.length, 171, int),
-        eps=_cfg_get(filecfg, "network.eps", args.eps, 1e-4, float),
-        lambda_reg=_cfg_get(filecfg, "network.lambda_reg", args.lambda_reg, 1e-4, float),
-        n_classes=mode,
-    )
+    return _configure(NetworkConfig, "network", args, filecfg)
 
 
 def build_train_config(args, filecfg) -> TrainConfig:
-    return TrainConfig(
-        batch_size=_cfg_get(filecfg, "train.batch_size", args.batch_size, 30, int),
-        learning_rate=_cfg_get(filecfg, "train.learning_rate", args.lr, 0.01, float),
-        epochs=_cfg_get(filecfg, "train.epochs", args.epochs, 20, int),
-        seed=_cfg_get(filecfg, "train.seed", args.seed, 0, int),
-    )
+    return _configure(TrainConfig, "train", args, filecfg)
 
 
 def _split_by_trial(sequences, per_class: int, source: str):
@@ -110,8 +114,7 @@ def _load_sequences(args, cfg: NetworkConfig):
         return _split_by_trial(sequences, args.per_class, "--cache")
     sequences = data.load_dhg(args.data)
     sequences = [data.resample(s, cfg.n_F, args.resample_method) for s in sequences]
-    split_obj = data.dhg_split(sequences, args.data)
-    return split_obj.train, split_obj.test
+    return data.dhg_split(sequences, args.data)
 
 
 def _add_data_flags(sub):
@@ -145,7 +148,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-reg", type=float, help="temporal covariance ridge")
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", type=float, dest="learning_rate")
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", required=True)
 

@@ -52,12 +52,6 @@ class GestureSequence:
         return self.label_28 if n_classes == 28 else self.label_14
 
 
-@dataclass
-class DatasetSplit:
-    train: list
-    test: list
-
-
 def _parse_skeleton_file(path: Path) -> np.ndarray:
     rows = []
     with open(path) as fh:
@@ -136,8 +130,9 @@ def _read_split_file(path: Path) -> set[tuple[int, int, int, int]]:
     return keys
 
 
-def dhg_split(sequences, root) -> DatasetSplit:
-    """Apply the official train/test list files found under root."""
+def dhg_split(sequences, root) -> tuple[list, list]:
+    """Apply the official train/test list files found under root; returns
+    (train, test)."""
     root = Path(root)
     train_keys = _read_split_file(root / "train_gestures.txt")
     test_keys = _read_split_file(root / "test_gestures.txt")
@@ -145,10 +140,7 @@ def dhg_split(sequences, root) -> DatasetSplit:
     missing = (train_keys | test_keys) - set(by_key)
     if missing:
         raise ConfigError(f"{len(missing)} split entries have no sequence, e.g. {sorted(missing)[0]}")
-    return DatasetSplit(
-        train=[by_key[k] for k in sorted(train_keys)],
-        test=[by_key[k] for k in sorted(test_keys)],
-    )
+    return [by_key[k] for k in sorted(train_keys)], [by_key[k] for k in sorted(test_keys)]
 
 
 def resample(seq: GestureSequence, target_len: int = DEFAULT_LENGTH, method: str = INTERPOLATE) -> GestureSequence:

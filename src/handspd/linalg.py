@@ -51,14 +51,13 @@ class EigenPair(NamedTuple):
 class SpectralFn(NamedTuple):
     """A scalar map and its derivative, lifted to symmetric matrices.
 
-    ``dd(a, b)``, when given, is the divided difference (f(a) - f(b)) / (a - b)
-    in a form that stays accurate at close a, b; without it the adjoint
-    takes the raw quotient.
+    ``dd(a, b)`` is the divided difference (f(a) - f(b)) / (a - b) for
+    a != b, in a form that stays accurate at close a, b.
     """
 
     f: Callable[[np.ndarray], np.ndarray]
     df: Callable[[np.ndarray], np.ndarray]
-    dd: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    dd: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _log_dd(a, b):
@@ -68,8 +67,6 @@ def _log_dd(a, b):
 
 
 LOG = SpectralFn(np.log, lambda x: 1.0 / x, _log_dd)
-EXP = SpectralFn(np.exp, np.exp)
-IDENTITY = SpectralFn(lambda x: x, lambda x: np.ones_like(x))
 
 
 def gram_log_fn(eps: float) -> SpectralFn:
@@ -119,14 +116,18 @@ def sym_eig_batch(s: np.ndarray, *, context: str = "sym_eig_batch") -> EigenPair
     return EigenPair(vecs, vals)
 
 
-def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None) -> np.ndarray:
+def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None, axes: tuple = ()) -> np.ndarray:
+    """f(values); a non-finite result raises ``SpectralDomainError`` at the first
+    such eigenvalue, with its 1-based index on each leading axis named in ``axes``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = fn.f(values)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        offending = float(np.asarray(values)[bad].ravel()[0])
+        first = np.argwhere(bad)[0]
+        offending = float(values[tuple(first)])
+        where = "".join(f", {axis} {i + 1}" for axis, i in zip(axes, first))
         raise SpectralDomainError(
-            f"spectral function undefined at eigenvalue {offending!r}",
+            f"spectral function undefined at eigenvalue {offending!r}{where}",
             eigenvalue=offending,
             context=context,
         )
@@ -157,8 +158,8 @@ def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     """Divided-difference kernel K(i,j) of the Daleckii-Krein chain rule.
 
     K(i,j) = (f(l_i) - f(l_j)) / (l_i - l_j) away from ties, through
-    ``fn.dd`` where given, which stays accurate to rounding at close
-    eigenvalues above the guard; within the guard
+    ``fn.dd``, which stays accurate to rounding at close eigenvalues above
+    the guard; within the guard
     tau = 1e-10 * max(1, |l_i|, |l_j|) it switches to f'((l_i+l_j)/2), the
     exact limit value, avoiding catastrophic cancellation.  Each pair i < j
     is evaluated once and mirrored (K is exactly symmetric); K(i,i) = f'(l_i).
@@ -167,11 +168,7 @@ def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     li, lj = values[..., rows], values[..., cols]
     near = np.abs(li - lj) <= 1e-10 * np.maximum(1.0, np.maximum(np.abs(li), np.abs(lj)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        if fn.dd is not None:
-            quotient = fn.dd(li, lj)
-        else:
-            fv = _apply_fn(fn, values)
-            quotient = (fv[..., rows] - fv[..., cols]) / (li - lj)
+        quotient = fn.dd(li, lj)
     pairs = np.where(near, fn.df(0.5 * (li + lj)), quotient)
     k = np.concatenate([fn.df(values), pairs], axis=-1)[..., slot]
     return k.reshape(values.shape + values.shape[-1:])

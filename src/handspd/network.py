@@ -128,11 +128,6 @@ class NetworkParams:
     fc_weight: np.ndarray  # (n_classes, feature_dim)
     fc_bias: np.ndarray    # (n_classes,)
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            self.conv.copy(), self.spat.copy(), self.fc_weight.copy(), self.fc_bias.copy()
-        )
-
     def zeros_like(self) -> "NetworkParams":
         return NetworkParams(
             np.zeros_like(self.conv),
@@ -274,7 +269,8 @@ def _frame_log(vectors: np.ndarray, eps: float):
     With B^T B = U diag(l) U^T and P = B U, the factor in the Gram
     eigenbasis (X2 = P P^T, P^T P = diag(l)),
     log max(X2, eps) = log(eps) I + P diag(h(l)) P^T, h from
-    ``linalg.gram_log_fn``.  Returns (that log, P, eig(B^T B), h(l)).
+    ``linalg.gram_log_fn``.  Returns (that log, P, eig(B^T B), h(l)); an
+    overflowing h is located on V's leading (finger, frame) axes.
     """
     n, d = vectors.shape[-2:]
     factor = np.zeros(vectors.shape[:-2] + (d + 1, n))
@@ -282,7 +278,7 @@ def _frame_log(vectors: np.ndarray, eps: float):
     factor[..., d, n - 1] = 1.0
     gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, context="frame_log(gram)")
     p = factor @ gram_eig.vectors
-    h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, "frame_log(gram)")
+    h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, "frame_log(gram)", ("finger", "frame"))
     y = (p * h[..., None, :]) @ np.swapaxes(p, -1, -2)
     idx = np.arange(d + 1)
     y[..., idx, idx] += np.log(eps)
@@ -327,8 +323,9 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     ``EigenDecompositionError`` naming the layer when an eigensolver fails
     (finite coordinates so large that the frame Gram overflows), and
     ``SpectralDomainError`` naming the layer where a spectral function is
-    undefined or overflows: ``frame_log(gram)`` (coordinates near 1e152) or
-    ``log_eig(final_spd)`` (a non-positive aggregated eigenvalue).
+    undefined or overflows: ``frame_log(gram)`` (coordinates near 1e152;
+    the message names the finger and frame) or ``log_eig(final_spd)`` (a
+    non-positive aggregated eigenvalue).
     """
     graph = graph or cfg.graph()
     frames = _as_frames(seq)

@@ -24,9 +24,9 @@ gradient is A^T times the output gradient pushed through the filters.
 A reduced hand (fewer fingers / shorter chains, same topology) is supported
 for desk-scale tests.
 
-Operand contract: the convolution and its adjoint take finite coordinates
-of shape (..., n_joints, 3) and (3, d1, 3) filters, and do not check
-them; ``network.forward`` checks its input once, with ``InvalidInput``.
+Operand contract: the convolution, its adjoint and the partition take
+finite coordinates (..., n_joints, 3), (3, d1, 3) filters and conv output,
+and check none of them; ``network.forward`` checks its input once.
 """
 
 from __future__ import annotations
@@ -135,8 +135,5 @@ def finger_partition(features: np.ndarray, graph: HandGraph = DEFAULT_GRAPH) -> 
     Returns (..., n_fingers, joints_per_finger, d1); fingers in joint-index
     order, which is exactly the chain order of the graph.
     """
-    features = np.asarray(features, dtype=np.float64)
-    if features.shape[-2] != graph.n_out_nodes:
-        raise InvalidInput(f"expected {graph.n_out_nodes} node features, got {features.shape}")
     shape = features.shape[:-2] + (graph.n_fingers, graph.joints_per_finger, features.shape[-1])
     return features.reshape(shape)

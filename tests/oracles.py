@@ -103,9 +103,19 @@ def clamp_eig(x, eps):
     return vecs @ np.diag(np.where(vals > eps, vals, eps)) @ vecs.T
 
 
-# A scalar map and its derivative; duck-types handspd.linalg.SpectralFn, whose
-# kernel then takes the raw divided difference (no ``dd``).
-SpectralFn = namedtuple("SpectralFn", "f df dd", defaults=(None,))
+# A scalar map, its derivative and its divided difference; duck-types
+# handspd.linalg.SpectralFn.
+SpectralFn = namedtuple("SpectralFn", "f df dd")
+
+
+def raw_quotient_fn(f, df):
+    """SpectralFn whose divided difference is the raw quotient
+    (f(a) - f(b)) / (a - b), which cancels at close a, b."""
+    return SpectralFn(f, df, lambda a, b: (f(a) - f(b)) / (a - b))
+
+
+EXP = raw_quotient_fn(np.exp, np.exp)
+IDENTITY = raw_quotient_fn(lambda x: x, np.ones_like)
 
 
 def reeig_log_fn(eps):
@@ -114,7 +124,7 @@ def reeig_log_fn(eps):
     The derivative is 1/x for x >= eps and 0 below (subgradient 1 of the
     rectifier at x == eps).
     """
-    return SpectralFn(
+    return raw_quotient_fn(
         lambda x: np.log(np.maximum(x, eps)),
         lambda x: np.where(x >= eps, 1.0 / np.maximum(x, eps), 0.0),
     )
@@ -122,8 +132,8 @@ def reeig_log_fn(eps):
 
 def loewner_reference(values, fn):
     """Divided-difference kernel of one spectrum, every pair (i, j) written
-    out: fn.dd(l_i, l_j) where given, else the raw quotient, and f' at the
-    midpoint within a relative 1e-10 of a tie."""
+    out: fn.dd(l_i, l_j), and f' at the midpoint within a relative 1e-10 of
+    a tie."""
     m = len(values)
     kernel = np.zeros((m, m))
     for i in range(m):
@@ -131,10 +141,8 @@ def loewner_reference(values, fn):
             a, b = values[i], values[j]
             if abs(a - b) <= 1e-10 * max(1.0, abs(a), abs(b)):
                 kernel[i, j] = fn.df(0.5 * (a + b))
-            elif fn.dd is not None:
-                kernel[i, j] = fn.dd(a, b)
             else:
-                kernel[i, j] = (fn.f(a) - fn.f(b)) / (a - b)
+                kernel[i, j] = fn.dd(a, b)
     return kernel
 
 

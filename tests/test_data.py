@@ -206,10 +206,10 @@ class TestDiskLoading:
         (tmp_path / "train_gestures.txt").write_text("1 1 1 1 extra tokens\n2 2 1 1\n")
         (tmp_path / "test_gestures.txt").write_text("1 1 1 2\n")
         seqs = data.load_dhg(tmp_path)
-        split = data.dhg_split(seqs, tmp_path)
-        assert len(split.train) == 2
-        assert len(split.test) == 1
-        assert split.test[0].trial == 2
+        train, test = data.dhg_split(seqs, tmp_path)
+        assert len(train) == 2
+        assert len(test) == 1
+        assert test[0].trial == 2
 
     def test_split_entry_without_sequence_rejected(self, tmp_path):
         frames = _valid_frames(3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -163,8 +165,7 @@ class TestForward:
         params = optim.init_params(cfg, seed=0)
         frames = np.zeros((cfg.n_F, cfg.n_joints, 3))
         for spat in (params.spat[:, :, :3], params.spat[:2]):
-            bad = params.copy()
-            bad.spat = spat
+            bad = dataclasses.replace(params, spat=spat)
             with pytest.raises(InvalidInput, match="spat"):
                 network.forward(frames, bad, cfg)
 
@@ -175,8 +176,7 @@ class TestForward:
         for name, shape in (("fc_weight", (cfg.n_classes, cfg.feature_dim - 1)),
                             ("fc_weight", (cfg.n_classes + 1, cfg.feature_dim)),
                             ("fc_bias", (cfg.n_classes + 1,))):
-            bad = params.copy()
-            setattr(bad, name, np.zeros(shape))
+            bad = dataclasses.replace(params, **{name: np.zeros(shape)})
             with pytest.raises(InvalidInput, match=name):
                 network.forward(frames, bad, cfg)
 
@@ -234,12 +234,18 @@ class TestDegenerateInput:
     @pytest.mark.parametrize("scale", [1e3, 1e-3])
     def test_rescaled_coordinates_give_finite_features(self, scale):
         # eps and lambda_reg are absolute, so the features change with the
-        # unit of the coordinates, but they stay finite.
+        # unit of the coordinates, but they stay finite.  Shrinking the
+        # coordinates shrinks the frame Gram spectra, so more of them fall
+        # under eps.
         cfg = NetworkConfig()
         params = optim.init_params(cfg, seed=3)
         frames = np.random.default_rng(3).standard_normal((cfg.n_F, cfg.n_joints, 3))
-        feature = network.extract_feature(scale * frames, params, cfg)
-        assert np.all(np.isfinite(feature))
+        _, _, tape = network.forward(scale * frames, params, cfg)
+        assert np.all(np.isfinite(tape.feature))
+        if scale < 1:
+            _, _, unit = network.forward(frames, params, cfg)
+            clamped = np.mean(tape.frame_eig.values <= cfg.eps)
+            assert clamped > np.mean(unit.frame_eig.values <= cfg.eps)
 
     def test_overflowing_coordinates_give_a_typed_error(self):
         # Finite coordinates at 1e160 pass the input check, but the frame
@@ -258,11 +264,20 @@ class TestDegenerateInput:
         # log, not the final LogEig that the NaN would otherwise reach.
         cfg = NetworkConfig()
         params = optim.init_params(cfg, seed=0)
-        frames = np.random.default_rng(0).standard_normal((cfg.n_F, cfg.n_joints, 3)) * 1e152
+        frames = np.random.default_rng(0).standard_normal((cfg.n_F, cfg.n_joints, 3))
+        with pytest.raises(SpectralDomainError) as err:
+            network.forward(frames * 1e152, params, cfg)
+        assert err.value.context == "frame_log(gram)"
+        assert err.value.eigenvalue > 1e300
+        assert "finger 1, frame 1 [frame_log(gram)]" in str(err.value)
+        # One finger's 4 joints in one frame: the error names that finger and frame.
+        finger, frame = 3, 41
+        first = 2 + (finger - 1) * cfg.joints_per_finger
+        frames[frame - 1, first : first + cfg.joints_per_finger] *= 1e152
         with pytest.raises(SpectralDomainError) as err:
             network.forward(frames, params, cfg)
         assert err.value.context == "frame_log(gram)"
-        assert err.value.eigenvalue > 1e300
+        assert f"finger {finger}, frame {frame} [frame_log(gram)]" in str(err.value)
 
 
 class TestBackward:

@@ -1,0 +1,57 @@
+"""Every public module-level name of the package has a caller.
+
+A name defined at module level in ``src/handspd/*.py`` without a leading
+underscore must be referenced somewhere in ``src/`` other than its own
+definition, or by ``perfbench/``.  Code that only tests use belongs in
+``tests/``.  A reference is a loaded name, an attribute, an imported name, or
+a string that is exactly the name (the benchmark wraps attributes by name);
+the strings of ``__all__`` do not count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "handspd"
+ALLOWED = {"__all__", "__version__"}
+
+
+def _defined(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def _referenced(tree: ast.Module):
+    exported = {
+        id(elt)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for elt in ast.walk(node.value)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported:
+            yield node.value
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    referenced = {name for tree in trees.values() for name in _referenced(tree)}
+    unused = [
+        f"{path.stem}.{name}"
+        for path, tree in trees.items()
+        if path.parent == PACKAGE
+        for name in _defined(tree)
+        if not name.startswith("_") and name not in ALLOWED and name not in referenced
+    ]
+    assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"

@@ -154,7 +154,3 @@ class TestFingerPartition:
     def test_default_shape(self):
         parts = skeleton.finger_partition(np.zeros((7, 20, 9)))
         assert parts.shape == (7, 5, 4, 9)
-
-    def test_wrong_node_count_rejected(self):
-        with pytest.raises(InvalidInput):
-            skeleton.finger_partition(np.zeros((19, 9)))
