@@ -66,7 +66,14 @@ def _configure(config, section, args, filecfg):
     for key, field in _FIELDS[section].items():
         value = getattr(args, key)
         if value is None and f"{section}.{key}" in filecfg:
-            value = type(getattr(config, field))(filecfg[f"{section}.{key}"])
+            kind, text = type(getattr(config, field)), filecfg[f"{section}.{key}"]
+            try:
+                value = kind(text)
+            except ValueError:
+                raise ConfigError(
+                    f"--config file {args.config}: {key} = {text!r} in [{section}]"
+                    f" is not a valid {kind.__name__}"
+                ) from None
         if value is not None:
             fields[field] = value
     return config(**fields)

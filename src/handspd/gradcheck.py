@@ -18,6 +18,7 @@ import zlib
 import numpy as np
 
 from . import linalg, network, optim, skeleton, spd_ops
+from .data import GestureSequence
 from .network import NetworkConfig
 from .skeleton import HandGraph
 
@@ -150,7 +151,9 @@ def _check_network(rng):
     graph = cfg.graph()
     params = optim.init_params(cfg, seed=int(rng.integers(1 << 31)))
     batch = [
-        (rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), int(rng.integers(1, cfg.n_classes + 1)))
+        GestureSequence(
+            rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), int(rng.integers(1, cfg.n_classes + 1))
+        )
         for _ in range(2)
     ]
 

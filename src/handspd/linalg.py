@@ -79,9 +79,8 @@ def gram_log_fn(eps: float) -> SpectralFn:
     at exactly x == eps it takes the rectifier's subgradient 1.  For
     a, b > eps the divided difference is (b L(a, b) - log(b / eps)) / (a b),
     L the LOG divided difference, which does not cancel at close a, b.
+    eps > 0 is ``NetworkConfig``'s check.
     """
-    if eps <= 0:
-        raise InvalidInput("rectification threshold must be positive")
 
     def h(x):
         top = np.maximum(x, eps)

@@ -185,9 +185,8 @@ class LayerTape:
 
 
 def pyramid_split(n_F: int, n_T: int) -> list[tuple[int, int]]:
-    """Level-major even subdivision: level i contributes i ranges tiling [1, n_F]."""
-    if n_T < 1 or n_F < n_T:
-        raise InvalidInput(f"need n_F >= n_T >= 1, got n_F={n_F}, n_T={n_T}")
+    """Level-major even subdivision: level i contributes i ranges tiling [1, n_F]
+    (n_F >= n_T >= 1, which ``NetworkConfig`` checks)."""
     ranges = []
     for level in range(1, n_T + 1):
         for j in range(1, level + 1):
@@ -207,19 +206,6 @@ def pyramid_segments(ranges: list[tuple[int, int]], n_F: int) -> tuple[np.ndarra
     te = np.array([r[1] for r in ranges])[:, None]
     inside = (cuts[:-1] >= tb) & (cuts[1:] <= te)
     return cuts, inside / (te - tb)
-
-
-def _as_frames(seq) -> np.ndarray:
-    if isinstance(seq, tuple):
-        seq = seq[0]
-    frames = getattr(seq, "frames", seq)
-    return np.asarray(frames, dtype=np.float64)
-
-
-def _label_of(seq, n_classes: int) -> int:
-    if isinstance(seq, tuple):
-        return int(seq[1])
-    return int(seq.label(n_classes))
 
 
 def _with_ones(z: np.ndarray) -> np.ndarray:
@@ -315,7 +301,8 @@ def _check_input(frames: np.ndarray, params: NetworkParams, cfg: NetworkConfig):
 
 
 def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
-    """Run the full pipeline; returns (logits, final_spd, tape).
+    """Run the full pipeline on one sequence, a ``data.GestureSequence`` or
+    a bare (n_F, n_joints, 3) frame array; returns (logits, final_spd, tape).
 
     Raises ``InvalidInput`` for a frame stack not of shape
     (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
@@ -328,7 +315,7 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     non-positive aggregated eigenvalue).
     """
     graph = graph or cfg.graph()
-    frames = _as_frames(seq)
+    frames = np.asarray(getattr(seq, "frames", seq), dtype=np.float64)
     _check_input(frames, params, cfg)
 
     feats = skeleton.graph_conv(frames, params.conv, graph)        # (n_F, n_out, d1)
@@ -423,8 +410,9 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 def loss_and_backward(batch, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None, with_logits: bool = False):
     """Mean softmax cross-entropy over a batch plus full parameter gradients.
 
-    Batch items are GestureSequence-like objects (``.frames`` plus labels)
-    or (frames, label) tuples; labels are 1-based.
+    Batch items are ``data.GestureSequence``s; ``item.label(cfg.n_classes)``
+    is the 1-based class.  Each item runs through ``forward`` and ``backward``
+    in batch order, and the gradients are summed in that order.
     """
     if not batch:
         raise InvalidInput("batch must be non-empty")
@@ -433,7 +421,7 @@ def loss_and_backward(batch, params: NetworkParams, cfg: NetworkConfig, graph: H
     loss = 0.0
     all_logits = []
     for item in batch:
-        label = _label_of(item, cfg.n_classes)
+        label = item.label(cfg.n_classes)
         if not 1 <= label <= cfg.n_classes:
             raise InvalidInput(f"label {label} outside [1, {cfg.n_classes}]")
         logits, _, tape = forward(item, params, cfg, graph)

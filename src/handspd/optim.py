@@ -107,7 +107,7 @@ def train(
             loss, grads, logits = network.loss_and_backward(
                 batch, params, net_cfg, graph, with_logits=True
             )
-            labels = np.array([network._label_of(s, net_cfg.n_classes) for s in batch])
+            labels = np.array([s.label(net_cfg.n_classes) for s in batch])
             correct += int((logits.argmax(axis=1) + 1 == labels).sum())
             epoch_loss += loss * len(batch)
             params = apply_gradients(params, grads, train_cfg.learning_rate)

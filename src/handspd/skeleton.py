@@ -4,18 +4,22 @@ per-finger partition of its output.
 Joint numbering is 1-based: wrist = 1, palm = 2, then one chain of
 consecutive indices per finger, base to tip (thumb {3..6}, index {7..10},
 middle {11..14}, ring {15..18}, pinky {19..22} for the default hand).
-The palm connects to the wrist and to every finger base; consecutive
-indices within a finger are connected; every node neighbors itself.
 
-The convolution at node i sums over graph neighbors j with |j - i| <= 1,
-using one 3-vector filter per (label, channel) where the label is
-1 for j == i, 2 for j == i + 1 and 3 for j == i - 1.  Output features are
-produced for the finger joints only (nodes 3..n_joints); node 3 is the
-single node whose label-3 neighbor is the palm.
+The convolution at finger node i sums over its neighbors j with
+|j - i| <= 1, using one 3-vector filter per (label, channel) where the
+label is 1 for j == i, 2 for j == i + 1 and 3 for j == i - 1.  Output
+features are produced for the finger joints only (nodes 3..n_joints).
 
-The graph is held as one fixed 0/1 label-incidence matrix A of shape
-(3 * n_out_nodes, n_joints): row 3*o + (label-1) picks out-node o's
-neighbor of that label.  The convolution is then two matrix products,
+The graph is its 0/1 label-incidence matrix A of shape
+(3 * n_out_nodes, n_joints), built straight from these label rules for
+out-node i = o + 3:
+    row 3o      i itself;
+    row 3o + 1  i + 1, when it is in the same finger chain;
+    row 3o + 2  i - 1, when it is in the same finger chain, or the palm
+                for node 3 (the thumb base);
+a row with no such neighbor is zero.  The skeleton's other edges (wrist to
+palm, palm to the later finger bases) have |j - i| > 1, so no label and no
+part in the convolution.  The convolution is then two matrix products,
 (A @ frame) reshaped to (n_out_nodes, 9) times the (9, d1) stacked
 filters, and its adjoint is two more: the weight gradient is the gathered
 coordinates' transpose times the output gradient, and the coordinate
@@ -46,42 +50,28 @@ class HandGraph:
     joints_per_finger: int = 4
     # Derived, filled in __post_init__.
     n_joints: int = field(init=False)
-    neighbors: tuple = field(init=False)          # 1-based adjacency incl. self
     out_nodes: tuple = field(init=False)          # 1-based nodes with output features
     # (3 * n_out_nodes, n_joints) 0/1: row 3*o + (label-1) selects out-node
     # o's neighbor of that label, or is zero when there is none.
     incidence: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # The sizes may come from a checkpoint file.
         if self.n_fingers < 1 or self.joints_per_finger < 2:
             raise InvalidInput("need at least one finger with two joints")
         n = 2 + self.n_fingers * self.joints_per_finger
-        edges = {i: {i} for i in range(1, n + 1)}
-
-        def connect(a, b):
-            edges[a].add(b)
-            edges[b].add(a)
-
-        connect(1, 2)
-        for f in range(self.n_fingers):
-            base = 3 + f * self.joints_per_finger
-            chain = range(base, base + self.joints_per_finger)
-            connect(2, base)
-            for a, b in zip(chain, chain[1:]):
-                connect(a, b)
-
-        out_nodes = tuple(range(3, n + 1))
-        incidence = np.zeros((N_LABELS * len(out_nodes), n))
-        for o, i in enumerate(out_nodes):
-            # Labels 1, 2, 3: the node itself, i + 1, i - 1.
-            for label, j in enumerate((i, i + 1, i - 1)):
-                if j in edges[i]:
-                    incidence[N_LABELS * o + label, j - 1] = 1.0
+        o = np.arange(n - 2)                      # out-node o is joint o + 3, column o + 2
+        place = o % self.joints_per_finger        # its place along its finger, base 0
+        incidence = np.zeros((n - 2, N_LABELS, n))
+        incidence[o, 0, o + 2] = 1.0
+        succ = o[place < self.joints_per_finger - 1]
+        incidence[succ, 1, succ + 3] = 1.0
+        pred = o[(place > 0) | (o == 0)]
+        incidence[pred, 2, pred + 1] = 1.0
 
         object.__setattr__(self, "n_joints", n)
-        object.__setattr__(self, "neighbors", tuple(frozenset(edges[i]) for i in range(1, n + 1)))
-        object.__setattr__(self, "out_nodes", out_nodes)
-        object.__setattr__(self, "incidence", incidence)
+        object.__setattr__(self, "out_nodes", tuple(range(3, n + 1)))
+        object.__setattr__(self, "incidence", incidence.reshape(N_LABELS * (n - 2), n))
 
     @property
     def n_out_nodes(self) -> int:

@@ -17,8 +17,6 @@ from functools import cache
 
 import numpy as np
 
-from .errors import InvalidInput
-
 
 def half_vec_dim(d: int) -> int:
     return d * (d + 1) // 2
@@ -55,9 +53,6 @@ def half_vec_adjoint(g: np.ndarray, dim: int) -> np.ndarray:
 
     Supports batched input (..., dim(dim+1)/2) -> (..., dim, dim).
     """
-    length = g.shape[-1]
-    if half_vec_dim(dim) != length:
-        raise InvalidInput(f"length {length} is not a triangular number for dim {dim}")
     _, scale, slot = _triu_maps(dim)
     # Off-diagonal mass splits evenly between (i,j) and (j,i): sqrt(2)/2.
     return (g / scale)[..., slot].reshape(g.shape[:-1] + (dim, dim))

@@ -173,24 +173,26 @@ def hand_edges(n_fingers, joints_per_finger):
     return neigh
 
 
-def graph_conv_reference(frame, weights, n_fingers=5, joints_per_finger=4):
-    """One frame of the convolution; sums over graph neighbors with |j-i| <= 1."""
+def conv_labels(n_fingers, joints_per_finger):
+    """{i: [(j, label), ...]} for every finger node i: its graph neighbors j
+    with |j-i| <= 1, labelled 1 for j == i, 2 for j == i+1, 3 for j == i-1."""
     neigh = hand_edges(n_fingers, joints_per_finger)
     n = 2 + n_fingers * joints_per_finger
+    return {
+        i: [(j, {0: 1, 1: 2, -1: 3}[j - i]) for j in sorted(neigh[i]) if abs(j - i) <= 1]
+        for i in range(3, n + 1)
+    }
+
+
+def graph_conv_reference(frame, weights, n_fingers=5, joints_per_finger=4):
+    """One frame of the convolution; sums over graph neighbors with |j-i| <= 1."""
+    labels = conv_labels(n_fingers, joints_per_finger)
     d1 = weights.shape[1]
-    out = np.zeros((n - 2, d1))
-    for i in range(3, n + 1):
+    out = np.zeros((len(labels), d1))
+    for i, labelled in labels.items():
         for c in range(d1):
             acc = 0.0
-            for j in sorted(neigh[i]):
-                if abs(j - i) > 1:
-                    continue
-                if j == i:
-                    label = 1
-                elif j - i == 1:
-                    label = 2
-                else:
-                    label = 3
+            for j, label in labelled:
                 acc += weights[label - 1, c] @ frame[j - 1]
             out[i - 3, c] = acc
     return out

@@ -81,8 +81,8 @@ def test_spd_invariants(stiefel_checked_steps):
     # the fixture raises if any step leaves ||WW^T - I||_inf >= 1e-8.
     cfg = toy_config()
     dataset = [
-        (np.random.default_rng(k).standard_normal((cfg.n_F, cfg.n_joints, 3)),
-         k % cfg.n_classes + 1)
+        data.GestureSequence(np.random.default_rng(k).standard_normal((cfg.n_F, cfg.n_joints, 3)),
+                             k % cfg.n_classes + 1)
         for k in range(12)
     ]
     params, _ = optim.train(

@@ -1,10 +1,12 @@
-"""The benchmark's span map against the program.
+"""The benchmark's span map and calls against the program.
 
 ``perfbench/workloads.py`` wraps module attributes of the program by name
 (``trace_program``).  A renamed or deleted attribute would crash a traced
 benchmark run; here it fails the test suite instead.  The file is loaded by
 path, as ``perfbench/run.py`` loads the oracles, and its tracer is replaced
-by one that only checks each name.
+by one that only checks each name.  The workloads also rely on how they call
+the program: positional arguments, return arities, and the ``train``
+latency stamp wrapping ``network.forward``; the last test checks those.
 """
 
 import importlib.util
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from handspd import optim
+from handspd import network, optim
+from handspd.data import GestureSequence
 from handspd.gradcheck import toy_config
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
@@ -61,3 +64,32 @@ def test_one_retraction_per_step_through_the_wrapped_name(monkeypatch):
     grads = params.from_vector(np.random.default_rng(0).standard_normal(params.to_vector().size))
     optim.apply_gradients(params, grads, 0.01)
     assert calls == [(cfg.n_L, cfg.d_spat, cfg.temp_dim)]
+
+
+def test_call_signatures_and_the_per_sequence_forward(monkeypatch):
+    # The train workload calls loss_and_backward(batch, params, cfg, graph)
+    # and unpacks two values; its latency stamp wraps the module attribute
+    # network.forward and expects one call per item, in batch order.  The
+    # extract workload calls extract_feature(seq, params, cfg, graph).
+    cfg = toy_config()
+    graph = cfg.graph()
+    params = optim.init_params(cfg, seed=0)
+    rng = np.random.default_rng(0)
+    batch = [
+        GestureSequence(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), k % cfg.n_classes + 1)
+        for k in range(3)
+    ]
+    feature = network.extract_feature(batch[0], params, cfg, graph)
+    assert isinstance(feature, np.ndarray) and feature.shape == (cfg.feature_dim,)
+
+    seen = []
+    forward = network.forward
+
+    def counted(seq, *args, **kwargs):
+        seen.append(seq)
+        return forward(seq, *args, **kwargs)
+
+    monkeypatch.setattr(network, "forward", counted)
+    out = network.loss_and_backward(batch, params, cfg, graph)
+    assert isinstance(out, tuple) and len(out) == 2
+    assert [id(seq) for seq in seen] == [id(seq) for seq in batch]

@@ -57,6 +57,20 @@ class TestArgumentHandling:
         assert f"--config file {ini}: unknown key {key} in [{section}]" in capsys.readouterr().err
         assert not (tmp_path / "cache.npz").exists()
 
+    @pytest.mark.parametrize("section, key, value, kind", [
+        ("network", "d1", "abc", "int"),
+        ("train", "learning_rate", "fast", "float"),
+    ], ids=["int", "float"])
+    def test_malformed_config_value_is_config_error(self, section, key, value, kind, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_text(f"[{section}]\n{key} = {value}\n")
+        out_dir = tmp_path / "out"
+        code = run_cli("--config", str(ini), "train", *TOY_DATA, "--out-dir", str(out_dir))
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"--config file {ini}: {key} = '{value}' in [{section}] is not a valid {kind}" in err
+        assert not out_dir.exists()
+
     def test_config_file_sets_every_field_and_flags_override(self, tmp_path):
         ini = tmp_path / "run.ini"
         ini.write_text(

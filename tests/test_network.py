@@ -56,12 +56,6 @@ class TestPyramidSplit:
             assert covered == list(range(tb, te + 1))
             assert np.all(row[inside] == 1.0 / (te - tb + 1))
 
-    def test_invalid_arguments(self):
-        with pytest.raises(InvalidInput):
-            network.pyramid_split(2, 3)
-        with pytest.raises(InvalidInput):
-            network.pyramid_split(5, 0)
-
 
 class TestNetworkConfig:
     def test_default_dimensions(self):
@@ -132,14 +126,14 @@ class TestForward:
         _, _, tape = network.forward(frames, params, cfg)
         assert np.array_equal(network.extract_feature(frames, params, cfg), tape.feature)
 
-    def test_accepts_sequence_objects_and_tuples(self):
+    def test_accepts_sequence_objects_and_frame_arrays(self):
         cfg, params, frames = self._toy_case(2)
         seq = GestureSequence(frames, label_14=1)
         ref, _, _ = network.forward(frames, params, cfg)
         via_obj, _, _ = network.forward(seq, params, cfg)
-        via_tuple, _, _ = network.forward((frames, 1), params, cfg)
         assert np.array_equal(ref, via_obj)
-        assert np.array_equal(ref, via_tuple)
+        assert np.array_equal(network.extract_feature(seq, params, cfg),
+                              network.extract_feature(frames, params, cfg))
 
     def test_wrong_shape_rejected(self):
         cfg, params, frames = self._toy_case()
@@ -286,7 +280,7 @@ class TestBackward:
         rng = np.random.default_rng(0)
         params = optim.init_params(cfg, seed=0)
         batch = [
-            (rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), int(rng.integers(1, 4)))
+            GestureSequence(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), int(rng.integers(1, 4)))
             for _ in range(2)
         ]
         _, grads = network.loss_and_backward(batch, params, cfg)
@@ -331,7 +325,7 @@ class TestBackward:
         cfg = toy_config()
         rng = np.random.default_rng(1)
         params = optim.init_params(cfg, seed=1)
-        batch = [(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), 2)]
+        batch = [GestureSequence(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), 2)]
         loss0, grads = network.loss_and_backward(batch, params, cfg)
         stepped = params.from_vector(params.to_vector() - 1e-3 * grads.to_vector())
         loss1, _ = network.loss_and_backward(batch, stepped, cfg)
@@ -343,9 +337,9 @@ class TestBackward:
         params = optim.init_params(cfg, seed=0)
         frames = rng.standard_normal((cfg.n_F, cfg.n_joints, 3))
         with pytest.raises(InvalidInput):
-            network.loss_and_backward([(frames, 0)], params, cfg)
+            network.loss_and_backward([GestureSequence(frames, 0)], params, cfg)
         with pytest.raises(InvalidInput):
-            network.loss_and_backward([(frames, cfg.n_classes + 1)], params, cfg)
+            network.loss_and_backward([GestureSequence(frames, cfg.n_classes + 1)], params, cfg)
         with pytest.raises(InvalidInput):
             network.loss_and_backward([], params, cfg)
 
@@ -353,7 +347,7 @@ class TestBackward:
         cfg = toy_config()
         rng = np.random.default_rng(3)
         params = optim.init_params(cfg, seed=0)
-        batch = [(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), 1) for _ in range(3)]
+        batch = [GestureSequence(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), 1) for _ in range(3)]
         loss, grads, logits = network.loss_and_backward(batch, params, cfg, with_logits=True)
         assert logits.shape == (3, cfg.n_classes)
         loss2, grads2 = network.loss_and_backward(batch, params, cfg)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from handspd import network, optim
+from handspd.data import GestureSequence
 from handspd.errors import InvalidInput, RankError
 from handspd.gradcheck import toy_config
 from handspd.linalg import qr_orthonormalize
@@ -168,7 +169,7 @@ def _toy_dataset(cfg, n, seed=0):
         label = k % cfg.n_classes + 1
         base = np.zeros((cfg.n_F, cfg.n_joints, 3))
         base[..., 0] += label  # separable offset per class
-        out.append((base + 0.1 * rng.standard_normal(base.shape), label))
+        out.append(GestureSequence(base + 0.1 * rng.standard_normal(base.shape), label))
     return out
 
 

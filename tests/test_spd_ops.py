@@ -164,12 +164,6 @@ class TestReEig:
             out = _reeig_log(s, 1e-4)
             assert np.exp(np.linalg.eigvalsh(out).min()) >= 1e-4 * (1 - 1e-6)
 
-    def test_rejects_nonpositive_threshold(self):
-        with pytest.raises(InvalidInput):
-            linalg.gram_log_fn(0.0)
-        with pytest.raises(InvalidInput):
-            linalg.gram_log_fn(-1.0)
-
 
 class TestLogEig:
     """The logarithm half of the dense ReEig+LogEig reference map."""
@@ -256,10 +250,6 @@ class TestHalfVec:
         g = rng.standard_normal(spd_ops.half_vec_dim(4))
         back = spd_ops.half_vec(spd_ops.half_vec_adjoint(g, 4))
         assert np.abs(back - g).max() < 1e-14
-
-    def test_adjoint_rejects_non_triangular_length(self):
-        with pytest.raises(InvalidInput):
-            spd_ops.half_vec_adjoint(np.ones(5), 3)
 
     def test_dim_formula(self):
         assert [spd_ops.half_vec_dim(d) for d in (1, 2, 10, 56)] == [1, 3, 55, 1596]
