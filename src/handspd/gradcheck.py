@@ -64,10 +64,10 @@ def _check_gauss_range(rng):
     # ranges and the segment sums are checked too.
     n_f, n_t, d, lambda_reg = 7, 3, 4, 0.1
     z = rng.standard_normal((2, n_f, d))
-    ranges = network.pyramid_split(n_f, n_t)
-    cot = linalg.symmetrize(rng.standard_normal((2, len(ranges), d + 1, d + 1)))
-    analytic = network._gauss_backward_batched(z, ranges, cot)
-    numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, ranges, lambda_reg))), z)
+    n_q = len(network.pyramid_split(n_f, n_t))
+    cot = linalg.symmetrize(rng.standard_normal((2, n_q, d + 1, d + 1)))
+    analytic = network._gauss_backward_batched(z, n_t, cot)
+    numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, n_t, lambda_reg))), z)
     return rel_error(analytic, numeric)
 
 

@@ -102,17 +102,25 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def sym_eig_batch(s: np.ndarray, *, context: str = "sym_eig_batch") -> EigenPair:
+def sym_eig_batch(s: np.ndarray, *, context: str = "sym_eig_batch", axes: tuple = ()) -> EigenPair:
     """Batched eigendecomposition of symmetric (..., d, d) arrays.
 
     No input validation; caller guarantees symmetry and finiteness.  A
-    LAPACK failure raises ``EigenDecompositionError`` naming ``context``.
+    LAPACK failure raises ``EigenDecompositionError`` naming ``context`` and
+    the first matrix that fails alone, by its 1-based index on each leading
+    axis named in ``axes``.
     """
     try:
         vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(f"{exc} [{context}]") from exc
+        failed = next((i for i in np.ndindex(s.shape[:-2]) if _fails(np.linalg.eigh, s[i])), ())
+        raise EigenDecompositionError(f"{exc}{_located(axes, failed)} [{context}]") from exc
     return EigenPair(vecs, vals)
+
+
+def _located(axes: tuple, index) -> str:
+    """The 1-based ``index`` on each axis named in ``axes``: ", finger 2, frame 7"."""
+    return "".join(f", {axis} {i + 1}" for axis, i in zip(axes, index))
 
 
 def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None, axes: tuple = ()) -> np.ndarray:
@@ -124,9 +132,8 @@ def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None, ax
     if np.any(bad):
         first = np.argwhere(bad)[0]
         offending = float(values[tuple(first)])
-        where = "".join(f", {axis} {i + 1}" for axis, i in zip(axes, first))
         raise SpectralDomainError(
-            f"spectral function undefined at eigenvalue {offending!r}{where}",
+            f"spectral function undefined at eigenvalue {offending!r}{_located(axes, first)}",
             eigenvalue=offending,
             context=context,
         )
@@ -208,7 +215,7 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     try:
         q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
     except np.linalg.LinAlgError as exc:
-        failed = next((i for i in np.ndindex(m.shape[:-2]) if _qr_fails(m[i])), None)
+        failed = next((i for i in np.ndindex(m.shape[:-2]) if _fails(np.linalg.qr, m[i])), None)
         where = "the stack" if failed is None else _matrix_name(failed)
         raise QRDecompositionError(f"QR factorization failed: {exc} [{where}]") from exc
     _reject(~(np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(r).all(axis=(-2, -1))),
@@ -221,9 +228,9 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(q * sign[..., None, :], -1, -2))
 
 
-def _qr_fails(a: np.ndarray) -> bool:
+def _fails(decompose: Callable, a: np.ndarray) -> bool:
     try:
-        np.linalg.qr(a)
+        decompose(a)
     except np.linalg.LinAlgError:
         return True
     return False

@@ -15,13 +15,14 @@ shape (d1+1) x J, H the J x (J-1) Helmert basis of zero-sum vectors, so the
 nonzero spectrum of X2 is that of the J x J Gram matrix B^T B = U diag(l) U^T.
 The forward pass decomposes it, never X2, and keeps P = B U and h(l); the
 backward pass is one chain-rule pass in that eigenbasis.  The temporal pyramid
-(``_batched_gauss`` and its adjoint) cuts the frames at every range
-boundary into disjoint segments, takes each segment's raw moment of
-[z, 1] once and sums the moments of each range.  ``tests/oracles.py`` holds
-a straight-line per-equation reference, dense eigendecompositions included,
-that the batched path is checked against.  ``forward`` checks its input
-once (frame shape, finite coordinates, every parameter shape); the layers
-below it assume that check passed and validate nothing.
+(``_batched_gauss`` and its adjoint, given n_T) cuts the frames at every
+boundary of its ``pyramid_split`` ranges into disjoint segments, takes each
+segment's raw moment of [z, 1] once and sums the moments of each range.
+``tests/oracles.py`` holds a straight-line per-equation reference, dense
+eigendecompositions included, that the batched path is checked against.
+``forward`` checks its input once (frame shape, finite coordinates, every
+parameter shape); the layers below it assume that check passed and
+validate nothing.
 
 Checkpoint format (little-endian):
     magic b"SPDN" | uint32 version=1
@@ -128,14 +129,6 @@ class NetworkParams:
     fc_weight: np.ndarray  # (n_classes, feature_dim)
     fc_bias: np.ndarray    # (n_classes,)
 
-    def zeros_like(self) -> "NetworkParams":
-        return NetworkParams(
-            np.zeros_like(self.conv),
-            np.zeros_like(self.spat),
-            np.zeros_like(self.fc_weight),
-            np.zeros_like(self.fc_bias),
-        )
-
     def add_(self, other: "NetworkParams") -> "NetworkParams":
         self.conv += other.conv
         self.spat += other.spat
@@ -177,11 +170,9 @@ class LayerTape:
     frame_eig: EigenPair          # (U, l) of the Gram matrices B^T B, batched
     frame_h: np.ndarray           # (S, n_F, J) h(l), gram_log_fn
     z: np.ndarray                 # (S, n_F, half_dim)
-    ranges: list                  # pyramid (t_b, t_e), 1-based inclusive
     temp_outputs: np.ndarray      # (n_L, D, D) SPDTempAgg outputs X4
     final_eig: EigenPair          # of the SPDSpatAgg output
     feature: np.ndarray           # (feature_dim,) FC input
-    logits: np.ndarray            # (n_classes,)
 
 
 def pyramid_split(n_F: int, n_T: int) -> list[tuple[int, int]]:
@@ -194,13 +185,15 @@ def pyramid_split(n_F: int, n_T: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def pyramid_segments(ranges: list[tuple[int, int]], n_F: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cut [1, n_F] at every range boundary into disjoint segments.
+def pyramid_segments(n_F: int, n_T: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cut [1, n_F] at every boundary of the ``pyramid_split`` ranges into
+    disjoint segments.
 
     Returns the 0-based cuts (segment s is frames cuts[s]+1 .. cuts[s+1],
     1-based) and the (n_Q, n_seg) weights: 1/n_q where segment s lies in
     range q of n_q frames, else 0.  Every range is a union of segments.
     """
+    ranges = pyramid_split(n_F, n_T)
     cuts = np.array(sorted({0, n_F} | {tb - 1 for tb, _ in ranges} | {te for _, te in ranges}))
     tb = np.array([r[0] for r in ranges])[:, None] - 1
     te = np.array([r[1] for r in ranges])[:, None]
@@ -213,15 +206,16 @@ def _with_ones(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z, np.ones(z.shape[:-1] + (1,))], axis=-1)
 
 
-def _batched_gauss(z: np.ndarray, ranges: list[tuple[int, int]], lambda_reg: float) -> np.ndarray:
-    """Biased Gaussian embedding of every pyramid range of frames (..., n_F, d).
+def _batched_gauss(z: np.ndarray, n_T: int, lambda_reg: float) -> np.ndarray:
+    """Biased Gaussian embedding of every range of the n_T-level pyramid over
+    the frames (..., n_F, d).
 
     Returns (..., n_Q, d+1, d+1) with range q's
     [[Sigma + lambda_reg*I + mu mu^T, mu], [mu^T, 1]] = M_q / n_q + ridge,
     M_q = [z, 1]^T [z, 1] over its frames, the sum of its segments' moments
     (``pyramid_segments``): each frame enters one segment moment.
     """
-    cuts, weights = pyramid_segments(ranges, z.shape[-2])
+    cuts, weights = pyramid_segments(z.shape[-2], n_T)
     zt = _with_ones(z)
     dim = zt.shape[-1]
     moments = np.stack(
@@ -229,7 +223,7 @@ def _batched_gauss(z: np.ndarray, ranges: list[tuple[int, int]], lambda_reg: flo
         axis=-3,
     )
     out = (weights @ moments.reshape(moments.shape[:-2] + (dim * dim,))).reshape(
-        moments.shape[:-3] + (len(ranges), dim, dim)
+        moments.shape[:-3] + (len(weights), dim, dim)
     )
     idx = np.arange(dim - 1)
     out[..., idx, idx] += lambda_reg
@@ -256,15 +250,17 @@ def _frame_log(vectors: np.ndarray, eps: float):
     eigenbasis (X2 = P P^T, P^T P = diag(l)),
     log max(X2, eps) = log(eps) I + P diag(h(l)) P^T, h from
     ``linalg.gram_log_fn``.  Returns (that log, P, eig(B^T B), h(l)); an
-    overflowing h is located on V's leading (finger, frame) axes.
+    eigensolver failure or an overflowing h is located on V's leading
+    (finger, frame) axes.
     """
     n, d = vectors.shape[-2:]
     factor = np.zeros(vectors.shape[:-2] + (d + 1, n))
     factor[..., :d, :] = np.swapaxes(vectors, -1, -2) @ _frame_basis(n)
     factor[..., d, n - 1] = 1.0
-    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, context="frame_log(gram)")
+    axes = ("finger", "frame")
+    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, context="frame_log(gram)", axes=axes)
     p = factor @ gram_eig.vectors
-    h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, "frame_log(gram)", ("finger", "frame"))
+    h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, "frame_log(gram)", axes)
     y = (p * h[..., None, :]) @ np.swapaxes(p, -1, -2)
     idx = np.arange(d + 1)
     y[..., idx, idx] += np.log(eps)
@@ -308,7 +304,8 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
     shape does not match ``cfg.param_shapes()``, and
     ``EigenDecompositionError`` naming the layer when an eigensolver fails
-    (finite coordinates so large that the frame Gram overflows), and
+    (finite coordinates so large that the frame Gram overflows; the message
+    names the finger and frame), and
     ``SpectralDomainError`` naming the layer where a spectral function is
     undefined or overflows: ``frame_log(gram)`` (coordinates near 1e152;
     the message names the finger and frame) or ``log_eig(final_spd)`` (a
@@ -325,8 +322,7 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     y3, frame_factor, frame_eig, frame_h = _frame_log(fingers, cfg.eps)
     z = spd_ops.half_vec(y3)                                       # (S, n_F, hv)
 
-    ranges = pyramid_split(cfg.n_F, cfg.n_T)
-    temp = _batched_gauss(z, ranges, cfg.lambda_reg)               # (S, n_Q, D, D)
+    temp = _batched_gauss(z, cfg.n_T, cfg.lambda_reg)              # (S, n_Q, D, D)
     temp_flat = temp.reshape(cfg.n_L, cfg.temp_dim, cfg.temp_dim)
 
     final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
@@ -341,11 +337,9 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
         frame_eig=frame_eig,
         frame_h=frame_h,
         z=z,
-        ranges=ranges,
         temp_outputs=temp_flat,
         final_eig=final_eig,
         feature=feature,
-        logits=logits,
     )
     return logits, final_spd, tape
 
@@ -356,7 +350,7 @@ def extract_feature(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandG
     return tape.feature
 
 
-def _gauss_backward_batched(z: np.ndarray, ranges: list[tuple[int, int]], grad_out: np.ndarray) -> np.ndarray:
+def _gauss_backward_batched(z: np.ndarray, n_T: int, grad_out: np.ndarray) -> np.ndarray:
     """Adjoint of ``_batched_gauss``: gradients w.r.t. the frames (..., n_F, d)
     given grad_out (..., n_Q, d+1, d+1).
 
@@ -365,7 +359,7 @@ def _gauss_backward_batched(z: np.ndarray, ranges: list[tuple[int, int]], grad_o
     trailing coordinate's column is dropped.  The symmetrization keeps this
     the exact adjoint of M = [z, 1]^T [z, 1] for any grad_out, symmetric or not.
     """
-    cuts, weights = pyramid_segments(ranges, z.shape[-2])
+    cuts, weights = pyramid_segments(z.shape[-2], n_T)
     zt = _with_ones(z)
     dim = zt.shape[-1]
     a = linalg.symmetrize(
@@ -391,7 +385,7 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
     dtemp, dspat = spd_ops.spd_spat_agg_backward(tape.temp_outputs, params.spat, dfinal)
     dtemp = dtemp.reshape(cfg.n_fingers, cfg.n_Q, cfg.temp_dim, cfg.temp_dim)
 
-    dz = _gauss_backward_batched(tape.z, tape.ranges, dtemp)
+    dz = _gauss_backward_batched(tape.z, cfg.n_T, dtemp)
     dy3 = spd_ops.half_vec_adjoint(dz, cfg.frame_spd_dim)
     dfingers = _frame_log_backward(dy3, tape.frame_factor, tape.frame_eig, tape.frame_h, cfg.eps)
     dfeats = np.ascontiguousarray(dfingers.transpose(1, 0, 2, 3)).reshape(
@@ -412,12 +406,13 @@ def loss_and_backward(batch, params: NetworkParams, cfg: NetworkConfig, graph: H
 
     Batch items are ``data.GestureSequence``s; ``item.label(cfg.n_classes)``
     is the 1-based class.  Each item runs through ``forward`` and ``backward``
-    in batch order, and the gradients are summed in that order.
+    in batch order, and the gradients are summed in that order, into the
+    first item's.
     """
     if not batch:
         raise InvalidInput("batch must be non-empty")
     graph = graph or cfg.graph()
-    total = params.zeros_like()
+    total = None
     loss = 0.0
     all_logits = []
     for item in batch:
@@ -432,7 +427,7 @@ def loss_and_backward(batch, params: NetworkParams, cfg: NetworkConfig, graph: H
         dlogits[label - 1] -= 1.0
         dlogits /= len(batch)
         grads, _ = backward(dlogits, tape, params, cfg, graph)
-        total.add_(grads)
+        total = grads if total is None else total.add_(grads)
         if with_logits:
             all_logits.append(logits)
     if with_logits:

@@ -29,8 +29,9 @@ A reduced hand (fewer fingers / shorter chains, same topology) is supported
 for desk-scale tests.
 
 Operand contract: the convolution, its adjoint and the partition take
-finite coordinates (..., n_joints, 3), (3, d1, 3) filters and conv output,
-and check none of them; ``network.forward`` checks its input once.
+the ``HandGraph`` (``NetworkConfig.graph()`` builds a config's), finite
+coordinates (..., n_joints, 3), (3, d1, 3) filters and conv output, and
+check none of them; ``network.forward`` checks its input once.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ class HandGraph:
     joints_per_finger: int = 4
     # Derived, filled in __post_init__.
     n_joints: int = field(init=False)
-    out_nodes: tuple = field(init=False)          # 1-based nodes with output features
     # (3 * n_out_nodes, n_joints) 0/1: row 3*o + (label-1) selects out-node
     # o's neighbor of that label, or is zero when there is none.
     incidence: np.ndarray = field(init=False, repr=False, compare=False)
@@ -70,15 +70,11 @@ class HandGraph:
         incidence[pred, 2, pred + 1] = 1.0
 
         object.__setattr__(self, "n_joints", n)
-        object.__setattr__(self, "out_nodes", tuple(range(3, n + 1)))
         object.__setattr__(self, "incidence", incidence.reshape(N_LABELS * (n - 2), n))
 
     @property
     def n_out_nodes(self) -> int:
-        return len(self.out_nodes)
-
-
-DEFAULT_GRAPH = HandGraph()
+        return self.n_joints - 2
 
 
 def _gather(frame: np.ndarray, graph: HandGraph) -> np.ndarray:
@@ -91,7 +87,7 @@ def _stack_filters(weights: np.ndarray) -> np.ndarray:
     return weights.transpose(0, 2, 1).reshape(3 * N_LABELS, weights.shape[1])
 
 
-def graph_conv(frame: np.ndarray, weights: np.ndarray, graph: HandGraph = DEFAULT_GRAPH) -> np.ndarray:
+def graph_conv(frame: np.ndarray, weights: np.ndarray, graph: HandGraph) -> np.ndarray:
     """Per-node features: sum over labeled neighbors of w_label^T p_j.
 
     frame: (..., n_joints, 3); weights: (3, d1, 3) indexed [label-1, channel].
@@ -104,7 +100,7 @@ def graph_conv_backward(
     frame: np.ndarray,
     weights: np.ndarray,
     grad_out: np.ndarray,
-    graph: HandGraph = DEFAULT_GRAPH,
+    graph: HandGraph,
 ):
     """Exact adjoint of graph_conv: (coordinate gradients, weight gradients)
     for grad_out of graph_conv's output shape."""
@@ -119,7 +115,7 @@ def graph_conv_backward(
     return graph.incidence.T @ grad_gathered, grad_weights
 
 
-def finger_partition(features: np.ndarray, graph: HandGraph = DEFAULT_GRAPH) -> np.ndarray:
+def finger_partition(features: np.ndarray, graph: HandGraph) -> np.ndarray:
     """Split conv output (..., n_out_nodes, d1) into per-finger blocks.
 
     Returns (..., n_fingers, joints_per_finger, d1); fingers in joint-index

@@ -111,7 +111,6 @@ def test_dimension_ledger():
         and cfg.frame_spd_dim == 10
         and cfg.half_dim == 55
         and cfg.n_Q == 6
-        and len(tape.ranges) == 6
         and cfg.n_L == 30
         and tape.temp_outputs.shape == (30, 56, 56)
         and final_spd.shape == (56, 56)

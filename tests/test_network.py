@@ -2,11 +2,11 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from handspd import data, linalg, network, optim, skeleton
 from handspd.data import GestureSequence
-from handspd.errors import EigenDecompositionError, InvalidInput, SpectralDomainError
+from handspd.errors import EigenDecompositionError, HandSpdError, InvalidInput, SpectralDomainError
 from handspd.gradcheck import fd_grad, rel_error, toy_config
 from handspd.network import NetworkConfig
 
@@ -47,7 +47,7 @@ class TestPyramidSplit:
     def test_segments_tile_the_sequence_and_compose_every_range(self, size):
         n_f, n_t = size
         ranges = network.pyramid_split(n_f, n_t)
-        cuts, weights = network.pyramid_segments(ranges, n_f)
+        cuts, weights = network.pyramid_segments(n_f, n_t)
         assert cuts[0] == 0 and cuts[-1] == n_f and np.all(np.diff(cuts) > 0)
         assert weights.shape == (len(ranges), len(cuts) - 1)
         for (tb, te), row in zip(ranges, weights):
@@ -250,7 +250,48 @@ class TestDegenerateInput:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(EigenDecompositionError) as err:
                 network.forward(frames * 1e160, params, cfg)
-        assert "frame_log(gram)" in str(err.value)
+        assert "finger 1, frame 1 [frame_log(gram)]" in str(err.value)
+        # One finger's 4 joints in one frame: the error names that finger and frame.
+        finger, frame = 3, 41
+        first = 2 + (finger - 1) * cfg.joints_per_finger
+        frames[frame - 1, first : first + cfg.joints_per_finger] *= 1e160
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EigenDecompositionError) as err:
+                network.forward(frames, params, cfg)
+        assert f"finger {finger}, frame {frame} [frame_log(gram)]" in str(err.value)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        toy=st.booleans(),
+        ridge=st.booleans(),
+        shape=st.sampled_from(["random", "static", "zero", "collapsed finger", "collapsed hand"]),
+        exponent=st.integers(-150, 160),
+        seed=st.integers(0, 2**16),
+    )
+    def test_degenerate_hands_give_finite_features_or_typed_errors(self, toy, ridge, shape, exponent, seed):
+        cfg = toy_config() if toy else NetworkConfig()
+        if not ridge:
+            cfg = dataclasses.replace(cfg, lambda_reg=0.0)
+        params = optim.init_params(cfg, seed=0)
+        rng = np.random.default_rng(seed)
+        frames = rng.standard_normal((cfg.n_F, cfg.n_joints, 3))
+        if shape == "static":
+            frames[:] = frames[0]
+        elif shape == "zero":
+            frames[:] = 0.0
+        elif shape == "collapsed finger":
+            # The palm and one finger's joints at the origin.
+            first = 2 + seed % cfg.n_fingers * cfg.joints_per_finger
+            frames[:, [1, *range(first, first + cfg.joints_per_finger)]] = 0.0
+        elif shape == "collapsed hand":
+            # Every joint of a frame at that frame's wrist.
+            frames[:] = frames[:, :1]
+        try:
+            with np.errstate(all="ignore"):
+                feature = network.extract_feature(frames * 10.0**exponent, params, cfg)
+        except HandSpdError:
+            return
+        assert np.all(np.isfinite(feature))
 
     def test_huge_coordinates_name_the_frame_log(self):
         # At 1e152 the frame Gram stays finite, but h(l) = log(l / eps) / l
@@ -342,6 +383,23 @@ class TestBackward:
             network.loss_and_backward([GestureSequence(frames, cfg.n_classes + 1)], params, cfg)
         with pytest.raises(InvalidInput):
             network.loss_and_backward([], params, cfg)
+
+    @pytest.mark.parametrize("toy", [True, False])
+    def test_batch_gradients_are_the_in_order_sum_of_item_gradients(self, toy):
+        cfg = toy_config() if toy else NetworkConfig()
+        rng = np.random.default_rng(6)
+        params = optim.init_params(cfg, seed=6)
+        batch = [GestureSequence(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), k + 1) for k in range(3)]
+        _, grads = network.loss_and_backward(batch, params, cfg)
+        total = None
+        for item in batch:
+            logits, _, tape = network.forward(item, params, cfg)
+            dlogits = network.softmax(logits)
+            dlogits[item.label(cfg.n_classes) - 1] -= 1.0
+            dlogits /= len(batch)
+            item_grads = network.backward(dlogits, tape, params, cfg)[0].to_vector()
+            total = item_grads if total is None else total + item_grads
+        assert np.array_equal(grads.to_vector(), total)
 
     def test_with_logits_option(self):
         cfg = toy_config()

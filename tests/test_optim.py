@@ -158,7 +158,8 @@ class TestApplyGradients:
     def test_zero_gradients_leave_params_unchanged(self):
         cfg = toy_config()
         params = optim.init_params(cfg, seed=1)
-        new = optim.apply_gradients(params, params.zeros_like(), 0.01)
+        zeros = params.from_vector(np.zeros(params.to_vector().size))
+        new = optim.apply_gradients(params, zeros, 0.01)
         assert np.abs(new.to_vector() - params.to_vector()).max() < 1e-12
 
 

@@ -4,17 +4,19 @@ import pytest
 from handspd import skeleton
 from handspd.errors import InvalidInput
 from handspd.gradcheck import fd_grad, rel_error
-from handspd.skeleton import DEFAULT_GRAPH, HandGraph
+from handspd.skeleton import HandGraph
 
 import oracles
+
+HAND = HandGraph()  # the default 22-joint hand
 
 
 class TestHandGraphTopology:
     def test_default_counts(self):
-        assert DEFAULT_GRAPH.n_joints == 22
-        assert DEFAULT_GRAPH.n_out_nodes == 20
-        assert DEFAULT_GRAPH.incidence.shape == (60, 22)
-        assert HandGraph(5, 4) == DEFAULT_GRAPH and hash(HandGraph(5, 4)) == hash(DEFAULT_GRAPH)
+        assert HAND.n_joints == 22
+        assert HAND.n_out_nodes == 20
+        assert HAND.incidence.shape == (60, 22)
+        assert HandGraph(5, 4) == HAND and hash(HandGraph(5, 4)) == hash(HAND)
 
     @pytest.mark.parametrize("fingers,jpf", [(5, 4), (2, 3), (1, 2), (6, 6)])
     def test_incidence_matches_oracle(self, fingers, jpf):
@@ -33,7 +35,7 @@ class TestHandGraphTopology:
     def test_neighbor_labels(self):
         def labeled(i):
             # Out-node i's three incidence rows as sorted 1-based (joint, label) pairs.
-            rows = DEFAULT_GRAPH.incidence[3 * (i - 3) : 3 * (i - 2)]
+            rows = HAND.incidence[3 * (i - 3) : 3 * (i - 2)]
             assert set(np.unique(rows)) <= {0.0, 1.0} and np.all(rows.sum(axis=1) <= 1)
             return sorted((int(j) + 1, int(label) + 1) for label, j in zip(*np.nonzero(rows)))
 
@@ -67,24 +69,24 @@ class TestGraphConv:
 
     def test_output_shape(self):
         rng = np.random.default_rng(0)
-        out = skeleton.graph_conv(rng.standard_normal((22, 3)), rng.standard_normal((3, 9, 3)))
+        out = skeleton.graph_conv(rng.standard_normal((22, 3)), rng.standard_normal((3, 9, 3)), HAND)
         assert out.shape == (20, 9)
 
     def test_batched_equals_per_frame(self):
         rng = np.random.default_rng(1)
         frames = rng.standard_normal((6, 22, 3))
         weights = rng.standard_normal((3, 5, 3))
-        batched = skeleton.graph_conv(frames, weights)
+        batched = skeleton.graph_conv(frames, weights, HAND)
         for t in range(6):
-            assert np.array_equal(batched[t], skeleton.graph_conv(frames[t], weights))
+            assert np.array_equal(batched[t], skeleton.graph_conv(frames[t], weights, HAND))
 
     def test_linearity_in_coordinates(self):
         rng = np.random.default_rng(2)
         f1 = rng.standard_normal((22, 3))
         f2 = rng.standard_normal((22, 3))
         w = rng.standard_normal((3, 4, 3))
-        combined = skeleton.graph_conv(2.0 * f1 + 3.0 * f2, w)
-        separate = 2.0 * skeleton.graph_conv(f1, w) + 3.0 * skeleton.graph_conv(f2, w)
+        combined = skeleton.graph_conv(2.0 * f1 + 3.0 * f2, w, HAND)
+        separate = 2.0 * skeleton.graph_conv(f1, w, HAND) + 3.0 * skeleton.graph_conv(f2, w, HAND)
         assert np.abs(combined - separate).max() < 1e-10
 
     def test_backward_matches_finite_differences(self):
@@ -120,11 +122,11 @@ class TestGraphConv:
         # The conv is bilinear, so <G, conv(F, W)> equals both <dF, F> and
         # <dW, W> for the gradients (dF, dW) of that inner product.
         rng = np.random.default_rng(5)
-        frames = rng.standard_normal((171, DEFAULT_GRAPH.n_joints, 3))
+        frames = rng.standard_normal((171, HAND.n_joints, 3))
         weights = rng.standard_normal((3, 9, 3))
-        cot = rng.standard_normal((171, DEFAULT_GRAPH.n_out_nodes, 9))
-        gf, gw = skeleton.graph_conv_backward(frames, weights, cot)
-        inner = np.sum(cot * skeleton.graph_conv(frames, weights))
+        cot = rng.standard_normal((171, HAND.n_out_nodes, 9))
+        gf, gw = skeleton.graph_conv_backward(frames, weights, cot, HAND)
+        inner = np.sum(cot * skeleton.graph_conv(frames, weights, HAND))
         assert abs(np.sum(gf * frames) - inner) <= 1e-12 * abs(inner)
         assert abs(np.sum(gw * weights) - inner) <= 1e-12 * abs(inner)
 
@@ -138,10 +140,10 @@ class TestFingerPartition:
         assert np.array_equal(parts[0], feats[0:3])
         assert np.array_equal(parts[1], feats[3:6])
         # Partitioning the out-nodes' own joint ids yields each finger's chain.
-        ids = np.array(graph.out_nodes, dtype=float)[:, None]
+        ids = np.arange(3.0, graph.n_joints + 1)[:, None]
         assert skeleton.finger_partition(ids, graph)[..., 0].tolist() == [[3, 4, 5], [6, 7, 8]]
-        ids = np.array(DEFAULT_GRAPH.out_nodes, dtype=float)[:, None]
-        assert skeleton.finger_partition(ids)[..., 0].tolist() == [
+        ids = np.arange(3.0, HAND.n_joints + 1)[:, None]
+        assert skeleton.finger_partition(ids, HAND)[..., 0].tolist() == [
             [3, 4, 5, 6],
             [7, 8, 9, 10],
             [11, 12, 13, 14],
@@ -150,5 +152,5 @@ class TestFingerPartition:
         ]
 
     def test_default_shape(self):
-        parts = skeleton.finger_partition(np.zeros((7, 20, 9)))
+        parts = skeleton.finger_partition(np.zeros((7, 20, 9)), HAND)
         assert parts.shape == (7, 5, 4, 9)

@@ -15,8 +15,8 @@ import oracles
 
 
 def _single_range(vectors, lambda_reg=0.0):
-    """The pyramid's GaussAgg of an (n, d) set over its one range [(1, n)]."""
-    return network._batched_gauss(vectors[None], [(1, len(vectors))], lambda_reg)[0, 0]
+    """The pyramid's GaussAgg of an (n, d) set over its one range: n_T = 1."""
+    return network._batched_gauss(vectors[None], 1, lambda_reg)[0, 0]
 
 
 def _reeig_log(x, eps):
@@ -37,11 +37,10 @@ class TestGaussAgg:
         # n_F = 7, n_T = 3: overlapping ranges of 7, 3, 4, 2, 2 and 3 frames.
         rng = np.random.default_rng(4)
         z = rng.standard_normal((2, 7, 4))
-        ranges = network.pyramid_split(7, 3)
-        out = network._batched_gauss(z, ranges, 0.5)
+        out = network._batched_gauss(z, 3, 0.5)
         assert out.shape == (2, 6, 5, 5)
         for s in range(2):
-            for q, (tb, te) in enumerate(ranges):
+            for q, (tb, te) in enumerate(network.pyramid_split(7, 3)):
                 expected = oracles.gauss_agg_reference(z[s, tb - 1 : te], lambda_reg=0.5)
                 assert np.abs(out[s, q] - expected).max() < 1e-12
 
@@ -79,10 +78,9 @@ class TestGaussAgg:
         # Overlapping ranges: every frame enters three of the six.
         rng = np.random.default_rng(3)
         z = rng.standard_normal((2, 7, 3))
-        ranges = network.pyramid_split(7, 3)
         cot = rng.standard_normal((2, 6, 4, 4))
-        analytic = network._gauss_backward_batched(z, ranges, cot)
-        numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, ranges, 0.2))), z)
+        analytic = network._gauss_backward_batched(z, 3, cot)
+        numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, 3, 0.2))), z)
         assert rel_error(analytic, numeric) < 1e-7
 
 
