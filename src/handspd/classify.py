@@ -242,14 +242,15 @@ def load_model(path) -> SvmModel:
         c, tol = struct.unpack("<2d", _read(fh, path, 16))
         weights = np.frombuffer(_read(fh, path, 8 * k * d), dtype="<f8").astype(np.float64).reshape(k, d)
         model = SvmModel(weights=weights, C=c, tol=tol)
-        if version == 1:
-            return model
-        (r,) = struct.unpack("<q", _read(fh, path, 8))
-        if r not in (0, k):
-            raise InvalidInput(f"{path}: fit record for {r} of {k} classes")
-        passes, converged, dual = np.frombuffer(_read(fh, path, 24 * r), dtype="<f8").reshape(3, r)
-        model.passes, model.converged = passes.astype(int).tolist(), (converged == 1.0).tolist()
-        model.dual_history = [[v] for v in dual.tolist()]
+        if version == MODEL_VERSION:
+            (r,) = struct.unpack("<q", _read(fh, path, 8))
+            if r not in (0, k):
+                raise InvalidInput(f"{path}: fit record for {r} of {k} classes")
+            passes, converged, dual = np.frombuffer(_read(fh, path, 24 * r), dtype="<f8").reshape(3, r)
+            model.passes, model.converged = passes.astype(int).tolist(), (converged == 1.0).tolist()
+            model.dual_history = [[v] for v in dual.tolist()]
+        if fh.read(1):
+            raise InvalidInput(f"{path}: trailing bytes in model file")
     return model
 
 

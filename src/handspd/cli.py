@@ -196,7 +196,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--per-class", type=int, default=50)
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--length", type=int, default=171)
+    p.add_argument("--length", type=int, default=NetworkConfig.n_F)
     p.add_argument("--out", required=True)
     return parser
 
@@ -241,14 +241,9 @@ def cmd_train(args, filecfg) -> int:
     train_set, _ = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    optim.train(
-        train_set,
-        cfg,
-        tcfg,
-        checkpoint_dir=out_dir,
-        metrics_path=out_dir / "metrics.csv",
-        log=print,
-    )
+    params, metrics = optim.train(train_set, cfg, tcfg, log=print)
+    network.save_checkpoint(out_dir / "checkpoint_final.bin", params, cfg)
+    optim.write_metrics(out_dir / "metrics.csv", metrics)
     print(f"checkpoints and metrics written to {out_dir}")
     return EXIT_OK
 
@@ -325,7 +320,7 @@ def cmd_gradcheck(args, filecfg) -> int:
 
 def cmd_synth(args, filecfg) -> int:
     sequences = data.synth_generate(args.per_class, args.classes, args.noise,
-                                    args.seed, args.length)
+                                    args.seed, length=args.length)
     data.save_cache(args.out, sequences)
     print(f"wrote {len(sequences)} synthetic sequences to {args.out}")
     return EXIT_OK

@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInput, ParseError
 
 N_JOINTS = 22
-DEFAULT_LENGTH = 171
 
 INTERPOLATE = "interpolate"
 PAD_LAST = "pad-last"
@@ -143,7 +142,7 @@ def dhg_split(sequences, root) -> tuple[list, list]:
     return [by_key[k] for k in sorted(train_keys)], [by_key[k] for k in sorted(test_keys)]
 
 
-def resample(seq: GestureSequence, target_len: int = DEFAULT_LENGTH, method: str = INTERPOLATE) -> GestureSequence:
+def resample(seq: GestureSequence, target_len: int, method: str = INTERPOLATE) -> GestureSequence:
     """Normalize a sequence to target_len frames.
 
     ``interpolate`` (default): per-joint, per-coordinate piecewise-linear
@@ -240,7 +239,8 @@ def synth_generate(
     n_classes: int,
     noise_sigma: float = 0.01,
     seed: int = 0,
-    length: int = DEFAULT_LENGTH,
+    *,
+    length: int,
 ) -> list[GestureSequence]:
     """Labeled synthetic gestures: one motion prototype per class plus
     additive Gaussian coordinate noise.  Separable by construction."""

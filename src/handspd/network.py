@@ -49,6 +49,11 @@ from .skeleton import HandGraph
 
 CHECKPOINT_MAGIC = b"SPDN"
 CHECKPOINT_VERSION = 1
+# The header after the magic: the version, then these NetworkConfig fields.
+_HEADER = struct.Struct("<I7q2d")
+_HEADER_FIELDS = (
+    "d1", "n_T", "n_F", "n_classes", "d_spat", "n_fingers", "joints_per_finger", "eps", "lambda_reg",
+)
 
 
 @dataclass(frozen=True)
@@ -152,10 +157,10 @@ class NetworkParams:
             raise InvalidInput(f"vector length {vec.size}, expected {offset}")
         return NetworkParams(*out)
 
-    def validate_stiefel(self, tol: float = 1e-8):
+    def validate_stiefel(self):
         w = self.spat
         err = np.abs(w @ np.swapaxes(w, -1, -2) - np.eye(w.shape[-2])).max(axis=(-2, -1))
-        bad = np.flatnonzero(~(err < tol))  # NaN drift fails too
+        bad = np.flatnonzero(~(err < 1e-8))  # NaN drift fails too
         if bad.size:
             i = bad[0]
             raise InvalidInput(f"spat weight {i} is not row-orthonormal (err {err[i]:.2e})")
@@ -374,9 +379,10 @@ def _gauss_backward_batched(z: np.ndarray, n_T: int, grad_out: np.ndarray) -> np
 
 
 def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None):
-    """Reverse traversal of the tape; returns (grads, coordinate gradients).
+    """Reverse traversal of the tape; returns the ``NetworkParams`` gradients.
 
-    Gradients are Euclidean (un-projected) for the Stiefel parameters.
+    Gradients are Euclidean (un-projected) for the Stiefel parameters.  The
+    coordinates are the network's input, so no gradient goes back to them.
     """
     graph = graph or cfg.graph()
     dfeature = params.fc_weight.T @ dlogits
@@ -391,8 +397,8 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
     dfeats = np.ascontiguousarray(dfingers.transpose(1, 0, 2, 3)).reshape(
         cfg.n_F, graph.n_out_nodes, cfg.d1
     )
-    dframe, dconv = skeleton.graph_conv_backward(tape.frames, params.conv, dfeats, graph)
-    return NetworkParams(dconv, dspat, np.outer(dlogits, tape.feature), dlogits.copy()), dframe
+    dconv = skeleton.graph_conv_backward(tape.frames, dfeats, graph)
+    return NetworkParams(dconv, dspat, np.outer(dlogits, tape.feature), dlogits.copy())
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -426,7 +432,7 @@ def loss_and_backward(batch, params: NetworkParams, cfg: NetworkConfig, graph: H
         dlogits = p.copy()
         dlogits[label - 1] -= 1.0
         dlogits /= len(batch)
-        grads, _ = backward(dlogits, tape, params, cfg, graph)
+        grads = backward(dlogits, tape, params, cfg, graph)
         total = grads if total is None else total.add_(grads)
         if with_logits:
             all_logits.append(logits)
@@ -439,20 +445,7 @@ def save_checkpoint(path, params: NetworkParams, cfg: NetworkConfig):
     """Write the versioned binary checkpoint (layout in the module docstring)."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(
-            struct.pack(
-                "<7q",
-                cfg.d1,
-                cfg.n_T,
-                cfg.n_F,
-                cfg.n_classes,
-                cfg.d_spat,
-                cfg.n_fingers,
-                cfg.joints_per_finger,
-            )
-        )
-        fh.write(struct.pack("<2d", cfg.eps, cfg.lambda_reg))
+        fh.write(_HEADER.pack(CHECKPOINT_VERSION, *(getattr(cfg, name) for name in _HEADER_FIELDS)))
         for arr in (params.conv, params.spat, params.fc_weight, params.fc_bias):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
@@ -462,22 +455,13 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise InvalidInput(f"{path}: not a network checkpoint")
-        (version,) = struct.unpack("<I", fh.read(4))
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise InvalidInput(f"{path}: truncated checkpoint")
+        version, *values = _HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise InvalidInput(f"{path}: unsupported checkpoint version {version}")
-        d1, n_t, n_f, n_classes, d_spat, n_fingers, jpf = struct.unpack("<7q", fh.read(56))
-        eps, lambda_reg = struct.unpack("<2d", fh.read(16))
-        cfg = NetworkConfig(
-            d1=d1,
-            n_T=n_t,
-            n_F=n_f,
-            eps=eps,
-            lambda_reg=lambda_reg,
-            n_classes=n_classes,
-            n_fingers=n_fingers,
-            joints_per_finger=jpf,
-            d_spat=d_spat,
-        )
+        cfg = NetworkConfig(**dict(zip(_HEADER_FIELDS, values)))
         arrays = {}
         for name, shape in cfg.param_shapes().items():
             count = int(np.prod(shape))

@@ -7,7 +7,9 @@ Euclidean gradients into the tangent spaces, step, and retract the stack
 with one QR row-orthonormalization.  The conv and FC weights and the FC bias
 take plain SGD steps.  Nothing here checks shapes or the learning rate:
 ``TrainConfig`` rejects lr <= 0 and ``network.backward`` builds gradients in
-the parameters' shapes.
+the parameters' shapes.  ``train`` returns the parameters and per-epoch
+metrics and writes no file; its caller saves them (``network.save_checkpoint``,
+``write_metrics``).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from __future__ import annotations
 import csv
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -75,20 +76,12 @@ def apply_gradients(params: NetworkParams, grads: NetworkParams, lr: float) -> N
     )
 
 
-def train(
-    dataset,
-    net_cfg: NetworkConfig,
-    train_cfg: TrainConfig,
-    checkpoint_dir=None,
-    metrics_path=None,
-    log=None,
-):
+def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
     """SGD from ``init_params(net_cfg, train_cfg.seed)`` over the dataset;
-    returns (params, per-epoch metrics).
+    returns (params, per-epoch metrics) and writes no file.
 
-    Metrics rows carry epoch, mean_loss, train_accuracy and wall_seconds and
-    are optionally mirrored to a CSV file.  The trained parameters are
-    written to ``checkpoint_final.bin`` in ``checkpoint_dir`` when given.
+    Metrics rows carry epoch, mean_loss, train_accuracy and wall_seconds
+    (``write_metrics`` writes them as CSV).
     """
     if not dataset:
         raise InvalidInput("dataset must be non-empty")
@@ -120,10 +113,6 @@ def train(
         metrics.append(row)
         if log:
             log(f"epoch {epoch:3d}  loss {row['mean_loss']:.4f}  acc {row['train_accuracy']:.3f}")
-    if checkpoint_dir is not None:
-        network.save_checkpoint(Path(checkpoint_dir) / "checkpoint_final.bin", params, net_cfg)
-    if metrics_path is not None:
-        write_metrics(metrics_path, metrics)
     return params, metrics
 
 

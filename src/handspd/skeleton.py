@@ -21,14 +21,14 @@ a row with no such neighbor is zero.  The skeleton's other edges (wrist to
 palm, palm to the later finger bases) have |j - i| > 1, so no label and no
 part in the convolution.  The convolution is then two matrix products,
 (A @ frame) reshaped to (n_out_nodes, 9) times the (9, d1) stacked
-filters, and its adjoint is two more: the weight gradient is the gathered
-coordinates' transpose times the output gradient, and the coordinate
-gradient is A^T times the output gradient pushed through the filters.
+filters.  The coordinates are the network's input, never trained, so the
+backward pass forms the filter gradient only: one gather and one product,
+the gathered coordinates' transpose times the output gradient.
 
 A reduced hand (fewer fingers / shorter chains, same topology) is supported
 for desk-scale tests.
 
-Operand contract: the convolution, its adjoint and the partition take
+Operand contract: the convolution, its backward pass and the partition take
 the ``HandGraph`` (``NetworkConfig.graph()`` builds a config's), finite
 coordinates (..., n_joints, 3), (3, d1, 3) filters and conv output, and
 check none of them; ``network.forward`` checks its input once.
@@ -96,23 +96,13 @@ def graph_conv(frame: np.ndarray, weights: np.ndarray, graph: HandGraph) -> np.n
     return _gather(frame, graph) @ _stack_filters(weights)
 
 
-def graph_conv_backward(
-    frame: np.ndarray,
-    weights: np.ndarray,
-    grad_out: np.ndarray,
-    graph: HandGraph,
-):
-    """Exact adjoint of graph_conv: (coordinate gradients, weight gradients)
-    for grad_out of graph_conv's output shape."""
-    d1 = weights.shape[1]
-
+def graph_conv_backward(frame: np.ndarray, grad_out: np.ndarray, graph: HandGraph) -> np.ndarray:
+    """Filter gradients (3, d1, 3) of graph_conv for grad_out of its output
+    shape: the gathered coordinates' transpose times grad_out."""
+    d1 = grad_out.shape[-1]
     gathered = _gather(frame, graph).reshape(-1, 3 * N_LABELS)
     grad_stacked = gathered.T @ grad_out.reshape(-1, d1)          # (9, d1)
-    grad_weights = grad_stacked.reshape(N_LABELS, 3, d1).transpose(0, 2, 1)
-    grad_gathered = (grad_out @ _stack_filters(weights).T).reshape(
-        frame.shape[:-2] + (N_LABELS * graph.n_out_nodes, 3)
-    )
-    return graph.incidence.T @ grad_gathered, grad_weights
+    return grad_stacked.reshape(N_LABELS, 3, d1).transpose(0, 2, 1)
 
 
 def finger_partition(features: np.ndarray, graph: HandGraph) -> np.ndarray:

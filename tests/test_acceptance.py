@@ -258,9 +258,9 @@ def test_dhg_reproduction():
             "dhg-reproduction",
             "dataset not present; property-based criteria above stand in for it",
         )
-    sequences = [data.resample(s) for s in data.load_dhg(root)]
-    train, test = data.dhg_split(sequences, root)
     cfg = NetworkConfig(n_classes=14)
+    sequences = [data.resample(s, cfg.n_F) for s in data.load_dhg(root)]
+    train, test = data.dhg_split(sequences, root)
     params, _ = optim.train(train, cfg, TrainConfig())
     graph = cfg.graph()
     train_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in train])

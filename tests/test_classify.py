@@ -291,6 +291,21 @@ class TestModelSerialization:
         with pytest.raises(InvalidInput):
             classify.load_model(path)
 
+    def test_trailing_bytes_rejected(self, tmp_path):
+        weights = np.random.default_rng(3).standard_normal((2, 3))
+        v1 = tmp_path / "svm_v1.bin"
+        v1.write_bytes(
+            classify.MODEL_MAGIC + struct.pack("<I2q2d", 1, 2, 3, 1.0, 0.1)
+            + weights.astype("<f8").tobytes()
+        )
+        v2 = tmp_path / "svm.bin"
+        classify.save_model(v2, classify.SvmModel(weights=weights))
+        for path in (v1, v2):
+            classify.load_model(path)
+            path.write_bytes(path.read_bytes() + b"\x00" * 4)
+            with pytest.raises(InvalidInput, match="trailing bytes in model file"):
+                classify.load_model(path)
+
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "svm.bin"
         classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3))))

@@ -1,10 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from handspd import classify, cli, data, gradcheck, spd_ops
+from handspd import classify, cli, data, gradcheck, network, optim, spd_ops
 from handspd.errors import ConfigError
 from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
@@ -39,6 +41,15 @@ class TestArgumentHandling:
         code = run_cli("pipeline", *TOY_DATA, "--checkpoint", str(tmp_path / "no.bin"),
                        "--out-dir", str(tmp_path))
         assert code == cli.EXIT_CONFIG
+
+    def test_checkpoint_cut_in_its_header_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cut.bin"
+        cfg = gradcheck.toy_config()
+        network.save_checkpoint(path, optim.init_params(cfg), cfg)
+        path.write_bytes(path.read_bytes()[:20])
+        code = run_cli("extract", *TOY_DATA, "--checkpoint", str(path), "--out", str(tmp_path / "f.npz"))
+        assert code == cli.EXIT_CONFIG
+        assert "truncated checkpoint" in capsys.readouterr().err
 
     def test_invalid_network_option_value(self, tmp_path):
         code = run_cli("train", *TOY_DATA, "--d1", "0", "--out-dir", str(tmp_path))
@@ -253,7 +264,7 @@ class TestEndToEndCommands:
         assert "did not converge for classes 1 (2 passes), 3 (2 passes)" in err
 
     def test_overflowing_coordinates_exit_numerical(self, tmp_path, capsys):
-        sequences = data.synth_generate(2, 4, 0.01, 0, 8)
+        sequences = data.synth_generate(2, 4, 0.01, 0, length=8)
         for seq in sequences:
             seq.frames *= 1e160
         cache = tmp_path / "huge.npz"
@@ -274,7 +285,6 @@ class TestEndToEndCommands:
         out_dir = tmp_path / "out"
         code = run_cli("--config", str(ini), "train", *TOY_DATA, "--out-dir", str(out_dir))
         assert code == cli.EXIT_OK
-        from handspd import network
         _, cfg = network.load_checkpoint(out_dir / "checkpoint_final.bin")
         assert (cfg.d1, cfg.n_T, cfg.n_F, cfg.n_classes) == (2, 2, 8, 4)
 
@@ -312,10 +322,14 @@ class TestCacheSplit:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        # The child imports the package from where this process found it,
+        # installed or not.
+        paths = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         proc = subprocess.run(
             [sys.executable, "-m", "handspd.cli", "gradcheck", "--instances", "1",
              "--layer", "half_vec"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=env,
         )
         assert proc.returncode == 0
         assert "PASS" in proc.stdout

@@ -107,9 +107,9 @@ class TestSyntheticGenerator:
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidInput):
-            data.synth_generate(2, 9)
+            data.synth_generate(2, 9, length=8)
         with pytest.raises(InvalidInput):
-            data.synth_generate(0, 3)
+            data.synth_generate(0, 3, length=8)
 
 
 class TestCache:

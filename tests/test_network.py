@@ -397,7 +397,7 @@ class TestBackward:
             dlogits = network.softmax(logits)
             dlogits[item.label(cfg.n_classes) - 1] -= 1.0
             dlogits /= len(batch)
-            item_grads = network.backward(dlogits, tape, params, cfg)[0].to_vector()
+            item_grads = network.backward(dlogits, tape, params, cfg).to_vector()
             total = item_grads if total is None else total + item_grads
         assert np.array_equal(grads.to_vector(), total)
 
@@ -495,6 +495,19 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InvalidInput):
             network.load_checkpoint(path)
+
+    def test_every_prefix_rejected(self, tmp_path):
+        # A file cut inside the header is as truncated as one cut in the weights.
+        cfg = toy_config()
+        params = optim.init_params(cfg, seed=0)
+        path = tmp_path / "net.bin"
+        network.save_checkpoint(path, params, cfg)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.bin"
+        for n in range(4, len(blob)):
+            cut.write_bytes(blob[:n])
+            with pytest.raises(InvalidInput):
+                network.load_checkpoint(cut)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         cfg = toy_config()
