@@ -158,7 +158,10 @@ def svm_train(
     if present.size < 2:
         raise InvalidInput("training data contains a single class")
     if n_classes is None:
-        n_classes = int(labels.max())
+        n_classes = int(present[-1])
+    if present[0] < 1 or present[-1] > n_classes:
+        bad = present[0] if present[0] < 1 else present[-1]
+        raise InvalidInput(f"label {bad} outside [1, {n_classes}]")
     fit = (x, labels, _q_diagonal(x, C), C, tol, seed, max_passes)
     classes = range(1, n_classes + 1)
     workers = _worker_count(n_classes)
@@ -204,6 +207,11 @@ def evaluate(model: SvmModel, features: np.ndarray, labels: np.ndarray) -> EvalR
         raise InvalidInput("test set is empty")
     predicted = np.atleast_1d(svm_predict(model, features))
     k = model.n_classes
+    if predicted.shape != labels.shape:
+        raise InvalidInput(f"{predicted.size} feature rows with {labels.size} labels")
+    outside = labels[(labels < 1) | (labels > k)]
+    if outside.size:
+        raise InvalidInput(f"label {outside[0]} outside [1, {k}]")
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (labels - 1, predicted - 1), 1)
     totals = confusion.sum(axis=1)
@@ -225,10 +233,11 @@ def save_model(path, model: SvmModel):
 
 
 def _read(fh, path, size: int) -> bytes:
-    buf = fh.read(size)
-    if len(buf) != size:
+    """``size`` more bytes of the model file; checked against the file's
+    size first, so a header that claims a huge model reads nothing."""
+    if fh.tell() + size > os.fstat(fh.fileno()).st_size:
         raise InvalidInput(f"{path}: truncated model file")
-    return buf
+    return fh.read(size)
 
 
 def load_model(path) -> SvmModel:
@@ -239,6 +248,8 @@ def load_model(path) -> SvmModel:
         if version not in (1, MODEL_VERSION):
             raise InvalidInput(f"{path}: unsupported model version {version}")
         k, d = struct.unpack("<2q", _read(fh, path, 16))
+        if k < 1 or d < 1:
+            raise InvalidInput(f"{path}: model of {k} x {d} weights")
         c, tol = struct.unpack("<2d", _read(fh, path, 16))
         weights = np.frombuffer(_read(fh, path, 8 * k * d), dtype="<f8").astype(np.float64).reshape(k, d)
         model = SvmModel(weights=weights, C=c, tol=tol)

@@ -4,8 +4,9 @@ gradcheck / synth.
 Configuration comes from an optional INI-style config file (flat key=value
 under [network] and [train] sections) with command-line flags taking
 precedence; ``pipeline`` and ``extract`` take the network configuration
-from the checkpoint.  Exit codes: 0 success, 1 runtime numerical failure,
-2 configuration error.
+from the checkpoint.  ``pipeline`` runs the ``extract``, ``svm`` and ``eval``
+stages.  Exit codes: 0 success, 1 runtime numerical failure, 2 configuration
+error or a file that cannot be read, written or parsed (the message names it).
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ def _load_config_file(path):
     if path is None:
         return {}
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"--config file {path} not found")
+    with open(path) as fh:
+        try:
+            parser.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config file {path}: {exc}") from None
     merged = {}
     for section in parser.sections():
         for key, value in parser.items(section):
@@ -77,14 +80,6 @@ def _configure(config, section, args, filecfg):
         if value is not None:
             fields[field] = value
     return config(**fields)
-
-
-def build_network_config(args, filecfg) -> NetworkConfig:
-    return _configure(NetworkConfig, "network", args, filecfg)
-
-
-def build_train_config(args, filecfg) -> TrainConfig:
-    return _configure(TrainConfig, "train", args, filecfg)
 
 
 def _split_by_trial(sequences, per_class: int, source: str):
@@ -201,28 +196,20 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_path(value, flag):
-    if value and not Path(value).exists():
-        raise ConfigError(f"path given to {flag} does not exist: {value}")
-
-
-def _extract_split(sequences, params, cfg):
+def _extract(path, sequences, params, cfg):
+    """Write the features, labels and class count of ``sequences`` to ``path``."""
     graph = cfg.graph()
     features = np.stack([network.extract_feature(s, params, cfg, graph) for s in sequences])
     labels = np.array([s.label(cfg.n_classes) for s in sequences], dtype=np.int64)
-    return features, labels
+    np.savez(path, features=features, labels=labels, n_classes=np.array([cfg.n_classes]))
+    print(f"wrote {features.shape[0]} features of dim {features.shape[1]} to {path}")
 
 
-def _write_report(out_dir: Path, report, n_classes: int):
-    """confusion.csv and report.csv (the accuracy) in out_dir, plus the
-    per-class table on stdout."""
-    names = classify.class_names(n_classes)
-    classify.confusion_csv(out_dir / "confusion.csv", report, names)
-    with open(out_dir / "report.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["accuracy_percent"])
-        writer.writerow([f"{report.accuracy:.4f}"])
-    print(classify.report_table(report, names))
+def _read_features(path):
+    """Features, labels and class count (None when absent) of an ``extract`` file."""
+    arrays = data.read_npz(path)
+    n_classes = int(arrays["n_classes"][0]) if "n_classes" in arrays else None
+    return arrays["features"], arrays["labels"], n_classes
 
 
 def _warn_unconverged(model: classify.SvmModel):
@@ -233,11 +220,36 @@ def _warn_unconverged(model: classify.SvmModel):
         print(f"warning: the SVM solver did not converge for {noun} {listed}", file=sys.stderr)
 
 
+def _fit(features_path, model_path, args) -> classify.SvmModel:
+    """Fit the SVM on an ``extract`` file and save it to ``model_path``."""
+    features, labels, n_classes = _read_features(features_path)
+    model = classify.svm_train(features, labels, C=args.svm_c, tol=args.svm_tol,
+                               seed=args.seed, n_classes=n_classes)
+    _warn_unconverged(model)
+    classify.save_model(model_path, model)
+    print(f"SVM model written to {model_path}")
+    return model
+
+
+def _evaluate(model: classify.SvmModel, features_path, out_dir: Path) -> classify.EvalReport:
+    """Score ``model`` on an ``extract`` file: confusion.csv and report.csv
+    (the accuracy) in out_dir, plus the per-class table on stdout."""
+    features, labels, _ = _read_features(features_path)
+    report = classify.evaluate(model, features, labels)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    names = classify.class_names(model.n_classes)
+    classify.confusion_csv(out_dir / "confusion.csv", report, names)
+    with open(out_dir / "report.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["accuracy_percent"])
+        writer.writerow([f"{report.accuracy:.4f}"])
+    print(classify.report_table(report, names))
+    return report
+
+
 def cmd_train(args, filecfg) -> int:
-    _require_path(args.data, "--data")
-    _require_path(args.cache, "--cache")
-    cfg = build_network_config(args, filecfg)
-    tcfg = build_train_config(args, filecfg)
+    cfg = _configure(NetworkConfig, "network", args, filecfg)
+    tcfg = _configure(TrainConfig, "train", args, filecfg)
     train_set, _ = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -249,66 +261,34 @@ def cmd_train(args, filecfg) -> int:
 
 
 def cmd_pipeline(args, filecfg) -> int:
-    _require_path(args.data, "--data")
-    _require_path(args.cache, "--cache")
-    _require_path(args.checkpoint, "--checkpoint")
     params, cfg = network.load_checkpoint(args.checkpoint)
     train_set, test_set = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    train_x, train_y = _extract_split(train_set, params, cfg)
-    test_x, test_y = _extract_split(test_set, params, cfg)
-    np.savez(out_dir / "features.npz", train_features=train_x, train_labels=train_y,
-             test_features=test_x, test_labels=test_y)
-
-    model = classify.svm_train(train_x, train_y, C=args.svm_c, tol=args.svm_tol,
-                               seed=args.seed, n_classes=cfg.n_classes)
-    _warn_unconverged(model)
-    classify.save_model(out_dir / "svm_model.bin", model)
-    report = classify.evaluate(model, test_x, test_y)
-    _write_report(out_dir, report, cfg.n_classes)
+    _extract(out_dir / "train_features.npz", train_set, params, cfg)
+    _extract(out_dir / "test_features.npz", test_set, params, cfg)
+    model = _fit(out_dir / "train_features.npz", out_dir / "svm_model.bin", args)
+    report = _evaluate(model, out_dir / "test_features.npz", out_dir)
     print(f"accuracy: {report.accuracy:.2f}%")
     return EXIT_OK
 
 
 def cmd_extract(args, filecfg) -> int:
-    _require_path(args.data, "--data")
-    _require_path(args.cache, "--cache")
-    _require_path(args.checkpoint, "--checkpoint")
     params, cfg = network.load_checkpoint(args.checkpoint)
     train_set, test_set = _load_sequences(args, cfg)
-    chosen = train_set if args.split == "train" else test_set
-    features, labels = _extract_split(chosen, params, cfg)
-    np.savez(args.out, features=features, labels=labels, n_classes=np.array([cfg.n_classes]))
-    print(f"wrote {features.shape[0]} features of dim {features.shape[1]} to {args.out}")
+    _extract(args.out, train_set if args.split == "train" else test_set, params, cfg)
     return EXIT_OK
 
 
 def cmd_svm(args, filecfg) -> int:
-    _require_path(args.features, "--features")
-    with np.load(args.features) as blob:
-        features, labels = blob["features"], blob["labels"]
-        n_classes = int(blob["n_classes"][0]) if "n_classes" in blob else None
-    model = classify.svm_train(features, labels, C=args.svm_c, tol=args.svm_tol,
-                               seed=args.seed, n_classes=n_classes)
-    _warn_unconverged(model)
-    classify.save_model(args.out, model)
-    print(f"SVM model written to {args.out}")
+    _fit(args.features, args.out, args)
     return EXIT_OK
 
 
 def cmd_eval(args, filecfg) -> int:
-    _require_path(args.model, "--model")
-    _require_path(args.features, "--features")
     model = classify.load_model(args.model)
     _warn_unconverged(model)
-    with np.load(args.features) as blob:
-        features, labels = blob["features"], blob["labels"]
-    report = classify.evaluate(model, features, labels)
-    out_dir = Path(args.report_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_report(out_dir, report, model.n_classes)
+    _evaluate(model, args.features, Path(args.report_dir))
     return EXIT_OK
 
 
@@ -343,12 +323,19 @@ def main(argv=None) -> int:
     try:
         filecfg = _load_config_file(args.config)
         return COMMANDS[args.command](args, filecfg)
-    except (ConfigError, ParseError, InvalidInput, KeyError) as exc:
+    except (ConfigError, ParseError, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HandSpdError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except OSError as exc:
+        # A path that cannot be opened, read or written.  An OSError with no
+        # path (a failed fork, say) is no fault of the command line.
+        if exc.filename is None:
+            raise
+        print(f"error: {exc.strerror}: {exc.filename}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ four integers  gesture finger subject essai.
 from __future__ import annotations
 
 import re
+import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -279,19 +281,44 @@ def save_cache(path, sequences):
 
 
 def load_cache(path) -> list[GestureSequence]:
-    with np.load(path) as data:
-        if int(data["version"][0]) != CACHE_VERSION:
-            raise ConfigError(f"{path}: unsupported cache version")
-        count = int(data["count"][0])
-        meta = data["meta"]
-        return [
-            GestureSequence(
-                frames=data[f"frames_{i:05d}"],
-                label_14=int(meta[i, 0]),
-                label_28=int(meta[i, 1]),
-                subject=int(meta[i, 2]),
-                trial=int(meta[i, 3]),
-                finger=int(meta[i, 4]),
-            )
-            for i in range(count)
-        ]
+    arrays = read_npz(path)
+    if int(arrays["version"][0]) != CACHE_VERSION:
+        raise ConfigError(f"{path}: unsupported cache version")
+    meta = arrays["meta"]
+    return [
+        GestureSequence(
+            frames=arrays[f"frames_{i:05d}"],
+            label_14=int(meta[i, 0]),
+            label_28=int(meta[i, 1]),
+            subject=int(meta[i, 2]),
+            trial=int(meta[i, 3]),
+            finger=int(meta[i, 4]),
+        )
+        for i in range(int(arrays["count"][0]))
+    ]
+
+
+class _Arrays(dict):
+    """An npz archive's arrays by name; a missing one is an error that names the file."""
+
+    def __init__(self, path, arrays):
+        super().__init__(arrays)
+        self.path = path
+
+    def __missing__(self, name):
+        raise InvalidInput(f"{self.path}: no array {name!r} in the npz archive")
+
+
+def read_npz(path) -> dict:
+    """Every array of the npz archive at ``path``.  InvalidInput names the
+    file when it is not an npz archive of plain arrays, or when a caller
+    looks up an array it lacks; an unopenable path raises the OSError."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise InvalidInput(f"{path}: not an npz archive")
+        fh.seek(0)
+        try:
+            with np.load(fh) as archive:
+                return _Arrays(path, {name: archive[name] for name in archive.files})
+        except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            raise InvalidInput(f"{path}: not an npz archive of plain arrays ({exc})") from None

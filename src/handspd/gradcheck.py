@@ -19,6 +19,7 @@ import numpy as np
 
 from . import linalg, network, optim, skeleton, spd_ops
 from .data import GestureSequence
+from .errors import InvalidInput
 from .network import NetworkConfig
 from .skeleton import HandGraph
 
@@ -184,7 +185,7 @@ def run(seed: int = 0, n_instances: int = 20, layers=None):
     names = layers or list(LAYERS)
     for name in names:
         if name not in LAYERS:
-            raise KeyError(f"unknown layer {name!r}; choose from {sorted(LAYERS)}")
+            raise InvalidInput(f"unknown layer {name!r}; choose from {sorted(LAYERS)}")
         check = LAYERS[name]
         count = n_instances if name != "network" else max(1, n_instances // 4)
         worst = 0.0

@@ -37,6 +37,8 @@ Checkpoint format (little-endian):
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -69,8 +71,8 @@ class NetworkConfig:
     d_spat: int | None = None
 
     def __post_init__(self):
-        if min(self.d1, self.n_T, self.n_F, self.n_classes) < 1:
-            raise InvalidInput("d1, n_T, n_F and n_classes must be positive")
+        if min(self.d1, self.n_T, self.n_F, self.n_classes, self.n_fingers, self.joints_per_finger) < 1:
+            raise InvalidInput("d1, n_T, n_F, n_classes, n_fingers and joints_per_finger must be positive")
         if self.n_classes < 2:
             raise InvalidInput("need at least two classes")
         if self.eps <= 0:
@@ -461,14 +463,18 @@ def load_checkpoint(path):
         version, *values = _HEADER.unpack(header)
         if version != CHECKPOINT_VERSION:
             raise InvalidInput(f"{path}: unsupported checkpoint version {version}")
-        cfg = NetworkConfig(**dict(zip(_HEADER_FIELDS, values)))
-        arrays = {}
-        for name, shape in cfg.param_shapes().items():
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise InvalidInput(f"{path}: truncated checkpoint")
-            arrays[name] = np.frombuffer(buf, dtype="<f8").astype(np.float64).reshape(shape)
-        if fh.read(1):
-            raise InvalidInput(f"{path}: trailing bytes in checkpoint")
+        try:
+            cfg = NetworkConfig(**dict(zip(_HEADER_FIELDS, values)))
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: {exc}") from None
+        shapes = cfg.param_shapes()
+        # The header fixes the file's size; a mismatch is caught before any read.
+        expected = fh.tell() + 8 * sum(math.prod(shape) for shape in shapes.values())
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise InvalidInput(f"{path}: {'truncated' if size < expected else 'trailing bytes in'} checkpoint")
+        arrays = {
+            name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").astype(np.float64).reshape(shape)
+            for name, shape in shapes.items()
+        }
     return NetworkParams(**arrays), cfg

@@ -105,6 +105,15 @@ class TestMulticlass:
         with pytest.raises(InvalidInput):
             classify.svm_train(np.ones((4, 2)), np.array([1, 2, 1, 2]), C=-1.0)
 
+    @pytest.mark.parametrize("labels, n_classes, bad", [
+        ([0, 1, 2, 0, 1, 2], None, 0),
+        ([1, 2, 7, 1, 2, 7], 3, 7),
+    ], ids=["zero-based", "above-the-class-count"])
+    def test_out_of_range_labels_rejected(self, labels, n_classes, bad):
+        x = np.random.default_rng(0).standard_normal((6, 2))
+        with pytest.raises(InvalidInput, match=f"label {bad} outside"):
+            classify.svm_train(x, np.array(labels), n_classes=n_classes)
+
     def test_explicit_class_count_keeps_empty_rows(self):
         rng = np.random.default_rng(3)
         x, y = _blobs(rng, 8, [(2.0, 0.0), (-2.0, 0.0)])
@@ -233,6 +242,21 @@ class TestEvaluate:
         with pytest.raises(InvalidInput):
             classify.evaluate(model, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
+    @pytest.mark.parametrize("shift, bad", [(-1, 0), (1, 4)], ids=["zero-based", "above-k"])
+    def test_out_of_range_labels_rejected(self, shift, bad):
+        # 0-based labels used to wrap onto the last row of the confusion
+        # matrix; a label above k raised IndexError.
+        rng = np.random.default_rng(0)
+        x, y = _blobs(rng, 4, [(2.0, 0.0), (-2.0, 0.0), (0.0, 2.0)])
+        model = classify.svm_train(x, y, seed=0)
+        with pytest.raises(InvalidInput, match=f"label {bad} outside \\[1, 3\\]"):
+            classify.evaluate(model, x, y + shift)
+
+    def test_label_count_must_match_the_rows(self):
+        model = classify.SvmModel(weights=np.eye(2))
+        with pytest.raises(InvalidInput, match="3 feature rows with 2 labels"):
+            classify.evaluate(model, np.eye(3, 2), np.array([1, 2]))
+
 
 class TestModelSerialization:
     def test_round_trip(self, tmp_path):
@@ -311,6 +335,28 @@ class TestModelSerialization:
         classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3))))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(InvalidInput):
+            classify.load_model(path)
+
+    @pytest.mark.parametrize("k, d, message", [
+        (2**40, 3, "truncated model file"),
+        (3, 2**40, "truncated model file"),
+        (2**40, 0, "model of 1099511627776 x 0 weights"),
+        (-1, 3, "model of -1 x 3 weights"),
+    ], ids=["huge-k", "huge-d", "zero-d", "negative-k"])
+    def test_header_claiming_a_shape_the_file_cannot_hold_rejected(self, k, d, message, tmp_path):
+        # The header is checked against the file's size before any read, so
+        # a huge claim is an error, not a MemoryError.
+        path = tmp_path / "svm.bin"
+        path.write_bytes(classify.MODEL_MAGIC + struct.pack("<I2q2d", 2, k, d, 1.0, 0.1) + b"\x00" * 64)
+        with pytest.raises(InvalidInput, match=f"{path.name}: {message}"):
+            classify.load_model(path)
+
+    def test_fit_record_claiming_more_than_the_file_holds_rejected(self, tmp_path):
+        path = tmp_path / "svm.bin"
+        classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3)), passes=[1, 1],
+                                                     converged=[True, True], dual_history=[[-1.0], [-1.0]]))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(InvalidInput, match="truncated model file"):
             classify.load_model(path)
 
 

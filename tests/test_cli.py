@@ -90,15 +90,24 @@ class TestArgumentHandling:
         )
         filecfg = cli._load_config_file(str(ini))
         args = cli.make_parser().parse_args(["train", "--out-dir", "x", "--d1", "5", "--lr", "0.125"])
-        assert cli.build_network_config(args, filecfg) == NetworkConfig(
+        assert cli._configure(NetworkConfig, "network", args, filecfg) == NetworkConfig(
             d1=5, n_T=2, n_F=8, eps=0.5, lambda_reg=0.25, n_classes=4
         )
-        assert cli.build_train_config(args, filecfg) == TrainConfig(
+        assert cli._configure(TrainConfig, "train", args, filecfg) == TrainConfig(
             batch_size=4, learning_rate=0.125, epochs=3, seed=7
         )
         args = cli.make_parser().parse_args(["train", "--out-dir", "x"])
-        assert cli.build_network_config(args, {}) == NetworkConfig()
-        assert cli.build_train_config(args, {}) == TrainConfig()
+        assert cli._configure(NetworkConfig, "network", args, {}) == NetworkConfig()
+        assert cli._configure(TrainConfig, "train", args, {}) == TrainConfig()
+
+    @pytest.mark.parametrize("text", [b"d1 = 2\n", b"[network]\nd1 = 2\nd1 = 3\n", b"[network]\nd1 = \xff\n"],
+                             ids=["no-section-header", "duplicate-key", "not-utf-8"])
+    def test_malformed_config_file_is_config_error(self, text, tmp_path, capsys):
+        ini = tmp_path / "run.ini"
+        ini.write_bytes(text)
+        code = run_cli("--config", str(ini), "gradcheck", "--layer", "half_vec", "--instances", "1")
+        assert code == cli.EXIT_CONFIG
+        assert f"--config file {ini}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command", [["extract", "--out", "features.npz"], ["pipeline", "--out-dir", "eval"]],
@@ -110,6 +119,68 @@ class TestArgumentHandling:
             run_cli(*command, *TOY_DATA, "--checkpoint", "model.bin", "--length", "8")
         assert exc.value.code == 2
         assert "unrecognized arguments: --length 8" in capsys.readouterr().err
+
+
+def _features(path):
+    rng = np.random.default_rng(0)
+    np.savez(path, features=rng.standard_normal((6, 3)), labels=np.repeat([1, 2], 3))
+    return path
+
+
+def _npy(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(3.0))
+
+
+NOT_NPZ = {"junk": lambda p: p.write_bytes(b"not an archive\x00\x01"),
+           "empty": lambda p: p.write_bytes(b""), "npy": _npy}
+
+
+def _not_npz(kind, flag):
+    def setup(tmp):
+        bad = tmp / "bad.npz"
+        NOT_NPZ[kind](bad)
+        if flag == "--features":
+            return ["svm", "--features", str(bad), "--out", str(tmp / "m.bin")], bad
+        return ["train", "--cache", str(bad), *TOY_FLAGS, "--out-dir", str(tmp / "out")], bad
+    return setup
+
+
+# Each case builds its files in a temporary directory and returns the
+# command line and the path the error must name.
+FILE_FAULTS = {
+    "missing-features": lambda t: (["svm", "--features", str(t / "no.npz"), "--out", str(t / "m.bin")],
+                                   t / "no.npz"),
+    "synth-out-under-missing-dir": lambda t: (["synth", "--classes", "2", "--per-class", "1", "--length", "8",
+                                               "--out", str(t / "absent" / "c.npz")], t / "absent" / "c.npz"),
+    "svm-out-under-missing-dir": lambda t: (["svm", "--features", str(_features(t / "f.npz")),
+                                             "--out", str(t / "absent" / "m.bin")], t / "absent" / "m.bin"),
+    "model-is-a-directory": lambda t: (["eval", "--model", str(t), "--features", str(_features(t / "f.npz")),
+                                        "--report-dir", str(t / "report")], t),
+    "checkpoint-is-a-directory": lambda t: (["extract", *TOY_DATA, "--checkpoint", str(t),
+                                             "--out", str(t / "f.npz")], t),
+    "out-dir-is-a-file": lambda t: (["train", *TOY_DATA, *TOY_FLAGS, "--out-dir", str(_features(t / "f.npz"))],
+                                    t / "f.npz"),
+    **{f"{kind}-{flag[2:]}": _not_npz(kind, flag) for kind in NOT_NPZ for flag in ("--features", "--cache")},
+}
+
+
+class TestFileFaults:
+    @pytest.mark.parametrize("case", FILE_FAULTS)
+    def test_exits_2_naming_the_path(self, case, tmp_path, capsys):
+        argv, path = FILE_FAULTS[case](tmp_path)
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
+    def test_oserror_without_a_path_is_not_a_file_fault(self, tmp_path, monkeypatch):
+        # A failed fork, say, carries no filename and is re-raised.
+        def fail(*args, **kwargs):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        monkeypatch.setattr(classify, "svm_train", fail)
+        with pytest.raises(BlockingIOError):
+            run_cli("svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(tmp_path / "m.bin"))
 
 
 class TestGradcheckCommand:
@@ -183,12 +254,25 @@ class TestEndToEndCommands:
             "--out-dir", str(out_dir), "--svm-c", "1.0",
         )
         assert code == cli.EXIT_OK
-        for name in ("features.npz", "svm_model.bin", "confusion.csv", "report.csv"):
+        for name in ("train_features.npz", "test_features.npz", "svm_model.bin", "confusion.csv", "report.csv"):
             assert (out_dir / name).is_file()
         assert "accuracy" in capsys.readouterr().out
-        with np.load(out_dir / "features.npz") as blob:
-            assert blob["train_features"].shape[0] == 16  # 4 classes x 4 train
-            assert blob["test_features"].shape[0] == 8
+        # extract's format: 4 classes x 4 train and x 2 test sequences.
+        for name, rows in (("train_features.npz", 16), ("test_features.npz", 8)):
+            features, labels, n_classes = cli._read_features(out_dir / name)
+            assert features.shape[0] == labels.shape[0] == rows and n_classes == 4
+
+    def test_svm_and_eval_on_pipeline_features_reproduce_its_outputs(self, trained_dir, tmp_path):
+        pipe, staged = tmp_path / "pipe", tmp_path / "staged"
+        assert run_cli("pipeline", *TOY_DATA, "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
+                       "--out-dir", str(pipe)) == cli.EXIT_OK
+        staged.mkdir()
+        assert run_cli("svm", "--features", str(pipe / "train_features.npz"),
+                       "--out", str(staged / "svm_model.bin")) == cli.EXIT_OK
+        assert run_cli("eval", "--model", str(staged / "svm_model.bin"), "--features",
+                       str(pipe / "test_features.npz"), "--report-dir", str(staged)) == cli.EXIT_OK
+        for name in ("svm_model.bin", "confusion.csv", "report.csv"):
+            assert (staged / name).read_bytes() == (pipe / name).read_bytes()
 
     def test_extract_svm_eval_chain(self, trained_dir, tmp_path):
         feats = tmp_path / "features.npz"
@@ -225,9 +309,10 @@ class TestEndToEndCommands:
         )
         assert code == cli.EXIT_OK
         assert (out_dir / "report.csv").is_file()
-        with np.load(out_dir / "features.npz") as blob:
-            assert blob["train_features"].shape[0] == 4  # 4 classes x trial 0
-            assert blob["test_features"].shape[0] == 4   # 4 classes x trial 1
+        # 4 classes x trial 0 train, 4 classes x trial 1 test.
+        for name in ("train_features.npz", "test_features.npz"):
+            features, labels, _ = cli._read_features(out_dir / name)
+            assert features.shape[0] == 4 and sorted(labels) == [1, 2, 3, 4]
 
     def test_svm_warns_about_unconverged_classes(self, trained_dir, tmp_path, capsys, monkeypatch):
         feats = tmp_path / "features.npz"
@@ -321,15 +406,23 @@ class TestCacheSplit:
 
 
 class TestConsoleScript:
-    def test_entry_point_runs(self):
+    @staticmethod
+    def _run(*argv):
         # The child imports the package from where this process found it,
         # installed or not.
         paths = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "handspd.cli", "gradcheck", "--instances", "1",
-             "--layer", "half_vec"],
-            capture_output=True, text=True, timeout=120, env=env,
-        )
+        return subprocess.run([sys.executable, "-m", "handspd.cli", *argv],
+                              capture_output=True, text=True, timeout=120, env=env)
+
+    def test_entry_point_runs(self):
+        proc = self._run("gradcheck", "--instances", "1", "--layer", "half_vec")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
+
+    def test_file_fault_prints_no_traceback(self, tmp_path):
+        junk = tmp_path / "junk.npz"
+        junk.write_bytes(b"not an archive")
+        proc = self._run("svm", "--features", str(junk), "--out", str(tmp_path / "m.bin"))
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert str(junk) in proc.stderr and "Traceback" not in proc.stderr

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from handspd import cli, gradcheck, linalg, network, skeleton, spd_ops
+from handspd.errors import InvalidInput
 from handspd.network import NetworkParams
 
 # The backward pass each gradcheck layer certifies.
@@ -59,7 +60,7 @@ class TestHarness:
         assert all(err < gradcheck.THRESHOLD for err in results.values())
 
     def test_unknown_layer_rejected(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(InvalidInput, match="unknown layer 'not_a_layer'"):
             gradcheck.run(layers=["not_a_layer"])
 
     def test_corrupt_negative_control(self, monkeypatch):

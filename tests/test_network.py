@@ -89,6 +89,10 @@ class TestNetworkConfig:
             NetworkConfig(n_F=2, n_T=3)
         with pytest.raises(InvalidInput):
             NetworkConfig(d_spat=100)
+        with pytest.raises(InvalidInput):
+            NetworkConfig(n_fingers=0)
+        with pytest.raises(InvalidInput):
+            NetworkConfig(joints_per_finger=-1)
 
 
 class TestForward:
@@ -516,6 +520,26 @@ class TestCheckpoint:
         network.save_checkpoint(path, params, cfg)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(InvalidInput):
+            network.load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_classes", 2**40, "truncated checkpoint"),
+        ("d1", 2**40, "truncated checkpoint"),
+        ("d1", 0, "must be positive"),
+        ("n_fingers", -5, "must be positive"),
+    ], ids=["huge-n_classes", "huge-d1", "zero-d1", "negative-n_fingers"])
+    def test_header_the_file_cannot_back_rejected(self, field, value, message, tmp_path):
+        # The header is checked, and its sizes compared with the file's,
+        # before any weight is read; the error names the file.
+        cfg = toy_config()
+        path = tmp_path / "net.bin"
+        network.save_checkpoint(path, optim.init_params(cfg, seed=0), cfg)
+        blob = bytearray(path.read_bytes())
+        fields = dict(zip(network._HEADER_FIELDS, network._HEADER.unpack_from(blob, 4)[1:]))
+        fields[field] = value
+        network._HEADER.pack_into(blob, 4, network.CHECKPOINT_VERSION, *fields.values())
+        path.write_bytes(bytes(blob))
+        with pytest.raises(InvalidInput, match=f"{path.name}: .*{message}"):
             network.load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
