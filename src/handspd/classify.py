@@ -16,24 +16,25 @@ with one CPU, in turn in this process.  Class k draws from
 there is no flag.  Python >= 3.12 warns about ``fork()`` in a multi-threaded
 process; BLAS threads make every numpy process so.  It is not silenced.
 
-Model file (little-endian): b"SPDM", u32 version, i64 k and d, f64 C and
-tol, k*d f64 weights; version 2 adds the fit record: i64 r (k, or 0 without
-one), then 3 rows of r f64: passes, converged (1/0), final dual objective.
+Model file (``save_model``): an npz archive (``data.write_npz``) of
+``MODEL_LAYOUT``: the (k, d) float ``weights``, 0-d float ``C`` and ``tol``,
+and the fit record of k entries each, or none: int ``passes``, bool
+``converged`` and the float final dual objective ``dual``.
 """
 
 from __future__ import annotations
 
 import csv
 import os
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import data
 from .errors import InvalidInput
 
-MODEL_MAGIC = b"SPDM"
-MODEL_VERSION = 2
+MODEL_LAYOUT = {"weights": ((None, None), "f"), "C": ((), "f"), "tol": ((), "f"),
+                "passes": ((None,), "i"), "converged": ((None,), "b"), "dual": ((None,), "f")}
 
 
 @dataclass
@@ -222,47 +223,26 @@ def evaluate(model: SvmModel, features: np.ndarray, labels: np.ndarray) -> EvalR
 
 
 def save_model(path, model: SvmModel):
-    with open(path, "wb") as fh:
-        fh.write(MODEL_MAGIC)
-        fh.write(struct.pack("<I", MODEL_VERSION))
-        fh.write(struct.pack("<2q", *model.weights.shape))
-        fh.write(struct.pack("<2d", model.C, model.tol))
-        fh.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        record = np.array([model.passes, model.converged, [h[-1] for h in model.dual_history]], dtype="<f8")
-        fh.write(struct.pack("<q", len(model.passes)) + record.tobytes())
-
-
-def _read(fh, path, size: int) -> bytes:
-    """``size`` more bytes of the model file; checked against the file's
-    size first, so a header that claims a huge model reads nothing."""
-    if fh.tell() + size > os.fstat(fh.fileno()).st_size:
-        raise InvalidInput(f"{path}: truncated model file")
-    return fh.read(size)
+    data.write_npz(path, weights=np.asarray(model.weights, dtype=np.float64), C=np.float64(model.C),
+                   tol=np.float64(model.tol), passes=np.array(model.passes, dtype=np.int64),
+                   converged=np.array(model.converged, dtype=bool),
+                   dual=np.array([h[-1] for h in model.dual_history], dtype=np.float64))
 
 
 def load_model(path) -> SvmModel:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MODEL_MAGIC:
-            raise InvalidInput(f"{path}: not an SVM model file")
-        (version,) = struct.unpack("<I", _read(fh, path, 4))
-        if version not in (1, MODEL_VERSION):
-            raise InvalidInput(f"{path}: unsupported model version {version}")
-        k, d = struct.unpack("<2q", _read(fh, path, 16))
-        if k < 1 or d < 1:
-            raise InvalidInput(f"{path}: model of {k} x {d} weights")
-        c, tol = struct.unpack("<2d", _read(fh, path, 16))
-        weights = np.frombuffer(_read(fh, path, 8 * k * d), dtype="<f8").astype(np.float64).reshape(k, d)
-        model = SvmModel(weights=weights, C=c, tol=tol)
-        if version == MODEL_VERSION:
-            (r,) = struct.unpack("<q", _read(fh, path, 8))
-            if r not in (0, k):
-                raise InvalidInput(f"{path}: fit record for {r} of {k} classes")
-            passes, converged, dual = np.frombuffer(_read(fh, path, 24 * r), dtype="<f8").reshape(3, r)
-            model.passes, model.converged = passes.astype(int).tolist(), (converged == 1.0).tolist()
-            model.dual_history = [[v] for v in dual.tolist()]
-        if fh.read(1):
-            raise InvalidInput(f"{path}: trailing bytes in model file")
-    return model
+    arrays = data.read_npz(path, MODEL_LAYOUT)
+    weights = arrays["weights"]
+    k, d = weights.shape
+    if k < 1 or d < 1:
+        raise InvalidInput(f"{path}: model of {k} x {d} weights")
+    passes, converged, dual = arrays["passes"], arrays["converged"], arrays["dual"]
+    if {passes.size, converged.size, dual.size} not in ({0}, {k}):
+        raise InvalidInput(
+            f"{path}: fit record of {passes.size} passes, {converged.size} converged and"
+            f" {dual.size} dual entries for {k} classes"
+        )
+    return SvmModel(weights, C=arrays["C"].item(), tol=arrays["tol"].item(), passes=passes.tolist(),
+                    converged=converged.tolist(), dual_history=[[v] for v in dual.tolist()])
 
 
 def confusion_csv(path, report: EvalReport, class_names):

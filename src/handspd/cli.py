@@ -196,20 +196,26 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The arrays of an ``extract`` file (``data.read_npz``).
+FEATURES_LAYOUT = {"features": ((None, None), "f"), "labels": ((None,), "i"), "n_classes": ((1,), "i")}
+
+
 def _extract(path, sequences, params, cfg):
     """Write the features, labels and class count of ``sequences`` to ``path``."""
     graph = cfg.graph()
     features = np.stack([network.extract_feature(s, params, cfg, graph) for s in sequences])
     labels = np.array([s.label(cfg.n_classes) for s in sequences], dtype=np.int64)
-    np.savez(path, features=features, labels=labels, n_classes=np.array([cfg.n_classes]))
+    data.write_npz(path, features=features, labels=labels, n_classes=np.array([cfg.n_classes]))
     print(f"wrote {features.shape[0]} features of dim {features.shape[1]} to {path}")
 
 
 def _read_features(path):
-    """Features, labels and class count (None when absent) of an ``extract`` file."""
-    arrays = data.read_npz(path)
-    n_classes = int(arrays["n_classes"][0]) if "n_classes" in arrays else None
-    return arrays["features"], arrays["labels"], n_classes
+    """Features, labels and class count of an ``extract`` file."""
+    arrays = data.read_npz(path, FEATURES_LAYOUT)
+    features, labels = arrays["features"], arrays["labels"]
+    if labels.shape[0] != features.shape[0]:
+        raise InvalidInput(f"{path}: {labels.shape[0]} labels for {features.shape[0]} feature rows")
+    return features, labels, int(arrays["n_classes"][0])
 
 
 def _warn_unconverged(model: classify.SvmModel):
@@ -254,7 +260,7 @@ def cmd_train(args, filecfg) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, metrics = optim.train(train_set, cfg, tcfg, log=print)
-    network.save_checkpoint(out_dir / "checkpoint_final.bin", params, cfg)
+    network.save_checkpoint(out_dir / "checkpoint_final.npz", params, cfg)
     optim.write_metrics(out_dir / "metrics.csv", metrics)
     print(f"checkpoints and metrics written to {out_dir}")
     return EXIT_OK
@@ -267,7 +273,7 @@ def cmd_pipeline(args, filecfg) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _extract(out_dir / "train_features.npz", train_set, params, cfg)
     _extract(out_dir / "test_features.npz", test_set, params, cfg)
-    model = _fit(out_dir / "train_features.npz", out_dir / "svm_model.bin", args)
+    model = _fit(out_dir / "train_features.npz", out_dir / "svm_model.npz", args)
     report = _evaluate(model, out_dir / "test_features.npz", out_dir)
     print(f"accuracy: {report.accuracy:.2f}%")
     return EXIT_OK

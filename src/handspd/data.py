@@ -265,60 +265,75 @@ def synth_generate(
 
 
 CACHE_VERSION = 1
+CACHE_LAYOUT = {"version": ((1,), "i"), "count": ((1,), "i"), "meta": ((None, 5), "i")}
 
 
 def save_cache(path, sequences):
-    """Lossless internal dataset cache (compressed npz with a version field)."""
-    payload = {"version": np.array([CACHE_VERSION]), "count": np.array([len(sequences)])}
-    meta = np.array(
-        [[s.label_14, s.label_28, s.subject, s.trial, s.finger] for s in sequences],
-        dtype=np.int64,
-    )
-    payload["meta"] = meta
-    for i, s in enumerate(sequences):
-        payload[f"frames_{i:05d}"] = s.frames
-    np.savez_compressed(path, **payload)
+    """Lossless internal dataset cache: ``CACHE_LAYOUT`` plus one
+    ``frames_{i:05d}`` array per sequence."""
+    meta = [[s.label_14, s.label_28, s.subject, s.trial, s.finger] for s in sequences]
+    write_npz(path, version=np.array([CACHE_VERSION]), count=np.array([len(sequences)]),
+              meta=np.array(meta, dtype=np.int64).reshape(-1, 5),
+              **{f"frames_{i:05d}": s.frames for i, s in enumerate(sequences)})
 
 
 def load_cache(path) -> list[GestureSequence]:
-    arrays = read_npz(path)
+    arrays = read_npz(path, CACHE_LAYOUT)
     if int(arrays["version"][0]) != CACHE_VERSION:
         raise ConfigError(f"{path}: unsupported cache version")
-    meta = arrays["meta"]
-    return [
-        GestureSequence(
-            frames=arrays[f"frames_{i:05d}"],
-            label_14=int(meta[i, 0]),
-            label_28=int(meta[i, 1]),
-            subject=int(meta[i, 2]),
-            trial=int(meta[i, 3]),
-            finger=int(meta[i, 4]),
-        )
-        for i in range(int(arrays["count"][0]))
-    ]
+    meta, count = arrays["meta"], int(arrays["count"][0])
+    if count != meta.shape[0]:
+        raise InvalidInput(f"{path}: count {count} with {meta.shape[0]} rows of meta")
+    return [GestureSequence(arrays[f"frames_{i:05d}"], *row) for i, row in enumerate(meta.tolist())]
 
 
 class _Arrays(dict):
     """An npz archive's arrays by name; a missing one is an error that names the file."""
 
-    def __init__(self, path, arrays):
-        super().__init__(arrays)
+    def __init__(self, path):
+        super().__init__()
         self.path = path
 
     def __missing__(self, name):
         raise InvalidInput(f"{self.path}: no array {name!r} in the npz archive")
 
 
-def read_npz(path) -> dict:
-    """Every array of the npz archive at ``path``.  InvalidInput names the
-    file when it is not an npz archive of plain arrays, or when a caller
-    looks up an array it lacks; an unopenable path raises the OSError."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"PK\x03\x04":
-            raise InvalidInput(f"{path}: not an npz archive")
-        fh.seek(0)
-        try:
-            with np.load(fh) as archive:
-                return _Arrays(path, {name: archive[name] for name in archive.files})
-        except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-            raise InvalidInput(f"{path}: not an npz archive of plain arrays ({exc})") from None
+def write_npz(path, **arrays):
+    """Write ``arrays`` to exactly ``path`` as an uncompressed npz archive.
+    Every member carries the zip format's fixed 1980 date, so the same
+    arrays give the same bytes; members are zip64, as ``np.savez`` writes
+    them, so one may pass 2 GiB."""
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, array in arrays.items():
+            with archive.open(zipfile.ZipInfo(f"{name}.npy"), "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
+
+
+def read_npz(path, layout: dict) -> dict:
+    """Every array of the npz archive at ``path``, compressed or not.
+
+    ``layout`` maps each array the file must hold to its (shape, dtype
+    kind); None in a shape matches any length.  InvalidInput names the file,
+    and the array where there is one, when the file is not an npz archive of
+    plain arrays, a member cannot be read (its header may claim more than
+    memory holds), a layout array is missing or does not match, or a caller
+    looks up an array the archive lacks; an unopenable path raises the
+    OSError.
+    """
+    arrays, name = _Arrays(path), None
+    try:
+        with zipfile.ZipFile(path) as archive:
+            for member in archive.infolist():
+                name = member.filename.removesuffix(".npy")
+                with archive.open(member) as fh:
+                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
+    except (ValueError, EOFError, MemoryError, zipfile.BadZipFile, zlib.error) as exc:
+        what = "not an npz archive" if name is None else f"array {name!r} cannot be read"
+        raise InvalidInput(f"{path}: {what} ({exc})") from None
+    for name, (shape, kind) in layout.items():
+        got = arrays[name]
+        if got.dtype.kind != kind or len(got.shape) != len(shape) or any(
+            want not in (None, n) for want, n in zip(shape, got.shape)
+        ):
+            raise InvalidInput(f"{path}: array {name!r} is {got.dtype} {got.shape}, expected kind {kind!r} {shape}")
+    return arrays

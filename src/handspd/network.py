@@ -24,38 +24,27 @@ eigendecompositions included, that the batched path is checked against.
 parameter shape); the layers below it assume that check passed and
 validate nothing.
 
-Checkpoint format (little-endian):
-    magic b"SPDN" | uint32 version=1
-    int64  d1, n_T, n_F, n_classes, d_spat, n_fingers, joints_per_finger
-    float64 eps, lambda_reg
-    float64 conv weights  (3 * d1 * 3, row-major [label, channel, xyz])
-    float64 spat weights  (n_L * d_spat * temp_dim, row-major per matrix,
-                           branch-major: finger 1..n_fingers, ranges level-major)
-    float64 fc weight     (n_classes * feature_dim, row-major)
-    float64 fc bias       (n_classes)
+Checkpoint (``save_checkpoint``): an npz archive (``data.write_npz``) of
+the ``NetworkConfig`` fields as 0-d arrays (d1, n_T, n_F, n_classes, d_spat,
+n_fingers and joints_per_finger integer; eps and lambda_reg float) and the
+four float ``NetworkParams`` arrays in ``param_shapes()``:
+    conv       (3, d1, 3)                    [label, channel, xyz]
+    spat       (n_L, d_spat, temp_dim)       branch-major: finger 1..n_fingers,
+                                             ranges level-major
+    fc_weight  (n_classes, feature_dim)
+    fc_bias    (n_classes,)
 """
 
 from __future__ import annotations
 
-import math
-import os
-import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import linalg, skeleton, spd_ops
+from . import data, linalg, skeleton, spd_ops
 from .errors import InvalidInput
 from .linalg import EigenPair
 from .skeleton import HandGraph
-
-CHECKPOINT_MAGIC = b"SPDN"
-CHECKPOINT_VERSION = 1
-# The header after the magic: the version, then these NetworkConfig fields.
-_HEADER = struct.Struct("<I7q2d")
-_HEADER_FIELDS = (
-    "d1", "n_T", "n_F", "n_classes", "d_spat", "n_fingers", "joints_per_finger", "eps", "lambda_reg",
-)
 
 
 @dataclass(frozen=True)
@@ -443,38 +432,35 @@ def loss_and_backward(batch, params: NetworkParams, cfg: NetworkConfig, graph: H
     return loss, total
 
 
+# Each config field is stored in the dtype of its default.
+_CONFIG_DTYPES = {name: np.asarray(value).dtype for name, value in asdict(NetworkConfig()).items()}
+# The arrays of a checkpoint (``data.read_npz``): the config fields, then the
+# parameters at any size; ``load_checkpoint`` checks their shapes against the
+# config's ``param_shapes()``.
+CHECKPOINT_LAYOUT = {
+    **{name: ((), dtype.kind) for name, dtype in _CONFIG_DTYPES.items()},
+    **{name: ((None,) * len(shape), "f") for name, shape in NetworkConfig().param_shapes().items()},
+}
+
+
 def save_checkpoint(path, params: NetworkParams, cfg: NetworkConfig):
-    """Write the versioned binary checkpoint (layout in the module docstring)."""
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(_HEADER.pack(CHECKPOINT_VERSION, *(getattr(cfg, name) for name in _HEADER_FIELDS)))
-        for arr in (params.conv, params.spat, params.fc_weight, params.fc_bias):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    """Write the checkpoint (layout in the module docstring)."""
+    data.write_npz(
+        path,
+        **{name: np.array(value, dtype=_CONFIG_DTYPES[name]) for name, value in asdict(cfg).items()},
+        **{name: getattr(params, name) for name in cfg.param_shapes()},
+    )
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns (params, cfg)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise InvalidInput(f"{path}: not a network checkpoint")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise InvalidInput(f"{path}: truncated checkpoint")
-        version, *values = _HEADER.unpack(header)
-        if version != CHECKPOINT_VERSION:
-            raise InvalidInput(f"{path}: unsupported checkpoint version {version}")
-        try:
-            cfg = NetworkConfig(**dict(zip(_HEADER_FIELDS, values)))
-        except InvalidInput as exc:
-            raise InvalidInput(f"{path}: {exc}") from None
-        shapes = cfg.param_shapes()
-        # The header fixes the file's size; a mismatch is caught before any read.
-        expected = fh.tell() + 8 * sum(math.prod(shape) for shape in shapes.values())
-        size = os.fstat(fh.fileno()).st_size
-        if size != expected:
-            raise InvalidInput(f"{path}: {'truncated' if size < expected else 'trailing bytes in'} checkpoint")
-        arrays = {
-            name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").astype(np.float64).reshape(shape)
-            for name, shape in shapes.items()
-        }
-    return NetworkParams(**arrays), cfg
+    arrays = data.read_npz(path, CHECKPOINT_LAYOUT)
+    try:
+        cfg = NetworkConfig(**{name: arrays[name].item() for name in _CONFIG_DTYPES})
+    except InvalidInput as exc:
+        raise InvalidInput(f"{path}: {exc}") from None
+    shapes = cfg.param_shapes()
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise InvalidInput(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
+    return NetworkParams(**{name: arrays[name] for name in shapes}), cfg

@@ -1,3 +1,4 @@
+import importlib.util
 import sys
 from pathlib import Path
 
@@ -5,6 +6,19 @@ import pytest
 
 # Make the sibling oracle module importable regardless of invocation directory.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+@pytest.fixture(scope="session")
+def workloads():
+    """``perfbench/workloads.py``, loaded by path as ``perfbench/run.py`` loads the oracles."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses resolve their annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -3,33 +3,19 @@
 ``perfbench/workloads.py`` wraps module attributes of the program by name
 (``trace_program``).  A renamed or deleted attribute would crash a traced
 benchmark run; here it fails the test suite instead.  The file is loaded by
-path, as ``perfbench/run.py`` loads the oracles, and its tracer is replaced
-by one that only checks each name.  The workloads also rely on how they call
+path (the ``workloads`` fixture), and its tracer is replaced by one that
+only checks each name.  The workloads also rely on how they call
 the program: positional arguments, return arities, and the ``train``
 latency stamp wrapping ``network.forward``; the last test checks those.
 """
 
-import importlib.util
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 
 from handspd import network, optim
 from handspd.data import GestureSequence
 from handspd.gradcheck import toy_config
-
-WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-
-
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
-    module = importlib.util.module_from_spec(spec)
-    # Its dataclasses resolve their annotations through sys.modules.
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 class _CheckingTracer:
@@ -41,8 +27,7 @@ class _CheckingTracer:
         self.wrapped.append((owner.__name__, attr, name))
 
 
-def test_every_wrapped_name_is_a_callable_of_the_program():
-    workloads = _load_workloads()
+def test_every_wrapped_name_is_a_callable_of_the_program(workloads):
     tracer = _CheckingTracer()
     workloads.trace_program(tracer, toy_config(), Counter())
     for owner, attr, name in tracer.wrapped:

@@ -1,6 +1,6 @@
 import os
+import re
 import signal
-import struct
 import threading
 from concurrent.futures.process import BrokenProcessPool
 
@@ -11,6 +11,7 @@ from handspd import classify
 from handspd.errors import InvalidInput
 
 import oracles
+from archives import claimed, edit_npz
 
 
 def _blobs(rng, n_per_class, centers, spread=0.3):
@@ -262,7 +263,7 @@ class TestModelSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         model = classify.SvmModel(weights=rng.standard_normal((4, 7)), C=2.5, tol=0.05)
-        path = tmp_path / "svm.bin"
+        path = tmp_path / "svm.npz"
         classify.save_model(path, model)
         loaded = classify.load_model(path)
         assert np.array_equal(loaded.weights, model.weights)
@@ -274,7 +275,7 @@ class TestModelSerialization:
         x, y = _blobs(rng, 10, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
         model = classify.svm_train(x, y, tol=1e-3, seed=0, max_passes=3)
         model.converged[1] = True
-        path = tmp_path / "svm.bin"
+        path = tmp_path / "svm.npz"
         classify.save_model(path, model)
         loaded = classify.load_model(path)
         assert np.array_equal(loaded.weights, model.weights)
@@ -282,81 +283,67 @@ class TestModelSerialization:
         assert loaded.converged == [False, True, False]
         assert loaded.dual_history == [[h[-1]] for h in model.dual_history]
         assert loaded.unconverged_classes() == [1, 3]
-
-    def test_version_1_file_loads_without_a_fit_record(self, tmp_path):
-        weights = np.random.default_rng(2).standard_normal((3, 5))
-        path = tmp_path / "svm_v1.bin"
-        path.write_bytes(
-            classify.MODEL_MAGIC + struct.pack("<I2q2d", 1, 3, 5, 2.0, 0.25)
-            + weights.astype("<f8").tobytes()
-        )
-        loaded = classify.load_model(path)
-        assert np.array_equal(loaded.weights, weights)
-        assert (loaded.C, loaded.tol) == (2.0, 0.25)
-        assert loaded.passes == loaded.converged == loaded.dual_history == []
-        assert loaded.unconverged_classes() == []
+        # Saving the loaded model reproduces the file byte for byte.
+        again = tmp_path / "again.npz"
+        classify.save_model(again, loaded)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_fit_record_of_the_wrong_size_rejected(self, tmp_path):
-        path = tmp_path / "svm.bin"
+        path = tmp_path / "svm.npz"
         classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3)), passes=[1], converged=[True],
                                                      dual_history=[[-1.0]]))
-        with pytest.raises(InvalidInput, match="fit record for 1 of 2 classes"):
+        with pytest.raises(InvalidInput, match="fit record of 1 passes, 1 converged and 1 dual entries for 2 classes"):
             classify.load_model(path)
 
     def test_unknown_version_rejected(self, tmp_path):
-        path = tmp_path / "svm.bin"
-        path.write_bytes(classify.MODEL_MAGIC + struct.pack("<I2q2d", 3, 1, 1, 1.0, 0.1) + b"\x00" * 8)
-        with pytest.raises(InvalidInput, match="version 3"):
-            classify.load_model(path)
+        # The archive has no version field: a file of another layout is one
+        # with a missing, mis-typed or mis-shaped array.
+        path = tmp_path / "svm.npz"
+        for change, message in [
+            ({"tol": None}, "no array 'tol'"),
+            ({"C": np.array([1.0])}, "array 'C' is float64 (1,), expected kind 'f' ()"),
+            ({"weights": np.ones((2, 3), dtype=np.int64)}, "array 'weights' is int64 (2, 3), expected kind 'f'"),
+            ({"converged": np.ones(2)}, "array 'converged' is float64 (2,), expected kind 'b' (None,)"),
+        ]:
+            classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3))))
+            edit_npz(path, **change)
+            with pytest.raises(InvalidInput, match=re.escape(f"{path.name}: {message}")):
+                classify.load_model(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match="junk.bin: not an npz archive"):
             classify.load_model(path)
-
-    def test_trailing_bytes_rejected(self, tmp_path):
-        weights = np.random.default_rng(3).standard_normal((2, 3))
-        v1 = tmp_path / "svm_v1.bin"
-        v1.write_bytes(
-            classify.MODEL_MAGIC + struct.pack("<I2q2d", 1, 2, 3, 1.0, 0.1)
-            + weights.astype("<f8").tobytes()
-        )
-        v2 = tmp_path / "svm.bin"
-        classify.save_model(v2, classify.SvmModel(weights=weights))
-        for path in (v1, v2):
-            classify.load_model(path)
-            path.write_bytes(path.read_bytes() + b"\x00" * 4)
-            with pytest.raises(InvalidInput, match="trailing bytes in model file"):
-                classify.load_model(path)
 
     def test_truncated_rejected(self, tmp_path):
-        path = tmp_path / "svm.bin"
+        path = tmp_path / "svm.npz"
         classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3))))
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(InvalidInput):
             classify.load_model(path)
 
-    @pytest.mark.parametrize("k, d, message", [
-        (2**40, 3, "truncated model file"),
-        (3, 2**40, "truncated model file"),
-        (2**40, 0, "model of 1099511627776 x 0 weights"),
-        (-1, 3, "model of -1 x 3 weights"),
+    @pytest.mark.parametrize("weights, message", [
+        (claimed((2**40, 3)), "array 'weights' cannot be read"),
+        (claimed((3, 2**40)), "array 'weights' cannot be read"),
+        (np.ones((3, 0)), "model of 3 x 0 weights"),
+        (claimed((-1, 3)), "array 'weights' cannot be read"),
     ], ids=["huge-k", "huge-d", "zero-d", "negative-k"])
-    def test_header_claiming_a_shape_the_file_cannot_hold_rejected(self, k, d, message, tmp_path):
-        # The header is checked against the file's size before any read, so
-        # a huge claim is an error, not a MemoryError.
-        path = tmp_path / "svm.bin"
-        path.write_bytes(classify.MODEL_MAGIC + struct.pack("<I2q2d", 2, k, d, 1.0, 0.1) + b"\x00" * 64)
+    def test_header_claiming_a_shape_the_file_cannot_hold_rejected(self, weights, message, tmp_path):
+        # A member whose .npy header claims more than memory holds is an
+        # error that names the file and the array, not a MemoryError.
+        path = tmp_path / "svm.npz"
+        classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3))))
+        edit_npz(path, weights=weights)
         with pytest.raises(InvalidInput, match=f"{path.name}: {message}"):
             classify.load_model(path)
 
     def test_fit_record_claiming_more_than_the_file_holds_rejected(self, tmp_path):
-        path = tmp_path / "svm.bin"
+        path = tmp_path / "svm.npz"
         classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3)), passes=[1, 1],
                                                      converged=[True, True], dual_history=[[-1.0], [-1.0]]))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(InvalidInput, match="truncated model file"):
+        edit_npz(path, dual=claimed((100,)))
+        with pytest.raises(InvalidInput, match="array 'dual' cannot be read"):
             classify.load_model(path)
 
 

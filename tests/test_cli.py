@@ -11,6 +11,8 @@ from handspd.errors import ConfigError
 from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
 
+from archives import claimed, edit_npz
+
 # Reduced geometry keeps every CLI run fast: 8-frame sequences, 2 conv
 # channels, 2 pyramid levels, 4 synthetic classes.
 TOY_FLAGS = ["--d1", "2", "--levels", "2", "--length", "8", "--classes", "4"]
@@ -38,18 +40,19 @@ class TestArgumentHandling:
         assert code == cli.EXIT_CONFIG
 
     def test_nonexistent_checkpoint_path(self, tmp_path):
-        code = run_cli("pipeline", *TOY_DATA, "--checkpoint", str(tmp_path / "no.bin"),
+        code = run_cli("pipeline", *TOY_DATA, "--checkpoint", str(tmp_path / "no.npz"),
                        "--out-dir", str(tmp_path))
         assert code == cli.EXIT_CONFIG
 
     def test_checkpoint_cut_in_its_header_is_config_error(self, tmp_path, capsys):
-        path = tmp_path / "cut.bin"
+        # Cut inside the first member's header: the archive lost its directory.
+        path = tmp_path / "cut.npz"
         cfg = gradcheck.toy_config()
         network.save_checkpoint(path, optim.init_params(cfg), cfg)
         path.write_bytes(path.read_bytes()[:20])
         code = run_cli("extract", *TOY_DATA, "--checkpoint", str(path), "--out", str(tmp_path / "f.npz"))
         assert code == cli.EXIT_CONFIG
-        assert "truncated checkpoint" in capsys.readouterr().err
+        assert f"{path}: not an npz archive" in capsys.readouterr().err
 
     def test_invalid_network_option_value(self, tmp_path):
         code = run_cli("train", *TOY_DATA, "--d1", "0", "--out-dir", str(tmp_path))
@@ -58,7 +61,7 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("section, key, command", [
         ("network", "lr", ["gradcheck", "--layer", "half_vec", "--instances", "1"]),
         ("train", "eps", ["synth", "--out", "cache.npz"]),
-        ("svm", "c", ["svm", "--features", "features.npz", "--out", "model.bin"]),
+        ("svm", "c", ["svm", "--features", "features.npz", "--out", "model.npz"]),
     ], ids=["gradcheck", "synth", "svm"])
     def test_unknown_config_key_is_config_error(self, section, key, command, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -116,14 +119,15 @@ class TestArgumentHandling:
     def test_network_flags_rejected_where_the_checkpoint_decides(self, command, capsys):
         # extract and pipeline take the network configuration from the checkpoint.
         with pytest.raises(SystemExit) as exc:
-            run_cli(*command, *TOY_DATA, "--checkpoint", "model.bin", "--length", "8")
+            run_cli(*command, *TOY_DATA, "--checkpoint", "model.npz", "--length", "8")
         assert exc.value.code == 2
         assert "unrecognized arguments: --length 8" in capsys.readouterr().err
 
 
-def _features(path):
+def _features(path, **change):
     rng = np.random.default_rng(0)
-    np.savez(path, features=rng.standard_normal((6, 3)), labels=np.repeat([1, 2], 3))
+    arrays = {"features": rng.standard_normal((6, 3)), "labels": np.repeat([1, 2], 3), "n_classes": np.array([2])}
+    data.write_npz(path, **{**arrays, **change})
     return path
 
 
@@ -133,35 +137,60 @@ def _npy(path):
 
 
 NOT_NPZ = {"junk": lambda p: p.write_bytes(b"not an archive\x00\x01"),
-           "empty": lambda p: p.write_bytes(b""), "npy": _npy}
+           "empty": lambda p: p.write_bytes(b""), "npy": _npy,
+           "binary-format": lambda p: p.write_bytes(b"SPDN" + b"\x00" * 64)}
+
+
+def _reading(flag, path, tmp):
+    """The command line that reads ``path`` through ``flag``."""
+    if flag == "--features":
+        return ["svm", "--features", str(path), "--out", str(tmp / "m.npz")]
+    if flag == "--cache":
+        return ["train", "--cache", str(path), *TOY_FLAGS, "--out-dir", str(tmp / "out")]
+    if flag == "--checkpoint":
+        return ["extract", *TOY_DATA, "--checkpoint", str(path), "--out", str(tmp / "f.npz")]
+    return ["eval", "--model", str(path), "--features", str(_features(tmp / "f.npz")),
+            "--report-dir", str(tmp / "report")]
 
 
 def _not_npz(kind, flag):
     def setup(tmp):
         bad = tmp / "bad.npz"
         NOT_NPZ[kind](bad)
-        if flag == "--features":
-            return ["svm", "--features", str(bad), "--out", str(tmp / "m.bin")], bad
-        return ["train", "--cache", str(bad), *TOY_FLAGS, "--out-dir", str(tmp / "out")], bad
+        return _reading(flag, bad, tmp), bad
     return setup
+
+
+def _huge_cache(tmp):
+    path = tmp / "cache.npz"
+    data.save_cache(path, data.synth_generate(1, 2, length=8))
+    return _reading("--cache", edit_npz(path, meta=claimed((2**40, 5), "<i8")), tmp), path
 
 
 # Each case builds its files in a temporary directory and returns the
 # command line and the path the error must name.
 FILE_FAULTS = {
-    "missing-features": lambda t: (["svm", "--features", str(t / "no.npz"), "--out", str(t / "m.bin")],
+    "missing-features": lambda t: (["svm", "--features", str(t / "no.npz"), "--out", str(t / "m.npz")],
                                    t / "no.npz"),
     "synth-out-under-missing-dir": lambda t: (["synth", "--classes", "2", "--per-class", "1", "--length", "8",
                                                "--out", str(t / "absent" / "c.npz")], t / "absent" / "c.npz"),
     "svm-out-under-missing-dir": lambda t: (["svm", "--features", str(_features(t / "f.npz")),
-                                             "--out", str(t / "absent" / "m.bin")], t / "absent" / "m.bin"),
+                                             "--out", str(t / "absent" / "m.npz")], t / "absent" / "m.npz"),
     "model-is-a-directory": lambda t: (["eval", "--model", str(t), "--features", str(_features(t / "f.npz")),
                                         "--report-dir", str(t / "report")], t),
     "checkpoint-is-a-directory": lambda t: (["extract", *TOY_DATA, "--checkpoint", str(t),
                                              "--out", str(t / "f.npz")], t),
     "out-dir-is-a-file": lambda t: (["train", *TOY_DATA, *TOY_FLAGS, "--out-dir", str(_features(t / "f.npz"))],
                                     t / "f.npz"),
-    **{f"{kind}-{flag[2:]}": _not_npz(kind, flag) for kind in NOT_NPZ for flag in ("--features", "--cache")},
+    **{f"{kind}-{flag[2:]}": _not_npz(kind, flag)
+       for kind in NOT_NPZ for flag in ("--features", "--cache", "--checkpoint", "--model")},
+    "empty-n_classes": lambda t: (_reading("--features", _features(t / "f.npz", n_classes=np.array([], int)), t),
+                                  t / "f.npz"),
+    "labels-for-other-rows": lambda t: (_reading("--features", _features(t / "f.npz", labels=np.ones(5, int)), t),
+                                        t / "f.npz"),
+    "huge-features": lambda t: (_reading("--features", edit_npz(_features(t / "f.npz"),
+                                                                 features=claimed((2**40, 3))), t), t / "f.npz"),
+    "huge-cache": _huge_cache,
 }
 
 
@@ -180,7 +209,7 @@ class TestFileFaults:
             raise BlockingIOError(11, "Resource temporarily unavailable")
         monkeypatch.setattr(classify, "svm_train", fail)
         with pytest.raises(BlockingIOError):
-            run_cli("svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(tmp_path / "m.bin"))
+            run_cli("svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(tmp_path / "m.npz"))
 
 
 class TestGradcheckCommand:
@@ -240,7 +269,7 @@ def trained_dir(tmp_path_factory):
 
 class TestEndToEndCommands:
     def test_train_outputs(self, trained_dir):
-        assert (trained_dir / "checkpoint_final.bin").is_file()
+        assert (trained_dir / "checkpoint_final.npz").is_file()
         assert (trained_dir / "metrics.csv").is_file()
         text = (trained_dir / "metrics.csv").read_text()
         assert text.startswith("epoch,mean_loss,train_accuracy,wall_seconds")
@@ -250,11 +279,11 @@ class TestEndToEndCommands:
         out_dir = tmp_path / "pipe"
         code = run_cli(
             "pipeline", *TOY_DATA,
-            "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
+            "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
             "--out-dir", str(out_dir), "--svm-c", "1.0",
         )
         assert code == cli.EXIT_OK
-        for name in ("train_features.npz", "test_features.npz", "svm_model.bin", "confusion.csv", "report.csv"):
+        for name in ("train_features.npz", "test_features.npz", "svm_model.npz", "confusion.csv", "report.csv"):
             assert (out_dir / name).is_file()
         assert "accuracy" in capsys.readouterr().out
         # extract's format: 4 classes x 4 train and x 2 test sequences.
@@ -264,21 +293,21 @@ class TestEndToEndCommands:
 
     def test_svm_and_eval_on_pipeline_features_reproduce_its_outputs(self, trained_dir, tmp_path):
         pipe, staged = tmp_path / "pipe", tmp_path / "staged"
-        assert run_cli("pipeline", *TOY_DATA, "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
+        assert run_cli("pipeline", *TOY_DATA, "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
                        "--out-dir", str(pipe)) == cli.EXIT_OK
         staged.mkdir()
         assert run_cli("svm", "--features", str(pipe / "train_features.npz"),
-                       "--out", str(staged / "svm_model.bin")) == cli.EXIT_OK
-        assert run_cli("eval", "--model", str(staged / "svm_model.bin"), "--features",
+                       "--out", str(staged / "svm_model.npz")) == cli.EXIT_OK
+        assert run_cli("eval", "--model", str(staged / "svm_model.npz"), "--features",
                        str(pipe / "test_features.npz"), "--report-dir", str(staged)) == cli.EXIT_OK
-        for name in ("svm_model.bin", "confusion.csv", "report.csv"):
+        for name in ("svm_model.npz", "confusion.csv", "report.csv"):
             assert (staged / name).read_bytes() == (pipe / name).read_bytes()
 
     def test_extract_svm_eval_chain(self, trained_dir, tmp_path):
         feats = tmp_path / "features.npz"
         code = run_cli(
             "extract", *TOY_DATA,
-            "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
+            "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
             "--split", "train", "--out", str(feats),
         )
         assert code == cli.EXIT_OK
@@ -286,7 +315,7 @@ class TestEndToEndCommands:
             assert blob["features"].shape[0] == 16
             assert blob["labels"].min() == 1
 
-        model_path = tmp_path / "model.bin"
+        model_path = tmp_path / "model.npz"
         assert run_cli("svm", "--features", str(feats), "--out", str(model_path)) == cli.EXIT_OK
 
         report_dir = tmp_path / "report"
@@ -304,7 +333,7 @@ class TestEndToEndCommands:
         out_dir = tmp_path / "pipe_cache"
         code = run_cli(
             "pipeline", "--cache", str(cache), "--per-class", "1",
-            "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
+            "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
             "--out-dir", str(out_dir),
         )
         assert code == cli.EXIT_OK
@@ -314,11 +343,26 @@ class TestEndToEndCommands:
             features, labels, _ = cli._read_features(out_dir / name)
             assert features.shape[0] == 4 and sorted(labels) == [1, 2, 3, 4]
 
+    def test_every_stage_writes_the_path_it_is_given(self, tmp_path):
+        # No suffix is appended, so each stage reads what the one before wrote.
+        cache, out_dir, model = tmp_path / "cache", tmp_path / "run", tmp_path / "model"
+        assert run_cli("synth", "--classes", "4", "--per-class", "2", "--length", "8",
+                       "--out", str(cache)) == cli.EXIT_OK
+        assert run_cli("train", "--cache", str(cache), "--per-class", "1", *TOY_FLAGS, "--epochs", "1",
+                       "--batch-size", "4", "--out-dir", str(out_dir)) == cli.EXIT_OK
+        features = [tmp_path / "features", tmp_path / "again"]
+        for path in features:
+            assert run_cli("extract", "--cache", str(cache), "--per-class", "1", "--split", "train",
+                           "--checkpoint", str(out_dir / "checkpoint_final.npz"), "--out", str(path)) == cli.EXIT_OK
+        assert features[0].read_bytes() == features[1].read_bytes()
+        assert run_cli("svm", "--features", str(features[0]), "--out", str(model)) == cli.EXIT_OK
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["again", "cache", "features", "model", "run"]
+
     def test_svm_warns_about_unconverged_classes(self, trained_dir, tmp_path, capsys, monkeypatch):
         feats = tmp_path / "features.npz"
         code = run_cli(
             "extract", *TOY_DATA,
-            "--checkpoint", str(trained_dir / "checkpoint_final.bin"),
+            "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
             "--split", "train", "--out", str(feats),
         )
         assert code == cli.EXIT_OK
@@ -326,7 +370,7 @@ class TestEndToEndCommands:
         train = classify.svm_train
         monkeypatch.setattr(classify, "svm_train",
                             lambda *a, **k: train(*a, **{**k, "tol": 1e-12, "max_passes": 1}))
-        code = run_cli("svm", "--features", str(feats), "--out", str(tmp_path / "model.bin"))
+        code = run_cli("svm", "--features", str(feats), "--out", str(tmp_path / "model.npz"))
         assert code == cli.EXIT_OK
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
@@ -337,11 +381,11 @@ class TestEndToEndCommands:
         features = rng.standard_normal((12, 4))
         labels = np.repeat([1, 2, 3], 4)
         feats = tmp_path / "features.npz"
-        np.savez(feats, features=features, labels=labels)
+        data.write_npz(feats, features=features, labels=labels, n_classes=np.array([3]))
         model = classify.svm_train(features, labels, tol=1e-12, max_passes=2)
         model.converged[1] = True
-        classify.save_model(tmp_path / "model.bin", model)
-        code = run_cli("eval", "--model", str(tmp_path / "model.bin"), "--features", str(feats),
+        classify.save_model(tmp_path / "model.npz", model)
+        code = run_cli("eval", "--model", str(tmp_path / "model.npz"), "--features", str(feats),
                        "--report-dir", str(tmp_path / "report"))
         assert code == cli.EXIT_OK
         err = capsys.readouterr().err
@@ -370,7 +414,7 @@ class TestEndToEndCommands:
         out_dir = tmp_path / "out"
         code = run_cli("--config", str(ini), "train", *TOY_DATA, "--out-dir", str(out_dir))
         assert code == cli.EXIT_OK
-        _, cfg = network.load_checkpoint(out_dir / "checkpoint_final.bin")
+        _, cfg = network.load_checkpoint(out_dir / "checkpoint_final.npz")
         assert (cfg.d1, cfg.n_T, cfg.n_F, cfg.n_classes) == (2, 2, 8, 4)
 
 
@@ -385,7 +429,7 @@ class TestCacheSplit:
     def _args(self, cache, per_class):
         return cli.make_parser().parse_args(
             ["extract", "--cache", str(cache), "--per-class", str(per_class),
-             "--checkpoint", "unused.bin", "--out", "unused.npz"]
+             "--checkpoint", "unused.npz", "--out", "unused.npz"]
         )
 
     def test_splits_are_disjoint_and_cover_the_cache(self, cache):
@@ -423,6 +467,6 @@ class TestConsoleScript:
     def test_file_fault_prints_no_traceback(self, tmp_path):
         junk = tmp_path / "junk.npz"
         junk.write_bytes(b"not an archive")
-        proc = self._run("svm", "--features", str(junk), "--out", str(tmp_path / "m.bin"))
+        proc = self._run("svm", "--features", str(junk), "--out", str(tmp_path / "m.npz"))
         assert proc.returncode == cli.EXIT_CONFIG
         assert str(junk) in proc.stderr and "Traceback" not in proc.stderr

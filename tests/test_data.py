@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from handspd.data import GestureSequence
 from handspd.errors import ConfigError, InvalidInput, ParseError
 
 import oracles
+from archives import edit_npz
 
 
 def _valid_frames(n=5):
@@ -132,6 +135,28 @@ class TestCache:
         with pytest.raises(ConfigError):
             data.load_cache(path)
 
+
+    def test_compressed_cache_loads(self, tmp_path):
+        seqs = data.synth_generate(1, 2, seed=1, length=9)
+        path = tmp_path / "cache.npz"
+        np.savez_compressed(path, version=np.array([1]), count=np.array([2]),
+                            meta=np.array([[1, 1, 0, 0, 1], [2, 2, 0, 0, 1]]),
+                            frames_00000=seqs[0].frames, frames_00001=seqs[1].frames)
+        loaded = data.load_cache(path)
+        assert [s.label_14 for s in loaded] == [1, 2]
+        assert all(np.array_equal(a.frames, b.frames) for a, b in zip(seqs, loaded))
+
+    @pytest.mark.parametrize("change, message", [
+        ({"meta": np.array([[1, 1, 0, 0, 1]])}, "count 2 with 1 rows of meta"),
+        ({"meta": np.array([[1, 1], [2, 2]])}, "array 'meta' is int64 (2, 2), expected kind 'i' (None, 5)"),
+        ({"version": np.array([], dtype=np.int64)}, "array 'version' is int64 (0,), expected kind 'i' (1,)"),
+    ], ids=["meta-cut-to-one-row", "meta-cut-to-two-columns", "empty-version"])
+    def test_arrays_outside_the_layout_rejected(self, change, message, tmp_path):
+        path = tmp_path / "cache.npz"
+        data.save_cache(path, data.synth_generate(1, 2, length=8))
+        edit_npz(path, **change)
+        with pytest.raises(InvalidInput, match=re.escape(f"{path}: {message}")):
+            data.load_cache(path)
 
 def _write_dhg_tree(root, entries, name="skeleton_world.txt"):
     """entries: iterable of (gesture, finger, subject, trial, frames)."""

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from handspd.gradcheck import fd_grad, rel_error, toy_config
 from handspd.network import NetworkConfig
 
 import oracles
+from archives import claimed, edit_npz
 
 
 class TestPyramidSplit:
@@ -513,42 +515,36 @@ class TestCheckpoint:
             with pytest.raises(InvalidInput):
                 network.load_checkpoint(cut)
 
-    def test_trailing_bytes_rejected(self, tmp_path):
-        cfg = toy_config()
-        params = optim.init_params(cfg, seed=0)
-        path = tmp_path / "net.bin"
-        network.save_checkpoint(path, params, cfg)
-        path.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(InvalidInput):
-            network.load_checkpoint(path)
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("n_classes", 2**40, "truncated checkpoint"),
-        ("d1", 2**40, "truncated checkpoint"),
-        ("d1", 0, "must be positive"),
-        ("n_fingers", -5, "must be positive"),
+    @pytest.mark.parametrize("change, message", [
+        ({"fc_weight": claimed((2**40, 10))}, "array 'fc_weight' cannot be read"),
+        ({"conv": claimed((3, 2**40, 3))}, "array 'conv' cannot be read"),
+        ({"d1": np.array(0)}, "must be positive"),
+        ({"n_fingers": np.array(-5)}, "must be positive"),
     ], ids=["huge-n_classes", "huge-d1", "zero-d1", "negative-n_fingers"])
-    def test_header_the_file_cannot_back_rejected(self, field, value, message, tmp_path):
-        # The header is checked, and its sizes compared with the file's,
-        # before any weight is read; the error names the file.
+    def test_header_the_file_cannot_back_rejected(self, change, message, tmp_path):
+        # A member whose .npy header claims more than memory holds, and a
+        # config field NetworkConfig rejects, are errors that name the file.
         cfg = toy_config()
-        path = tmp_path / "net.bin"
+        path = tmp_path / "net.npz"
         network.save_checkpoint(path, optim.init_params(cfg, seed=0), cfg)
-        blob = bytearray(path.read_bytes())
-        fields = dict(zip(network._HEADER_FIELDS, network._HEADER.unpack_from(blob, 4)[1:]))
-        fields[field] = value
-        network._HEADER.pack_into(blob, 4, network.CHECKPOINT_VERSION, *fields.values())
-        path.write_bytes(bytes(blob))
+        edit_npz(path, **change)
         with pytest.raises(InvalidInput, match=f"{path.name}: .*{message}"):
             network.load_checkpoint(path)
 
     def test_unknown_version_rejected(self, tmp_path):
+        # The archive has no version field: a file of another layout is one
+        # with a missing, mis-typed or mis-shaped array.
         cfg = toy_config()
         params = optim.init_params(cfg, seed=0)
-        path = tmp_path / "net.bin"
-        network.save_checkpoint(path, params, cfg)
-        blob = bytearray(path.read_bytes())
-        blob[4] = 99
-        path.write_bytes(bytes(blob))
-        with pytest.raises(InvalidInput):
-            network.load_checkpoint(path)
+        path = tmp_path / "net.npz"
+        for change, message in [
+            ({"eps": None}, "no array 'eps'"),
+            ({"d1": np.array(2.0)}, "array 'd1' is float64 (), expected kind 'i' ()"),
+            ({"n_T": np.array([2])}, "array 'n_T' is int64 (1,), expected kind 'i' ()"),
+            ({"fc_bias": np.zeros((3, 1))}, "array 'fc_bias' is float64 (3, 1), expected kind 'f' (None,)"),
+            ({"spat": params.spat[:-1]}, "array 'spat' has shape (5, 4, 7), expected (6, 4, 7)"),
+        ]:
+            network.save_checkpoint(path, params, cfg)
+            edit_npz(path, **change)
+            with pytest.raises(InvalidInput, match=re.escape(f"{path.name}: {message}")):
+                network.load_checkpoint(path)
