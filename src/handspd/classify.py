@@ -153,7 +153,7 @@ def svm_train(
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise InvalidInput(f"need (n, d) features with n labels, got {x.shape} / {labels.shape}")
-    if C <= 0 or tol <= 0 or max_passes < 1:
+    if not C > 0 or not tol > 0 or max_passes < 1:  # NaN fails too
         raise InvalidInput("C, tol and max_passes must be positive")
     present = np.unique(labels)
     if present.size < 2:

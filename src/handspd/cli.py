@@ -82,54 +82,32 @@ def _configure(config, section, args, filecfg):
     return config(**fields)
 
 
-def _split_by_trial(sequences, per_class: int, source: str):
-    """Trials below ``per_class`` train, the rest test; neither may be empty."""
-    train = [s for s in sequences if s.trial < per_class]
-    test = [s for s in sequences if s.trial >= per_class]
-    for name, part in (("train", train), ("test", test)):
-        if not part:
-            raise ConfigError(f"--per-class {per_class} leaves the {name} split of {source} empty")
-    return train, test
-
-
 def _load_sequences(args, cfg: NetworkConfig):
     """Resolve the dataset source flags; returns (train_list, test_list).
 
-    Synthetic gestures and a cache split by trial (``--per-class``); a
-    dataset root splits by its own split files.
+    A cache splits by trial: trials below ``--per-class`` train, the rest
+    test, and neither may be empty.  A dataset root splits by its own split
+    files.
     """
-    n_sources = sum(bool(x) for x in (args.synthetic, args.data, args.cache))
-    if n_sources != 1:
-        raise ConfigError("exactly one of --synthetic, --data, --cache is required")
-    if args.synthetic:
-        full = data.synth_generate(
-            n_per_class=args.per_class + args.test_per_class,
-            n_classes=cfg.n_classes,
-            noise_sigma=args.noise,
-            seed=args.data_seed,
-            length=cfg.n_F,
-        )
-        return _split_by_trial(full, args.per_class, "--synthetic")
-    if args.cache:
-        sequences = data.load_cache(args.cache)
-        sequences = [data.resample(s, cfg.n_F, args.resample_method) for s in sequences]
-        return _split_by_trial(sequences, args.per_class, "--cache")
-    sequences = data.load_dhg(args.data)
-    sequences = [data.resample(s, cfg.n_F, args.resample_method) for s in sequences]
-    return data.dhg_split(sequences, args.data)
+    if bool(args.data) == bool(args.cache):
+        raise ConfigError("exactly one of --data, --cache is required")
+    if args.data:
+        sequences = [data.resample(s, cfg.n_F) for s in data.load_dhg(args.data)]
+        return data.dhg_split(sequences, args.data)
+    sequences = [data.resample(s, cfg.n_F) for s in data.load_cache(args.cache)]
+    train = [s for s in sequences if s.trial < args.per_class]
+    test = [s for s in sequences if s.trial >= args.per_class]
+    for name, part in (("train", train), ("test", test)):
+        if not part:
+            raise ConfigError(f"--per-class {args.per_class} leaves the {name} split of --cache empty")
+    return train, test
 
 
 def _add_data_flags(sub):
     sub.add_argument("--data", help="DHG/SHREC'17 dataset root directory")
-    sub.add_argument("--cache", help="internal dataset cache (.npz)")
-    sub.add_argument("--synthetic", action="store_true", help="generate synthetic gestures")
-    sub.add_argument("--resample-method", default=data.INTERPOLATE,
-                     choices=[data.INTERPOLATE, data.PAD_LAST])
-    sub.add_argument("--noise", type=float, default=0.01, help="synthetic noise sigma")
-    sub.add_argument("--data-seed", type=int, default=0, help="synthetic data seed")
+    sub.add_argument("--cache", help="dataset cache (.npz), as written by synth")
     sub.add_argument("--per-class", type=int, default=50,
-                     help="trials below this train, the rest test (--synthetic and --cache)")
-    sub.add_argument("--test-per-class", type=int, default=25, help="synthetic test sequences per class")
+                     help="trials of --cache below this train, the rest test")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -188,7 +166,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic dataset cache")
     p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=50)
+    p.add_argument("--per-class", type=int, default=75)
     p.add_argument("--noise", type=float, default=0.01)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--length", type=int, default=NetworkConfig.n_F)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 import zipfile
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +24,6 @@ import numpy as np
 from .errors import ConfigError, InvalidInput, ParseError
 
 N_JOINTS = 22
-
-INTERPOLATE = "interpolate"
-PAD_LAST = "pad-last"
 
 
 @dataclass
@@ -101,16 +98,7 @@ def load_dhg(root) -> list[GestureSequence]:
             continue
         g, f, s, e = map(int, match.groups())
         frames = _parse_skeleton_file(_skeleton_file(directory))
-        sequences.append(
-            GestureSequence(
-                frames=frames,
-                label_14=g,
-                label_28=2 * (g - 1) + f,
-                subject=s,
-                trial=e,
-                finger=f,
-            )
-        )
+        sequences.append(GestureSequence(frames, label_14=g, subject=s, trial=e, finger=f))
     if not sequences:
         raise ConfigError(f"no sequences found under {root}")
     return sequences
@@ -144,46 +132,26 @@ def dhg_split(sequences, root) -> tuple[list, list]:
     return [by_key[k] for k in sorted(train_keys)], [by_key[k] for k in sorted(test_keys)]
 
 
-def resample(seq: GestureSequence, target_len: int, method: str = INTERPOLATE) -> GestureSequence:
-    """Normalize a sequence to target_len frames.
-
-    ``interpolate`` (default): per-joint, per-coordinate piecewise-linear
-    interpolation at uniformly spaced parameters over [0, 1]; endpoints are
-    preserved exactly and length-matching input is returned unchanged.
-    ``pad-last``: repeat the final frame (truncating if too long).
-    """
+def resample(seq: GestureSequence, target_len: int) -> GestureSequence:
+    """Normalize a sequence to target_len frames by per-joint,
+    per-coordinate piecewise-linear interpolation at uniformly spaced
+    parameters over [0, 1]; endpoints are preserved exactly and
+    length-matching input is returned unchanged."""
     n = seq.frames.shape[0]
     if n < 2:
         raise InvalidInput("cannot resample a sequence shorter than two frames")
     if n == target_len:
         return seq
-    if method == INTERPOLATE:
-        t_old = np.linspace(0.0, 1.0, n)
-        t_new = np.linspace(0.0, 1.0, target_len)
-        flat = seq.frames.reshape(n, -1)
-        # np.interp's own arithmetic on every column at once, exact knots copied.
-        j = np.clip(np.searchsorted(t_old, t_new, side="right") - 1, 0, n - 2)
-        slope = (flat[j + 1] - flat[j]) / (t_old[j + 1] - t_old[j])[:, None]
-        out = np.where((t_old[j] == t_new)[:, None], flat[j], slope * (t_new - t_old[j])[:, None] + flat[j])
-        out[0] = flat[0]
-        out[-1] = flat[-1]
-        frames = out.reshape(target_len, *seq.frames.shape[1:])
-    elif method == PAD_LAST:
-        if n >= target_len:
-            frames = seq.frames[:target_len].copy()
-        else:
-            pad = np.repeat(seq.frames[-1:], target_len - n, axis=0)
-            frames = np.concatenate([seq.frames, pad], axis=0)
-    else:
-        raise InvalidInput(f"unknown resampling method {method!r}")
-    return GestureSequence(
-        frames=frames,
-        label_14=seq.label_14,
-        label_28=seq.label_28,
-        subject=seq.subject,
-        trial=seq.trial,
-        finger=seq.finger,
-    )
+    t_old = np.linspace(0.0, 1.0, n)
+    t_new = np.linspace(0.0, 1.0, target_len)
+    flat = seq.frames.reshape(n, -1)
+    # np.interp's own arithmetic on every column at once, exact knots copied.
+    j = np.clip(np.searchsorted(t_old, t_new, side="right") - 1, 0, n - 2)
+    slope = (flat[j + 1] - flat[j]) / (t_old[j + 1] - t_old[j])[:, None]
+    out = np.where((t_old[j] == t_new)[:, None], flat[j], slope * (t_new - t_old[j])[:, None] + flat[j])
+    out[0] = flat[0]
+    out[-1] = flat[-1]
+    return replace(seq, frames=out.reshape(target_len, *seq.frames.shape[1:]))
 
 
 def rest_pose() -> np.ndarray:
@@ -284,7 +252,15 @@ def load_cache(path) -> list[GestureSequence]:
     meta, count = arrays["meta"], int(arrays["count"][0])
     if count != meta.shape[0]:
         raise InvalidInput(f"{path}: count {count} with {meta.shape[0]} rows of meta")
-    return [GestureSequence(arrays[f"frames_{i:05d}"], *row) for i, row in enumerate(meta.tolist())]
+    names = [f"frames_{i:05d}" for i in range(count)]
+    _check_layout(path, arrays, dict.fromkeys(names, ((None, None, 3), "f")))
+    sequences = []
+    for name, row in zip(names, meta.tolist()):
+        try:
+            sequences.append(GestureSequence(arrays[name], *row))
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: array {name!r}: {exc}") from None
+    return sequences
 
 
 class _Arrays(dict):
@@ -330,10 +306,14 @@ def read_npz(path, layout: dict) -> dict:
     except (ValueError, EOFError, MemoryError, zipfile.BadZipFile, zlib.error) as exc:
         what = "not an npz archive" if name is None else f"array {name!r} cannot be read"
         raise InvalidInput(f"{path}: {what} ({exc})") from None
+    _check_layout(path, arrays, layout)
+    return arrays
+
+
+def _check_layout(path, arrays, layout):
     for name, (shape, kind) in layout.items():
         got = arrays[name]
         if got.dtype.kind != kind or len(got.shape) != len(shape) or any(
             want not in (None, n) for want, n in zip(shape, got.shape)
         ):
             raise InvalidInput(f"{path}: array {name!r} is {got.dtype} {got.shape}, expected kind {kind!r} {shape}")
-    return arrays

@@ -64,10 +64,10 @@ class NetworkConfig:
             raise InvalidInput("d1, n_T, n_F, n_classes, n_fingers and joints_per_finger must be positive")
         if self.n_classes < 2:
             raise InvalidInput("need at least two classes")
-        if self.eps <= 0:
-            raise InvalidInput("eps must be positive")
-        if self.lambda_reg < 0:
-            raise InvalidInput("lambda_reg must be nonnegative")
+        if not 0 < self.eps < np.inf:  # NaN fails too
+            raise InvalidInput(f"eps must be positive and finite, got {self.eps}")
+        if not 0 <= self.lambda_reg < np.inf:
+            raise InvalidInput(f"lambda_reg must be nonnegative and finite, got {self.lambda_reg}")
         if self.d_spat is None:
             object.__setattr__(self, "d_spat", self.temp_dim)
         if not 1 <= self.d_spat <= self.temp_dim:

@@ -36,8 +36,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise InvalidInput("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise InvalidInput("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise InvalidInput(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise InvalidInput("epochs must be >= 1")
 

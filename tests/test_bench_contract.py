@@ -6,14 +6,16 @@ benchmark run; here it fails the test suite instead.  The file is loaded by
 path (the ``workloads`` fixture), and its tracer is replaced by one that
 only checks each name.  The workloads also rely on how they call
 the program: positional arguments, return arities, and the ``train``
-latency stamp wrapping ``network.forward``; the last test checks those.
+latency stamp wrapping ``network.forward``; and on what they read of the
+results: the frame eigenvalues in ``forward``'s third item, the SVM's
+per-class dual history and ``NetworkParams.validate_stiefel``.
 """
 
 from collections import Counter
 
 import numpy as np
 
-from handspd import network, optim
+from handspd import classify, network, optim
 from handspd.data import GestureSequence
 from handspd.gradcheck import toy_config
 
@@ -78,3 +80,29 @@ def test_call_signatures_and_the_per_sequence_forward(monkeypatch):
     out = network.loss_and_backward(batch, params, cfg, graph)
     assert isinstance(out, tuple) and len(out) == 2
     assert [id(seq) for seq in seen] == [id(seq) for seq in batch]
+
+
+def test_the_results_the_workloads_read():
+    # The traced clamped-eigenvalue counter reads result[2].frame_eig.values
+    # of each forward call; the train checks call validate_stiefel on every
+    # step's parameters; the svm checks read one list of per-pass dual
+    # objectives per class, its length and its monotonicity.
+    cfg = toy_config()
+    params = optim.init_params(cfg, seed=0)
+    seq = np.random.default_rng(0).standard_normal((cfg.n_F, cfg.n_joints, 3))
+    result = network.forward(seq, params, cfg, cfg.graph())
+    assert isinstance(result, tuple) and len(result) == 3
+    values = result[2].frame_eig.values
+    assert isinstance(values, np.ndarray) and values.size
+    params.validate_stiefel()
+
+    rng = np.random.default_rng(0)
+    labels = np.repeat([1, 2, 3], 8)
+    features = rng.standard_normal((labels.size, 5)) + 3.0 * np.eye(5)[labels]
+    model = classify.svm_train(features, labels)
+    history = model.dual_history
+    assert isinstance(history, list) and len(history) == 3
+    for h, passes in zip(history, model.passes):
+        assert isinstance(h, list) and len(h) == passes >= 1
+        assert all(isinstance(v, float) for v in h)
+        assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(h, h[1:]))

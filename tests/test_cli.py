@@ -16,11 +16,19 @@ from archives import claimed, edit_npz
 # Reduced geometry keeps every CLI run fast: 8-frame sequences, 2 conv
 # channels, 2 pyramid levels, 4 synthetic classes.
 TOY_FLAGS = ["--d1", "2", "--levels", "2", "--length", "8", "--classes", "4"]
-TOY_DATA = ["--synthetic", "--per-class", "4", "--test-per-class", "2"]
 
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+@pytest.fixture(scope="module")
+def toy_data(tmp_path_factory):
+    """Data flags over a synth cache of 4 classes x 6 trials of 8 frames:
+    trials 0-3 train and 4-5 test."""
+    path = tmp_path_factory.mktemp("toy") / "cache.npz"
+    assert run_cli("synth", "--classes", "4", "--per-class", "6", "--length", "8", "--out", str(path)) == 0
+    return ["--cache", str(path), "--per-class", "4"]
 
 
 class TestArgumentHandling:
@@ -30,7 +38,7 @@ class TestArgumentHandling:
 
     def test_two_data_sources_is_config_error(self, tmp_path):
         code = run_cli(
-            "train", "--synthetic", "--cache", "x.npz", "--out-dir", str(tmp_path), *TOY_FLAGS
+            "train", "--data", str(tmp_path), "--cache", "x.npz", "--out-dir", str(tmp_path), *TOY_FLAGS
         )
         assert code == cli.EXIT_CONFIG
 
@@ -39,24 +47,37 @@ class TestArgumentHandling:
                        "--layer", "half_vec", "--instances", "1")
         assert code == cli.EXIT_CONFIG
 
-    def test_nonexistent_checkpoint_path(self, tmp_path):
-        code = run_cli("pipeline", *TOY_DATA, "--checkpoint", str(tmp_path / "no.npz"),
+    def test_nonexistent_checkpoint_path(self, tmp_path, toy_data):
+        code = run_cli("pipeline", *toy_data, "--checkpoint", str(tmp_path / "no.npz"),
                        "--out-dir", str(tmp_path))
         assert code == cli.EXIT_CONFIG
 
-    def test_checkpoint_cut_in_its_header_is_config_error(self, tmp_path, capsys):
+    def test_checkpoint_cut_in_its_header_is_config_error(self, tmp_path, capsys, toy_data):
         # Cut inside the first member's header: the archive lost its directory.
-        path = tmp_path / "cut.npz"
-        cfg = gradcheck.toy_config()
-        network.save_checkpoint(path, optim.init_params(cfg), cfg)
+        path = _checkpoint(tmp_path / "cut.npz")
         path.write_bytes(path.read_bytes()[:20])
-        code = run_cli("extract", *TOY_DATA, "--checkpoint", str(path), "--out", str(tmp_path / "f.npz"))
+        code = run_cli("extract", *toy_data, "--checkpoint", str(path), "--out", str(tmp_path / "f.npz"))
         assert code == cli.EXIT_CONFIG
         assert f"{path}: not an npz archive" in capsys.readouterr().err
 
-    def test_invalid_network_option_value(self, tmp_path):
-        code = run_cli("train", *TOY_DATA, "--d1", "0", "--out-dir", str(tmp_path))
+    def test_invalid_network_option_value(self, tmp_path, toy_data):
+        code = run_cli("train", *toy_data, "--d1", "0", "--out-dir", str(tmp_path))
         assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--eps", "nan"), ("train", "--eps", "inf"), ("train", "--lambda-reg", "nan"),
+        ("train", "--lambda-reg", "inf"), ("train", "--lr", "nan"), ("train", "--lr", "inf"),
+        ("svm", "--svm-c", "nan"), ("svm", "--svm-tol", "nan"),
+    ])
+    def test_non_finite_setting_is_config_error(self, command, flag, value, tmp_path, capsys, toy_data):
+        # NaN fails every ordered comparison, so each check must be written to reject it.
+        if command == "train":
+            argv = ["train", *toy_data, *TOY_FLAGS, "--out-dir", str(tmp_path / "out")]
+        else:
+            argv = ["svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(tmp_path / "m.npz")]
+        assert run_cli(*argv, flag, value) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists() and not (tmp_path / "m.npz").exists()
 
     @pytest.mark.parametrize("section, key, command", [
         ("network", "lr", ["gradcheck", "--layer", "half_vec", "--instances", "1"]),
@@ -75,11 +96,11 @@ class TestArgumentHandling:
         ("network", "d1", "abc", "int"),
         ("train", "learning_rate", "fast", "float"),
     ], ids=["int", "float"])
-    def test_malformed_config_value_is_config_error(self, section, key, value, kind, tmp_path, capsys):
+    def test_malformed_config_value_is_config_error(self, section, key, value, kind, tmp_path, capsys, toy_data):
         ini = tmp_path / "run.ini"
         ini.write_text(f"[{section}]\n{key} = {value}\n")
         out_dir = tmp_path / "out"
-        code = run_cli("--config", str(ini), "train", *TOY_DATA, "--out-dir", str(out_dir))
+        code = run_cli("--config", str(ini), "train", *toy_data, "--out-dir", str(out_dir))
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"--config file {ini}: {key} = '{value}' in [{section}] is not a valid {kind}" in err
@@ -116,10 +137,10 @@ class TestArgumentHandling:
         "command", [["extract", "--out", "features.npz"], ["pipeline", "--out-dir", "eval"]],
         ids=["extract", "pipeline"],
     )
-    def test_network_flags_rejected_where_the_checkpoint_decides(self, command, capsys):
+    def test_network_flags_rejected_where_the_checkpoint_decides(self, command, capsys, toy_data):
         # extract and pipeline take the network configuration from the checkpoint.
         with pytest.raises(SystemExit) as exc:
-            run_cli(*command, *TOY_DATA, "--checkpoint", "model.npz", "--length", "8")
+            run_cli(*command, *toy_data, "--checkpoint", "model.npz", "--length", "8")
         assert exc.value.code == 2
         assert "unrecognized arguments: --length 8" in capsys.readouterr().err
 
@@ -128,6 +149,17 @@ def _features(path, **change):
     rng = np.random.default_rng(0)
     arrays = {"features": rng.standard_normal((6, 3)), "labels": np.repeat([1, 2], 3), "n_classes": np.array([2])}
     data.write_npz(path, **{**arrays, **change})
+    return path
+
+
+def _checkpoint(path):
+    cfg = gradcheck.toy_config()
+    network.save_checkpoint(path, optim.init_params(cfg), cfg)
+    return path
+
+
+def _cache(path):
+    data.save_cache(path, data.synth_generate(1, 2, length=8))
     return path
 
 
@@ -141,67 +173,77 @@ NOT_NPZ = {"junk": lambda p: p.write_bytes(b"not an archive\x00\x01"),
            "binary-format": lambda p: p.write_bytes(b"SPDN" + b"\x00" * 64)}
 
 
-def _reading(flag, path, tmp):
-    """The command line that reads ``path`` through ``flag``."""
+def _reading(flag, path, tmp, toy=None):
+    """The command line that reads ``path`` through ``flag``; a checkpoint
+    is read with the data flags ``toy``."""
     if flag == "--features":
         return ["svm", "--features", str(path), "--out", str(tmp / "m.npz")]
     if flag == "--cache":
         return ["train", "--cache", str(path), *TOY_FLAGS, "--out-dir", str(tmp / "out")]
     if flag == "--checkpoint":
-        return ["extract", *TOY_DATA, "--checkpoint", str(path), "--out", str(tmp / "f.npz")]
+        return ["extract", *toy, "--checkpoint", str(path), "--out", str(tmp / "f.npz")]
     return ["eval", "--model", str(path), "--features", str(_features(tmp / "f.npz")),
             "--report-dir", str(tmp / "report")]
 
 
 def _not_npz(kind, flag):
-    def setup(tmp):
+    def setup(tmp, toy):
         bad = tmp / "bad.npz"
         NOT_NPZ[kind](bad)
-        return _reading(flag, bad, tmp), bad
+        return _reading(flag, bad, tmp, toy), bad
     return setup
 
 
-def _huge_cache(tmp):
-    path = tmp / "cache.npz"
-    data.save_cache(path, data.synth_generate(1, 2, length=8))
+def _huge_cache(tmp, toy):
+    path = _cache(tmp / "cache.npz")
     return _reading("--cache", edit_npz(path, meta=claimed((2**40, 5), "<i8")), tmp), path
 
 
-# Each case builds its files in a temporary directory and returns the
-# command line and the path the error must name.
+# Each case builds its files in a temporary directory, given the toy data
+# flags, and returns the command line and the path the error must name.
 FILE_FAULTS = {
-    "missing-features": lambda t: (["svm", "--features", str(t / "no.npz"), "--out", str(t / "m.npz")],
+    "missing-features": lambda t, toy: (["svm", "--features", str(t / "no.npz"), "--out", str(t / "m.npz")],
                                    t / "no.npz"),
-    "synth-out-under-missing-dir": lambda t: (["synth", "--classes", "2", "--per-class", "1", "--length", "8",
+    "synth-out-under-missing-dir": lambda t, toy: (["synth", "--classes", "2", "--per-class", "1", "--length", "8",
                                                "--out", str(t / "absent" / "c.npz")], t / "absent" / "c.npz"),
-    "svm-out-under-missing-dir": lambda t: (["svm", "--features", str(_features(t / "f.npz")),
+    "svm-out-under-missing-dir": lambda t, toy: (["svm", "--features", str(_features(t / "f.npz")),
                                              "--out", str(t / "absent" / "m.npz")], t / "absent" / "m.npz"),
-    "model-is-a-directory": lambda t: (["eval", "--model", str(t), "--features", str(_features(t / "f.npz")),
+    "model-is-a-directory": lambda t, toy: (["eval", "--model", str(t), "--features", str(_features(t / "f.npz")),
                                         "--report-dir", str(t / "report")], t),
-    "checkpoint-is-a-directory": lambda t: (["extract", *TOY_DATA, "--checkpoint", str(t),
+    "checkpoint-is-a-directory": lambda t, toy: (["extract", *toy, "--checkpoint", str(t),
                                              "--out", str(t / "f.npz")], t),
-    "out-dir-is-a-file": lambda t: (["train", *TOY_DATA, *TOY_FLAGS, "--out-dir", str(_features(t / "f.npz"))],
+    "out-dir-is-a-file": lambda t, toy: (["train", *toy, *TOY_FLAGS, "--out-dir", str(_features(t / "f.npz"))],
                                     t / "f.npz"),
     **{f"{kind}-{flag[2:]}": _not_npz(kind, flag)
        for kind in NOT_NPZ for flag in ("--features", "--cache", "--checkpoint", "--model")},
-    "empty-n_classes": lambda t: (_reading("--features", _features(t / "f.npz", n_classes=np.array([], int)), t),
+    "empty-n_classes": lambda t, toy: (_reading("--features", _features(t / "f.npz", n_classes=np.array([], int)), t),
                                   t / "f.npz"),
-    "labels-for-other-rows": lambda t: (_reading("--features", _features(t / "f.npz", labels=np.ones(5, int)), t),
+    "labels-for-other-rows": lambda t, toy: (_reading("--features", _features(t / "f.npz", labels=np.ones(5, int)), t),
                                         t / "f.npz"),
-    "huge-features": lambda t: (_reading("--features", edit_npz(_features(t / "f.npz"),
+    "huge-features": lambda t, toy: (_reading("--features", edit_npz(_features(t / "f.npz"),
                                                                  features=claimed((2**40, 3))), t), t / "f.npz"),
     "huge-cache": _huge_cache,
+    "nan-eps-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(_checkpoint(t / "c.npz"),
+                                                                          eps=np.array(np.nan)), t, toy), t / "c.npz"),
 }
 
 
 class TestFileFaults:
     @pytest.mark.parametrize("case", FILE_FAULTS)
-    def test_exits_2_naming_the_path(self, case, tmp_path, capsys):
-        argv, path = FILE_FAULTS[case](tmp_path)
+    def test_exits_2_naming_the_path(self, case, tmp_path, capsys, toy_data):
+        argv, path = FILE_FAULTS[case](tmp_path, toy_data)
         assert run_cli(*argv) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("frames", [
+        np.full((5, 22, 3), "1.0"), np.arange(5.0), np.zeros((1, 22, 3)), np.full((5, 22, 3), np.inf),
+    ], ids=["string", "rank-1", "one-frame", "non-finite"])
+    def test_cache_frames_a_sequence_cannot_take_name_the_array(self, frames, tmp_path, capsys):
+        path = edit_npz(_cache(tmp_path / "cache.npz"), frames_00001=frames)
+        assert run_cli(*_reading("--cache", path, tmp_path)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {path}: array 'frames_00001'")
 
     def test_oserror_without_a_path_is_not_a_file_fault(self, tmp_path, monkeypatch):
         # A failed fork, say, carries no filename and is re-raised.
@@ -256,10 +298,10 @@ class TestSynthCommand:
 
 
 @pytest.fixture(scope="module")
-def trained_dir(tmp_path_factory):
+def trained_dir(tmp_path_factory, toy_data):
     out_dir = tmp_path_factory.mktemp("train_out")
     code = run_cli(
-        "train", *TOY_DATA, *TOY_FLAGS,
+        "train", *toy_data, *TOY_FLAGS,
         "--epochs", "2", "--batch-size", "4", "--lr", "0.01",
         "--out-dir", str(out_dir),
     )
@@ -275,10 +317,10 @@ class TestEndToEndCommands:
         assert text.startswith("epoch,mean_loss,train_accuracy,wall_seconds")
         assert len(text.strip().splitlines()) == 3  # header + 2 epochs
 
-    def test_pipeline(self, trained_dir, tmp_path, capsys):
+    def test_pipeline(self, trained_dir, tmp_path, capsys, toy_data):
         out_dir = tmp_path / "pipe"
         code = run_cli(
-            "pipeline", *TOY_DATA,
+            "pipeline", *toy_data,
             "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
             "--out-dir", str(out_dir), "--svm-c", "1.0",
         )
@@ -291,9 +333,9 @@ class TestEndToEndCommands:
             features, labels, n_classes = cli._read_features(out_dir / name)
             assert features.shape[0] == labels.shape[0] == rows and n_classes == 4
 
-    def test_svm_and_eval_on_pipeline_features_reproduce_its_outputs(self, trained_dir, tmp_path):
+    def test_svm_and_eval_on_pipeline_features_reproduce_its_outputs(self, trained_dir, tmp_path, toy_data):
         pipe, staged = tmp_path / "pipe", tmp_path / "staged"
-        assert run_cli("pipeline", *TOY_DATA, "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
+        assert run_cli("pipeline", *toy_data, "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
                        "--out-dir", str(pipe)) == cli.EXIT_OK
         staged.mkdir()
         assert run_cli("svm", "--features", str(pipe / "train_features.npz"),
@@ -303,10 +345,10 @@ class TestEndToEndCommands:
         for name in ("svm_model.npz", "confusion.csv", "report.csv"):
             assert (staged / name).read_bytes() == (pipe / name).read_bytes()
 
-    def test_extract_svm_eval_chain(self, trained_dir, tmp_path):
+    def test_extract_svm_eval_chain(self, trained_dir, tmp_path, toy_data):
         feats = tmp_path / "features.npz"
         code = run_cli(
-            "extract", *TOY_DATA,
+            "extract", *toy_data,
             "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
             "--split", "train", "--out", str(feats),
         )
@@ -343,6 +385,19 @@ class TestEndToEndCommands:
             features, labels, _ = cli._read_features(out_dir / name)
             assert features.shape[0] == 4 and sorted(labels) == [1, 2, 3, 4]
 
+    def test_train_on_a_synth_cache_is_training_on_synth_generate(self, tmp_path):
+        cache, out_dir = tmp_path / "cache.npz", tmp_path / "run"
+        assert run_cli("synth", "--classes", "3", "--per-class", "6", "--noise", "0.02", "--seed", "5",
+                       "--length", "8", "--out", str(cache)) == cli.EXIT_OK
+        assert run_cli("train", "--cache", str(cache), "--per-class", "4", "--classes", "3", "--d1", "2",
+                       "--levels", "2", "--length", "8", "--epochs", "2", "--batch-size", "4",
+                       "--out-dir", str(out_dir)) == cli.EXIT_OK
+        cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=3)
+        sequences = data.synth_generate(6, 3, 0.02, 5, length=8)
+        params, _ = optim.train([s for s in sequences if s.trial < 4], cfg, TrainConfig(epochs=2, batch_size=4))
+        network.save_checkpoint(tmp_path / "direct.npz", params, cfg)
+        assert (tmp_path / "direct.npz").read_bytes() == (out_dir / "checkpoint_final.npz").read_bytes()
+
     def test_every_stage_writes_the_path_it_is_given(self, tmp_path):
         # No suffix is appended, so each stage reads what the one before wrote.
         cache, out_dir, model = tmp_path / "cache", tmp_path / "run", tmp_path / "model"
@@ -358,10 +413,10 @@ class TestEndToEndCommands:
         assert run_cli("svm", "--features", str(features[0]), "--out", str(model)) == cli.EXIT_OK
         assert sorted(p.name for p in tmp_path.iterdir()) == ["again", "cache", "features", "model", "run"]
 
-    def test_svm_warns_about_unconverged_classes(self, trained_dir, tmp_path, capsys, monkeypatch):
+    def test_svm_warns_about_unconverged_classes(self, trained_dir, tmp_path, capsys, monkeypatch, toy_data):
         feats = tmp_path / "features.npz"
         code = run_cli(
-            "extract", *TOY_DATA,
+            "extract", *toy_data,
             "--checkpoint", str(trained_dir / "checkpoint_final.npz"),
             "--split", "train", "--out", str(feats),
         )
@@ -405,14 +460,14 @@ class TestEndToEndCommands:
         err = capsys.readouterr().err
         assert "numerical failure" in err and "frame_log(gram)" in err
 
-    def test_config_file_supplies_network_options(self, tmp_path):
+    def test_config_file_supplies_network_options(self, tmp_path, toy_data):
         ini = tmp_path / "cfg.ini"
         ini.write_text(
             "[network]\nd1 = 2\nlevels = 2\nlength = 8\nclasses = 4\n"
             "[train]\nepochs = 1\nbatch_size = 4\n"
         )
         out_dir = tmp_path / "out"
-        code = run_cli("--config", str(ini), "train", *TOY_DATA, "--out-dir", str(out_dir))
+        code = run_cli("--config", str(ini), "train", *toy_data, "--out-dir", str(out_dir))
         assert code == cli.EXIT_OK
         _, cfg = network.load_checkpoint(out_dir / "checkpoint_final.npz")
         assert (cfg.d1, cfg.n_T, cfg.n_F, cfg.n_classes) == (2, 2, 8, 4)

@@ -72,19 +72,6 @@ class TestResample:
                 ).reshape(target, 2, 3)
                 assert np.array_equal(data.resample(seq, target).frames, want), (n, target)
 
-    def test_pad_last(self):
-        seq = GestureSequence(_valid_frames(4), label_14=1)
-        out = data.resample(seq, 6, method=data.PAD_LAST)
-        assert out.frames.shape == (6, 22, 3)
-        assert np.array_equal(out.frames[4], seq.frames[3])
-        assert np.array_equal(out.frames[5], seq.frames[3])
-        truncated = data.resample(GestureSequence(_valid_frames(8), label_14=1), 3, data.PAD_LAST)
-        assert truncated.frames.shape == (3, 22, 3)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(InvalidInput):
-            data.resample(GestureSequence(_valid_frames(), label_14=1), 10, method="mirror")
-
 
 class TestSyntheticGenerator:
     def test_counts_labels_and_shapes(self):

@@ -1,4 +1,5 @@
-"""Every public module-level name of the package has a caller.
+"""Every public module-level name of the package has a caller, and every
+command-line option a reader.
 
 A name defined at module level in ``src/handspd/*.py`` without a leading
 underscore must be referenced somewhere in ``src/`` other than its own
@@ -8,8 +9,11 @@ a string that is exactly the name (the benchmark wraps attributes by name);
 the strings of ``__all__`` do not count.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from handspd import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "handspd"
@@ -55,3 +59,23 @@ def test_every_public_name_has_a_caller_outside_tests():
         if not name.startswith("_") and name not in ALLOWED and name not in referenced
     ]
     assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"
+
+
+def test_every_command_line_option_is_read():
+    # A read is an ``args.<dest>`` attribute in cli.py or an INI key of
+    # ``cli._FIELDS``, which ``_configure`` reads by name.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    read = {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
+    }
+    read |= {key for keys in cli._FIELDS.values() for key in keys}
+    parser = cli.make_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    unread = [
+        f"{command} {action.option_strings or action.dest}"
+        for command, sub in [("", parser), *subparsers.choices.items()]
+        for action in sub._actions
+        if action.default != argparse.SUPPRESS and action.dest not in read
+    ]
+    assert not unread, f"options that cli.py never reads: {unread}"
