@@ -153,8 +153,12 @@ def svm_train(
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise InvalidInput(f"need (n, d) features with n labels, got {x.shape} / {labels.shape}")
-    if not C > 0 or not tol > 0 or max_passes < 1:  # NaN fails too
-        raise InvalidInput("C, tol and max_passes must be positive")
+    # NaN fails every comparison.  C > 0 is tested first, so 1/(2C), the
+    # Hessian's diagonal term (``_q_diagonal``), divides by no zero.
+    if not (0 < C < np.inf and 0 < 1.0 / (2.0 * C) < np.inf and 0 < tol < np.inf) or max_passes < 1:
+        raise InvalidInput(f"need finite C, 1/(2C) and tol > 0 and max_passes >= 1, got C={C}, tol={tol}")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     present = np.unique(labels)
     if present.size < 2:
         raise InvalidInput("training data contains a single class")

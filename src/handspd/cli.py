@@ -1,19 +1,19 @@
 """Command-line frontend: train / pipeline / extract / svm / eval /
 gradcheck / synth.
 
-Configuration comes from an optional INI-style config file (flat key=value
-under [network] and [train] sections) with command-line flags taking
-precedence; ``pipeline`` and ``extract`` take the network configuration
-from the checkpoint.  ``pipeline`` runs the ``extract``, ``svm`` and ``eval``
-stages.  Exit codes: 0 success, 1 runtime numerical failure, 2 configuration
-error or a file that cannot be read, written or parsed (the message names it).
+Settings come from command-line flags only; a ``train`` flag left out takes
+the default of ``NetworkConfig`` or ``TrainConfig``.  ``pipeline`` and
+``extract`` take the network configuration from the checkpoint.  ``pipeline``
+runs the ``extract``, ``svm`` and ``eval`` stages.  Exit codes: 0 success,
+1 runtime numerical failure, 2 configuration error or a file that cannot be
+read, written or parsed (the message names it).
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import csv
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -34,52 +34,10 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
-# INI keys by section, each with the config field it sets.  A key's flag
-# stores under the key; an INI value takes the type of the field's default.
-_FIELDS = {
-    "network": {"classes": "n_classes", "d1": "d1", "levels": "n_T", "length": "n_F",
-                "eps": "eps", "lambda_reg": "lambda_reg"},
-    "train": {"batch_size": "batch_size", "learning_rate": "learning_rate", "epochs": "epochs",
-              "seed": "seed"},
-}
-
-
-def _load_config_file(path):
-    if path is None:
-        return {}
-    parser = configparser.ConfigParser()
-    with open(path) as fh:
-        try:
-            parser.read_file(fh)
-        except (configparser.Error, UnicodeDecodeError) as exc:
-            raise ConfigError(f"--config file {path}: {exc}") from None
-    merged = {}
-    for section in parser.sections():
-        for key, value in parser.items(section):
-            if key not in _FIELDS.get(section, {}):
-                raise ConfigError(f"--config file {path}: unknown key {key} in [{section}]")
-            merged[f"{section}.{key}"] = value
-    return merged
-
-
-def _configure(config, section, args, filecfg):
-    """``config`` with the fields set by a flag, else by the INI section; the
-    dataclass defaults the rest."""
-    fields = {}
-    for key, field in _FIELDS[section].items():
-        value = getattr(args, key)
-        if value is None and f"{section}.{key}" in filecfg:
-            kind, text = type(getattr(config, field)), filecfg[f"{section}.{key}"]
-            try:
-                value = kind(text)
-            except ValueError:
-                raise ConfigError(
-                    f"--config file {args.config}: {key} = {text!r} in [{section}]"
-                    f" is not a valid {kind.__name__}"
-                ) from None
-        if value is not None:
-            fields[field] = value
-    return config(**fields)
+def _configure(config, args):
+    """``config`` with the fields a flag set; the dataclass defaults the rest."""
+    fields = {f.name for f in dataclasses.fields(config)}
+    return config(**{name: value for name, value in vars(args).items() if name in fields and value is not None})
 
 
 def _load_sequences(args, cfg: NetworkConfig):
@@ -110,20 +68,25 @@ def _add_data_flags(sub):
                      help="trials of --cache below this train, the rest test")
 
 
+def _add_svm_flags(sub):
+    sub.add_argument("--svm-c", type=float, default=1.0)
+    sub.add_argument("--svm-tol", type=float, default=0.1)
+    sub.add_argument("--seed", type=int, default=0)
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="handspd",
         description="SPD-matrix network for skeletal hand-gesture recognition",
     )
-    parser.add_argument("--config", help="INI config file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train the network, write checkpoints + metrics")
     _add_data_flags(p)
-    p.add_argument("--classes", type=int, help="number of classes (14 or 28 for DHG)")
+    p.add_argument("--classes", type=int, dest="n_classes", help="number of classes (14 or 28 for DHG)")
     p.add_argument("--d1", type=int, help="conv output channels")
-    p.add_argument("--levels", type=int, help="temporal pyramid levels")
-    p.add_argument("--length", type=int, help="normalized sequence length")
+    p.add_argument("--levels", type=int, dest="n_T", help="temporal pyramid levels")
+    p.add_argument("--length", type=int, dest="n_F", help="normalized sequence length")
     p.add_argument("--eps", type=float, help="eigenvalue rectification threshold")
     p.add_argument("--lambda-reg", type=float, help="temporal covariance ridge")
     p.add_argument("--epochs", type=int)
@@ -136,9 +99,7 @@ def make_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--svm-c", type=float, default=1.0)
-    p.add_argument("--svm-tol", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_svm_flags(p)
 
     p = sub.add_parser("extract", help="extract feature vectors with a checkpoint")
     _add_data_flags(p)
@@ -149,9 +110,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("svm", help="train the linear SVM on extracted features")
     p.add_argument("--features", required=True, help=".npz from the extract command")
     p.add_argument("--out", required=True, help="output model file")
-    p.add_argument("--svm-c", type=float, default=1.0)
-    p.add_argument("--svm-tol", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    _add_svm_flags(p)
 
     p = sub.add_parser("eval", help="evaluate an SVM model on extracted features")
     p.add_argument("--model", required=True)
@@ -231,9 +190,9 @@ def _evaluate(model: classify.SvmModel, features_path, out_dir: Path) -> classif
     return report
 
 
-def cmd_train(args, filecfg) -> int:
-    cfg = _configure(NetworkConfig, "network", args, filecfg)
-    tcfg = _configure(TrainConfig, "train", args, filecfg)
+def cmd_train(args) -> int:
+    cfg = _configure(NetworkConfig, args)
+    tcfg = _configure(TrainConfig, args)
     train_set, _ = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +203,7 @@ def cmd_train(args, filecfg) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(args, filecfg) -> int:
+def cmd_pipeline(args) -> int:
     params, cfg = network.load_checkpoint(args.checkpoint)
     train_set, test_set = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
@@ -257,32 +216,32 @@ def cmd_pipeline(args, filecfg) -> int:
     return EXIT_OK
 
 
-def cmd_extract(args, filecfg) -> int:
+def cmd_extract(args) -> int:
     params, cfg = network.load_checkpoint(args.checkpoint)
     train_set, test_set = _load_sequences(args, cfg)
     _extract(args.out, train_set if args.split == "train" else test_set, params, cfg)
     return EXIT_OK
 
 
-def cmd_svm(args, filecfg) -> int:
+def cmd_svm(args) -> int:
     _fit(args.features, args.out, args)
     return EXIT_OK
 
 
-def cmd_eval(args, filecfg) -> int:
+def cmd_eval(args) -> int:
     model = classify.load_model(args.model)
     _warn_unconverged(model)
     _evaluate(model, args.features, Path(args.report_dir))
     return EXIT_OK
 
 
-def cmd_gradcheck(args, filecfg) -> int:
+def cmd_gradcheck(args) -> int:
     results = gradcheck.run(seed=args.seed, n_instances=args.instances, layers=args.layer)
     print(gradcheck.format_table(results))
     return EXIT_OK if all(e < gradcheck.THRESHOLD for e in results.values()) else EXIT_NUMERICAL
 
 
-def cmd_synth(args, filecfg) -> int:
+def cmd_synth(args) -> int:
     sequences = data.synth_generate(args.per_class, args.classes, args.noise,
                                     args.seed, length=args.length)
     data.save_cache(args.out, sequences)
@@ -305,8 +264,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        filecfg = _load_config_file(args.config)
-        return COMMANDS[args.command](args, filecfg)
+        return COMMANDS[args.command](args)
     except (ConfigError, ParseError, InvalidInput) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -218,6 +218,8 @@ def synth_generate(
         raise InvalidInput("synthetic generator defines 8 motion prototypes")
     if n_per_class < 1:
         raise InvalidInput("n_per_class must be >= 1")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     pose = rest_pose()
     t = np.linspace(0.0, 1.0, length)
@@ -317,3 +319,5 @@ def _check_layout(path, arrays, layout):
             want not in (None, n) for want, n in zip(shape, got.shape)
         ):
             raise InvalidInput(f"{path}: array {name!r} is {got.dtype} {got.shape}, expected kind {kind!r} {shape}")
+        if kind == "f" and not np.isfinite(got).all():
+            raise InvalidInput(f"{path}: array {name!r} holds a non-finite value")

@@ -181,6 +181,8 @@ LAYERS = {
 
 def run(seed: int = 0, n_instances: int = 20, layers=None):
     """Max relative FD error per layer."""
+    if seed < 0 or n_instances < 1:
+        raise InvalidInput(f"need seed >= 0 and n_instances >= 1, got {seed} and {n_instances}")
     results = {}
     names = layers or list(LAYERS)
     for name in names:

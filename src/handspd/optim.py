@@ -40,6 +40,8 @@ class TrainConfig:
             raise InvalidInput(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
             raise InvalidInput("epochs must be >= 1")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 def stiefel_tangent(w: np.ndarray, euclid_grad: np.ndarray) -> np.ndarray:

@@ -42,11 +42,6 @@ class TestArgumentHandling:
         )
         assert code == cli.EXIT_CONFIG
 
-    def test_missing_config_file(self, tmp_path):
-        code = run_cli("--config", str(tmp_path / "absent.ini"), "gradcheck",
-                       "--layer", "half_vec", "--instances", "1")
-        assert code == cli.EXIT_CONFIG
-
     def test_nonexistent_checkpoint_path(self, tmp_path, toy_data):
         code = run_cli("pipeline", *toy_data, "--checkpoint", str(tmp_path / "no.npz"),
                        "--out-dir", str(tmp_path))
@@ -67,7 +62,8 @@ class TestArgumentHandling:
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--eps", "nan"), ("train", "--eps", "inf"), ("train", "--lambda-reg", "nan"),
         ("train", "--lambda-reg", "inf"), ("train", "--lr", "nan"), ("train", "--lr", "inf"),
-        ("svm", "--svm-c", "nan"), ("svm", "--svm-tol", "nan"),
+        ("svm", "--svm-c", "nan"), ("svm", "--svm-tol", "nan"), ("svm", "--svm-c", "inf"),
+        ("svm", "--svm-c", "1e-320"), ("svm", "--svm-tol", "inf"),
     ])
     def test_non_finite_setting_is_config_error(self, command, flag, value, tmp_path, capsys, toy_data):
         # NaN fails every ordered comparison, so each check must be written to reject it.
@@ -79,59 +75,48 @@ class TestArgumentHandling:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists() and not (tmp_path / "m.npz").exists()
 
-    @pytest.mark.parametrize("section, key, command", [
-        ("network", "lr", ["gradcheck", "--layer", "half_vec", "--instances", "1"]),
-        ("train", "eps", ["synth", "--out", "cache.npz"]),
-        ("svm", "c", ["svm", "--features", "features.npz", "--out", "model.npz"]),
-    ], ids=["gradcheck", "synth", "svm"])
-    def test_unknown_config_key_is_config_error(self, section, key, command, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[{section}]\n{key} = 0.5\n")
-        assert run_cli("--config", str(ini), *command) == cli.EXIT_CONFIG
-        assert f"--config file {ini}: unknown key {key} in [{section}]" in capsys.readouterr().err
-        assert not (tmp_path / "cache.npz").exists()
-
-    @pytest.mark.parametrize("section, key, value, kind", [
-        ("network", "d1", "abc", "int"),
-        ("train", "learning_rate", "fast", "float"),
-    ], ids=["int", "float"])
-    def test_malformed_config_value_is_config_error(self, section, key, value, kind, tmp_path, capsys, toy_data):
-        ini = tmp_path / "run.ini"
-        ini.write_text(f"[{section}]\n{key} = {value}\n")
-        out_dir = tmp_path / "out"
-        code = run_cli("--config", str(ini), "train", *toy_data, "--out-dir", str(out_dir))
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"--config file {ini}: {key} = '{value}' in [{section}] is not a valid {kind}" in err
-        assert not out_dir.exists()
-
-    def test_config_file_sets_every_field_and_flags_override(self, tmp_path):
-        ini = tmp_path / "run.ini"
-        ini.write_text(
-            "[network]\nclasses = 4\nd1 = 2\nlevels = 2\nlength = 8\neps = 0.5\nlambda_reg = 0.25\n"
-            "[train]\nbatch_size = 4\nlearning_rate = 0.5\nepochs = 3\nseed = 7\n"
+    def test_config_file_sets_every_field_and_flags_override(self):
+        # Flags are the only source of train's settings; the dataclass defaults the rest.
+        args = cli.make_parser().parse_args([
+            "train", "--out-dir", "x", "--classes", "4", "--d1", "2", "--levels", "2", "--length", "8",
+            "--eps", "0.5", "--lambda-reg", "0.25", "--batch-size", "4", "--lr", "0.125", "--epochs", "3",
+            "--seed", "7",
+        ])
+        assert cli._configure(NetworkConfig, args) == NetworkConfig(
+            d1=2, n_T=2, n_F=8, eps=0.5, lambda_reg=0.25, n_classes=4
         )
-        filecfg = cli._load_config_file(str(ini))
-        args = cli.make_parser().parse_args(["train", "--out-dir", "x", "--d1", "5", "--lr", "0.125"])
-        assert cli._configure(NetworkConfig, "network", args, filecfg) == NetworkConfig(
-            d1=5, n_T=2, n_F=8, eps=0.5, lambda_reg=0.25, n_classes=4
-        )
-        assert cli._configure(TrainConfig, "train", args, filecfg) == TrainConfig(
+        assert cli._configure(TrainConfig, args) == TrainConfig(
             batch_size=4, learning_rate=0.125, epochs=3, seed=7
         )
         args = cli.make_parser().parse_args(["train", "--out-dir", "x"])
-        assert cli._configure(NetworkConfig, "network", args, {}) == NetworkConfig()
-        assert cli._configure(TrainConfig, "train", args, {}) == TrainConfig()
+        assert cli._configure(NetworkConfig, args) == NetworkConfig()
+        assert cli._configure(TrainConfig, args) == TrainConfig()
 
-    @pytest.mark.parametrize("text", [b"d1 = 2\n", b"[network]\nd1 = 2\nd1 = 3\n", b"[network]\nd1 = \xff\n"],
-                             ids=["no-section-header", "duplicate-key", "not-utf-8"])
-    def test_malformed_config_file_is_config_error(self, text, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["synth", "train", "svm", "pipeline", "gradcheck", "gradcheck-instances"])
+    def test_negative_seed_or_no_gradcheck_instance_is_config_error(self, command, tmp_path, capsys, toy_data):
+        argv = {
+            "synth": ["synth", "--out", str(tmp_path / "c.npz"), "--seed", "-1"],
+            "train": ["train", *toy_data, *TOY_FLAGS, "--out-dir", str(tmp_path / "out"), "--seed", "-1"],
+            "svm": ["svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(tmp_path / "m.npz"),
+                    "--seed", "-1"],
+            "pipeline": ["pipeline", *toy_data, "--checkpoint", str(_checkpoint(tmp_path / "ck.npz")),
+                         "--out-dir", str(tmp_path / "eval"), "--seed", "-1"],
+            "gradcheck": ["gradcheck", "--layer", "half_vec", "--seed", "-1"],
+            "gradcheck-instances": ["gradcheck", "--instances", "0"],
+        }[command]
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "PASS" not in captured.out
+
+    def test_config_file_option_is_gone(self, tmp_path, capsys, toy_data):
         ini = tmp_path / "run.ini"
-        ini.write_bytes(text)
-        code = run_cli("--config", str(ini), "gradcheck", "--layer", "half_vec", "--instances", "1")
-        assert code == cli.EXIT_CONFIG
-        assert f"--config file {ini}: " in capsys.readouterr().err
+        ini.write_text("[network]\nd1 = 2\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--config", str(ini), "train", *toy_data, "--out-dir", str(tmp_path / "out"))
+        assert exc.value.code == 2
+        assert "handspd: error: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command", [["extract", "--out", "features.npz"], ["pipeline", "--out-dir", "eval"]],
@@ -153,8 +138,15 @@ def _features(path, **change):
 
 
 def _checkpoint(path):
-    cfg = gradcheck.toy_config()
+    """A checkpoint of the ``TOY_FLAGS`` network, which reads the toy data."""
+    cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
     network.save_checkpoint(path, optim.init_params(cfg), cfg)
+    return path
+
+
+def _model(path):
+    """A model for ``_features``' 2 classes of 3 features."""
+    classify.save_model(path, classify.SvmModel(weights=np.ones((2, 3))))
     return path
 
 
@@ -199,6 +191,14 @@ def _huge_cache(tmp, toy):
     return _reading("--cache", edit_npz(path, meta=claimed((2**40, 5), "<i8")), tmp), path
 
 
+def _one_nan(path, name):
+    """Rewrite array ``name`` of the archive at ``path`` with its first value NaN."""
+    with np.load(path) as archive:
+        array = archive[name].copy()
+    array.flat[0] = np.nan
+    return edit_npz(path, **{name: array})
+
+
 # Each case builds its files in a temporary directory, given the toy data
 # flags, and returns the command line and the path the error must name.
 FILE_FAULTS = {
@@ -225,6 +225,14 @@ FILE_FAULTS = {
     "huge-cache": _huge_cache,
     "nan-eps-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(_checkpoint(t / "c.npz"),
                                                                           eps=np.array(np.nan)), t, toy), t / "c.npz"),
+    "nan-feature": lambda t, toy: (_reading("--features", _one_nan(_features(t / "f.npz"), "features"), t),
+                              t / "f.npz"),
+    "nan-model-weight": lambda t, toy: (_reading("--model", _one_nan(_model(t / "m.npz"), "weights"), t),
+                                   t / "m.npz"),
+    "nan-conv-checkpoint": lambda t, toy: (_reading("--checkpoint", _one_nan(_checkpoint(t / "c.npz"), "conv"), t, toy),
+                                      t / "c.npz"),
+    "nan-spat-checkpoint": lambda t, toy: (_reading("--checkpoint", _one_nan(_checkpoint(t / "c.npz"), "spat"), t, toy),
+                                      t / "c.npz"),
 }
 
 
@@ -459,18 +467,6 @@ class TestEndToEndCommands:
         assert code == cli.EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "numerical failure" in err and "frame_log(gram)" in err
-
-    def test_config_file_supplies_network_options(self, tmp_path, toy_data):
-        ini = tmp_path / "cfg.ini"
-        ini.write_text(
-            "[network]\nd1 = 2\nlevels = 2\nlength = 8\nclasses = 4\n"
-            "[train]\nepochs = 1\nbatch_size = 4\n"
-        )
-        out_dir = tmp_path / "out"
-        code = run_cli("--config", str(ini), "train", *toy_data, "--out-dir", str(out_dir))
-        assert code == cli.EXIT_OK
-        _, cfg = network.load_checkpoint(out_dir / "checkpoint_final.npz")
-        assert (cfg.d1, cfg.n_T, cfg.n_F, cfg.n_classes) == (2, 2, 8, 4)
 
 
 class TestCacheSplit:

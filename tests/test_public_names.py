@@ -11,13 +11,17 @@ the strings of ``__all__`` do not count.
 
 import argparse
 import ast
+import dataclasses
 from pathlib import Path
 
 from handspd import cli
+from handspd.network import NetworkConfig
+from handspd.optim import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "handspd"
 ALLOWED = {"__all__", "__version__"}
+SETTING_NAMES = {f.name for config in (NetworkConfig, TrainConfig) for f in dataclasses.fields(config)}
 
 
 def _defined(tree: ast.Module):
@@ -61,21 +65,33 @@ def test_every_public_name_has_a_caller_outside_tests():
     assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"
 
 
+def _options():
+    """(command, action) for every option of ``cli.make_parser()``."""
+    parser = cli.make_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command, sub in [("", parser), *subparsers.choices.items()]:
+        for action in sub._actions:
+            if action.default != argparse.SUPPRESS:
+                yield command, action
+
+
 def test_every_command_line_option_is_read():
-    # A read is an ``args.<dest>`` attribute in cli.py or an INI key of
-    # ``cli._FIELDS``, which ``_configure`` reads by name.
+    # A read is an ``args.<dest>`` attribute in cli.py or, for ``train``, a
+    # field of the dataclasses that ``_configure`` builds from ``args``.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     read = {
         node.attr for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "args"
     }
-    read |= {key for keys in cli._FIELDS.values() for key in keys}
-    parser = cli.make_parser()
-    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    unread = [
-        f"{command} {action.option_strings or action.dest}"
-        for command, sub in [("", parser), *subparsers.choices.items()]
-        for action in sub._actions
-        if action.default != argparse.SUPPRESS and action.dest not in read
-    ]
+    unread = [f"{command} {action.option_strings or action.dest}"
+              for command, action in _options()
+              if action.dest not in read and not (command == "train" and action.dest in SETTING_NAMES)]
     assert not unread, f"options that cli.py never reads: {unread}"
+
+
+def test_train_options_leave_the_defaults_to_the_dataclasses():
+    # A config field's flag defaults to None, so the dataclass default is the only one.
+    set_by_hand = [f"train {action.option_strings}: {action.default!r}"
+                   for command, action in _options()
+                   if command == "train" and action.dest in SETTING_NAMES and action.default is not None]
+    assert not set_by_hand, f"train options with a default of their own: {set_by_hand}"
