@@ -7,7 +7,8 @@ permutation each pass; termination uses the projected-gradient spread
 criterion over a full pass.  A coordinate visit costs one dot and, when
 the coordinate moves, two in-place ufuncs (the axpy); everything else is
 Python float arithmetic.  Every iterate is bitwise that of the plain numpy
-loop (``tests/oracles.py``).
+loop (``tests/oracles.py``).  ``SvmConfig`` holds C, tol and the visit seed,
+their only defaults and checks; a solver stops after ``MAX_PASSES`` passes.
 
 Classes are fitted in parallel by ``fork``ed workers, one per CPU this
 process may run on, which share the features copy-on-write; off Linux or
@@ -33,25 +34,40 @@ import numpy as np
 from . import data
 from .errors import InvalidInput
 
+MAX_PASSES = 1000
 MODEL_LAYOUT = {"weights": ((None, None), "f"), "C": ((), "f"), "tol": ((), "f"),
                 "passes": ((None,), "i"), "converged": ((None,), "b"), "dual": ((None,), "f")}
+
+
+@dataclass(frozen=True)
+class SvmConfig:
+    C: float = 1.0
+    tol: float = 0.1
+    seed: int = 0
+
+    def __post_init__(self):
+        # NaN fails every comparison; C > 0 comes first, so 1/(2C) divides by no zero.
+        if not (0 < self.C < np.inf and 0 < 1.0 / (2.0 * self.C) < np.inf and 0 < self.tol < np.inf):
+            raise InvalidInput(f"need finite C, 1/(2C) and tol > 0, got C={self.C}, tol={self.tol}")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
 class SvmModel:
     weights: np.ndarray            # (n_classes, dim), one-vs-rest
-    C: float = 1.0
-    tol: float = 0.1
+    C: float = SvmConfig.C
+    tol: float = SvmConfig.tol
     dual_history: list = field(default_factory=list)  # per class, per pass; last pass only when loaded
     passes: list = field(default_factory=list)        # per class
-    converged: list = field(default_factory=list)     # per class; False at max_passes
+    converged: list = field(default_factory=list)     # per class; False at MAX_PASSES
 
     @property
     def n_classes(self) -> int:
         return self.weights.shape[0]
 
     def unconverged_classes(self) -> list[int]:
-        """1-based classes whose solver stopped at max_passes."""
+        """1-based classes whose solver stopped at MAX_PASSES."""
         return [cls for cls, ok in enumerate(self.converged, start=1) if not ok]
 
 
@@ -142,23 +158,17 @@ def _worker_count(n_classes: int) -> int:
 def svm_train(
     features: np.ndarray,
     labels: np.ndarray,
-    C: float = 1.0,
-    tol: float = 0.1,
-    seed: int = 0,
+    C: float = SvmConfig.C,
+    tol: float = SvmConfig.tol,
+    seed: int = SvmConfig.seed,
     n_classes: int | None = None,
-    max_passes: int = 1000,
 ) -> SvmModel:
     """One-vs-rest training, the classes in parallel; labels are 1-based integers."""
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if x.ndim != 2 or labels.shape != (x.shape[0],):
         raise InvalidInput(f"need (n, d) features with n labels, got {x.shape} / {labels.shape}")
-    # NaN fails every comparison.  C > 0 is tested first, so 1/(2C), the
-    # Hessian's diagonal term (``_q_diagonal``), divides by no zero.
-    if not (0 < C < np.inf and 0 < 1.0 / (2.0 * C) < np.inf and 0 < tol < np.inf) or max_passes < 1:
-        raise InvalidInput(f"need finite C, 1/(2C) and tol > 0 and max_passes >= 1, got C={C}, tol={tol}")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
+    SvmConfig(C, tol, seed)  # the settings' checks
     present = np.unique(labels)
     if present.size < 2:
         raise InvalidInput("training data contains a single class")
@@ -167,7 +177,7 @@ def svm_train(
     if present[0] < 1 or present[-1] > n_classes:
         bad = present[0] if present[0] < 1 else present[-1]
         raise InvalidInput(f"label {bad} outside [1, {n_classes}]")
-    fit = (x, labels, _q_diagonal(x, C), C, tol, seed, max_passes)
+    fit = (x, labels, _q_diagonal(x, C), C, tol, seed, MAX_PASSES)
     classes = range(1, n_classes + 1)
     workers = _worker_count(n_classes)
     if workers > 1:

@@ -1,10 +1,10 @@
 """Command-line frontend: train / pipeline / extract / svm / eval /
 gradcheck / synth.
 
-Settings come from command-line flags only; a ``train`` flag left out takes
-the default of ``NetworkConfig`` or ``TrainConfig``.  ``pipeline`` and
-``extract`` take the network configuration from the checkpoint.  ``pipeline``
-runs the ``extract``, ``svm`` and ``eval`` stages.  Exit codes: 0 success,
+Settings come from command-line flags only; a flag left out takes the
+library's default (``_configure``).  ``pipeline`` and ``extract`` take the
+network configuration from the checkpoint.  ``pipeline`` runs the
+``extract``, ``svm`` and ``eval`` stages.  Exit codes: 0 success,
 1 runtime numerical failure, 2 configuration error or a file that cannot be
 read, written or parsed (the message names it).
 """
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import inspect
 import sys
 from pathlib import Path
 
@@ -34,10 +35,10 @@ EXIT_NUMERICAL = 1
 EXIT_CONFIG = 2
 
 
-def _configure(config, args):
-    """``config`` with the fields a flag set; the dataclass defaults the rest."""
-    fields = {f.name for f in dataclasses.fields(config)}
-    return config(**{name: value for name, value in vars(args).items() if name in fields and value is not None})
+def _configure(target, args):
+    """``target`` called with the parameters a flag set; its defaults fill the rest."""
+    names = inspect.signature(target).parameters
+    return target(**{name: value for name, value in vars(args).items() if name in names and value is not None})
 
 
 def _load_sequences(args, cfg: NetworkConfig):
@@ -69,9 +70,9 @@ def _add_data_flags(sub):
 
 
 def _add_svm_flags(sub):
-    sub.add_argument("--svm-c", type=float, default=1.0)
-    sub.add_argument("--svm-tol", type=float, default=0.1)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--svm-c", type=float, dest="C")
+    sub.add_argument("--svm-tol", type=float, dest="tol")
+    sub.add_argument("--seed", type=int)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -118,16 +119,16 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-dir", required=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every backward pass")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--layer", action="append",
+    p.add_argument("--seed", type=int)
+    p.add_argument("--instances", type=int, dest="n_instances")
+    p.add_argument("--layer", action="append", dest="layers",
                    help=f"restrict to one layer (repeatable): {', '.join(gradcheck.LAYERS)}")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset cache")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--per-class", type=int, default=75)
-    p.add_argument("--noise", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=4, dest="n_classes")
+    p.add_argument("--per-class", type=int, default=75, dest="n_per_class")
+    p.add_argument("--noise", type=float, dest="noise_sigma")
+    p.add_argument("--seed", type=int)
     p.add_argument("--length", type=int, default=NetworkConfig.n_F)
     p.add_argument("--out", required=True)
     return parser
@@ -163,11 +164,10 @@ def _warn_unconverged(model: classify.SvmModel):
         print(f"warning: the SVM solver did not converge for {noun} {listed}", file=sys.stderr)
 
 
-def _fit(features_path, model_path, args) -> classify.SvmModel:
-    """Fit the SVM on an ``extract`` file and save it to ``model_path``."""
+def _fit(features_path, model_path, svm: classify.SvmConfig) -> classify.SvmModel:
+    """Fit the SVM of settings ``svm`` on an ``extract`` file and save it to ``model_path``."""
     features, labels, n_classes = _read_features(features_path)
-    model = classify.svm_train(features, labels, C=args.svm_c, tol=args.svm_tol,
-                               seed=args.seed, n_classes=n_classes)
+    model = classify.svm_train(features, labels, **dataclasses.asdict(svm), n_classes=n_classes)
     _warn_unconverged(model)
     classify.save_model(model_path, model)
     print(f"SVM model written to {model_path}")
@@ -204,13 +204,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    svm = _configure(classify.SvmConfig, args)
     params, cfg = network.load_checkpoint(args.checkpoint)
     train_set, test_set = _load_sequences(args, cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _extract(out_dir / "train_features.npz", train_set, params, cfg)
     _extract(out_dir / "test_features.npz", test_set, params, cfg)
-    model = _fit(out_dir / "train_features.npz", out_dir / "svm_model.npz", args)
+    model = _fit(out_dir / "train_features.npz", out_dir / "svm_model.npz", svm)
     report = _evaluate(model, out_dir / "test_features.npz", out_dir)
     print(f"accuracy: {report.accuracy:.2f}%")
     return EXIT_OK
@@ -224,7 +225,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_svm(args) -> int:
-    _fit(args.features, args.out, args)
+    _fit(args.features, args.out, _configure(classify.SvmConfig, args))
     return EXIT_OK
 
 
@@ -236,14 +237,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = gradcheck.run(seed=args.seed, n_instances=args.instances, layers=args.layer)
+    results = _configure(gradcheck.run, args)
     print(gradcheck.format_table(results))
     return EXIT_OK if all(e < gradcheck.THRESHOLD for e in results.values()) else EXIT_NUMERICAL
 
 
 def cmd_synth(args) -> int:
-    sequences = data.synth_generate(args.per_class, args.classes, args.noise,
-                                    args.seed, length=args.length)
+    sequences = _configure(data.synth_generate, args)
     data.save_cache(args.out, sequences)
     print(f"wrote {len(sequences)} synthetic sequences to {args.out}")
     return EXIT_OK

@@ -82,11 +82,12 @@ def test_call_signatures_and_the_per_sequence_forward(monkeypatch):
     assert [id(seq) for seq in seen] == [id(seq) for seq in batch]
 
 
-def test_the_results_the_workloads_read():
+def test_the_results_the_workloads_read(workloads):
     # The traced clamped-eigenvalue counter reads result[2].frame_eig.values
     # of each forward call; the train checks call validate_stiefel on every
     # step's parameters; the svm checks read one list of per-pass dual
-    # objectives per class, its length and its monotonicity.
+    # objectives per class, its length and its monotonicity, and count a
+    # class as converged when its passes stay below the solver's limit.
     cfg = toy_config()
     params = optim.init_params(cfg, seed=0)
     seq = np.random.default_rng(0).standard_normal((cfg.n_F, cfg.n_joints, 3))
@@ -100,6 +101,7 @@ def test_the_results_the_workloads_read():
     labels = np.repeat([1, 2, 3], 8)
     features = rng.standard_normal((labels.size, 5)) + 3.0 * np.eye(5)[labels]
     model = classify.svm_train(features, labels)
+    assert workloads.SVM_MAX_PASSES == classify.MAX_PASSES
     history = model.dual_history
     assert isinstance(history, list) and len(history) == 3
     for h, passes in zip(history, model.passes):

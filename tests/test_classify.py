@@ -77,10 +77,11 @@ class TestMulticlass:
         assert model.passes == [len(h) for h in model.dual_history]
         assert model.unconverged_classes() == []
 
-    def test_max_passes_reached_is_reported(self):
+    def test_max_passes_reached_is_reported(self, monkeypatch):
+        monkeypatch.setattr(classify, "MAX_PASSES", 1)
         rng = np.random.default_rng(0)
         x, y = _blobs(rng, 25, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
-        model = classify.svm_train(x, y, tol=1e-8, seed=0, max_passes=1)
+        model = classify.svm_train(x, y, tol=1e-8, seed=0)
         assert model.passes == [1, 1, 1]
         assert model.converged == [False, False, False]
         assert model.unconverged_classes() == [1, 2, 3]
@@ -126,13 +127,13 @@ def _assert_matches_reference(x, labels, n_classes, seed, **kw):
     """Fit with svm_train and check each class bitwise against the
     reference loop; returns the model and the reference's final alphas."""
     model = classify.svm_train(x, labels, seed=seed, n_classes=n_classes, **kw)
-    c, tol, max_passes = kw.get("C", 1.0), kw.get("tol", 0.1), kw.get("max_passes", 1000)
+    c, tol = kw.get("C", classify.SvmConfig.C), kw.get("tol", classify.SvmConfig.tol)
     assert model.n_classes == n_classes
     alphas = []
     for cls in range(1, n_classes + 1):
         y = np.where(labels == cls, 1.0, -1.0)
         rng = np.random.default_rng((seed, cls))
-        w, history, converged, alpha = oracles.dcd_binary_reference(x, y, c, tol, rng, max_passes)
+        w, history, converged, alpha = oracles.dcd_binary_reference(x, y, c, tol, rng, classify.MAX_PASSES)
         assert np.array_equal(model.weights[cls - 1], w)
         assert model.dual_history[cls - 1] == history
         assert model.passes[cls - 1] == len(history)
@@ -159,10 +160,12 @@ class TestMatchesReference:
         model, _ = _assert_matches_reference(x, labels, 4, seed, C=2.0, tol=1e-3)
         assert all(model.converged)
 
-    def test_fit_out_of_passes(self, workers):
+    def test_fit_out_of_passes(self, workers, monkeypatch):
+        # Forked workers inherit the patched limit: svm_train reads it at call time.
+        monkeypatch.setattr(classify, "MAX_PASSES", 4)
         rng = np.random.default_rng(3)
         x, labels = _blobs(rng, 10, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
-        model, _ = _assert_matches_reference(x, labels, 3, 3, tol=1e-12, max_passes=4)
+        model, _ = _assert_matches_reference(x, labels, 3, 3, tol=1e-12)
         assert model.passes == [4, 4, 4] and not any(model.converged)
 
     def test_classes_beyond_the_labels_present(self, workers):
@@ -192,8 +195,9 @@ class TestMatchesReferenceAtWidth:
         model, _ = _assert_matches_reference(*features, 4, 2)
         assert all(model.converged)
 
-    def test_fit_out_of_passes(self, workers, features):
-        model, _ = _assert_matches_reference(*features, 4, 3, tol=1e-12, max_passes=3)
+    def test_fit_out_of_passes(self, workers, features, monkeypatch):
+        monkeypatch.setattr(classify, "MAX_PASSES", 3)
+        model, _ = _assert_matches_reference(*features, 4, 3, tol=1e-12)
         assert model.passes == [3, 3, 3, 3] and not any(model.converged)
 
     def test_small_c_clamps_some_alphas_to_zero(self, workers, features):
@@ -270,10 +274,11 @@ class TestModelSerialization:
         assert loaded.C == model.C
         assert loaded.tol == model.tol
 
-    def test_round_trip_keeps_the_fit_record(self, tmp_path):
+    def test_round_trip_keeps_the_fit_record(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(1)
         x, y = _blobs(rng, 10, [(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0)], spread=0.8)
-        model = classify.svm_train(x, y, tol=1e-3, seed=0, max_passes=3)
+        monkeypatch.setattr(classify, "MAX_PASSES", 3)
+        model = classify.svm_train(x, y, tol=1e-3, seed=0)
         model.converged[1] = True
         path = tmp_path / "svm.npz"
         classify.save_model(path, model)

@@ -109,6 +109,15 @@ class TestArgumentHandling:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert "PASS" not in captured.out
 
+    @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--svm-c", "nan"), ("--svm-tol", "inf")])
+    def test_pipeline_checks_the_svm_settings_before_any_work(self, flag, value, tmp_path, capsys, toy_data):
+        out_dir = tmp_path / "eval"
+        assert run_cli("pipeline", *toy_data, "--checkpoint", str(_checkpoint(tmp_path / "ck.npz")),
+                       "--out-dir", str(out_dir), flag, value) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (out_dir / "train_features.npz").exists() and not (out_dir / "test_features.npz").exists()
+
     def test_config_file_option_is_gone(self, tmp_path, capsys, toy_data):
         ini = tmp_path / "run.ini"
         ini.write_text("[network]\nd1 = 2\n")
@@ -296,13 +305,18 @@ class TestGradcheckCommand:
 class TestSynthCommand:
     def test_writes_loadable_cache(self, tmp_path):
         out = tmp_path / "cache.npz"
-        code = run_cli("synth", "--classes", "3", "--per-class", "2",
-                       "--length", "8", "--out", str(out))
-        assert code == cli.EXIT_OK
-        from handspd import data
+        argv = ["synth", "--classes", "3", "--per-class", "2", "--length", "8"]
+        assert run_cli(*argv, "--out", str(out)) == cli.EXIT_OK
         seqs = data.load_cache(out)
         assert len(seqs) == 6
         assert seqs[0].frames.shape == (8, 22, 3)
+        # A flag left out is the library's default: the same settings given
+        # as flags, or the library called through _configure, write the same bytes.
+        assert run_cli(*argv, "--noise", "0.01", "--seed", "0", "--out", str(tmp_path / "given.npz")) == cli.EXIT_OK
+        args = cli.make_parser().parse_args([*argv, "--out", "unused.npz"])
+        data.save_cache(tmp_path / "direct.npz", cli._configure(data.synth_generate, args))
+        for name in ("given.npz", "direct.npz"):
+            assert (tmp_path / name).read_bytes() == out.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +381,13 @@ class TestEndToEndCommands:
 
         model_path = tmp_path / "model.npz"
         assert run_cli("svm", "--features", str(feats), "--out", str(model_path)) == cli.EXIT_OK
+        # A flag left out is SvmConfig's default: the same settings as flags write the same bytes.
+        args = cli.make_parser().parse_args(["svm", "--features", str(feats), "--out", str(model_path)])
+        assert cli._configure(classify.SvmConfig, args) == classify.SvmConfig()
+        given = tmp_path / "given.npz"
+        assert run_cli("svm", "--features", str(feats), "--out", str(given), "--svm-c", "1.0",
+                       "--svm-tol", "0.1", "--seed", "0") == cli.EXIT_OK
+        assert given.read_bytes() == model_path.read_bytes()
 
         report_dir = tmp_path / "report"
         code = run_cli("eval", "--model", str(model_path), "--features", str(feats),
@@ -431,21 +452,22 @@ class TestEndToEndCommands:
         assert code == cli.EXIT_OK
         capsys.readouterr()
         train = classify.svm_train
-        monkeypatch.setattr(classify, "svm_train",
-                            lambda *a, **k: train(*a, **{**k, "tol": 1e-12, "max_passes": 1}))
+        monkeypatch.setattr(classify, "svm_train", lambda *a, **k: train(*a, **{**k, "tol": 1e-12}))
+        monkeypatch.setattr(classify, "MAX_PASSES", 1)
         code = run_cli("svm", "--features", str(feats), "--out", str(tmp_path / "model.npz"))
         assert code == cli.EXIT_OK
         err = capsys.readouterr().err
         assert err.count("warning:") == 1
         assert "did not converge for classes 1 (1 passes), 2 (1 passes), 3 (1 passes), 4 (1 passes)" in err
 
-    def test_eval_warns_about_unconverged_classes_in_the_model(self, tmp_path, capsys):
+    def test_eval_warns_about_unconverged_classes_in_the_model(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(0)
         features = rng.standard_normal((12, 4))
         labels = np.repeat([1, 2, 3], 4)
         feats = tmp_path / "features.npz"
         data.write_npz(feats, features=features, labels=labels, n_classes=np.array([3]))
-        model = classify.svm_train(features, labels, tol=1e-12, max_passes=2)
+        monkeypatch.setattr(classify, "MAX_PASSES", 2)
+        model = classify.svm_train(features, labels, tol=1e-12)
         model.converged[1] = True
         classify.save_model(tmp_path / "model.npz", model)
         code = run_cli("eval", "--model", str(tmp_path / "model.npz"), "--features", str(feats),

@@ -11,17 +11,25 @@ the strings of ``__all__`` do not count.
 
 import argparse
 import ast
-import dataclasses
+import inspect
 from pathlib import Path
 
-from handspd import cli
+from handspd import cli, data, gradcheck
+from handspd.classify import SvmConfig
 from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "handspd"
 ALLOWED = {"__all__", "__version__"}
-SETTING_NAMES = {f.name for config in (NetworkConfig, TrainConfig) for f in dataclasses.fields(config)}
+# What each command builds or calls with ``cli._configure`` from its flags.
+CONFIGURED = {
+    "train": (NetworkConfig, TrainConfig),
+    "svm": (SvmConfig,),
+    "pipeline": (SvmConfig,),
+    "synth": (data.synth_generate,),
+    "gradcheck": (gradcheck.run,),
+}
 
 
 def _defined(tree: ast.Module):
@@ -75,9 +83,15 @@ def _options():
                 yield command, action
 
 
+def _parameters(command):
+    """Name to ``inspect.Parameter`` over the ``_configure`` targets of ``command``."""
+    return {name: parameter for target in CONFIGURED.get(command, ())
+            for name, parameter in inspect.signature(target).parameters.items()}
+
+
 def test_every_command_line_option_is_read():
-    # A read is an ``args.<dest>`` attribute in cli.py or, for ``train``, a
-    # field of the dataclasses that ``_configure`` builds from ``args``.
+    # A read is an ``args.<dest>`` attribute in cli.py or a parameter of a
+    # target that ``_configure`` calls with ``args`` for the option's command.
     tree = ast.parse((PACKAGE / "cli.py").read_text())
     read = {
         node.attr for node in ast.walk(tree)
@@ -85,13 +99,15 @@ def test_every_command_line_option_is_read():
     }
     unread = [f"{command} {action.option_strings or action.dest}"
               for command, action in _options()
-              if action.dest not in read and not (command == "train" and action.dest in SETTING_NAMES)]
+              if action.dest not in read and action.dest not in _parameters(command)]
     assert not unread, f"options that cli.py never reads: {unread}"
 
 
-def test_train_options_leave_the_defaults_to_the_dataclasses():
-    # A config field's flag defaults to None, so the dataclass default is the only one.
-    set_by_hand = [f"train {action.option_strings}: {action.default!r}"
+def test_options_leave_the_defaults_to_the_library():
+    # A flag that feeds a parameter with a default defaults to None, so the
+    # library's default is the only one.
+    set_by_hand = [f"{command} {action.option_strings}: {action.default!r}"
                    for command, action in _options()
-                   if command == "train" and action.dest in SETTING_NAMES and action.default is not None]
-    assert not set_by_hand, f"train options with a default of their own: {set_by_hand}"
+                   if (parameter := _parameters(command).get(action.dest)) is not None
+                   and parameter.default is not inspect.Parameter.empty and action.default is not None]
+    assert not set_by_hand, f"options with a default of their own: {set_by_hand}"
