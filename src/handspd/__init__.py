@@ -3,14 +3,7 @@ gestures, with Riemannian optimization and a linear-SVM classification stage.
 """
 
 from . import classify, data, gradcheck, linalg, network, optim, skeleton, spd_ops
-from .errors import (
-    ConfigError,
-    HandSpdError,
-    InvalidInput,
-    ParseError,
-    RankError,
-    SpectralDomainError,
-)
+from .errors import HandSpdError, InvalidInput, RankError, SpectralDomainError
 from .network import NetworkConfig, NetworkParams
 from .optim import TrainConfig
 
@@ -30,8 +23,6 @@ __all__ = [
     "InvalidInput",
     "SpectralDomainError",
     "RankError",
-    "ParseError",
-    "ConfigError",
 ]
 
 __version__ = "0.1.0"

@@ -248,12 +248,13 @@ def load_model(path) -> SvmModel:
     weights = arrays["weights"]
     k, d = weights.shape
     if k < 1 or d < 1:
-        raise InvalidInput(f"{path}: model of {k} x {d} weights")
+        raise InvalidInput(f"model of {k} x {d} weights", path=path, array="weights")
     passes, converged, dual = arrays["passes"], arrays["converged"], arrays["dual"]
     if {passes.size, converged.size, dual.size} not in ({0}, {k}):
         raise InvalidInput(
-            f"{path}: fit record of {passes.size} passes, {converged.size} converged and"
-            f" {dual.size} dual entries for {k} classes"
+            f"fit record of {passes.size} passes, {converged.size} converged and"
+            f" {dual.size} dual entries for {k} classes",
+            path=path,
         )
     return SvmModel(weights, C=arrays["C"].item(), tol=arrays["tol"].item(), passes=passes.tolist(),
                     converged=converged.tolist(), dual_history=[[v] for v in dual.tolist()])

@@ -5,8 +5,11 @@ Settings come from command-line flags only; a flag left out takes the
 library's default (``_configure``).  ``pipeline`` and ``extract`` take the
 network configuration from the checkpoint.  ``pipeline`` runs the
 ``extract``, ``svm`` and ``eval`` stages.  Exit codes: 0 success,
-1 runtime numerical failure, 2 configuration error or a file that cannot be
-read, written or parsed (the message names it).
+1 runtime numerical failure (any other ``HandSpdError``), 2 ``InvalidInput``
+(a bad setting, or a file that cannot be parsed) or an ``OSError`` on a
+path (a file that cannot be read or written).  ``main`` prints the error,
+whose location fields (path, line, array, layer, finger, range, frame,
+matrix) follow the message.
 """
 
 from __future__ import annotations
@@ -21,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, data, gradcheck, network, optim
-from .errors import (
-    ConfigError,
-    HandSpdError,
-    InvalidInput,
-    ParseError,
-)
+from .errors import HandSpdError, InvalidInput
 from .network import NetworkConfig
 from .optim import TrainConfig
 
@@ -49,7 +47,7 @@ def _load_sequences(args, cfg: NetworkConfig):
     files.
     """
     if bool(args.data) == bool(args.cache):
-        raise ConfigError("exactly one of --data, --cache is required")
+        raise InvalidInput("exactly one of --data, --cache is required")
     if args.data:
         sequences = [data.resample(s, cfg.n_F) for s in data.load_dhg(args.data)]
         return data.dhg_split(sequences, args.data)
@@ -58,7 +56,7 @@ def _load_sequences(args, cfg: NetworkConfig):
     test = [s for s in sequences if s.trial >= args.per_class]
     for name, part in (("train", train), ("test", test)):
         if not part:
-            raise ConfigError(f"--per-class {args.per_class} leaves the {name} split of --cache empty")
+            raise InvalidInput(f"--per-class {args.per_class} leaves the {name} split of --cache empty")
     return train, test
 
 
@@ -152,7 +150,7 @@ def _read_features(path):
     arrays = data.read_npz(path, FEATURES_LAYOUT)
     features, labels = arrays["features"], arrays["labels"]
     if labels.shape[0] != features.shape[0]:
-        raise InvalidInput(f"{path}: {labels.shape[0]} labels for {features.shape[0]} feature rows")
+        raise InvalidInput(f"{labels.shape[0]} labels for {features.shape[0]} feature rows", path=path, array="labels")
     return features, labels, int(arrays["n_classes"][0])
 
 
@@ -167,7 +165,10 @@ def _warn_unconverged(model: classify.SvmModel):
 def _fit(features_path, model_path, svm: classify.SvmConfig) -> classify.SvmModel:
     """Fit the SVM of settings ``svm`` on an ``extract`` file and save it to ``model_path``."""
     features, labels, n_classes = _read_features(features_path)
-    model = classify.svm_train(features, labels, **dataclasses.asdict(svm), n_classes=n_classes)
+    try:
+        model = classify.svm_train(features, labels, **dataclasses.asdict(svm), n_classes=n_classes)
+    except InvalidInput as exc:
+        raise exc.at(path=features_path)
     _warn_unconverged(model)
     classify.save_model(model_path, model)
     print(f"SVM model written to {model_path}")
@@ -178,7 +179,10 @@ def _evaluate(model: classify.SvmModel, features_path, out_dir: Path) -> classif
     """Score ``model`` on an ``extract`` file: confusion.csv and report.csv
     (the accuracy) in out_dir, plus the per-class table on stdout."""
     features, labels, _ = _read_features(features_path)
-    report = classify.evaluate(model, features, labels)
+    try:
+        report = classify.evaluate(model, features, labels)
+    except InvalidInput as exc:
+        raise exc.at(path=features_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = classify.class_names(model.n_classes)
     classify.confusion_csv(out_dir / "confusion.csv", report, names)
@@ -265,7 +269,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ConfigError, ParseError, InvalidInput) as exc:
+    except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except HandSpdError as exc:

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput, ParseError
+from .errors import InvalidInput
 
 N_JOINTS = 22
 
@@ -58,17 +58,14 @@ def _parse_skeleton_file(path: Path) -> np.ndarray:
             if not parts:
                 continue
             if len(parts) != 3 * N_JOINTS:
-                raise ParseError(
-                    f"expected {3 * N_JOINTS} floats per frame, got {len(parts)}",
-                    path=path,
-                    line=lineno,
-                )
+                raise InvalidInput(f"expected {3 * N_JOINTS} floats per frame, got {len(parts)}",
+                                   path=path, line=lineno)
             try:
                 rows.append([float(p) for p in parts])
             except ValueError as exc:
-                raise ParseError(f"bad float: {exc}", path=path, line=lineno) from None
+                raise InvalidInput(f"bad float: {exc}", path=path, line=lineno) from None
     if len(rows) < 2:
-        raise ParseError("sequence has fewer than two frames", path=path)
+        raise InvalidInput("sequence has fewer than two frames", path=path)
     return np.asarray(rows).reshape(len(rows), N_JOINTS, 3)
 
 
@@ -83,30 +80,34 @@ def _skeleton_file(directory: Path) -> Path:
         candidate = directory / name
         if candidate.is_file():
             return candidate
-    raise ConfigError(f"no skeleton_world.txt or skeletons_world.txt in {directory}")
+    raise InvalidInput("no skeleton_world.txt or skeletons_world.txt", path=directory)
 
 
 def load_dhg(root) -> list[GestureSequence]:
     """Parse every sequence under a DHG-layout directory, path-sorted."""
     root = Path(root)
     if not root.is_dir():
-        raise ConfigError(f"dataset root {root} does not exist")
+        raise InvalidInput("dataset root does not exist", path=root)
     sequences = []
     for directory in sorted(root.glob("gesture_*/finger_*/subject_*/essai_*")):
         match = _DIR_RE.search(directory.as_posix())
         if match is None:
             continue
         g, f, s, e = map(int, match.groups())
-        frames = _parse_skeleton_file(_skeleton_file(directory))
-        sequences.append(GestureSequence(frames, label_14=g, subject=s, trial=e, finger=f))
+        path = _skeleton_file(directory)
+        frames = _parse_skeleton_file(path)
+        try:
+            sequences.append(GestureSequence(frames, label_14=g, subject=s, trial=e, finger=f))
+        except InvalidInput as exc:
+            raise exc.at(path=path)
     if not sequences:
-        raise ConfigError(f"no sequences found under {root}")
+        raise InvalidInput("no sequences found", path=root)
     return sequences
 
 
 def _read_split_file(path: Path) -> set[tuple[int, int, int, int]]:
     if not path.is_file():
-        raise ConfigError(f"missing split file {path}")
+        raise InvalidInput("missing split file", path=path)
     keys = set()
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -114,7 +115,7 @@ def _read_split_file(path: Path) -> set[tuple[int, int, int, int]]:
             if not parts:
                 continue
             if len(parts) < 4:
-                raise ParseError("split line needs at least 4 integers", path=path, line=lineno)
+                raise InvalidInput("split line needs at least 4 integers", path=path, line=lineno)
             keys.add(tuple(int(p) for p in parts[:4]))
     return keys
 
@@ -128,7 +129,7 @@ def dhg_split(sequences, root) -> tuple[list, list]:
     by_key = {(s.label_14, s.finger, s.subject, s.trial): s for s in sequences}
     missing = (train_keys | test_keys) - set(by_key)
     if missing:
-        raise ConfigError(f"{len(missing)} split entries have no sequence, e.g. {sorted(missing)[0]}")
+        raise InvalidInput(f"{len(missing)} split entries have no sequence, e.g. {sorted(missing)[0]}", path=root)
     return [by_key[k] for k in sorted(train_keys)], [by_key[k] for k in sorted(test_keys)]
 
 
@@ -138,8 +139,6 @@ def resample(seq: GestureSequence, target_len: int) -> GestureSequence:
     parameters over [0, 1]; endpoints are preserved exactly and
     length-matching input is returned unchanged."""
     n = seq.frames.shape[0]
-    if n < 2:
-        raise InvalidInput("cannot resample a sequence shorter than two frames")
     if n == target_len:
         return seq
     t_old = np.linspace(0.0, 1.0, n)
@@ -199,8 +198,6 @@ def _prototype_motion(class_id: int, t: np.ndarray, pose: np.ndarray) -> np.ndar
         frames[:, fingers[1], 0] -= pull[:, None]
     elif class_id == 8:    # shake: fast x oscillation
         frames[..., 0] += 0.05 * np.sin(3.0 * phase)[:, None]
-    else:
-        raise InvalidInput(f"unknown synthetic class id {class_id}")
     return frames
 
 
@@ -250,10 +247,10 @@ def save_cache(path, sequences):
 def load_cache(path) -> list[GestureSequence]:
     arrays = read_npz(path, CACHE_LAYOUT)
     if int(arrays["version"][0]) != CACHE_VERSION:
-        raise ConfigError(f"{path}: unsupported cache version")
+        raise InvalidInput("unsupported cache version", path=path, array="version")
     meta, count = arrays["meta"], int(arrays["count"][0])
     if count != meta.shape[0]:
-        raise InvalidInput(f"{path}: count {count} with {meta.shape[0]} rows of meta")
+        raise InvalidInput(f"count {count} with {meta.shape[0]} rows of meta", path=path, array="meta")
     names = [f"frames_{i:05d}" for i in range(count)]
     _check_layout(path, arrays, dict.fromkeys(names, ((None, None, 3), "f")))
     sequences = []
@@ -261,19 +258,19 @@ def load_cache(path) -> list[GestureSequence]:
         try:
             sequences.append(GestureSequence(arrays[name], *row))
         except InvalidInput as exc:
-            raise InvalidInput(f"{path}: array {name!r}: {exc}") from None
+            raise exc.at(path=path, array=name)
     return sequences
 
 
 class _Arrays(dict):
-    """An npz archive's arrays by name; a missing one is an error that names the file."""
+    """An npz archive's arrays by name; a missing one is an error with the file's path."""
 
     def __init__(self, path):
         super().__init__()
         self.path = path
 
     def __missing__(self, name):
-        raise InvalidInput(f"{self.path}: no array {name!r} in the npz archive")
+        raise InvalidInput("no such array in the npz archive", path=self.path, array=name)
 
 
 def write_npz(path, **arrays):
@@ -291,12 +288,12 @@ def read_npz(path, layout: dict) -> dict:
     """Every array of the npz archive at ``path``, compressed or not.
 
     ``layout`` maps each array the file must hold to its (shape, dtype
-    kind); None in a shape matches any length.  InvalidInput names the file,
-    and the array where there is one, when the file is not an npz archive of
-    plain arrays, a member cannot be read (its header may claim more than
-    memory holds), a layout array is missing or does not match, or a caller
-    looks up an array the archive lacks; an unopenable path raises the
-    OSError.
+    kind); None in a shape matches any length.  InvalidInput, with the path
+    and the array where there is one as fields, says when the file is not an
+    npz archive of plain arrays, a member cannot be read (its header may
+    claim more than memory holds), a layout array is missing or does not
+    match, or a caller looks up an array the archive lacks; an unopenable
+    path raises the OSError.
     """
     arrays, name = _Arrays(path), None
     try:
@@ -306,8 +303,8 @@ def read_npz(path, layout: dict) -> dict:
                 with archive.open(member) as fh:
                     arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
     except (ValueError, EOFError, MemoryError, zipfile.BadZipFile, zlib.error) as exc:
-        what = "not an npz archive" if name is None else f"array {name!r} cannot be read"
-        raise InvalidInput(f"{path}: {what} ({exc})") from None
+        what = "not an npz archive" if name is None else "array cannot be read"
+        raise InvalidInput(f"{what} ({exc})", path=path, array=name) from None
     _check_layout(path, arrays, layout)
     return arrays
 
@@ -318,6 +315,7 @@ def _check_layout(path, arrays, layout):
         if got.dtype.kind != kind or len(got.shape) != len(shape) or any(
             want not in (None, n) for want, n in zip(shape, got.shape)
         ):
-            raise InvalidInput(f"{path}: array {name!r} is {got.dtype} {got.shape}, expected kind {kind!r} {shape}")
+            raise InvalidInput(f"array is {got.dtype} {got.shape}, expected kind {kind!r} {shape}",
+                               path=path, array=name)
         if kind == "f" and not np.isfinite(got).all():
-            raise InvalidInput(f"{path}: array {name!r} holds a non-finite value")
+            raise InvalidInput("array holds a non-finite value", path=path, array=name)

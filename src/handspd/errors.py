@@ -1,52 +1,46 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and its one failure model.
+
+Every error carries where it happened as fields, in ``where``: path, line,
+array, layer, finger, range, frame, matrix and eigenvalue, every index
+1-based.  A raise site passes them as keywords, a caller that knows more of
+the location adds them with ``at``, and ``__str__`` alone renders them,
+after the message: ``message [path p, array a]``.
+"""
+
+_FIELDS = ("path", "line", "array", "layer", "finger", "range", "frame", "matrix", "eigenvalue")
 
 
 class HandSpdError(Exception):
     """Base class for all errors raised by this package."""
 
+    def __init__(self, message, **where):
+        super().__init__(message)
+        self.where = {}
+        self.at(**where)
+
+    def at(self, **where):
+        """Add location fields (a None value adds none); returns this error, to re-raise."""
+        merged = {**self.where, **{k: v for k, v in where.items() if v is not None}}
+        self.where = {k: merged[k] for k in sorted(merged, key=_FIELDS.index)}
+        return self
+
+    def __str__(self):
+        fields = ", ".join(f"{k} {v}" for k, v in self.where.items())
+        return f"{self.args[0]} [{fields}]" if fields else self.args[0]
+
 
 class InvalidInput(HandSpdError):
-    """Preconditions on an operation's input were violated."""
+    """An operation's input, a setting, or a file is invalid, missing or unparseable (exit 2)."""
 
 
 class SpectralDomainError(HandSpdError):
-    """A spectral scalar function was applied outside its domain.
-
-    Carries the offending eigenvalue and, when raised from inside the
-    network, a context string identifying the failing layer and branch.
-    """
-
-    def __init__(self, message, eigenvalue=None, context=None):
-        if context:
-            message = f"{message} [{context}]"
-        super().__init__(message)
-        self.eigenvalue = eigenvalue
-        self.context = context
+    """A spectral scalar function was applied outside its domain."""
 
 
 class EigenDecompositionError(HandSpdError):
-    """LAPACK's eigensolver failed (e.g. on an overflowed matrix); the message names the layer."""
+    """LAPACK's eigensolver failed (e.g. on an overflowed matrix)."""
 
 
 class RankError(HandSpdError):
-    """A matrix expected to have full row rank is rank-deficient or not finite."""
-
-
-class QRDecompositionError(HandSpdError):
-    """LAPACK's QR factorization failed; the message names the matrix."""
-
-
-class ParseError(HandSpdError):
-    """A data file could not be parsed; names file and line number."""
-
-    def __init__(self, message, path=None, line=None):
-        if path is not None:
-            loc = str(path) if line is None else f"{path}:{line}"
-            message = f"{message} ({loc})"
-        super().__init__(message)
-        self.path = path
-        self.line = line
-
-
-class ConfigError(HandSpdError):
-    """A run configuration is inconsistent or references missing files."""
+    """A stack of matrices to row-orthonormalize is rank-deficient or not
+    finite, or LAPACK's QR factorization failed on it."""

@@ -16,7 +16,11 @@ Operand contract: matrix inputs and cotangents are symmetric and finite,
 and outputs are symmetric up to rounding; nothing re-symmetrizes them.
 ``np.linalg.eigh`` reads one triangle only.  Inputs are checked once, in
 ``network.forward``, not here; only ``qr_orthonormalize``, which the
-optimizer's step feeds, checks its own stack.
+optimizer's step feeds, checks its own stack.  Each operation raises one
+error type, with the caller's ``layer`` and the failing matrix's 1-based
+stack position as fields: ``sym_eig_batch`` ``EigenDecompositionError``,
+``_apply_fn`` ``SpectralDomainError`` and ``qr_orthonormalize``
+``RankError``.
 """
 
 from __future__ import annotations
@@ -26,13 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EigenDecompositionError,
-    InvalidInput,
-    QRDecompositionError,
-    RankError,
-    SpectralDomainError,
-)
+from .errors import EigenDecompositionError, RankError, SpectralDomainError
 
 
 class EigenPair(NamedTuple):
@@ -102,47 +100,40 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
-def sym_eig_batch(s: np.ndarray, *, context: str = "sym_eig_batch", axes: tuple = ()) -> EigenPair:
+def sym_eig_batch(s: np.ndarray, *, layer: str | None = None, axes: tuple = ()) -> EigenPair:
     """Batched eigendecomposition of symmetric (..., d, d) arrays.
 
     No input validation; caller guarantees symmetry and finiteness.  A
-    LAPACK failure raises ``EigenDecompositionError`` naming ``context`` and
-    the first matrix that fails alone, by its 1-based index on each leading
-    axis named in ``axes``.
+    LAPACK failure raises ``EigenDecompositionError`` with ``layer`` and the
+    first matrix that fails alone, by its 1-based index on each leading
+    axis named in ``axes``, as fields.
     """
     try:
         vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
         failed = next((i for i in np.ndindex(s.shape[:-2]) if _fails(np.linalg.eigh, s[i])), ())
-        raise EigenDecompositionError(f"{exc}{_located(axes, failed)} [{context}]") from exc
+        raise EigenDecompositionError(str(exc), layer=layer, **{a: i + 1 for a, i in zip(axes, failed)}) from exc
     return EigenPair(vecs, vals)
 
 
-def _located(axes: tuple, index) -> str:
-    """The 1-based ``index`` on each axis named in ``axes``: ", finger 2, frame 7"."""
-    return "".join(f", {axis} {i + 1}" for axis, i in zip(axes, index))
-
-
-def _apply_fn(fn: SpectralFn, values: np.ndarray, context: str | None = None, axes: tuple = ()) -> np.ndarray:
+def _apply_fn(fn: SpectralFn, values: np.ndarray, layer: str | None = None, axes: tuple = ()) -> np.ndarray:
     """f(values); a non-finite result raises ``SpectralDomainError`` at the first
-    such eigenvalue, with its 1-based index on each leading axis named in ``axes``."""
+    such eigenvalue, with ``layer`` and its 1-based index on each leading axis
+    named in ``axes`` as fields."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = fn.f(values)
     bad = ~np.isfinite(out)
     if np.any(bad):
         first = np.argwhere(bad)[0]
-        offending = float(values[tuple(first)])
-        raise SpectralDomainError(
-            f"spectral function undefined at eigenvalue {offending!r}{_located(axes, first)}",
-            eigenvalue=offending,
-            context=context,
-        )
+        raise SpectralDomainError("spectral function undefined", layer=layer,
+                                  eigenvalue=float(values[tuple(first)]),
+                                  **{a: int(i) + 1 for a, i in zip(axes, first)})
     return out
 
 
-def spectral_apply_cached(cache: EigenPair, fn: SpectralFn, context: str | None = None) -> np.ndarray:
+def spectral_apply_cached(cache: EigenPair, fn: SpectralFn, layer: str | None = None) -> np.ndarray:
     """U diag(f(V)) U^T for the eigendecomposition (U, V) in ``cache``."""
-    fv = _apply_fn(fn, cache.values, context)
+    fv = _apply_fn(fn, cache.values, layer)
     u = cache.vectors
     return (u * fv[..., None, :]) @ np.swapaxes(u, -1, -2)
 
@@ -200,30 +191,24 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     Sign convention: the triangular factor has nonnegative diagonal, making
     the map deterministic and the identity on already-orthonormal input.
     Returns a C-contiguous stack.  Rank-deficient or non-finite input or
-    factors raise ``RankError``, and a LAPACK failure raises
-    ``QRDecompositionError``; both name the first offending matrix.  Input
+    factors, or a LAPACK failure, raise ``RankError`` with the first
+    offending matrix's 1-based stack index as its ``matrix`` field.  Input
     and factors are checked whole: when a Householder reflector is the
     identity, a NaN of the input stays above R's diagonal and Q is finite.
     """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim < 2:
-        raise InvalidInput(f"expected a (..., p, n) array, got shape {m.shape}")
-    rows, cols = m.shape[-2:]
-    if rows > cols:
-        raise RankError(f"cannot orthonormalize {rows} rows in dimension {cols}")
-    _reject(~np.isfinite(m).all(axis=(-2, -1)), RankError, "input is not finite")
+    cols = m.shape[-1]
+    _reject(~np.isfinite(m).all(axis=(-2, -1)), "input is not finite")
     try:
         q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
     except np.linalg.LinAlgError as exc:
-        failed = next((i for i in np.ndindex(m.shape[:-2]) if _fails(np.linalg.qr, m[i])), None)
-        where = "the stack" if failed is None else _matrix_name(failed)
-        raise QRDecompositionError(f"QR factorization failed: {exc} [{where}]") from exc
-    _reject(~(np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(r).all(axis=(-2, -1))),
-            RankError, "QR factors are not finite")
+        failed = next((i for i in np.ndindex(m.shape[:-2]) if _fails(np.linalg.qr, m[i])), ())
+        raise RankError(f"QR factorization failed: {exc}", **_matrix(failed)) from exc
+    _reject(~(np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(r).all(axis=(-2, -1))), "QR factors are not finite")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
     tol = cols * np.finfo(np.float64).eps * scale
-    _reject((np.abs(diag) <= tol[..., None]).any(axis=-1), RankError, "input rows are rank-deficient")
+    _reject((np.abs(diag) <= tol[..., None]).any(axis=-1), "input rows are rank-deficient")
     sign = np.where(diag < 0, -1.0, 1.0)
     return np.ascontiguousarray(np.swapaxes(q * sign[..., None, :], -1, -2))
 
@@ -236,11 +221,14 @@ def _fails(decompose: Callable, a: np.ndarray) -> bool:
     return False
 
 
-def _matrix_name(index: tuple) -> str:
-    return f"matrix {index[0] if len(index) == 1 else index}" if index else "the matrix"
+def _matrix(index: tuple) -> dict:
+    """The ``matrix`` field of a 0-based stack index: 1-based, one number on a
+    one-axis stack, none for a lone matrix."""
+    one_based = tuple(int(i) + 1 for i in index)
+    return {"matrix": one_based[0] if len(one_based) == 1 else one_based} if one_based else {}
 
 
-def _reject(bad: np.ndarray, error: type, message: str):
-    """Raise ``error`` naming the first matrix of a stack where ``bad`` is True."""
+def _reject(bad: np.ndarray, message: str):
+    """Raise ``RankError`` at the first matrix of a stack where ``bad`` is True."""
     if np.any(bad):
-        raise error(f"{message} [{_matrix_name(tuple(np.argwhere(bad)[0].tolist()))}]")
+        raise RankError(message, **_matrix(np.argwhere(bad)[0]))

@@ -153,8 +153,8 @@ class NetworkParams:
         err = np.abs(w @ np.swapaxes(w, -1, -2) - np.eye(w.shape[-2])).max(axis=(-2, -1))
         bad = np.flatnonzero(~(err < 1e-8))  # NaN drift fails too
         if bad.size:
-            i = bad[0]
-            raise InvalidInput(f"spat weight {i} is not row-orthonormal (err {err[i]:.2e})")
+            i = int(bad[0])
+            raise InvalidInput(f"spat weight is not row-orthonormal (err {err[i]:.2e})", matrix=i + 1)
 
 
 @dataclass
@@ -253,10 +253,10 @@ def _frame_log(vectors: np.ndarray, eps: float):
     factor = np.zeros(vectors.shape[:-2] + (d + 1, n))
     factor[..., :d, :] = np.swapaxes(vectors, -1, -2) @ _frame_basis(n)
     factor[..., d, n - 1] = 1.0
-    axes = ("finger", "frame")
-    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, context="frame_log(gram)", axes=axes)
+    layer, axes = "frame_log(gram)", ("finger", "frame")
+    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, layer=layer, axes=axes)
     p = factor @ gram_eig.vectors
-    h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, "frame_log(gram)", axes)
+    h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, layer, axes)
     y = (p * h[..., None, :]) @ np.swapaxes(p, -1, -2)
     idx = np.arange(d + 1)
     y[..., idx, idx] += np.log(eps)
@@ -298,14 +298,14 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
 
     Raises ``InvalidInput`` for a frame stack not of shape
     (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
-    shape does not match ``cfg.param_shapes()``, and
-    ``EigenDecompositionError`` naming the layer when an eigensolver fails
-    (finite coordinates so large that the frame Gram overflows; the message
-    names the finger and frame), and
-    ``SpectralDomainError`` naming the layer where a spectral function is
-    undefined or overflows: ``frame_log(gram)`` (coordinates near 1e152;
-    the message names the finger and frame) or ``log_eig(final_spd)`` (a
-    non-positive aggregated eigenvalue).
+    shape does not match ``cfg.param_shapes()``.  A numerical failure
+    carries its ``layer`` field: ``EigenDecompositionError`` when an
+    eigensolver fails (finite coordinates so large that the frame Gram
+    overflows), and ``SpectralDomainError``, with the ``eigenvalue`` field,
+    where a spectral function is undefined or overflows.  Its layer is
+    ``frame_log(gram)``, with the 1-based ``finger`` and ``frame`` fields
+    (coordinates near 1e152), or ``log_eig(final_spd)`` (a non-positive
+    aggregated eigenvalue).
     """
     graph = graph or cfg.graph()
     frames = np.asarray(getattr(seq, "frames", seq), dtype=np.float64)
@@ -322,8 +322,8 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     temp_flat = temp.reshape(cfg.n_L, cfg.temp_dim, cfg.temp_dim)
 
     final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
-    final_eig = linalg.sym_eig_batch(final_spd, context="log_eig(final_spd)")
-    y = linalg.spectral_apply_cached(final_eig, linalg.LOG, context="log_eig(final_spd)")
+    final_eig = linalg.sym_eig_batch(final_spd, layer="log_eig(final_spd)")
+    y = linalg.spectral_apply_cached(final_eig, linalg.LOG, "log_eig(final_spd)")
     feature = spd_ops.half_vec(y)                                  # (feature_dim,)
     logits = params.fc_weight @ feature + params.fc_bias
 
@@ -458,9 +458,9 @@ def load_checkpoint(path):
     try:
         cfg = NetworkConfig(**{name: arrays[name].item() for name in _CONFIG_DTYPES})
     except InvalidInput as exc:
-        raise InvalidInput(f"{path}: {exc}") from None
+        raise exc.at(path=path)
     shapes = cfg.param_shapes()
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
-            raise InvalidInput(f"{path}: array {name!r} has shape {arrays[name].shape}, expected {shape}")
+            raise InvalidInput(f"shape {arrays[name].shape}, expected {shape}", path=path, array=name)
     return NetworkParams(**{name: arrays[name] for name in shapes}), cfg

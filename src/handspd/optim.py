@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import InvalidInput
+from .errors import InvalidInput, RankError
 from .linalg import qr_orthonormalize, symmetrize
 from .network import NetworkConfig, NetworkParams
 
@@ -83,7 +83,8 @@ def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
     returns (params, per-epoch metrics) and writes no file.
 
     Metrics rows carry epoch, mean_loss, train_accuracy and wall_seconds
-    (``write_metrics`` writes them as CSV).
+    (``write_metrics`` writes them as CSV).  A ``RankError`` of a Stiefel
+    step gains the failing weight's ``finger`` and pyramid ``range`` fields.
     """
     if not dataset:
         raise InvalidInput("dataset must be non-empty")
@@ -105,7 +106,14 @@ def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
             labels = np.array([s.label(net_cfg.n_classes) for s in batch])
             correct += int((logits.argmax(axis=1) + 1 == labels).sum())
             epoch_loss += loss * len(batch)
-            params = apply_gradients(params, grads, train_cfg.learning_rate)
+            try:
+                params = apply_gradients(params, grads, train_cfg.learning_rate)
+            except RankError as exc:
+                if "matrix" in exc.where:  # the spat weight's 1-based index: finger-major, then range
+                    q = exc.where["matrix"] - 1
+                    ranges = network.pyramid_split(net_cfg.n_F, net_cfg.n_T)
+                    exc.at(finger=q // net_cfg.n_Q + 1, range=ranges[q % net_cfg.n_Q])
+                raise
         row = {
             "epoch": epoch,
             "mean_loss": epoch_loss / n,

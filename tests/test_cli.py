@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from handspd import classify, cli, data, gradcheck, network, optim, spd_ops
-from handspd.errors import ConfigError
+from handspd.errors import EigenDecompositionError, HandSpdError, InvalidInput, RankError, SpectralDomainError
 from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
 
 from archives import claimed, edit_npz
+from dhg import synth_dhg_tree
 
 # Reduced geometry keeps every CLI run fast: 8-frame sequences, 2 conv
 # channels, 2 pyramid levels, 4 synthetic classes.
@@ -20,6 +21,18 @@ TOY_FLAGS = ["--d1", "2", "--levels", "2", "--length", "8", "--classes", "4"]
 
 def run_cli(*argv):
     return cli.main(list(argv))
+
+
+def _failure(capsys, *argv):
+    """Exit code and stderr of a failing command run through ``cli.main``,
+    and the error the command raises when run without it."""
+    code = run_cli(*argv)
+    err = capsys.readouterr().err
+    with pytest.raises(HandSpdError) as exc:
+        cli.COMMANDS[argv[0]](cli.make_parser().parse_args(list(argv)))
+    for value in exc.value.where.values():
+        assert str(value) in err
+    return code, err, exc.value
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +66,8 @@ class TestArgumentHandling:
         path.write_bytes(path.read_bytes()[:20])
         code = run_cli("extract", *toy_data, "--checkpoint", str(path), "--out", str(tmp_path / "f.npz"))
         assert code == cli.EXIT_CONFIG
-        assert f"{path}: not an npz archive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not an npz archive" in err and f"[path {path}]" in err
 
     def test_invalid_network_option_value(self, tmp_path, toy_data):
         code = run_cli("train", *toy_data, "--d1", "0", "--out-dir", str(tmp_path))
@@ -174,16 +188,17 @@ NOT_NPZ = {"junk": lambda p: p.write_bytes(b"not an archive\x00\x01"),
            "binary-format": lambda p: p.write_bytes(b"SPDN" + b"\x00" * 64)}
 
 
-def _reading(flag, path, tmp, toy=None):
+def _reading(flag, path, tmp, toy=None, **features):
     """The command line that reads ``path`` through ``flag``; a checkpoint
-    is read with the data flags ``toy``."""
+    is read with the data flags ``toy``, and a model is evaluated on
+    ``_features(**features)``."""
     if flag == "--features":
         return ["svm", "--features", str(path), "--out", str(tmp / "m.npz")]
     if flag == "--cache":
         return ["train", "--cache", str(path), *TOY_FLAGS, "--out-dir", str(tmp / "out")]
     if flag == "--checkpoint":
         return ["extract", *toy, "--checkpoint", str(path), "--out", str(tmp / "f.npz")]
-    return ["eval", "--model", str(path), "--features", str(_features(tmp / "f.npz")),
+    return ["eval", "--model", str(path), "--features", str(_features(tmp / "f.npz", **features)),
             "--report-dir", str(tmp / "report")]
 
 
@@ -242,6 +257,15 @@ FILE_FAULTS = {
                                       t / "c.npz"),
     "nan-spat-checkpoint": lambda t, toy: (_reading("--checkpoint", _one_nan(_checkpoint(t / "c.npz"), "spat"), t, toy),
                                       t / "c.npz"),
+    "features-of-another-dim": lambda t, toy: (_reading("--model", _model(t / "m.npz"), t,
+                                                        features=np.zeros((6, 4))), t / "f.npz"),
+    "label-outside-the-model": lambda t, toy: (_reading("--model", _model(t / "m.npz"), t,
+                                                        labels=np.array([1, 1, 1, 2, 2, 9])), t / "f.npz"),
+    "label-outside-n_classes": lambda t, toy: (_reading("--features", _features(t / "f.npz",
+                                                                             labels=np.array([1, 1, 1, 2, 2, 9])), t),
+                                          t / "f.npz"),
+    "one-class-to-fit": lambda t, toy: (_reading("--features", _features(t / "f.npz", labels=np.ones(6, int)), t),
+                                   t / "f.npz"),
 }
 
 
@@ -259,8 +283,10 @@ class TestFileFaults:
     ], ids=["string", "rank-1", "one-frame", "non-finite"])
     def test_cache_frames_a_sequence_cannot_take_name_the_array(self, frames, tmp_path, capsys):
         path = edit_npz(_cache(tmp_path / "cache.npz"), frames_00001=frames)
-        assert run_cli(*_reading("--cache", path, tmp_path)) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith(f"error: {path}: array 'frames_00001'")
+        code, err, exc = _failure(capsys, *_reading("--cache", path, tmp_path))
+        assert code == cli.EXIT_CONFIG and isinstance(exc, InvalidInput)
+        assert exc.where == {"path": str(path), "array": "frames_00001"}
+        assert err.startswith("error: ") and err.rstrip().endswith(f"[path {path}, array frames_00001]")
 
     def test_oserror_without_a_path_is_not_a_file_fault(self, tmp_path, monkeypatch):
         # A failed fork, say, carries no filename and is re-raised.
@@ -477,18 +503,88 @@ class TestEndToEndCommands:
         assert err.count("warning:") == 1
         assert "did not converge for classes 1 (2 passes), 3 (2 passes)" in err
 
-    def test_overflowing_coordinates_exit_numerical(self, tmp_path, capsys):
+    @staticmethod
+    def _train_failure(tmp_path, capsys, scale):
+        """``train`` on a cache whose finger 3 joints of frame 5 are scaled by
+        ``scale`` in every sequence: its exit code, stderr and error."""
         sequences = data.synth_generate(2, 4, 0.01, 0, length=8)
         for seq in sequences:
-            seq.frames *= 1e160
+            seq.frames[4, 10:14] *= scale
         cache = tmp_path / "huge.npz"
         data.save_cache(cache, sequences)
         with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli("train", "--cache", str(cache), "--per-class", "1", *TOY_FLAGS,
-                           "--epochs", "1", "--batch-size", "4", "--out-dir", str(tmp_path / "out"))
-        assert code == cli.EXIT_NUMERICAL
-        err = capsys.readouterr().err
-        assert "numerical failure" in err and "frame_log(gram)" in err
+            code, err, exc = _failure(capsys, "train", "--cache", str(cache), "--per-class", "1", *TOY_FLAGS,
+                                      "--epochs", "1", "--batch-size", "4", "--out-dir", str(tmp_path / "out"))
+        assert code == cli.EXIT_NUMERICAL and err.startswith("numerical failure: ")
+        return exc
+
+    def test_overflowing_coordinates_exit_numerical(self, tmp_path, capsys):
+        # The frame Gram overflows and LAPACK's eigensolver does not converge.
+        exc = self._train_failure(tmp_path, capsys, 1e160)
+        assert isinstance(exc, EigenDecompositionError)
+        assert exc.where == {"layer": "frame_log(gram)", "finger": 3, "frame": 5}
+
+    def test_huge_coordinates_exit_numerical_at_the_frame_log(self, tmp_path, capsys):
+        # The frame Gram stays finite, but h(l) overflows at its largest eigenvalue.
+        exc = self._train_failure(tmp_path, capsys, 1e154)
+        assert isinstance(exc, SpectralDomainError)
+        assert exc.where.pop("eigenvalue") > 1e300
+        assert exc.where == {"layer": "frame_log(gram)", "finger": 3, "frame": 5}
+
+    def test_bad_stiefel_step_exits_numerical_naming_finger_and_range(self, tmp_path, capsys, monkeypatch, toy_data):
+        # TOY_FLAGS: 5 fingers x 3 ranges, [(1, 8), (1, 4), (5, 8)], so spat
+        # weight 8 (1-based) is finger 3's range (1, 4).
+        loss_and_backward = network.loss_and_backward
+
+        def nan_weight_8(*args, **kwargs):
+            loss, grads, logits = loss_and_backward(*args, **kwargs)
+            grads.spat[7, 0, 0] = np.nan
+            return loss, grads, logits
+
+        monkeypatch.setattr(network, "loss_and_backward", nan_weight_8)
+        code, err, exc = _failure(capsys, "train", *toy_data, *TOY_FLAGS, "--epochs", "1",
+                                  "--out-dir", str(tmp_path / "out"))
+        assert code == cli.EXIT_NUMERICAL and isinstance(exc, RankError)
+        assert exc.where == {"finger": 3, "range": (1, 4), "matrix": 8}
+        assert err.rstrip().endswith("[finger 3, range (1, 4), matrix 8]")
+
+
+@pytest.fixture(scope="module")
+def dhg_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dhg")
+    synth_dhg_tree(root)
+    return root
+
+
+class TestDhgData:
+    """``--data`` on a DHG-shaped tree of synth gestures 1-4 at both fingers,
+    6 and 11 frames long: subjects 1-2 train and subject 3 tests."""
+
+    @pytest.mark.parametrize("classes", [14, 28])
+    def test_train_and_pipeline_read_the_tree(self, classes, dhg_root, tmp_path):
+        run, pipe = tmp_path / "run", tmp_path / "pipe"
+        assert run_cli("train", "--data", str(dhg_root), "--d1", "2", "--levels", "2", "--length", "8",
+                       "--classes", str(classes), "--epochs", "1", "--batch-size", "4",
+                       "--out-dir", str(run)) == cli.EXIT_OK
+        assert run_cli("pipeline", "--data", str(dhg_root), "--checkpoint", str(run / "checkpoint_final.npz"),
+                       "--out-dir", str(pipe)) == cli.EXIT_OK
+        # Rows follow the split files' sorted (gesture, finger, subject) keys.
+        for name, subjects in (("train_features.npz", (1, 2)), ("test_features.npz", (3,))):
+            _, labels, n_classes = cli._read_features(pipe / name)
+            keys = [(g, f) for g in range(1, 5) for f in (1, 2) for _ in subjects]
+            assert n_classes == classes
+            assert labels.tolist() == [g if classes == 14 else 2 * (g - 1) + f for g, f in keys]
+
+    @pytest.mark.parametrize("fault", ["non-finite", "short-line"])
+    def test_bad_skeleton_file_exits_2_naming_it(self, fault, tmp_path, capsys):
+        bad = synth_dhg_tree(tmp_path / "dhg")[5]
+        lines = bad.read_text().splitlines()
+        lines[2] = "nan" + lines[2][lines[2].index(" "):] if fault == "non-finite" else "1.0 2.0"
+        bad.write_text("\n".join(lines) + "\n")
+        code, err, exc = _failure(capsys, "train", "--data", str(tmp_path / "dhg"), *TOY_FLAGS,
+                                  "--out-dir", str(tmp_path / "out"))
+        assert code == cli.EXIT_CONFIG and err.startswith("error: ")
+        assert exc.where == ({"path": bad} if fault == "non-finite" else {"path": bad, "line": 3})
 
 
 class TestCacheSplit:
@@ -518,7 +614,7 @@ class TestCacheSplit:
     @pytest.mark.parametrize("per_class", [0, 3])
     def test_empty_split_is_config_error(self, cache, per_class):
         cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
-        with pytest.raises(ConfigError, match="--per-class"):
+        with pytest.raises(InvalidInput, match="--per-class"):
             cli._load_sequences(self._args(cache, per_class), cfg)
 
 

@@ -5,10 +5,11 @@ import pytest
 
 from handspd import data
 from handspd.data import GestureSequence
-from handspd.errors import ConfigError, InvalidInput, ParseError
+from handspd.errors import InvalidInput
 
 import oracles
 from archives import edit_npz
+from dhg import write_dhg_tree
 
 
 def _valid_frames(n=5):
@@ -119,8 +120,9 @@ class TestCache:
         path = tmp_path / "cache.npz"
         np.savez_compressed(path, version=np.array([99]), count=np.array([0]),
                             meta=np.zeros((0, 5), dtype=np.int64))
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput, match="unsupported cache version") as err:
             data.load_cache(path)
+        assert err.value.where == {"path": path, "array": "version"}
 
 
     def test_compressed_cache_loads(self, tmp_path):
@@ -135,83 +137,88 @@ class TestCache:
 
     @pytest.mark.parametrize("change, message", [
         ({"meta": np.array([[1, 1, 0, 0, 1]])}, "count 2 with 1 rows of meta"),
-        ({"meta": np.array([[1, 1], [2, 2]])}, "array 'meta' is int64 (2, 2), expected kind 'i' (None, 5)"),
-        ({"version": np.array([], dtype=np.int64)}, "array 'version' is int64 (0,), expected kind 'i' (1,)"),
+        ({"meta": np.array([[1, 1], [2, 2]])}, "array is int64 (2, 2), expected kind 'i' (None, 5)"),
+        ({"version": np.array([], dtype=np.int64)}, "array is int64 (0,), expected kind 'i' (1,)"),
     ], ids=["meta-cut-to-one-row", "meta-cut-to-two-columns", "empty-version"])
     def test_arrays_outside_the_layout_rejected(self, change, message, tmp_path):
         path = tmp_path / "cache.npz"
         data.save_cache(path, data.synth_generate(1, 2, length=8))
         edit_npz(path, **change)
-        with pytest.raises(InvalidInput, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(InvalidInput, match=re.escape(message)) as err:
             data.load_cache(path)
-
-def _write_dhg_tree(root, entries, name="skeleton_world.txt"):
-    """entries: iterable of (gesture, finger, subject, trial, frames)."""
-    for g, f, s, e, frames in entries:
-        d = root / f"gesture_{g}" / f"finger_{f}" / f"subject_{s}" / f"essai_{e}"
-        d.mkdir(parents=True)
-        lines = [" ".join(f"{v:.6f}" for v in frame.ravel()) for frame in frames]
-        (d / name).write_text("\n".join(lines) + "\n")
-
+        assert err.value.where == {"path": path, "array": next(iter(change))}
 
 class TestDiskLoading:
     def test_parse_and_load(self, tmp_path):
         frames_a = _valid_frames(4)
         frames_b = _valid_frames(6)
-        _write_dhg_tree(tmp_path, [(1, 1, 2, 1, frames_a), (3, 2, 2, 1, frames_b)])
+        write_dhg_tree(tmp_path, [(1, 1, 2, 1, frames_a), (3, 2, 2, 1, frames_b)])
         seqs = data.load_dhg(tmp_path)
         assert len(seqs) == 2
         assert (seqs[0].label_14, seqs[0].finger, seqs[0].subject, seqs[0].trial) == (1, 1, 2, 1)
         assert seqs[0].label_28 == 1
         assert seqs[1].label_28 == 6
-        assert np.abs(seqs[0].frames - frames_a).max() < 1e-5  # 6-decimal text round trip
+        assert np.array_equal(seqs[0].frames, frames_a)  # repr text reads back bit for bit
         assert seqs[0].frames.shape == (4, 22, 3)
 
     @pytest.mark.parametrize("name", ["skeleton_world.txt", "skeletons_world.txt"])
     def test_world_file_chosen_among_other_txt_files(self, tmp_path, name):
         # DHG and SHREC'17 names; the release's other .txt files sort first.
         frames = _valid_frames(3)
-        _write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)], name=name)
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)], name=name)
         d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
         (d / "general_informations.txt").write_text("0 1 2 3 4\n")
         (d / "skeletons_image.txt").write_text(" ".join(["0"] * 44) + "\n")
         seqs = data.load_dhg(tmp_path)
-        assert np.abs(seqs[0].frames - frames).max() < 1e-5
+        assert np.array_equal(seqs[0].frames, frames)
 
     def test_missing_world_file_names_directory(self, tmp_path):
         d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
         d.mkdir(parents=True)
         (d / "general_informations.txt").write_text("0 1 2 3 4\n")
-        with pytest.raises(ConfigError, match="essai_1"):
+        with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path)
+        assert err.value.where == {"path": d}
 
     def test_missing_root_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path / "absent")
+        assert err.value.where == {"path": tmp_path / "absent"}
 
     def test_empty_root_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path)
+        assert err.value.where == {"path": tmp_path}
 
     def test_malformed_line_reports_location(self, tmp_path):
         d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
         d.mkdir(parents=True)
         good = " ".join(["0.0"] * 66)
         (d / "skeleton_world.txt").write_text(good + "\n1.0 2.0\n")
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path)
-        assert err.value.line == 2
+        assert err.value.where == {"path": d / "skeleton_world.txt", "line": 2}
 
     def test_short_sequence_rejected(self, tmp_path):
         d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
         d.mkdir(parents=True)
         (d / "skeleton_world.txt").write_text(" ".join(["0.0"] * 66) + "\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path)
+        assert err.value.where == {"path": d / "skeleton_world.txt"}
+
+    def test_non_finite_coordinate_names_the_file(self, tmp_path):
+        frames = _valid_frames(4)
+        frames[2, 5, 1] = np.nan
+        _, bad = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (2, 1, 1, 1, frames)])
+        assert "nan" in bad.read_text().splitlines()[2]
+        with pytest.raises(InvalidInput, match="non-finite") as err:
+            data.load_dhg(tmp_path)
+        assert err.value.where == {"path": bad}
 
     def test_split_files(self, tmp_path):
         frames = _valid_frames(3)
-        _write_dhg_tree(
+        write_dhg_tree(
             tmp_path,
             [(1, 1, 1, 1, frames), (1, 1, 1, 2, frames), (2, 2, 1, 1, frames)],
         )
@@ -225,16 +232,18 @@ class TestDiskLoading:
 
     def test_split_entry_without_sequence_rejected(self, tmp_path):
         frames = _valid_frames(3)
-        _write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)])
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)])
         (tmp_path / "train_gestures.txt").write_text("1 1 1 1\n")
         (tmp_path / "test_gestures.txt").write_text("5 1 1 1\n")
         seqs = data.load_dhg(tmp_path)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput, match=re.escape("e.g. (5, 1, 1, 1)")) as err:
             data.dhg_split(seqs, tmp_path)
+        assert err.value.where == {"path": tmp_path}
 
     def test_missing_split_file_rejected(self, tmp_path):
         frames = _valid_frames(3)
-        _write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)])
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)])
         seqs = data.load_dhg(tmp_path)
-        with pytest.raises(ConfigError):
+        with pytest.raises(InvalidInput) as err:
             data.dhg_split(seqs, tmp_path)
+        assert err.value.where == {"path": tmp_path / "train_gestures.txt"}

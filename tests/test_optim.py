@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from handspd import optim
+from handspd import network, optim
 from handspd.data import GestureSequence
 from handspd.errors import InvalidInput, RankError
 from handspd.gradcheck import toy_config
@@ -143,8 +143,9 @@ class TestApplyGradients:
         params = optim.init_params(toy_config(), seed=0)
         grads = params.from_vector(np.zeros(params.to_vector().size))
         grads.spat[1, 0, 2] = np.nan
-        with pytest.raises(RankError, match=r"not finite \[matrix 1\]"):
+        with pytest.raises(RankError, match="not finite") as err:
             optim.apply_gradients(params, grads, 0.01)
+        assert err.value.where == {"matrix": 2}
 
     def test_plain_sgd_on_euclidean_groups(self):
         cfg = toy_config()
@@ -202,6 +203,22 @@ class TestTrainLoop:
             assert r1["epoch"] == r2["epoch"]
             assert r1["mean_loss"] == r2["mean_loss"]
             assert r1["train_accuracy"] == r2["train_accuracy"]
+
+    def test_bad_stiefel_step_names_its_finger_and_range(self, monkeypatch):
+        # toy_config has 2 fingers x 3 ranges, [(1, 4), (1, 2), (3, 4)], so
+        # spat weight 6 (1-based) is finger 2's range (3, 4).
+        cfg = toy_config()
+        loss_and_backward = network.loss_and_backward
+
+        def nan_weight_6(*args, **kwargs):
+            loss, grads, logits = loss_and_backward(*args, **kwargs)
+            grads.spat[5, 1, 0] = np.nan
+            return loss, grads, logits
+
+        monkeypatch.setattr(network, "loss_and_backward", nan_weight_6)
+        with pytest.raises(RankError, match="not finite") as err:
+            optim.train(_toy_dataset(cfg, 4), cfg, TrainConfig(batch_size=4, epochs=1))
+        assert err.value.where == {"finger": 2, "range": (3, 4), "matrix": 6}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInput):
