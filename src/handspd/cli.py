@@ -49,15 +49,15 @@ def _load_sequences(args, cfg: NetworkConfig):
     if bool(args.data) == bool(args.cache):
         raise InvalidInput("exactly one of --data, --cache is required")
     if args.data:
-        sequences = [data.resample(s, cfg.n_F) for s in data.load_dhg(args.data)]
-        return data.dhg_split(sequences, args.data)
-    sequences = [data.resample(s, cfg.n_F) for s in data.load_cache(args.cache)]
-    train = [s for s in sequences if s.trial < args.per_class]
-    test = [s for s in sequences if s.trial >= args.per_class]
-    for name, part in (("train", train), ("test", test)):
-        if not part:
-            raise InvalidInput(f"--per-class {args.per_class} leaves the {name} split of --cache empty")
-    return train, test
+        train, test = data.load_dhg(args.data)
+    else:
+        sequences = data.load_cache(args.cache)
+        train = [s for s in sequences if s.trial < args.per_class]
+        test = [s for s in sequences if s.trial >= args.per_class]
+        for name, part in (("train", train), ("test", test)):
+            if not part:
+                raise InvalidInput(f"--per-class {args.per_class} leaves the {name} split of --cache empty")
+    return [data.resample(s, cfg.n_F) for s in train], [data.resample(s, cfg.n_F) for s in test]
 
 
 def _add_data_flags(sub):

@@ -8,12 +8,15 @@ The on-disk layout follows the public DHG/SHREC'17 distribution:
 (``skeletons_world.txt`` in the SHREC'17 release) with one frame per line,
 66 whitespace-separated floats (22 joints x xyz), and split list files
 ``train_gestures.txt`` / ``test_gestures.txt`` whose lines start with the
-four integers  gesture finger subject essai.
+four integers  gesture finger subject essai.  ``load_dhg`` reads the split
+files, then exactly the skeleton files they list, each at the directory its
+four integers name; a sequence neither file lists is never opened.  Both
+text formats go through one line reader, so a malformed line of either is
+an error with the file's path and the line.
 """
 
 from __future__ import annotations
 
-import re
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
@@ -50,26 +53,35 @@ class GestureSequence:
         return self.label_28 if n_classes == 28 else self.label_14
 
 
-def _parse_skeleton_file(path: Path) -> np.ndarray:
+def _read_lines(path: Path, parse) -> list:
+    """``parse`` of the whitespace-split fields of each non-blank line of a
+    text file.  The file is read as bytes, which ``float`` and ``int`` take,
+    so a byte that is not UTF-8 is a field that does not convert.  A field
+    that does not convert, or a line ``parse`` finds of the wrong width (a
+    ValueError either way), is InvalidInput with the path and the line."""
     rows = []
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
+            fields = line.split()
+            if not fields:
                 continue
-            if len(parts) != 3 * N_JOINTS:
-                raise InvalidInput(f"expected {3 * N_JOINTS} floats per frame, got {len(parts)}",
-                                   path=path, line=lineno)
             try:
-                rows.append([float(p) for p in parts])
+                rows.append(parse(fields))
             except ValueError as exc:
-                raise InvalidInput(f"bad float: {exc}", path=path, line=lineno) from None
-    if len(rows) < 2:
-        raise InvalidInput("sequence has fewer than two frames", path=path)
-    return np.asarray(rows).reshape(len(rows), N_JOINTS, 3)
+                raise InvalidInput(str(exc), path=path, line=lineno) from None
+    return rows
 
 
-_DIR_RE = re.compile(r"gesture_(\d+)/finger_(\d+)/subject_(\d+)/essai_(\d+)$")
+def _frame(fields) -> list[float]:
+    if len(fields) != 3 * N_JOINTS:
+        raise ValueError(f"expected {3 * N_JOINTS} floats per frame, got {len(fields)}")
+    return [float(p) for p in fields]
+
+
+def _split_key(fields) -> tuple[int, int, int, int]:
+    if len(fields) < 4:
+        raise ValueError(f"expected gesture, finger, subject and essai, got {len(fields)} fields")
+    return tuple(int(p) for p in fields[:4])
 
 
 def _skeleton_file(directory: Path) -> Path:
@@ -83,54 +95,31 @@ def _skeleton_file(directory: Path) -> Path:
     raise InvalidInput("no skeleton_world.txt or skeletons_world.txt", path=directory)
 
 
-def load_dhg(root) -> list[GestureSequence]:
-    """Parse every sequence under a DHG-layout directory, path-sorted."""
+def _load_sequence(root: Path, key) -> GestureSequence:
+    g, f, s, e = key
+    path = _skeleton_file(root / f"gesture_{g}" / f"finger_{f}" / f"subject_{s}" / f"essai_{e}")
+    frames = np.reshape(_read_lines(path, _frame), (-1, N_JOINTS, 3))
+    try:
+        return GestureSequence(frames, label_14=g, subject=s, trial=e, finger=f)
+    except InvalidInput as exc:
+        raise exc.at(path=path)
+
+
+def load_dhg(root) -> tuple[list[GestureSequence], list[GestureSequence]]:
+    """(train, test): the sequences that ``train_gestures.txt`` and
+    ``test_gestures.txt`` under a DHG-layout root list, each split in sorted
+    key order.  Only the listed skeleton files are read; a split file that
+    lists none is an error."""
     root = Path(root)
     if not root.is_dir():
         raise InvalidInput("dataset root does not exist", path=root)
-    sequences = []
-    for directory in sorted(root.glob("gesture_*/finger_*/subject_*/essai_*")):
-        match = _DIR_RE.search(directory.as_posix())
-        if match is None:
-            continue
-        g, f, s, e = map(int, match.groups())
-        path = _skeleton_file(directory)
-        frames = _parse_skeleton_file(path)
-        try:
-            sequences.append(GestureSequence(frames, label_14=g, subject=s, trial=e, finger=f))
-        except InvalidInput as exc:
-            raise exc.at(path=path)
-    if not sequences:
-        raise InvalidInput("no sequences found", path=root)
-    return sequences
-
-
-def _read_split_file(path: Path) -> set[tuple[int, int, int, int]]:
-    if not path.is_file():
-        raise InvalidInput("missing split file", path=path)
-    keys = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 4:
-                raise InvalidInput("split line needs at least 4 integers", path=path, line=lineno)
-            keys.add(tuple(int(p) for p in parts[:4]))
-    return keys
-
-
-def dhg_split(sequences, root) -> tuple[list, list]:
-    """Apply the official train/test list files found under root; returns
-    (train, test)."""
-    root = Path(root)
-    train_keys = _read_split_file(root / "train_gestures.txt")
-    test_keys = _read_split_file(root / "test_gestures.txt")
-    by_key = {(s.label_14, s.finger, s.subject, s.trial): s for s in sequences}
-    missing = (train_keys | test_keys) - set(by_key)
-    if missing:
-        raise InvalidInput(f"{len(missing)} split entries have no sequence, e.g. {sorted(missing)[0]}", path=root)
-    return [by_key[k] for k in sorted(train_keys)], [by_key[k] for k in sorted(test_keys)]
+    splits = []
+    for name in ("train_gestures.txt", "test_gestures.txt"):
+        keys = sorted(set(_read_lines(root / name, _split_key)))
+        if not keys:
+            raise InvalidInput("split file lists no sequence", path=root / name)
+        splits.append([_load_sequence(root, key) for key in keys])
+    return tuple(splits)
 
 
 def resample(seq: GestureSequence, target_len: int) -> GestureSequence:
@@ -262,17 +251,6 @@ def load_cache(path) -> list[GestureSequence]:
     return sequences
 
 
-class _Arrays(dict):
-    """An npz archive's arrays by name; a missing one is an error with the file's path."""
-
-    def __init__(self, path):
-        super().__init__()
-        self.path = path
-
-    def __missing__(self, name):
-        raise InvalidInput("no such array in the npz archive", path=self.path, array=name)
-
-
 def write_npz(path, **arrays):
     """Write ``arrays`` to exactly ``path`` as an uncompressed npz archive.
     Every member carries the zip format's fixed 1980 date, so the same
@@ -292,10 +270,9 @@ def read_npz(path, layout: dict) -> dict:
     and the array where there is one as fields, says when the file is not an
     npz archive of plain arrays, a member cannot be read (its header may
     claim more than memory holds), a layout array is missing or does not
-    match, or a caller looks up an array the archive lacks; an unopenable
-    path raises the OSError.
+    match; an unopenable path raises the OSError.
     """
-    arrays, name = _Arrays(path), None
+    arrays, name = {}, None
     try:
         with zipfile.ZipFile(path) as archive:
             for member in archive.infolist():
@@ -311,6 +288,8 @@ def read_npz(path, layout: dict) -> dict:
 
 def _check_layout(path, arrays, layout):
     for name, (shape, kind) in layout.items():
+        if name not in arrays:
+            raise InvalidInput("no such array in the npz archive", path=path, array=name)
         got = arrays[name]
         if got.dtype.kind != kind or len(got.shape) != len(shape) or any(
             want not in (None, n) for want, n in zip(shape, got.shape)

@@ -7,6 +7,8 @@ the location adds them with ``at``, and ``__str__`` alone renders them,
 after the message: ``message [path p, array a]``.
 """
 
+import os
+
 _FIELDS = ("path", "line", "array", "layer", "finger", "range", "frame", "matrix", "eigenvalue")
 
 
@@ -19,8 +21,10 @@ class HandSpdError(Exception):
         self.at(**where)
 
     def at(self, **where):
-        """Add location fields (a None value adds none); returns this error, to re-raise."""
-        merged = {**self.where, **{k: v for k, v in where.items() if v is not None}}
+        """Add location fields (a None value adds none; a path is stored as a
+        str); returns this error, to re-raise."""
+        where = {k: os.fspath(v) if k == "path" else v for k, v in where.items() if v is not None}
+        merged = {**self.where, **where}
         self.where = {k: merged[k] for k in sorted(merged, key=_FIELDS.index)}
         return self
 

@@ -60,8 +60,10 @@ class NetworkConfig:
     d_spat: int | None = None
 
     def __post_init__(self):
-        if min(self.d1, self.n_T, self.n_F, self.n_classes, self.n_fingers, self.joints_per_finger) < 1:
-            raise InvalidInput("d1, n_T, n_F, n_classes, n_fingers and joints_per_finger must be positive")
+        if min(self.d1, self.n_T, self.n_F, self.n_classes, self.n_fingers) < 1:
+            raise InvalidInput("d1, n_T, n_F, n_classes and n_fingers must be positive")
+        if self.joints_per_finger < 2:
+            raise InvalidInput("joints_per_finger must be at least 2")
         if self.n_classes < 2:
             raise InvalidInput("need at least two classes")
         if not 0 < self.eps < np.inf:  # NaN fails too

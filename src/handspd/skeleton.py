@@ -26,7 +26,8 @@ backward pass forms the filter gradient only: one gather and one product,
 the gathered coordinates' transpose times the output gradient.
 
 A reduced hand (fewer fingers / shorter chains, same topology) is supported
-for desk-scale tests.
+for desk-scale tests; ``NetworkConfig`` checks the sizes (at least one
+finger of two joints).
 
 Operand contract: the convolution, its backward pass and the partition take
 the ``HandGraph`` (``NetworkConfig.graph()`` builds a config's), finite
@@ -39,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import InvalidInput
 
 N_LABELS = 3
 
@@ -56,9 +55,6 @@ class HandGraph:
     incidence: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # The sizes may come from a checkpoint file.
-        if self.n_fingers < 1 or self.joints_per_finger < 2:
-            raise InvalidInput("need at least one finger with two joints")
         n = 2 + self.n_fingers * self.joints_per_finger
         o = np.arange(n - 2)                      # out-node o is joint o + 3, column o + 2
         place = o % self.joints_per_finger        # its place along its finger, base 0

@@ -259,8 +259,7 @@ def test_dhg_reproduction():
             "dataset not present; property-based criteria above stand in for it",
         )
     cfg = NetworkConfig(n_classes=14)
-    sequences = [data.resample(s, cfg.n_F) for s in data.load_dhg(root)]
-    train, test = data.dhg_split(sequences, root)
+    train, test = ([data.resample(s, cfg.n_F) for s in split] for split in data.load_dhg(root))
     params, _ = optim.train(train, cfg, TrainConfig())
     graph = cfg.graph()
     train_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in train])

@@ -300,7 +300,7 @@ class TestModelSerialization:
         message = "fit record of 1 passes, 1 converged and 1 dual entries for 2 classes"
         with pytest.raises(InvalidInput, match=message) as err:
             classify.load_model(path)
-        assert err.value.where == {"path": path}
+        assert err.value.where == {"path": str(path)}
 
     def test_unknown_version_rejected(self, tmp_path):
         # The archive has no version field: a file of another layout is one
@@ -316,14 +316,14 @@ class TestModelSerialization:
             edit_npz(path, **change)
             with pytest.raises(InvalidInput, match=re.escape(message)) as err:
                 classify.load_model(path)
-            assert err.value.where == {"path": path, "array": next(iter(change))}
+            assert err.value.where == {"path": str(path), "array": next(iter(change))}
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"XXXX" + b"\x00" * 32)
         with pytest.raises(InvalidInput, match="not an npz archive") as err:
             classify.load_model(path)
-        assert err.value.where == {"path": path}
+        assert err.value.where == {"path": str(path)}
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "svm.npz"
@@ -346,7 +346,7 @@ class TestModelSerialization:
         edit_npz(path, weights=weights)
         with pytest.raises(InvalidInput, match=message) as err:
             classify.load_model(path)
-        assert err.value.where == {"path": path, "array": "weights"}
+        assert err.value.where == {"path": str(path), "array": "weights"}
 
     def test_fit_record_claiming_more_than_the_file_holds_rejected(self, tmp_path):
         path = tmp_path / "svm.npz"
@@ -355,7 +355,7 @@ class TestModelSerialization:
         edit_npz(path, dual=claimed((100,)))
         with pytest.raises(InvalidInput, match="array cannot be read") as err:
             classify.load_model(path)
-        assert err.value.where == {"path": path, "array": "dual"}
+        assert err.value.where == {"path": str(path), "array": "dual"}
 
 
 class TestReporting:

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -249,6 +250,8 @@ FILE_FAULTS = {
     "huge-cache": _huge_cache,
     "nan-eps-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(_checkpoint(t / "c.npz"),
                                                                           eps=np.array(np.nan)), t, toy), t / "c.npz"),
+    "one-joint-finger-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(
+        _checkpoint(t / "c.npz"), joints_per_finger=np.array(1)), t, toy), t / "c.npz"),
     "nan-feature": lambda t, toy: (_reading("--features", _one_nan(_features(t / "f.npz"), "features"), t),
                               t / "f.npz"),
     "nan-model-weight": lambda t, toy: (_reading("--model", _one_nan(_model(t / "m.npz"), "weights"), t),
@@ -584,7 +587,62 @@ class TestDhgData:
         code, err, exc = _failure(capsys, "train", "--data", str(tmp_path / "dhg"), *TOY_FLAGS,
                                   "--out-dir", str(tmp_path / "out"))
         assert code == cli.EXIT_CONFIG and err.startswith("error: ")
-        assert exc.where == ({"path": bad} if fault == "non-finite" else {"path": bad, "line": 3})
+        assert exc.where == ({"path": str(bad)} if fault == "non-finite" else {"path": str(bad), "line": 3})
+
+    def test_extract_writes_the_library_features_of_the_test_split(self, dhg_root, tmp_path):
+        checkpoint, out = _checkpoint(tmp_path / "net.npz"), tmp_path / "f.npz"
+        assert run_cli("extract", "--data", str(dhg_root), "--checkpoint", str(checkpoint),
+                       "--split", "test", "--out", str(out)) == cli.EXIT_OK
+        params, cfg = network.load_checkpoint(checkpoint)
+        _, test = data.load_dhg(dhg_root)
+        want = np.stack([network.extract_feature(data.resample(s, cfg.n_F), params, cfg, cfg.graph()) for s in test])
+        features, labels, _ = cli._read_features(out)
+        assert np.array_equal(features, want)
+        assert labels.tolist() == [s.label_14 for s in test] == [1, 1, 2, 2, 3, 3, 4, 4]
+
+    def test_sequence_no_split_file_lists_is_not_read(self, tmp_path):
+        root = tmp_path / "dhg"
+        synth_dhg_tree(root)
+        unlisted = root / "gesture_9" / "finger_1" / "subject_1" / "essai_1"
+        unlisted.mkdir(parents=True)
+        (unlisted / "skeleton_world.txt").write_text("not a frame\n")
+        assert run_cli("train", "--data", str(root), *TOY_FLAGS, "--epochs", "1",
+                       "--out-dir", str(tmp_path / "out")) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["train", "extract", "pipeline"])
+    @pytest.mark.parametrize("fault", ["split-field-not-an-integer", "non-utf8-byte-in-split", "empty-test-split",
+                                       "non-utf8-byte-in-skeleton", "listed-entry-without-a-directory"])
+    def test_bad_split_or_skeleton_file_exits_2_naming_it(self, fault, command, tmp_path, capsys):
+        root = tmp_path / "dhg"
+        skeleton = synth_dhg_tree(root)[17]  # gesture 2, finger 2, subject 3: 11 frames, test split
+        split = root / "test_gestures.txt"
+        lines = split.read_text().splitlines()  # 8 lines, g f 3 1 for finger 1 then finger 2
+        if fault == "split-field-not-an-integer":
+            lines[2] = "3 x 3 1"
+            split.write_text("\n".join(lines) + "\n")
+            where = {"path": split, "line": 3}
+        elif fault == "non-utf8-byte-in-split":
+            lines[5] = "2 2 \xff3 1"
+            split.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+            where = {"path": split, "line": 6}
+        elif fault == "empty-test-split":
+            split.write_text("")
+            where = {"path": split}
+        elif fault == "non-utf8-byte-in-skeleton":
+            frames = skeleton.read_text().splitlines()
+            frames[6] = "\xff" + frames[6]
+            skeleton.write_bytes(("\n".join(frames) + "\n").encode("latin-1"))
+            where = {"path": skeleton, "line": 7}
+        else:
+            shutil.rmtree(skeleton.parent)
+            where = {"path": skeleton.parent}
+        checkpoint = str(_checkpoint(tmp_path / "net.npz"))
+        argv = {"train": [*TOY_FLAGS, "--out-dir", str(tmp_path / "out")],
+                "extract": ["--checkpoint", checkpoint, "--out", str(tmp_path / "f.npz")],
+                "pipeline": ["--checkpoint", checkpoint, "--out-dir", str(tmp_path / "out")]}[command]
+        code, err, exc = _failure(capsys, command, "--data", str(root), *argv)
+        assert code == cli.EXIT_CONFIG and err.startswith("error: ")
+        assert exc.where == {**where, "path": str(where["path"])}
 
 
 class TestCacheSplit:

@@ -122,7 +122,7 @@ class TestCache:
                             meta=np.zeros((0, 5), dtype=np.int64))
         with pytest.raises(InvalidInput, match="unsupported cache version") as err:
             data.load_cache(path)
-        assert err.value.where == {"path": path, "array": "version"}
+        assert err.value.where == {"path": str(path), "array": "version"}
 
 
     def test_compressed_cache_loads(self, tmp_path):
@@ -146,104 +146,131 @@ class TestCache:
         edit_npz(path, **change)
         with pytest.raises(InvalidInput, match=re.escape(message)) as err:
             data.load_cache(path)
-        assert err.value.where == {"path": path, "array": next(iter(change))}
+        assert err.value.where == {"path": str(path), "array": next(iter(change))}
+
 
 class TestDiskLoading:
     def test_parse_and_load(self, tmp_path):
         frames_a = _valid_frames(4)
         frames_b = _valid_frames(6)
-        write_dhg_tree(tmp_path, [(1, 1, 2, 1, frames_a), (3, 2, 2, 1, frames_b)])
-        seqs = data.load_dhg(tmp_path)
-        assert len(seqs) == 2
-        assert (seqs[0].label_14, seqs[0].finger, seqs[0].subject, seqs[0].trial) == (1, 1, 2, 1)
-        assert seqs[0].label_28 == 1
-        assert seqs[1].label_28 == 6
-        assert np.array_equal(seqs[0].frames, frames_a)  # repr text reads back bit for bit
-        assert seqs[0].frames.shape == (4, 22, 3)
+        write_dhg_tree(tmp_path, [(1, 1, 2, 1, frames_a), (3, 2, 3, 1, frames_b)], test_subjects=(3,))
+        (train,), (test,) = data.load_dhg(tmp_path)
+        assert (train.label_14, train.finger, train.subject, train.trial) == (1, 1, 2, 1)
+        assert train.label_28 == 1
+        assert test.label_28 == 6
+        assert np.array_equal(train.frames, frames_a)  # repr text reads back bit for bit
+        assert np.array_equal(test.frames, frames_b)
 
     @pytest.mark.parametrize("name", ["skeleton_world.txt", "skeletons_world.txt"])
     def test_world_file_chosen_among_other_txt_files(self, tmp_path, name):
         # DHG and SHREC'17 names; the release's other .txt files sort first.
         frames = _valid_frames(3)
-        write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)], name=name)
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames), (1, 1, 2, 1, frames)], test_subjects=(2,), name=name)
         d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
         (d / "general_informations.txt").write_text("0 1 2 3 4\n")
         (d / "skeletons_image.txt").write_text(" ".join(["0"] * 44) + "\n")
-        seqs = data.load_dhg(tmp_path)
-        assert np.array_equal(seqs[0].frames, frames)
+        train, _ = data.load_dhg(tmp_path)
+        assert np.array_equal(train[0].frames, frames)
 
     def test_missing_world_file_names_directory(self, tmp_path):
-        d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
-        d.mkdir(parents=True)
-        (d / "general_informations.txt").write_text("0 1 2 3 4\n")
+        bad, _ = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
+                                test_subjects=(2,))
+        bad.unlink()
+        (bad.parent / "general_informations.txt").write_text("0 1 2 3 4\n")
         with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path)
-        assert err.value.where == {"path": d}
+        assert err.value.where == {"path": str(bad.parent)}
 
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path / "absent")
-        assert err.value.where == {"path": tmp_path / "absent"}
+        assert err.value.where == {"path": str(tmp_path / "absent")}
 
     def test_empty_root_rejected(self, tmp_path):
-        with pytest.raises(InvalidInput) as err:
+        # No split file, so nothing to read: the OSError names the first.
+        with pytest.raises(FileNotFoundError) as err:
             data.load_dhg(tmp_path)
-        assert err.value.where == {"path": tmp_path}
+        assert err.value.filename == str(tmp_path / "train_gestures.txt")
 
     def test_malformed_line_reports_location(self, tmp_path):
-        d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
-        d.mkdir(parents=True)
-        good = " ".join(["0.0"] * 66)
-        (d / "skeleton_world.txt").write_text(good + "\n1.0 2.0\n")
-        with pytest.raises(InvalidInput) as err:
+        bad, _ = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
+                                test_subjects=(2,))
+        bad.write_text(" ".join(["0.0"] * 66) + "\n1.0 2.0\n")
+        with pytest.raises(InvalidInput, match="expected 66 floats per frame, got 2") as err:
             data.load_dhg(tmp_path)
-        assert err.value.where == {"path": d / "skeleton_world.txt", "line": 2}
+        assert err.value.where == {"path": str(bad), "line": 2}
+
+    @pytest.mark.parametrize("content, line", [
+        ("\n\n" + " ".join(["0.0"] * 65) + " x\n", 4),
+        (" ".join(["0.0"] * 65) + " 1.\xff\n", 2),
+    ], ids=["after-blank-lines", "non-utf8-byte"])
+    def test_field_that_does_not_convert_reports_location(self, content, line, tmp_path):
+        bad, _ = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
+                                test_subjects=(2,))
+        bad.write_bytes((" ".join(["0.0"] * 66) + "\n" + content).encode("latin-1"))
+        with pytest.raises(InvalidInput, match="could not convert string to float") as err:
+            data.load_dhg(tmp_path)
+        assert err.value.where == {"path": str(bad), "line": line}
 
     def test_short_sequence_rejected(self, tmp_path):
-        d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
-        d.mkdir(parents=True)
-        (d / "skeleton_world.txt").write_text(" ".join(["0.0"] * 66) + "\n")
-        with pytest.raises(InvalidInput) as err:
+        bad, _ = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
+                                test_subjects=(2,))
+        bad.write_text(" ".join(["0.0"] * 66) + "\n")
+        with pytest.raises(InvalidInput, match="at least two frames") as err:
             data.load_dhg(tmp_path)
-        assert err.value.where == {"path": d / "skeleton_world.txt"}
+        assert err.value.where == {"path": str(bad)}
 
     def test_non_finite_coordinate_names_the_file(self, tmp_path):
         frames = _valid_frames(4)
         frames[2, 5, 1] = np.nan
-        _, bad = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (2, 1, 1, 1, frames)])
+        _, bad = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (2, 1, 2, 1, frames)],
+                                test_subjects=(2,))
         assert "nan" in bad.read_text().splitlines()[2]
         with pytest.raises(InvalidInput, match="non-finite") as err:
             data.load_dhg(tmp_path)
-        assert err.value.where == {"path": bad}
+        assert err.value.where == {"path": str(bad)}
 
     def test_split_files(self, tmp_path):
+        # Keys are read from each line's first four fields, listed in any
+        # order and more than once; a sequence neither file lists is not
+        # read, so a malformed one stops nothing.
         frames = _valid_frames(3)
-        write_dhg_tree(
+        *_, unlisted = write_dhg_tree(
             tmp_path,
-            [(1, 1, 1, 1, frames), (1, 1, 1, 2, frames), (2, 2, 1, 1, frames)],
+            [(2, 2, 1, 1, frames), (1, 1, 1, 1, frames), (1, 1, 1, 2, frames), (3, 1, 1, 1, frames)],
+            test_subjects=(),
         )
-        (tmp_path / "train_gestures.txt").write_text("1 1 1 1 extra tokens\n2 2 1 1\n")
+        unlisted.write_text("not a frame\n")
+        (tmp_path / "train_gestures.txt").write_text("2 2 1 1\n1 1 1 1 extra tokens\n\n2 2 1 1\n")
         (tmp_path / "test_gestures.txt").write_text("1 1 1 2\n")
-        seqs = data.load_dhg(tmp_path)
-        train, test = data.dhg_split(seqs, tmp_path)
-        assert len(train) == 2
-        assert len(test) == 1
-        assert test[0].trial == 2
+        train, test = data.load_dhg(tmp_path)
+        assert [(s.label_14, s.finger) for s in train] == [(1, 1), (2, 2)]
+        assert [s.trial for s in test] == [2]
+
+    @pytest.mark.parametrize("content, message, line", [
+        ("1 1 1 1\n1 x 1 1\n", "invalid literal for int()", 2),
+        ("1 1 1\n", "got 3 fields", 1),
+        ("1 1 1 1\n\n1 1 \xff 1\n", "invalid literal for int()", 3),
+        ("\n", "split file lists no sequence", None),
+    ], ids=["bad-integer", "short-line", "non-utf8-byte", "empty"])
+    def test_bad_split_file_reports_location(self, content, message, line, tmp_path):
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
+                       test_subjects=(2,))
+        (tmp_path / "test_gestures.txt").write_bytes(content.encode("latin-1"))
+        with pytest.raises(InvalidInput, match=re.escape(message)) as err:
+            data.load_dhg(tmp_path)
+        assert err.value.where == {"path": str(tmp_path / "test_gestures.txt"), **({"line": line} if line else {})}
 
     def test_split_entry_without_sequence_rejected(self, tmp_path):
-        frames = _valid_frames(3)
-        write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)])
-        (tmp_path / "train_gestures.txt").write_text("1 1 1 1\n")
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3))], test_subjects=())
         (tmp_path / "test_gestures.txt").write_text("5 1 1 1\n")
-        seqs = data.load_dhg(tmp_path)
-        with pytest.raises(InvalidInput, match=re.escape("e.g. (5, 1, 1, 1)")) as err:
-            data.dhg_split(seqs, tmp_path)
-        assert err.value.where == {"path": tmp_path}
+        with pytest.raises(InvalidInput, match="no skeleton_world.txt or skeletons_world.txt") as err:
+            data.load_dhg(tmp_path)
+        assert err.value.where == {"path": str(tmp_path / "gesture_5" / "finger_1" / "subject_1" / "essai_1")}
 
     def test_missing_split_file_rejected(self, tmp_path):
-        frames = _valid_frames(3)
-        write_dhg_tree(tmp_path, [(1, 1, 1, 1, frames)])
-        seqs = data.load_dhg(tmp_path)
-        with pytest.raises(InvalidInput) as err:
-            data.dhg_split(seqs, tmp_path)
-        assert err.value.where == {"path": tmp_path / "train_gestures.txt"}
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3))], test_subjects=())
+        (tmp_path / "test_gestures.txt").unlink()
+        with pytest.raises(FileNotFoundError) as err:
+            data.load_dhg(tmp_path)
+        assert err.value.filename == str(tmp_path / "test_gestures.txt")

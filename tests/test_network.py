@@ -533,7 +533,7 @@ class TestCheckpoint:
         edit_npz(path, **change)
         with pytest.raises(InvalidInput, match=message) as err:
             network.load_checkpoint(path)
-        assert err.value.where == {"path": path, **where}
+        assert err.value.where == {"path": str(path), **where}
 
     def test_unknown_version_rejected(self, tmp_path):
         # The archive has no version field: a file of another layout is one
@@ -552,4 +552,4 @@ class TestCheckpoint:
             edit_npz(path, **change)
             with pytest.raises(InvalidInput, match=re.escape(message)) as err:
                 network.load_checkpoint(path)
-            assert err.value.where == {"path": path, "array": next(iter(change))}
+            assert err.value.where == {"path": str(path), "array": next(iter(change))}

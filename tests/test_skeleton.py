@@ -4,6 +4,7 @@ import pytest
 from handspd import skeleton
 from handspd.errors import InvalidInput
 from handspd.gradcheck import fd_grad, rel_error
+from handspd.network import NetworkConfig
 from handspd.skeleton import HandGraph
 
 import oracles
@@ -50,10 +51,11 @@ class TestHandGraphTopology:
         assert labeled(12) == [(11, 3), (12, 1), (13, 2)]
 
     def test_invalid_sizes_rejected(self):
-        with pytest.raises(InvalidInput):
-            HandGraph(0, 4)
-        with pytest.raises(InvalidInput):
-            HandGraph(3, 1)
+        # NetworkConfig checks the sizes that HandGraph is built from.
+        with pytest.raises(InvalidInput, match="n_fingers must be positive"):
+            NetworkConfig(n_fingers=0, joints_per_finger=4)
+        with pytest.raises(InvalidInput, match="joints_per_finger must be at least 2"):
+            NetworkConfig(n_fingers=3, joints_per_finger=1)
 
 
 class TestGraphConv:
