@@ -2,9 +2,11 @@
 gradcheck / synth.
 
 Settings come from command-line flags only; a flag left out takes the
-library's default (``_configure``).  ``pipeline`` and ``extract`` take the
-network configuration from the checkpoint.  ``pipeline`` runs the
-``extract``, ``svm`` and ``eval`` stages.  Exit codes: 0 success,
+library's default (``_configure``), and ``pipeline`` and ``extract`` take the
+network's from the checkpoint.  Each command reads only the data split it
+uses (``_load_sequences``): ``train`` the train split, ``extract --split S``
+split S, and ``pipeline``, which runs the ``extract``, ``svm`` and ``eval``
+stages, both before it writes a file.  Exit codes: 0 success,
 1 runtime numerical failure (any other ``HandSpdError``), 2 ``InvalidInput``
 (a bad setting, or a file that cannot be parsed) or an ``OSError`` on a
 path (a file that cannot be read or written).  ``main`` prints the error,
@@ -39,25 +41,27 @@ def _configure(target, args):
     return target(**{name: value for name, value in vars(args).items() if name in names and value is not None})
 
 
-def _load_sequences(args, cfg: NetworkConfig):
-    """Resolve the dataset source flags; returns (train_list, test_list).
-
-    A cache splits by trial: trials below ``--per-class`` train, the rest
-    test, and neither may be empty.  A dataset root splits by its own split
-    files.
-    """
+def _load_sequences(args, cfg: NetworkConfig, *splits):
+    """The sequences of each of ``splits`` ("train", "test"), resampled.
+    Only those splits' skeleton files are read, or ``--cache`` once: its
+    trials below ``--per-class`` train, the rest test, and no asked split
+    may be empty.  A label outside [1, n_classes] names the split's file."""
     if bool(args.data) == bool(args.cache):
         raise InvalidInput("exactly one of --data, --cache is required")
-    if args.data:
-        train, test = data.load_dhg(args.data)
-    else:
-        sequences = data.load_cache(args.cache)
-        train = [s for s in sequences if s.trial < args.per_class]
-        test = [s for s in sequences if s.trial >= args.per_class]
-        for name, part in (("train", train), ("test", test)):
-            if not part:
-                raise InvalidInput(f"--per-class {args.per_class} leaves the {name} split of --cache empty")
-    return [data.resample(s, cfg.n_F) for s in train], [data.resample(s, cfg.n_F) for s in test]
+    cache = data.load_cache(args.cache) if args.cache else None
+    loaded = []
+    for split in splits:
+        if args.data:
+            sequences = data.load_dhg(args.data, split)
+        else:
+            sequences = [s for s in cache if (s.trial < args.per_class) == (split == "train")]
+            if not sequences:
+                raise InvalidInput(f"--per-class {args.per_class} leaves the {split} split of --cache empty")
+        if bad := [s.label(cfg.n_classes) for s in sequences if not 1 <= s.label(cfg.n_classes) <= cfg.n_classes]:
+            where = {"path": args.cache, "array": "meta"} if args.cache else {"path": Path(args.data) / data.SPLIT_FILES[split]}
+            raise InvalidInput(f"label {bad[0]} outside [1, {cfg.n_classes}]", **where)
+        loaded.append([data.resample(s, cfg.n_F) for s in sequences])
+    return loaded
 
 
 def _add_data_flags(sub):
@@ -197,7 +201,7 @@ def _evaluate(model: classify.SvmModel, features_path, out_dir: Path) -> classif
 def cmd_train(args) -> int:
     cfg = _configure(NetworkConfig, args)
     tcfg = _configure(TrainConfig, args)
-    train_set, _ = _load_sequences(args, cfg)
+    train_set, = _load_sequences(args, cfg, "train")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     params, metrics = optim.train(train_set, cfg, tcfg, log=print)
@@ -210,7 +214,7 @@ def cmd_train(args) -> int:
 def cmd_pipeline(args) -> int:
     svm = _configure(classify.SvmConfig, args)
     params, cfg = network.load_checkpoint(args.checkpoint)
-    train_set, test_set = _load_sequences(args, cfg)
+    train_set, test_set = _load_sequences(args, cfg, "train", "test")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _extract(out_dir / "train_features.npz", train_set, params, cfg)
@@ -223,8 +227,8 @@ def cmd_pipeline(args) -> int:
 
 def cmd_extract(args) -> int:
     params, cfg = network.load_checkpoint(args.checkpoint)
-    train_set, test_set = _load_sequences(args, cfg)
-    _extract(args.out, train_set if args.split == "train" else test_set, params, cfg)
+    sequences, = _load_sequences(args, cfg, args.split)
+    _extract(args.out, sequences, params, cfg)
     return EXIT_OK
 
 

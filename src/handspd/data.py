@@ -8,9 +8,9 @@ The on-disk layout follows the public DHG/SHREC'17 distribution:
 (``skeletons_world.txt`` in the SHREC'17 release) with one frame per line,
 66 whitespace-separated floats (22 joints x xyz), and split list files
 ``train_gestures.txt`` / ``test_gestures.txt`` whose lines start with the
-four integers  gesture finger subject essai.  ``load_dhg`` reads the split
-files, then exactly the skeleton files they list, each at the directory its
-four integers name; a sequence neither file lists is never opened.  Both
+four integers  gesture finger subject essai.  ``load_dhg`` reads both split
+files, then only the skeleton files that the asked split lists, each at the
+directory its four integers name; a key both files list is an error.  Both
 text formats go through one line reader, so a malformed line of either is
 an error with the file's path and the line.
 """
@@ -84,20 +84,15 @@ def _split_key(fields) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in fields[:4])
 
 
-def _skeleton_file(directory: Path) -> Path:
+def _load_sequence(root: Path, key) -> GestureSequence:
+    g, f, s, e = key
+    directory = root / f"gesture_{g}" / f"finger_{f}" / f"subject_{s}" / f"essai_{e}"
     # The world-coordinate file: DHG's name, then SHREC'17's.  The other
     # .txt files beside it (image coordinates, general information) have
     # other formats.
-    for name in ("skeleton_world.txt", "skeletons_world.txt"):
-        candidate = directory / name
-        if candidate.is_file():
-            return candidate
-    raise InvalidInput("no skeleton_world.txt or skeletons_world.txt", path=directory)
-
-
-def _load_sequence(root: Path, key) -> GestureSequence:
-    g, f, s, e = key
-    path = _skeleton_file(root / f"gesture_{g}" / f"finger_{f}" / f"subject_{s}" / f"essai_{e}")
+    path = next((p for p in (directory / "skeleton_world.txt", directory / "skeletons_world.txt") if p.is_file()), None)
+    if path is None:
+        raise InvalidInput("no skeleton_world.txt or skeletons_world.txt", path=directory)
     frames = np.reshape(_read_lines(path, _frame), (-1, N_JOINTS, 3))
     try:
         return GestureSequence(frames, label_14=g, subject=s, trial=e, finger=f)
@@ -105,21 +100,22 @@ def _load_sequence(root: Path, key) -> GestureSequence:
         raise exc.at(path=path)
 
 
-def load_dhg(root) -> tuple[list[GestureSequence], list[GestureSequence]]:
-    """(train, test): the sequences that ``train_gestures.txt`` and
-    ``test_gestures.txt`` under a DHG-layout root list, each split in sorted
-    key order.  Only the listed skeleton files are read; a split file that
-    lists none is an error."""
+SPLIT_FILES = {"train": "train_gestures.txt", "test": "test_gestures.txt"}
+
+
+def load_dhg(root, split: str) -> list[GestureSequence]:
+    """The sequences that the ``split`` ("train" or "test") file of a
+    DHG-layout root lists, in sorted key order.  Both split files are read:
+    one that lists no sequence, or a key that both list, is an error."""
     root = Path(root)
     if not root.is_dir():
         raise InvalidInput("dataset root does not exist", path=root)
-    splits = []
-    for name in ("train_gestures.txt", "test_gestures.txt"):
-        keys = sorted(set(_read_lines(root / name, _split_key)))
-        if not keys:
-            raise InvalidInput("split file lists no sequence", path=root / name)
-        splits.append([_load_sequence(root, key) for key in keys])
-    return tuple(splits)
+    keys = {name: set(_read_lines(root / file, _split_key)) for name, file in SPLIT_FILES.items()}
+    if empty := [file for name, file in SPLIT_FILES.items() if not keys[name]]:
+        raise InvalidInput("split file lists no sequence", path=root / empty[0])
+    if shared := keys["train"] & keys["test"]:
+        raise InvalidInput(f"sequence {min(shared)} is in both split files", path=root / SPLIT_FILES["test"])
+    return [_load_sequence(root, key) for key in sorted(keys[split])]
 
 
 def resample(seq: GestureSequence, target_len: int) -> GestureSequence:

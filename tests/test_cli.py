@@ -13,7 +13,7 @@ from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
 
 from archives import claimed, edit_npz
-from dhg import synth_dhg_tree
+from dhg import synth_dhg_tree, write_dhg_tree
 
 # Reduced geometry keeps every CLI run fast: 8-frame sequences, 2 conv
 # channels, 2 pyramid levels, 4 synthetic classes.
@@ -166,6 +166,17 @@ def _checkpoint(path):
     cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
     network.save_checkpoint(path, optim.init_params(cfg), cfg)
     return path
+
+
+def _flags(command, tmp):
+    """The flags besides the data flags that ``command`` needs to run the
+    toy network, writing under ``tmp``."""
+    if command == "train":
+        return [*TOY_FLAGS, "--epochs", "1", "--batch-size", "4", "--out-dir", str(tmp / "out")]
+    checkpoint = str(_checkpoint(tmp / "net.npz"))
+    if command == "extract":
+        return ["--checkpoint", checkpoint, "--out", str(tmp / "f.npz")]
+    return ["--checkpoint", checkpoint, "--out-dir", str(tmp / "out")]
 
 
 def _model(path):
@@ -580,7 +591,7 @@ class TestDhgData:
 
     @pytest.mark.parametrize("fault", ["non-finite", "short-line"])
     def test_bad_skeleton_file_exits_2_naming_it(self, fault, tmp_path, capsys):
-        bad = synth_dhg_tree(tmp_path / "dhg")[5]
+        bad = synth_dhg_tree(tmp_path / "dhg")[4]  # gesture 2, finger 1, subject 2: train split
         lines = bad.read_text().splitlines()
         lines[2] = "nan" + lines[2][lines[2].index(" "):] if fault == "non-finite" else "1.0 2.0"
         bad.write_text("\n".join(lines) + "\n")
@@ -594,7 +605,7 @@ class TestDhgData:
         assert run_cli("extract", "--data", str(dhg_root), "--checkpoint", str(checkpoint),
                        "--split", "test", "--out", str(out)) == cli.EXIT_OK
         params, cfg = network.load_checkpoint(checkpoint)
-        _, test = data.load_dhg(dhg_root)
+        test = data.load_dhg(dhg_root, "test")
         want = np.stack([network.extract_feature(data.resample(s, cfg.n_F), params, cfg, cfg.graph()) for s in test])
         features, labels, _ = cli._read_features(out)
         assert np.array_equal(features, want)
@@ -614,7 +625,9 @@ class TestDhgData:
                                        "non-utf8-byte-in-skeleton", "listed-entry-without-a-directory"])
     def test_bad_split_or_skeleton_file_exits_2_naming_it(self, fault, command, tmp_path, capsys):
         root = tmp_path / "dhg"
-        skeleton = synth_dhg_tree(root)[17]  # gesture 2, finger 2, subject 3: 11 frames, test split
+        # Gesture 2, finger 2, 11 frames: subject 2 (train split) for train,
+        # subject 3 (test split) for extract and pipeline.
+        skeleton = synth_dhg_tree(root)[16 if command == "train" else 17]
         split = root / "test_gestures.txt"
         lines = split.read_text().splitlines()  # 8 lines, g f 3 1 for finger 1 then finger 2
         if fault == "split-field-not-an-integer":
@@ -636,13 +649,71 @@ class TestDhgData:
         else:
             shutil.rmtree(skeleton.parent)
             where = {"path": skeleton.parent}
-        checkpoint = str(_checkpoint(tmp_path / "net.npz"))
-        argv = {"train": [*TOY_FLAGS, "--out-dir", str(tmp_path / "out")],
-                "extract": ["--checkpoint", checkpoint, "--out", str(tmp_path / "f.npz")],
-                "pipeline": ["--checkpoint", checkpoint, "--out-dir", str(tmp_path / "out")]}[command]
-        code, err, exc = _failure(capsys, command, "--data", str(root), *argv)
+        code, err, exc = _failure(capsys, command, "--data", str(root), *_flags(command, tmp_path))
         assert code == cli.EXIT_CONFIG and err.startswith("error: ")
         assert exc.where == {**where, "path": str(where["path"])}
+
+    @pytest.mark.parametrize("command, split", [("train", "train"), ("extract", "train"), ("extract", "test")],
+                             ids=["train", "extract-train", "extract-test"])
+    def test_malformed_skeleton_file_of_the_other_split_stops_nothing(self, command, split, tmp_path):
+        root = tmp_path / "dhg"
+        files = synth_dhg_tree(root)  # files 4 and 5: gesture 2, finger 1, subjects 2 (train) and 3 (test)
+        files[5 if split == "train" else 4].write_text("not a frame\n")
+        split_flags = ["--split", split] if command == "extract" else []
+        assert run_cli(command, "--data", str(root), *_flags(command, tmp_path), *split_flags) == cli.EXIT_OK
+
+    def test_each_command_reads_each_file_of_its_splits_once(self, tmp_path, monkeypatch):
+        root, cache = tmp_path / "dhg", tmp_path / "cache.npz"
+        split_of = {str(f): "test" if f.parent.parent.name == "subject_3" else "train" for f in synth_dhg_tree(root)}
+        data.save_cache(cache, data.synth_generate(2, 4, length=8))
+        reads = []
+        read_lines, read_npz = data._read_lines, data.read_npz
+        monkeypatch.setattr(data, "_read_lines", lambda path, parse: reads.append(str(path)) or read_lines(path, parse))
+        monkeypatch.setattr(data, "read_npz", lambda path, layout: reads.append(str(path)) or read_npz(path, layout))
+        for command, splits in [("train", {"train"}), ("extract-train", {"train"}), ("extract-test", {"test"}),
+                                ("pipeline", {"train", "test"})]:
+            name, _, split = command.partition("-")
+            reads.clear()
+            split_flags = ["--split", split] if split else []
+            assert run_cli(name, "--data", str(root), *_flags(name, tmp_path), *split_flags) == cli.EXIT_OK
+            assert sorted(p for p in reads if p in split_of) == sorted(p for p in split_of if split_of[p] in splits)
+        for command in ("train", "pipeline"):
+            reads.clear()
+            code = run_cli(command, "--cache", str(cache), "--per-class", "1", *_flags(command, tmp_path))
+            assert code == cli.EXIT_OK
+            assert reads.count(str(cache)) == 1
+
+    @pytest.mark.parametrize("command", ["train", "extract", "pipeline"])
+    def test_sequence_both_split_files_list_exits_2_naming_the_test_file(self, command, tmp_path, capsys):
+        root = tmp_path / "dhg"
+        synth_dhg_tree(root)
+        with open(root / "test_gestures.txt", "a") as fh:
+            fh.write("1 1 1 1\n")  # gesture 1, finger 1, subject 1: a train entry
+        code, err, exc = _failure(capsys, command, "--data", str(root), *_flags(command, tmp_path))
+        assert code == cli.EXIT_CONFIG and "sequence (1, 1, 1, 1) is in both split files" in err
+        assert exc.where == {"path": str(root / "test_gestures.txt")}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["data", "cache"])
+    @pytest.mark.parametrize("command", ["train", "extract"])
+    def test_label_outside_n_classes_exits_2_before_any_work(self, command, source, tmp_path, capsys):
+        # Gesture 15 in both splits: outside train's --classes 14 and the checkpoint's 4 classes.
+        frames = data.synth_generate(1, 1, length=6)[0].frames
+        entries = [(g, 1, s, 1, frames) for g in (1, 15) for s in (1, 2)]
+        if source == "data":
+            write_dhg_tree(tmp_path / "dhg", entries, test_subjects=(2,))
+            flags = ["--data", str(tmp_path / "dhg")]
+            where = {"path": str(tmp_path / "dhg" / data.SPLIT_FILES["train" if command == "train" else "test"])}
+        else:
+            data.save_cache(tmp_path / "c.npz",
+                            [data.GestureSequence(frames, g, trial=s - 1) for g, _, s, _, _ in entries])
+            flags = ["--cache", str(tmp_path / "c.npz"), "--per-class", "1"]
+            where = {"path": str(tmp_path / "c.npz"), "array": "meta"}
+        classes = ["--classes", "14"] if command == "train" else []
+        code, err, exc = _failure(capsys, command, *flags, *_flags(command, tmp_path), *classes)
+        assert code == cli.EXIT_CONFIG and "label 15 outside [1, " in err
+        assert exc.where == where
+        assert not (tmp_path / "out").exists() and not (tmp_path / "f.npz").exists()
 
 
 class TestCacheSplit:
@@ -661,7 +732,7 @@ class TestCacheSplit:
 
     def test_splits_are_disjoint_and_cover_the_cache(self, cache):
         cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
-        train, test = cli._load_sequences(self._args(cache, 2), cfg)
+        train, test = cli._load_sequences(self._args(cache, 2), cfg, "train", "test")
         key = lambda s: (s.label_14, s.subject, s.trial)
         train_keys, test_keys = {key(s) for s in train}, {key(s) for s in test}
         assert len(train) == 8 and len(test) == 4
@@ -671,9 +742,14 @@ class TestCacheSplit:
 
     @pytest.mark.parametrize("per_class", [0, 3])
     def test_empty_split_is_config_error(self, cache, per_class):
+        # Only a split asked for must hold a sequence.
         cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
-        with pytest.raises(InvalidInput, match="--per-class"):
-            cli._load_sequences(self._args(cache, per_class), cfg)
+        args = self._args(cache, per_class)
+        empty, full = ("train", "test") if per_class == 0 else ("test", "train")
+        for splits in ([empty], ["train", "test"]):
+            with pytest.raises(InvalidInput, match=f"--per-class {per_class} leaves the {empty} split"):
+                cli._load_sequences(args, cfg, *splits)
+        assert len(cli._load_sequences(args, cfg, full)[0]) == 12
 
 
 class TestConsoleScript:

@@ -154,7 +154,7 @@ class TestDiskLoading:
         frames_a = _valid_frames(4)
         frames_b = _valid_frames(6)
         write_dhg_tree(tmp_path, [(1, 1, 2, 1, frames_a), (3, 2, 3, 1, frames_b)], test_subjects=(3,))
-        (train,), (test,) = data.load_dhg(tmp_path)
+        (train,), (test,) = data.load_dhg(tmp_path, "train"), data.load_dhg(tmp_path, "test")
         assert (train.label_14, train.finger, train.subject, train.trial) == (1, 1, 2, 1)
         assert train.label_28 == 1
         assert test.label_28 == 6
@@ -169,7 +169,7 @@ class TestDiskLoading:
         d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
         (d / "general_informations.txt").write_text("0 1 2 3 4\n")
         (d / "skeletons_image.txt").write_text(" ".join(["0"] * 44) + "\n")
-        train, _ = data.load_dhg(tmp_path)
+        train = data.load_dhg(tmp_path, "train")
         assert np.array_equal(train[0].frames, frames)
 
     def test_missing_world_file_names_directory(self, tmp_path):
@@ -178,18 +178,19 @@ class TestDiskLoading:
         bad.unlink()
         (bad.parent / "general_informations.txt").write_text("0 1 2 3 4\n")
         with pytest.raises(InvalidInput) as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "train")
         assert err.value.where == {"path": str(bad.parent)}
+        assert len(data.load_dhg(tmp_path, "test")) == 1  # the fault is the train split's
 
     def test_missing_root_rejected(self, tmp_path):
         with pytest.raises(InvalidInput) as err:
-            data.load_dhg(tmp_path / "absent")
+            data.load_dhg(tmp_path / "absent", "train")
         assert err.value.where == {"path": str(tmp_path / "absent")}
 
     def test_empty_root_rejected(self, tmp_path):
         # No split file, so nothing to read: the OSError names the first.
         with pytest.raises(FileNotFoundError) as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "test")
         assert err.value.filename == str(tmp_path / "train_gestures.txt")
 
     def test_malformed_line_reports_location(self, tmp_path):
@@ -197,7 +198,7 @@ class TestDiskLoading:
                                 test_subjects=(2,))
         bad.write_text(" ".join(["0.0"] * 66) + "\n1.0 2.0\n")
         with pytest.raises(InvalidInput, match="expected 66 floats per frame, got 2") as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "train")
         assert err.value.where == {"path": str(bad), "line": 2}
 
     @pytest.mark.parametrize("content, line", [
@@ -209,7 +210,7 @@ class TestDiskLoading:
                                 test_subjects=(2,))
         bad.write_bytes((" ".join(["0.0"] * 66) + "\n" + content).encode("latin-1"))
         with pytest.raises(InvalidInput, match="could not convert string to float") as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "train")
         assert err.value.where == {"path": str(bad), "line": line}
 
     def test_short_sequence_rejected(self, tmp_path):
@@ -217,7 +218,7 @@ class TestDiskLoading:
                                 test_subjects=(2,))
         bad.write_text(" ".join(["0.0"] * 66) + "\n")
         with pytest.raises(InvalidInput, match="at least two frames") as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "train")
         assert err.value.where == {"path": str(bad)}
 
     def test_non_finite_coordinate_names_the_file(self, tmp_path):
@@ -227,7 +228,7 @@ class TestDiskLoading:
                                 test_subjects=(2,))
         assert "nan" in bad.read_text().splitlines()[2]
         with pytest.raises(InvalidInput, match="non-finite") as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "test")
         assert err.value.where == {"path": str(bad)}
 
     def test_split_files(self, tmp_path):
@@ -243,7 +244,7 @@ class TestDiskLoading:
         unlisted.write_text("not a frame\n")
         (tmp_path / "train_gestures.txt").write_text("2 2 1 1\n1 1 1 1 extra tokens\n\n2 2 1 1\n")
         (tmp_path / "test_gestures.txt").write_text("1 1 1 2\n")
-        train, test = data.load_dhg(tmp_path)
+        train, test = data.load_dhg(tmp_path, "train"), data.load_dhg(tmp_path, "test")
         assert [(s.label_14, s.finger) for s in train] == [(1, 1), (2, 2)]
         assert [s.trial for s in test] == [2]
 
@@ -258,19 +259,30 @@ class TestDiskLoading:
                        test_subjects=(2,))
         (tmp_path / "test_gestures.txt").write_bytes(content.encode("latin-1"))
         with pytest.raises(InvalidInput, match=re.escape(message)) as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "train")  # both split files are read for either split
         assert err.value.where == {"path": str(tmp_path / "test_gestures.txt"), **({"line": line} if line else {})}
 
     def test_split_entry_without_sequence_rejected(self, tmp_path):
         write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3))], test_subjects=())
         (tmp_path / "test_gestures.txt").write_text("5 1 1 1\n")
         with pytest.raises(InvalidInput, match="no skeleton_world.txt or skeletons_world.txt") as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "test")
         assert err.value.where == {"path": str(tmp_path / "gesture_5" / "finger_1" / "subject_1" / "essai_1")}
 
     def test_missing_split_file_rejected(self, tmp_path):
         write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3))], test_subjects=())
         (tmp_path / "test_gestures.txt").unlink()
         with pytest.raises(FileNotFoundError) as err:
-            data.load_dhg(tmp_path)
+            data.load_dhg(tmp_path, "train")
         assert err.value.filename == str(tmp_path / "test_gestures.txt")
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_key_in_both_split_files_rejected(self, split, tmp_path):
+        # A sequence in both splits would be tested on what it was trained on.
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
+                       test_subjects=(2,))
+        with open(tmp_path / "test_gestures.txt", "a") as fh:
+            fh.write("1 1 1 1\n")
+        with pytest.raises(InvalidInput, match=re.escape("sequence (1, 1, 1, 1) is in both split files")) as err:
+            data.load_dhg(tmp_path, split)
+        assert err.value.where == {"path": str(tmp_path / "test_gestures.txt")}
