@@ -3,15 +3,15 @@ gradcheck / synth.
 
 Settings come from command-line flags only; a flag left out takes the
 library's default (``_configure``), and ``pipeline`` and ``extract`` take the
-network's from the checkpoint.  Each command reads only the data split it
-uses (``_load_sequences``): ``train`` the train split, ``extract --split S``
-split S, and ``pipeline``, which runs the ``extract``, ``svm`` and ``eval``
-stages, both before it writes a file.  Exit codes: 0 success,
-1 runtime numerical failure (any other ``HandSpdError``), 2 ``InvalidInput``
-(a bad setting, or a file that cannot be parsed) or an ``OSError`` on a
-path (a file that cannot be read or written).  ``main`` prints the error,
-whose location fields (path, line, array, layer, finger, range, frame,
-matrix) follow the message.
+network's from the checkpoint.  Each command reads the data splits it uses
+in one ``load_dhg`` call or one cache read (``_load_sequences``): ``train``
+the train split, ``extract --split S`` split S, and ``pipeline``, which runs
+the ``extract``, ``svm`` and ``eval`` stages, both before it writes a file.
+Exit codes: 0 success, 1 runtime numerical failure (any other
+``HandSpdError``), 2 ``InvalidInput`` (a bad setting, or a file that cannot
+be parsed) or an ``OSError`` on a path (a file, or a ``--data`` root, that
+cannot be read or written).  ``main`` prints the error, whose location
+fields (path, line, array, layer, finger, range, frame, matrix) follow it.
 """
 
 from __future__ import annotations
@@ -42,26 +42,29 @@ def _configure(target, args):
 
 
 def _load_sequences(args, cfg: NetworkConfig, *splits):
-    """The sequences of each of ``splits`` ("train", "test"), resampled.
-    Only those splits' skeleton files are read, or ``--cache`` once: its
-    trials below ``--per-class`` train, the rest test, and no asked split
-    may be empty.  A label outside [1, n_classes] names the split's file."""
+    """The sequences of each of ``splits`` ("train", "test"), resampled:
+    one ``load_dhg`` call reads only those splits' skeleton files, or
+    ``--cache`` is read once, its trials below ``--per-class`` train and the
+    rest test.  No asked split may be empty.  A label outside [1, n_classes]
+    names the split's file, and a sequence whose joints are not the
+    network's hand names the checkpoint, or for ``train`` the data."""
     if bool(args.data) == bool(args.cache):
         raise InvalidInput("exactly one of --data, --cache is required")
-    cache = data.load_cache(args.cache) if args.cache else None
-    loaded = []
-    for split in splits:
-        if args.data:
-            sequences = data.load_dhg(args.data, split)
-        else:
-            sequences = [s for s in cache if (s.trial < args.per_class) == (split == "train")]
-            if not sequences:
-                raise InvalidInput(f"--per-class {args.per_class} leaves the {split} split of --cache empty")
+    if args.data:
+        loaded = data.load_dhg(args.data, *splits)
+    else:
+        cache = data.load_cache(args.cache)
+        loaded = [[s for s in cache if (s.trial < args.per_class) == (split == "train")] for split in splits]
+    hand = getattr(args, "checkpoint", None) or args.data or args.cache
+    for split, sequences in zip(splits, loaded):
+        if not sequences:
+            raise InvalidInput(f"--per-class {args.per_class} leaves the {split} split of --cache empty", path=args.cache)
         if bad := [s.label(cfg.n_classes) for s in sequences if not 1 <= s.label(cfg.n_classes) <= cfg.n_classes]:
             where = {"path": args.cache, "array": "meta"} if args.cache else {"path": Path(args.data) / data.SPLIT_FILES[split]}
             raise InvalidInput(f"label {bad[0]} outside [1, {cfg.n_classes}]", **where)
-        loaded.append([data.resample(s, cfg.n_F) for s in sequences])
-    return loaded
+        if bad := [s.frames.shape[1] for s in sequences if s.frames.shape[1] != cfg.n_joints]:
+            raise InvalidInput(f"a sequence of {bad[0]} joints for a hand of {cfg.n_joints}", path=hand)
+    return [[data.resample(s, cfg.n_F) for s in sequences] for sequences in loaded]
 
 
 def _add_data_flags(sub):
@@ -152,10 +155,12 @@ def _extract(path, sequences, params, cfg):
 def _read_features(path):
     """Features, labels and class count of an ``extract`` file."""
     arrays = data.read_npz(path, FEATURES_LAYOUT)
-    features, labels = arrays["features"], arrays["labels"]
+    features, labels, n_classes = arrays["features"], arrays["labels"], int(arrays["n_classes"][0])
     if labels.shape[0] != features.shape[0]:
         raise InvalidInput(f"{labels.shape[0]} labels for {features.shape[0]} feature rows", path=path, array="labels")
-    return features, labels, int(arrays["n_classes"][0])
+    if not 2 <= n_classes <= network.MAX_CLASSES:
+        raise InvalidInput(f"n_classes {n_classes} outside [2, {network.MAX_CLASSES}]", path=path, array="n_classes")
+    return features, labels, n_classes
 
 
 def _warn_unconverged(model: classify.SvmModel):

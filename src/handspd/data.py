@@ -8,15 +8,16 @@ The on-disk layout follows the public DHG/SHREC'17 distribution:
 (``skeletons_world.txt`` in the SHREC'17 release) with one frame per line,
 66 whitespace-separated floats (22 joints x xyz), and split list files
 ``train_gestures.txt`` / ``test_gestures.txt`` whose lines start with the
-four integers  gesture finger subject essai.  ``load_dhg`` reads both split
-files, then only the skeleton files that the asked split lists, each at the
-directory its four integers name; a key both files list is an error.  Both
+four integers  gesture finger subject essai.  ``load_dhg`` reads each split
+file once, then only the skeleton files that the asked splits list, each at
+the directory its four integers name; a key both files list is an error.  Both
 text formats go through one line reader, so a malformed line of either is
 an error with the file's path and the line.
 """
 
 from __future__ import annotations
 
+import lzma
 import zipfile
 import zlib
 from dataclasses import dataclass, replace
@@ -84,7 +85,7 @@ def _split_key(fields) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in fields[:4])
 
 
-def _load_sequence(root: Path, key) -> GestureSequence:
+def _load_sequence(root: Path, key, listed: Path) -> GestureSequence:
     g, f, s, e = key
     directory = root / f"gesture_{g}" / f"finger_{f}" / f"subject_{s}" / f"essai_{e}"
     # The world-coordinate file: DHG's name, then SHREC'17's.  The other
@@ -92,7 +93,7 @@ def _load_sequence(root: Path, key) -> GestureSequence:
     # other formats.
     path = next((p for p in (directory / "skeleton_world.txt", directory / "skeletons_world.txt") if p.is_file()), None)
     if path is None:
-        raise InvalidInput("no skeleton_world.txt or skeletons_world.txt", path=directory)
+        raise InvalidInput(f"no skeleton_world.txt or skeletons_world.txt for an entry of {listed}", path=directory)
     frames = np.reshape(_read_lines(path, _frame), (-1, N_JOINTS, 3))
     try:
         return GestureSequence(frames, label_14=g, subject=s, trial=e, finger=f)
@@ -103,19 +104,21 @@ def _load_sequence(root: Path, key) -> GestureSequence:
 SPLIT_FILES = {"train": "train_gestures.txt", "test": "test_gestures.txt"}
 
 
-def load_dhg(root, split: str) -> list[GestureSequence]:
-    """The sequences that the ``split`` ("train" or "test") file of a
-    DHG-layout root lists, in sorted key order.  Both split files are read:
-    one that lists no sequence, or a key that both list, is an error."""
+def load_dhg(root, *splits: str) -> list[list[GestureSequence]]:
+    """One list per split asked ("train", "test") of the sequences its split
+    file lists, in sorted key order.  Both split files are read once: one
+    that lists no sequence, or a key that both list, is an error, and a
+    missing root or split file is the OSError of opening it."""
+    if unknown := [split for split in splits if split not in SPLIT_FILES]:
+        raise InvalidInput(f"unknown split {unknown[0]!r}, expected 'train' or 'test'")
     root = Path(root)
-    if not root.is_dir():
-        raise InvalidInput("dataset root does not exist", path=root)
     keys = {name: set(_read_lines(root / file, _split_key)) for name, file in SPLIT_FILES.items()}
     if empty := [file for name, file in SPLIT_FILES.items() if not keys[name]]:
         raise InvalidInput("split file lists no sequence", path=root / empty[0])
     if shared := keys["train"] & keys["test"]:
-        raise InvalidInput(f"sequence {min(shared)} is in both split files", path=root / SPLIT_FILES["test"])
-    return [_load_sequence(root, key) for key in sorted(keys[split])]
+        raise InvalidInput(f"sequence {min(shared)} is in both split files, here and in {root / SPLIT_FILES['train']}",
+                           path=root / SPLIT_FILES["test"])
+    return [[_load_sequence(root, key, root / SPLIT_FILES[split]) for key in sorted(keys[split])] for split in splits]
 
 
 def resample(seq: GestureSequence, target_len: int) -> GestureSequence:
@@ -265,19 +268,25 @@ def read_npz(path, layout: dict) -> dict:
     kind); None in a shape matches any length.  InvalidInput, with the path
     and the array where there is one as fields, says when the file is not an
     npz archive of plain arrays, a member cannot be read (its header may
-    claim more than memory holds), a layout array is missing or does not
-    match; an unopenable path raises the OSError.
+    claim more than memory holds, its zip directory entry encryption or a
+    compression method its bytes are not in), a layout array is missing or
+    does not match; an unopenable path raises the OSError.
     """
     arrays, name = {}, None
-    try:
-        with zipfile.ZipFile(path) as archive:
-            for member in archive.infolist():
-                name = member.filename.removesuffix(".npy")
-                with archive.open(member) as fh:
-                    arrays[name] = np.lib.format.read_array(fh, allow_pickle=False)
-    except (ValueError, EOFError, MemoryError, zipfile.BadZipFile, zlib.error) as exc:
-        what = "not an npz archive" if name is None else "array cannot be read"
-        raise InvalidInput(f"{what} ({exc})", path=path, array=name) from None
+    with open(path, "rb") as fh:
+        try:
+            with zipfile.ZipFile(fh) as archive:
+                for member in archive.infolist():
+                    name = member.filename.removesuffix(".npy")
+                    with archive.open(member) as npy:
+                        arrays[name] = np.lib.format.read_array(npy, allow_pickle=False)
+        # zipfile raises RuntimeError for encryption or an unknown method
+        # (NotImplementedError); bz2 raises OSError and lzma LZMAError on
+        # bytes they cannot decode.
+        except (ValueError, EOFError, MemoryError, OSError, RuntimeError, zipfile.BadZipFile, zlib.error,
+                lzma.LZMAError) as exc:
+            what = "not an npz archive" if name is None else "array cannot be read"
+            raise InvalidInput(f"{what} ({exc})", path=path, array=name) from None
     _check_layout(path, arrays, layout)
     return arrays
 

@@ -47,6 +47,12 @@ from .linalg import EigenPair
 from .skeleton import HandGraph
 
 
+# Bounds that keep a config's arrays in memory: a sequence resampled to at
+# most MAX_FRAMES frames, at most MAX_CLASSES classes to score.
+MAX_FRAMES = 10_000
+MAX_CLASSES = 1_000
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     d1: int = 9
@@ -64,8 +70,8 @@ class NetworkConfig:
             raise InvalidInput("d1, n_T, n_F, n_classes and n_fingers must be positive")
         if self.joints_per_finger < 2:
             raise InvalidInput("joints_per_finger must be at least 2")
-        if self.n_classes < 2:
-            raise InvalidInput("need at least two classes")
+        if not 2 <= self.n_classes <= MAX_CLASSES:
+            raise InvalidInput(f"need 2 to {MAX_CLASSES} classes, got {self.n_classes}")
         if not 0 < self.eps < np.inf:  # NaN fails too
             raise InvalidInput(f"eps must be positive and finite, got {self.eps}")
         if not 0 <= self.lambda_reg < np.inf:
@@ -74,8 +80,8 @@ class NetworkConfig:
             object.__setattr__(self, "d_spat", self.temp_dim)
         if not 1 <= self.d_spat <= self.temp_dim:
             raise InvalidInput(f"d_spat must be in [1, {self.temp_dim}]")
-        if self.n_F < self.n_T:
-            raise InvalidInput("sequence length must be at least n_T")
+        if not self.n_T <= self.n_F <= MAX_FRAMES:
+            raise InvalidInput(f"sequence length must be in [n_T, {MAX_FRAMES}], got {self.n_F}")
 
     @property
     def frame_spd_dim(self) -> int:

@@ -259,7 +259,7 @@ def test_dhg_reproduction():
             "dataset not present; property-based criteria above stand in for it",
         )
     cfg = NetworkConfig(n_classes=14)
-    train, test = ([data.resample(s, cfg.n_F) for s in data.load_dhg(root, split)] for split in ("train", "test"))
+    train, test = ([data.resample(s, cfg.n_F) for s in split] for split in data.load_dhg(root, "train", "test"))
     params, _ = optim.train(train, cfg, TrainConfig())
     graph = cfg.graph()
     train_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in train])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shutil
 import subprocess
@@ -280,6 +281,12 @@ FILE_FAULTS = {
                                           t / "f.npz"),
     "one-class-to-fit": lambda t, toy: (_reading("--features", _features(t / "f.npz", labels=np.ones(6, int)), t),
                                    t / "f.npz"),
+    "length-past-its-bound-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(
+        _checkpoint(t / "c.npz"), n_F=np.array(network.MAX_FRAMES + 1)), t, toy), t / "c.npz"),
+    "classes-past-their-bound-features": lambda t, toy: (_reading("--features", _features(
+        t / "f.npz", n_classes=np.array([network.MAX_CLASSES + 1])), t), t / "f.npz"),
+    "cache-split-left-empty": lambda t, toy: ([*_reading("--cache", _cache(t / "c.npz"), t), "--per-class", "0"],
+                                         t / "c.npz"),
 }
 
 
@@ -301,6 +308,29 @@ class TestFileFaults:
         assert code == cli.EXIT_CONFIG and isinstance(exc, InvalidInput)
         assert exc.where == {"path": str(path), "array": "frames_00001"}
         assert err.startswith("error: ") and err.rstrip().endswith(f"[path {path}, array frames_00001]")
+
+    @pytest.mark.parametrize("command, joints_per_finger", [("extract", 10**6 + 4), ("extract", 3), ("pipeline", 3)])
+    def test_checkpoint_whose_hand_does_not_fit_the_sequences_exits_2_naming_it(
+            self, command, joints_per_finger, tmp_path, capsys, toy_data):
+        # Before the hand's graph is built: at 10**6 + 4 joints per finger
+        # it would not fit in memory.
+        checkpoint = edit_npz(_checkpoint(tmp_path / "c.npz"), joints_per_finger=np.array(joints_per_finger))
+        argv = _flags(command, tmp_path)
+        argv[argv.index("--checkpoint") + 1] = str(checkpoint)
+        code, err, exc = _failure(capsys, command, *toy_data, *argv)
+        hand = 2 + 5 * joints_per_finger
+        assert code == cli.EXIT_CONFIG and f"a sequence of 22 joints for a hand of {hand}" in err
+        assert exc.where == {"path": str(checkpoint)}
+        assert not (tmp_path / "out").exists() and not (tmp_path / "f.npz").exists()
+
+    def test_cache_whose_sequences_do_not_fit_the_hand_stops_train_naming_it(self, tmp_path, capsys):
+        cache = tmp_path / "c.npz"
+        data.save_cache(cache, [dataclasses.replace(s, frames=s.frames[:, :17])
+                                for s in data.synth_generate(2, 2, length=8)])
+        code, err, exc = _failure(capsys, "train", "--cache", str(cache), *_flags("train", tmp_path))
+        assert code == cli.EXIT_CONFIG and "a sequence of 17 joints for a hand of 22" in err
+        assert exc.where == {"path": str(cache)}
+        assert not (tmp_path / "out").exists()
 
     def test_oserror_without_a_path_is_not_a_file_fault(self, tmp_path, monkeypatch):
         # A failed fork, say, carries no filename and is re-raised.
@@ -605,7 +635,7 @@ class TestDhgData:
         assert run_cli("extract", "--data", str(dhg_root), "--checkpoint", str(checkpoint),
                        "--split", "test", "--out", str(out)) == cli.EXIT_OK
         params, cfg = network.load_checkpoint(checkpoint)
-        test = data.load_dhg(dhg_root, "test")
+        test, = data.load_dhg(dhg_root, "test")
         want = np.stack([network.extract_feature(data.resample(s, cfg.n_F), params, cfg, cfg.graph()) for s in test])
         features, labels, _ = cli._read_features(out)
         assert np.array_equal(features, want)
@@ -677,6 +707,9 @@ class TestDhgData:
             split_flags = ["--split", split] if split else []
             assert run_cli(name, "--data", str(root), *_flags(name, tmp_path), *split_flags) == cli.EXIT_OK
             assert sorted(p for p in reads if p in split_of) == sorted(p for p in split_of if split_of[p] in splits)
+            # Both split files, once each, however many splits the command uses.
+            assert sorted(p for p in reads if p.endswith("_gestures.txt")) == [str(root / "test_gestures.txt"),
+                                                                               str(root / "train_gestures.txt")]
         for command in ("train", "pipeline"):
             reads.clear()
             code = run_cli(command, "--cache", str(cache), "--per-class", "1", *_flags(command, tmp_path))
@@ -747,8 +780,9 @@ class TestCacheSplit:
         args = self._args(cache, per_class)
         empty, full = ("train", "test") if per_class == 0 else ("test", "train")
         for splits in ([empty], ["train", "test"]):
-            with pytest.raises(InvalidInput, match=f"--per-class {per_class} leaves the {empty} split"):
+            with pytest.raises(InvalidInput, match=f"--per-class {per_class} leaves the {empty} split") as err:
                 cli._load_sequences(args, cfg, *splits)
+            assert err.value.where == {"path": str(cache)}
         assert len(cli._load_sequences(args, cfg, full)[0]) == 12
 
 

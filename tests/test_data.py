@@ -124,6 +124,21 @@ class TestCache:
             data.load_cache(path)
         assert err.value.where == {"path": str(path), "array": "version"}
 
+    @pytest.mark.parametrize("offset, value", [(10, 99), (8, 1), (10, 12), (10, 14)],
+                             ids=["unknown-method", "encrypted", "bzip2-over-stored-bytes", "lzma-over-stored-bytes"])
+    def test_zip_directory_entry_that_cannot_be_read_names_the_path(self, offset, value, tmp_path):
+        # The fields of the last central directory entry: flags at 8, method
+        # at 10.  LZMA reads the .npy magic as a 19,797-byte properties
+        # field, so the member must be longer than that.
+        path = tmp_path / "cache.npz"
+        data.save_cache(path, data.synth_generate(1, 2, length=120))
+        blob = bytearray(path.read_bytes())
+        entry = blob.rfind(b"PK\x01\x02")
+        blob[entry + offset:entry + offset + 2] = value.to_bytes(2, "little")
+        path.write_bytes(blob)
+        with pytest.raises(InvalidInput, match="array cannot be read") as err:
+            data.load_cache(path)
+        assert err.value.where == {"path": str(path), "array": "frames_00001"}
 
     def test_compressed_cache_loads(self, tmp_path):
         seqs = data.synth_generate(1, 2, seed=1, length=9)
@@ -154,12 +169,14 @@ class TestDiskLoading:
         frames_a = _valid_frames(4)
         frames_b = _valid_frames(6)
         write_dhg_tree(tmp_path, [(1, 1, 2, 1, frames_a), (3, 2, 3, 1, frames_b)], test_subjects=(3,))
-        (train,), (test,) = data.load_dhg(tmp_path, "train"), data.load_dhg(tmp_path, "test")
+        (train,), (test,) = data.load_dhg(tmp_path, "train", "test")
         assert (train.label_14, train.finger, train.subject, train.trial) == (1, 1, 2, 1)
         assert train.label_28 == 1
         assert test.label_28 == 6
         assert np.array_equal(train.frames, frames_a)  # repr text reads back bit for bit
         assert np.array_equal(test.frames, frames_b)
+        (first,), _ = data.load_dhg(tmp_path, "test", "train")  # one list per split, in the order asked
+        assert np.array_equal(first.frames, frames_b)
 
     @pytest.mark.parametrize("name", ["skeleton_world.txt", "skeletons_world.txt"])
     def test_world_file_chosen_among_other_txt_files(self, tmp_path, name):
@@ -169,8 +186,8 @@ class TestDiskLoading:
         d = tmp_path / "gesture_1" / "finger_1" / "subject_1" / "essai_1"
         (d / "general_informations.txt").write_text("0 1 2 3 4\n")
         (d / "skeletons_image.txt").write_text(" ".join(["0"] * 44) + "\n")
-        train = data.load_dhg(tmp_path, "train")
-        assert np.array_equal(train[0].frames, frames)
+        (train,), = data.load_dhg(tmp_path, "train")
+        assert np.array_equal(train.frames, frames)
 
     def test_missing_world_file_names_directory(self, tmp_path):
         bad, _ = write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
@@ -180,12 +197,13 @@ class TestDiskLoading:
         with pytest.raises(InvalidInput) as err:
             data.load_dhg(tmp_path, "train")
         assert err.value.where == {"path": str(bad.parent)}
-        assert len(data.load_dhg(tmp_path, "test")) == 1  # the fault is the train split's
+        assert len(data.load_dhg(tmp_path, "test")[0]) == 1  # the fault is the train split's
 
     def test_missing_root_rejected(self, tmp_path):
-        with pytest.raises(InvalidInput) as err:
+        # As for an empty root, the OSError names the first split file.
+        with pytest.raises(FileNotFoundError) as err:
             data.load_dhg(tmp_path / "absent", "train")
-        assert err.value.where == {"path": str(tmp_path / "absent")}
+        assert err.value.filename == str(tmp_path / "absent" / "train_gestures.txt")
 
     def test_empty_root_rejected(self, tmp_path):
         # No split file, so nothing to read: the OSError names the first.
@@ -244,7 +262,7 @@ class TestDiskLoading:
         unlisted.write_text("not a frame\n")
         (tmp_path / "train_gestures.txt").write_text("2 2 1 1\n1 1 1 1 extra tokens\n\n2 2 1 1\n")
         (tmp_path / "test_gestures.txt").write_text("1 1 1 2\n")
-        train, test = data.load_dhg(tmp_path, "train"), data.load_dhg(tmp_path, "test")
+        train, test = data.load_dhg(tmp_path, "train", "test")
         assert [(s.label_14, s.finger) for s in train] == [(1, 1), (2, 2)]
         assert [s.trial for s in test] == [2]
 
@@ -268,6 +286,7 @@ class TestDiskLoading:
         with pytest.raises(InvalidInput, match="no skeleton_world.txt or skeletons_world.txt") as err:
             data.load_dhg(tmp_path, "test")
         assert err.value.where == {"path": str(tmp_path / "gesture_5" / "finger_1" / "subject_1" / "essai_1")}
+        assert f"for an entry of {tmp_path / 'test_gestures.txt'} [" in str(err.value)  # the file that lists it
 
     def test_missing_split_file_rejected(self, tmp_path):
         write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3))], test_subjects=())
@@ -286,3 +305,12 @@ class TestDiskLoading:
         with pytest.raises(InvalidInput, match=re.escape("sequence (1, 1, 1, 1) is in both split files")) as err:
             data.load_dhg(tmp_path, split)
         assert err.value.where == {"path": str(tmp_path / "test_gestures.txt")}
+        assert f"here and in {tmp_path / 'train_gestures.txt'} [" in str(err.value)  # the other file that lists it
+
+    @pytest.mark.parametrize("splits", [("val",), ("train", "val")], ids=["alone", "after-train"])
+    def test_unknown_split_rejected(self, splits, tmp_path):
+        write_dhg_tree(tmp_path, [(1, 1, 1, 1, _valid_frames(3)), (1, 1, 2, 1, _valid_frames(3))],
+                       test_subjects=(2,))
+        with pytest.raises(InvalidInput, match=re.escape("unknown split 'val'")) as err:
+            data.load_dhg(tmp_path, *splits)
+        assert err.value.where == {}

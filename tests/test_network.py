@@ -96,6 +96,12 @@ class TestNetworkConfig:
         with pytest.raises(InvalidInput):
             NetworkConfig(joints_per_finger=-1)
 
+    @pytest.mark.parametrize("field, bound", [("n_F", network.MAX_FRAMES), ("n_classes", network.MAX_CLASSES)])
+    def test_sizes_past_their_bound_rejected(self, field, bound):
+        assert getattr(NetworkConfig(**{field: bound}), field) == bound
+        with pytest.raises(InvalidInput, match=f"got {bound + 1}"):
+            NetworkConfig(**{field: bound + 1})
+
 
 class TestForward:
     def _toy_case(self, seed=0, n_classes=3):
