@@ -145,8 +145,7 @@ FEATURES_LAYOUT = {"features": ((None, None), "f"), "labels": ((None,), "i"), "n
 
 def _extract(path, sequences, params, cfg):
     """Write the features, labels and class count of ``sequences`` to ``path``."""
-    graph = cfg.graph()
-    features = np.stack([network.extract_feature(s, params, cfg, graph) for s in sequences])
+    features = network.extract_features(sequences, params, cfg)
     labels = np.array([s.label(cfg.n_classes) for s in sequences], dtype=np.int64)
     data.write_npz(path, features=features, labels=labels, n_classes=np.array([cfg.n_classes]))
     print(f"wrote {features.shape[0]} features of dim {features.shape[1]} to {path}")

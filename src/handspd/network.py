@@ -5,7 +5,8 @@ Pipeline per sequence (one branch per finger):
     coordinates -> graph_conv -> per-finger per-frame GaussAgg (unbiased)
     -> ReEig+LogEig each frame -> HalfVec -> per pyramid range: GaussAgg
     (biased + ridge) -> SPDSpatAgg over all branches/ranges -> LogEig
-    -> HalfVec -> affine FC -> logits (softmax lives in the loss).
+    -> HalfVec -> affine FC -> logits (the softmax cross-entropy and the
+    gradients of one sequence are ``sequence_step``).
 
 Every layer has one implementation, batched over frames and fingers, and it
 is the one the gradient checks test.  The per-frame GaussAgg, ReEig and
@@ -37,6 +38,7 @@ four float ``NetworkParams`` arrays in ``param_shapes()``:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -48,9 +50,11 @@ from .skeleton import HandGraph
 
 
 # Bounds that keep a config's arrays in memory: a sequence resampled to at
-# most MAX_FRAMES frames, at most MAX_CLASSES classes to score.
+# most MAX_FRAMES frames, at most MAX_CLASSES classes to score, and at most
+# MAX_PARAMS learnable weights (32 MB a copy; the default config has 116,519).
 MAX_FRAMES = 10_000
 MAX_CLASSES = 1_000
+MAX_PARAMS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,8 @@ class NetworkConfig:
             raise InvalidInput(f"d_spat must be in [1, {self.temp_dim}]")
         if not self.n_T <= self.n_F <= MAX_FRAMES:
             raise InvalidInput(f"sequence length must be in [n_T, {MAX_FRAMES}], got {self.n_F}")
+        if (n := sum(math.prod(shape) for shape in self.param_shapes().values())) > MAX_PARAMS:
+            raise InvalidInput(f"the network has {n} parameters, more than MAX_PARAMS {MAX_PARAMS}")
 
     @property
     def frame_spd_dim(self) -> int:
@@ -354,6 +360,12 @@ def extract_feature(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandG
     return tape.feature
 
 
+def extract_features(sequences, params: NetworkParams, cfg: NetworkConfig) -> np.ndarray:
+    """The (len(sequences), feature_dim) stack of each sequence's ``extract_feature``."""
+    graph = cfg.graph()
+    return np.stack([extract_feature(s, params, cfg, graph) for s in sequences])
+
+
 def _gauss_backward_batched(z: np.ndarray, n_T: int, grad_out: np.ndarray) -> np.ndarray:
     """Adjoint of ``_batched_gauss``: gradients w.r.t. the frames (..., n_F, d)
     given grad_out (..., n_Q, d+1, d+1).
@@ -400,44 +412,38 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
     return NetworkParams(dconv, dspat, np.outer(dlogits, tape.feature), dlogits.copy())
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+def sequence_step(item, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph, batch_size: int):
+    """One ``data.GestureSequence``'s share of a batch of ``batch_size``: returns
+    (its softmax cross-entropy term, the term's gradients, the logits), the term
+    being (log sum(e) - s[label]) / batch_size with s = logits - max(logits), e = exp(s)."""
+    label = item.label(cfg.n_classes)
+    if not 1 <= label <= cfg.n_classes:
+        raise InvalidInput(f"label {label} outside [1, {cfg.n_classes}]")
+    logits, _, tape = forward(item, params, cfg, graph)
+    shifted = logits - logits.max()
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e_sum = e.sum()
+    dlogits = e / e_sum
+    dlogits[label - 1] -= 1.0
+    dlogits /= batch_size
+    term = float(np.log(e_sum) - shifted[label - 1]) / batch_size
+    return term, backward(dlogits, tape, params, cfg, graph), logits
 
 
 def loss_and_backward(batch, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | None = None, with_logits: bool = False):
-    """Mean softmax cross-entropy over a batch plus full parameter gradients.
-
-    Batch items are ``data.GestureSequence``s; ``item.label(cfg.n_classes)``
-    is the 1-based class.  Each item runs through ``forward`` and ``backward``
-    in batch order, and the gradients are summed in that order, into the
-    first item's.
-    """
+    """Mean softmax cross-entropy over a batch and its ``NetworkParams`` gradients:
+    the in-order sum of the items' ``sequence_step``s, each item's gradients added
+    into the first's as it finishes.  ``with_logits`` appends the (len(batch), n_classes) logits."""
     if not batch:
         raise InvalidInput("batch must be non-empty")
     graph = graph or cfg.graph()
-    total = None
-    loss = 0.0
-    all_logits = []
+    loss, total, logits = 0.0, None, []
     for item in batch:
-        label = item.label(cfg.n_classes)
-        if not 1 <= label <= cfg.n_classes:
-            raise InvalidInput(f"label {label} outside [1, {cfg.n_classes}]")
-        logits, _, tape = forward(item, params, cfg, graph)
-        p = softmax(logits)
-        shifted = logits - logits.max()
-        loss += float(np.log(np.exp(shifted).sum()) - shifted[label - 1]) / len(batch)
-        dlogits = p.copy()
-        dlogits[label - 1] -= 1.0
-        dlogits /= len(batch)
-        grads = backward(dlogits, tape, params, cfg, graph)
+        term, grads, item_logits = sequence_step(item, params, cfg, graph, len(batch))
+        loss += term
         total = grads if total is None else total.add_(grads)
-        if with_logits:
-            all_logits.append(logits)
-    if with_logits:
-        return loss, total, np.array(all_logits)
-    return loss, total
+        logits.append(item_logits)
+    return (loss, total, np.array(logits)) if with_logits else (loss, total)
 
 
 # Each config field is stored in the dtype of its default.

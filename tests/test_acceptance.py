@@ -193,10 +193,9 @@ def test_synthetic_end_to_end():
         train_set, cfg,
         TrainConfig(batch_size=30, learning_rate=0.01, epochs=20, seed=0),
     )
-    graph = cfg.graph()
-    train_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in train_set])
+    train_x = network.extract_features(train_set, params, cfg)
     train_y = np.array([s.label_14 for s in train_set])
-    test_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in test_set])
+    test_x = network.extract_features(test_set, params, cfg)
     test_y = np.array([s.label_14 for s in test_set])
     model = classify.svm_train(train_x, train_y, C=1.0, tol=0.1, seed=0)
     report = classify.evaluate(model, test_x, test_y)
@@ -261,10 +260,9 @@ def test_dhg_reproduction():
     cfg = NetworkConfig(n_classes=14)
     train, test = ([data.resample(s, cfg.n_F) for s in split] for split in data.load_dhg(root, "train", "test"))
     params, _ = optim.train(train, cfg, TrainConfig())
-    graph = cfg.graph()
-    train_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in train])
+    train_x = network.extract_features(train, params, cfg)
     train_y = np.array([s.label_14 for s in train])
-    test_x = np.stack([network.extract_feature(s, params, cfg, graph) for s in test])
+    test_x = network.extract_features(test, params, cfg)
     test_y = np.array([s.label_14 for s in test])
     model = classify.svm_train(train_x, train_y, C=1.0, tol=0.1)
     report = classify.evaluate(model, test_x, test_y)

@@ -75,6 +75,19 @@ class TestArgumentHandling:
         code = run_cli("train", *toy_data, "--d1", "0", "--out-dir", str(tmp_path))
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [["--d1", "1000000"], ["--levels", "10000", "--length", "10000"]])
+    def test_network_past_the_parameter_bound_is_config_error_before_any_work(self, flags, tmp_path, capsys,
+                                                                            toy_data, monkeypatch):
+        # Either network's spatial weights alone would need terabytes or more.
+        def unreachable(*args):
+            raise AssertionError("the data was read")
+
+        monkeypatch.setattr(cli, "_load_sequences", unreachable)
+        assert run_cli("train", *toy_data, *flags, "--out-dir", str(tmp_path / "out")) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: the network has ") and f"more than MAX_PARAMS {network.MAX_PARAMS}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command, flag, value", [
         ("train", "--eps", "nan"), ("train", "--eps", "inf"), ("train", "--lambda-reg", "nan"),
         ("train", "--lambda-reg", "inf"), ("train", "--lr", "nan"), ("train", "--lr", "inf"),
@@ -636,7 +649,7 @@ class TestDhgData:
                        "--split", "test", "--out", str(out)) == cli.EXIT_OK
         params, cfg = network.load_checkpoint(checkpoint)
         test, = data.load_dhg(dhg_root, "test")
-        want = np.stack([network.extract_feature(data.resample(s, cfg.n_F), params, cfg, cfg.graph()) for s in test])
+        want = network.extract_features([data.resample(s, cfg.n_F) for s in test], params, cfg)
         features, labels, _ = cli._read_features(out)
         assert np.array_equal(features, want)
         assert labels.tolist() == [s.label_14 for s in test] == [1, 1, 2, 2, 3, 3, 4, 4]

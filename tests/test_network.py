@@ -408,10 +408,13 @@ class TestBackward:
         total = None
         for item in batch:
             logits, _, tape = network.forward(item, params, cfg)
-            dlogits = network.softmax(logits)
+            e = np.exp(logits - logits.max())
+            dlogits = e / e.sum()
             dlogits[item.label(cfg.n_classes) - 1] -= 1.0
             dlogits /= len(batch)
             item_grads = network.backward(dlogits, tape, params, cfg).to_vector()
+            _, step_grads, _ = network.sequence_step(item, params, cfg, cfg.graph(), len(batch))
+            assert np.array_equal(step_grads.to_vector(), item_grads)
             total = item_grads if total is None else total + item_grads
         assert np.array_equal(grads.to_vector(), total)
 
@@ -428,21 +431,41 @@ class TestBackward:
 
 
 class TestSoftmax:
+    """The softmax cross-entropy of ``sequence_step`` at chosen logits: with
+    fc_weight 0 the logits are fc_bias exactly, and at batch_size 1 the
+    fc_bias gradient is the softmax minus the label's one-hot vector."""
+
+    @staticmethod
+    def _step(logits, label):
+        """(loss, softmax) of one toy sequence whose logits are ``logits``."""
+        cfg = toy_config(n_classes=len(logits))
+        params = optim.init_params(cfg, seed=0)
+        params.fc_weight[:] = 0.0
+        params.fc_bias = np.array(logits, dtype=float)
+        frames = np.random.default_rng(0).standard_normal((cfg.n_F, cfg.n_joints, 3))
+        loss, grads, got = network.sequence_step(GestureSequence(frames, label), params, cfg, cfg.graph(), 1)
+        assert np.array_equal(got, params.fc_bias)
+        p = grads.fc_bias.copy()
+        p[label - 1] += 1.0
+        return loss, p
+
     def test_sums_to_one_and_shift_invariant(self):
-        rng = np.random.default_rng(0)
-        logits = rng.standard_normal(7)
-        p = network.softmax(logits)
+        logits = np.random.default_rng(0).standard_normal(7)
+        loss, p = self._step(logits, 3)
         assert abs(p.sum() - 1.0) < 1e-12
         assert np.all(p > 0)
-        assert np.abs(network.softmax(logits + 100.0) - p).max() < 1e-12
+        shifted_loss, shifted_p = self._step(logits + 100.0, 3)
+        assert abs(shifted_loss - loss) < 1e-12
+        assert np.abs(shifted_p - p).max() < 1e-12
 
     def test_extreme_values_stable(self):
-        p = network.softmax(np.array([1e4, 0.0, -1e4]))
-        assert np.all(np.isfinite(p))
+        loss, p = self._step([1e4, 0.0, -1e4], 2)
+        assert np.isfinite(loss) and np.all(np.isfinite(p))
         assert abs(p.sum() - 1.0) < 1e-12
 
     def test_known_values(self):
-        p = network.softmax(np.array([np.log(1.0), np.log(3.0)]))
+        loss, p = self._step([np.log(1.0), np.log(3.0)], 1)
+        assert abs(loss - np.log(4.0)) < 1e-12
         assert np.allclose(p, [0.25, 0.75], atol=1e-12)
 
 
