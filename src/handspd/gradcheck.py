@@ -53,7 +53,7 @@ def _check_graph_conv(rng):
     d1 = 3
     frame = rng.standard_normal((graph.n_joints, 3))
     weights = rng.standard_normal((3, d1, 3))
-    cot = rng.standard_normal((graph.n_out_nodes, d1))
+    cot = rng.standard_normal((graph.n_fingers, graph.joints_per_finger, d1))
     analytic = skeleton.graph_conv_backward(frame, cot, graph)
     numeric = fd_grad(lambda w: float(np.sum(cot * skeleton.graph_conv(frame, w, graph))), weights)
     return rel_error(analytic, numeric)

@@ -61,7 +61,14 @@ class SpectralFn(NamedTuple):
 def _log_dd(a, b):
     # Higham's 2 atanh((a - b) / (a + b)) / (a - b) (Functions of Matrices,
     # 2008): log(a) - log(b) cancels at close a, b; this form does not.
-    return 2.0 * np.arctanh((a - b) / (a + b)) / (a - b)
+    # Once a / b passes about 2^53 the quotient rounds to +-1 and atanh is
+    # infinite; there a and b are far apart and the plain quotient is accurate.
+    z = (a - b) / (a + b)
+    out = 2.0 * np.arctanh(z) / (a - b)
+    far = np.abs(z) == 1.0
+    if np.any(far):
+        out = np.where(far, (np.log(a) - np.log(b)) / (a - b), out)
+    return out
 
 
 LOG = SpectralFn(np.log, lambda x: 1.0 / x, _log_dd)
@@ -164,10 +171,11 @@ def loewner_matrix(values: np.ndarray, fn: SpectralFn) -> np.ndarray:
     rows, cols, slot = _pair_maps(values.shape[-1])
     li, lj = values[..., rows], values[..., cols]
     near = np.abs(li - lj) <= 1e-10 * np.maximum(1.0, np.maximum(np.abs(li), np.abs(lj)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quotient = fn.dd(li, lj)
-    pairs = np.where(near, fn.df(0.5 * (li + lj)), quotient)
-    k = np.concatenate([fn.df(values), pairs], axis=-1)[..., slot]
+    # np.where evaluates every branch; the ones it discards may divide by
+    # zero or overflow.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        pairs = np.where(near, fn.df(0.5 * (li + lj)), fn.dd(li, lj))
+        k = np.concatenate([fn.df(values), pairs], axis=-1)[..., slot]
     return k.reshape(values.shape + values.shape[-1:])
 
 

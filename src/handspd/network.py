@@ -325,10 +325,7 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     frames = np.asarray(getattr(seq, "frames", seq), dtype=np.float64)
     _check_input(frames, params, cfg)
 
-    feats = skeleton.graph_conv(frames, params.conv, graph)        # (n_F, n_out, d1)
-    fingers = skeleton.finger_partition(feats, graph)              # (n_F, S, J, d1)
-    fingers = np.ascontiguousarray(fingers.transpose(1, 0, 2, 3))  # (S, n_F, J, d1)
-
+    fingers = skeleton.graph_conv(frames, params.conv, graph)      # (S, n_F, J, d1)
     y3, frame_factor, frame_eig, frame_h = _frame_log(fingers, cfg.eps)
     z = spd_ops.half_vec(y3)                                       # (S, n_F, hv)
 
@@ -405,10 +402,7 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
     dz = _gauss_backward_batched(tape.z, cfg.n_T, dtemp)
     dy3 = spd_ops.half_vec_adjoint(dz, cfg.frame_spd_dim)
     dfingers = _frame_log_backward(dy3, tape.frame_factor, tape.frame_eig, tape.frame_h, cfg.eps)
-    dfeats = np.ascontiguousarray(dfingers.transpose(1, 0, 2, 3)).reshape(
-        cfg.n_F, graph.n_out_nodes, cfg.d1
-    )
-    dconv = skeleton.graph_conv_backward(tape.frames, dfeats, graph)
+    dconv = skeleton.graph_conv_backward(tape.frames, dfingers, graph)
     return NetworkParams(dconv, dspat, np.outer(dlogits, tape.feature), dlogits.copy())
 
 

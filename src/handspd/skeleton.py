@@ -1,5 +1,4 @@
-"""Hand-skeleton graph, the coordinate convolution layer, and the
-per-finger partition of its output.
+"""Hand-skeleton graph and the coordinate convolution layer.
 
 Joint numbering is 1-based: wrist = 1, palm = 2, then one chain of
 consecutive indices per finger, base to tip (thumb {3..6}, index {7..10},
@@ -19,18 +18,21 @@ out-node i = o + 3:
                 for node 3 (the thumb base);
 a row with no such neighbor is zero.  The skeleton's other edges (wrist to
 palm, palm to the later finger bases) have |j - i| > 1, so no label and no
-part in the convolution.  The convolution is then two matrix products,
-(A @ frame) reshaped to (n_out_nodes, 9) times the (9, d1) stacked
-filters.  The coordinates are the network's input, never trained, so the
-backward pass forms the filter gradient only: one gather and one product,
-the gathered coordinates' transpose times the output gradient.
+part in the convolution.  The convolution is then two matrix products
+over every frame at once: A times the coordinates, as one row of 9 per
+(finger, frame, joint), times the (9, d1) stacked filters.  So its output
+is finger-major, (n_fingers, ..., joints_per_finger, d1), the layout the
+per-finger frame map reads.  The coordinates are the network's input,
+never trained, so the backward pass forms the filter gradient only: one
+gather and one product, the gathered coordinates' transpose times the
+output gradient.
 
 A reduced hand (fewer fingers / shorter chains, same topology) is supported
 for desk-scale tests; ``NetworkConfig`` checks the sizes (at least one
 finger of two joints).
 
-Operand contract: the convolution, its backward pass and the partition take
-the ``HandGraph`` (``NetworkConfig.graph()`` builds a config's), finite
+Operand contract: the convolution and its backward pass take the
+``HandGraph`` (``NetworkConfig.graph()`` builds a config's), finite
 coordinates (..., n_joints, 3), (3, d1, 3) filters and conv output, and
 check none of them; ``network.forward`` checks its input once.
 """
@@ -74,8 +76,13 @@ class HandGraph:
 
 
 def _gather(frame: np.ndarray, graph: HandGraph) -> np.ndarray:
-    """(..., n_out_nodes, 9): each out-node's label-1, 2, 3 neighbor coordinates."""
-    return (graph.incidence @ frame).reshape(frame.shape[:-2] + (graph.n_out_nodes, 3 * N_LABELS))
+    """(n_fingers * ... * joints_per_finger, 9): each out-node's label-1, 2, 3
+    neighbor coordinates, one row per (finger, frame, joint) in ``graph_conv``'s
+    output order."""
+    lead = frame.shape[:-2]
+    by_node = graph.incidence @ np.moveaxis(frame, -2, 0).reshape(graph.n_joints, -1)
+    by_node = by_node.reshape((graph.n_fingers, graph.joints_per_finger, N_LABELS) + lead + (3,))
+    return np.moveaxis(by_node, (1, 2), (-3, -2)).reshape(-1, 3 * N_LABELS)
 
 
 def _stack_filters(weights: np.ndarray) -> np.ndarray:
@@ -87,25 +94,16 @@ def graph_conv(frame: np.ndarray, weights: np.ndarray, graph: HandGraph) -> np.n
     """Per-node features: sum over labeled neighbors of w_label^T p_j.
 
     frame: (..., n_joints, 3); weights: (3, d1, 3) indexed [label-1, channel].
-    Returns (..., n_out_nodes, d1) covering nodes 3..n_joints.
+    Returns (n_fingers, ..., joints_per_finger, d1): entry [s, ..., j] is
+    out-node 3 + s * joints_per_finger + j (0-based s and j).
     """
-    return _gather(frame, graph) @ _stack_filters(weights)
+    shape = (graph.n_fingers,) + frame.shape[:-2] + (graph.joints_per_finger, weights.shape[1])
+    return (_gather(frame, graph) @ _stack_filters(weights)).reshape(shape)
 
 
 def graph_conv_backward(frame: np.ndarray, grad_out: np.ndarray, graph: HandGraph) -> np.ndarray:
     """Filter gradients (3, d1, 3) of graph_conv for grad_out of its output
     shape: the gathered coordinates' transpose times grad_out."""
     d1 = grad_out.shape[-1]
-    gathered = _gather(frame, graph).reshape(-1, 3 * N_LABELS)
-    grad_stacked = gathered.T @ grad_out.reshape(-1, d1)          # (9, d1)
+    grad_stacked = _gather(frame, graph).T @ grad_out.reshape(-1, d1)    # (9, d1)
     return grad_stacked.reshape(N_LABELS, 3, d1).transpose(0, 2, 1)
-
-
-def finger_partition(features: np.ndarray, graph: HandGraph) -> np.ndarray:
-    """Split conv output (..., n_out_nodes, d1) into per-finger blocks.
-
-    Returns (..., n_fingers, joints_per_finger, d1); fingers in joint-index
-    order, which is exactly the chain order of the graph.
-    """
-    shape = features.shape[:-2] + (graph.n_fingers, graph.joints_per_finger, features.shape[-1])
-    return features.reshape(shape)

@@ -149,6 +149,25 @@ class TestSpectralFnBackward:
                 for entry in (got[0, 1], got[1, 0]):
                     assert abs((entry - want) / want) <= 1e-14
 
+    def test_log_divided_difference_far_apart(self):
+        # Past a / b of about 2^53, (a - b) / (a + b) rounds to 1 and Higham's
+        # atanh form is infinite; the plain quotient of logs is accurate there.
+        # Wherever the atanh form is finite, it is what the kernel returns.
+        values = np.geomspace(1.0, 1e300, 31)
+        rows, cols, _ = linalg._pair_maps(values.size)
+        a, b = values[rows], values[cols]
+        with np.errstate(divide="ignore"):
+            higham = 2.0 * np.arctanh((a - b) / (a + b)) / (a - b)
+        got = linalg.loewner_matrix(values, linalg.LOG)[rows, cols]
+        finite = np.isfinite(higham)
+        assert finite.any() and not finite.all()
+        assert np.array_equal(got[finite], higham[finite])
+        with mpmath.workdps(50):
+            for x, y, entry in zip(a[~finite], b[~finite], got[~finite]):
+                x, y = mpmath.mpf(x), mpmath.mpf(y)
+                want = (mpmath.log(x) - mpmath.log(y)) / (x - y)
+                assert abs((entry - want) / want) <= 1e-14
+
     def test_adjoint_identity(self):
         # <C, d/dt f(S + tD)> == <backward(C), D> for symmetric directions D.
         rng = np.random.default_rng(7)

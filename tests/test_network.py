@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ class TestDegenerateInput:
             return
         assert np.all(np.isfinite(feature))
 
+    @pytest.mark.parametrize(
+        "offset,scale", [(1e6, 1.0), (1e10, 1.0), (1e16, 1.0), (0.0, 1e-160), (0.0, 1e100)]
+    )
+    def test_far_or_rescaled_coordinates_give_finite_gradients_without_warnings(self, offset, scale):
+        # Far from the origin the frame Gram spectra span more than 2^53, past
+        # the range of Higham's atanh form of the LOG divided difference.  At
+        # the extreme scales the kernel's discarded np.where branches overflow.
+        cfg = NetworkConfig()
+        seq = data.synth_generate(1, 1, seed=1, length=cfg.n_F)[0]
+        batch = [dataclasses.replace(seq, frames=(seq.frames + offset) * scale)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grads = network.loss_and_backward(batch, optim.init_params(cfg, 1), cfg)
+        assert np.isfinite(loss) and np.all(np.isfinite(grads.to_vector()))
+
     def test_huge_coordinates_name_the_frame_log(self):
         # At 1e152 the frame Gram stays finite, but h(l) = log(l / eps) / l
         # overflows at its largest eigenvalues: the error names the frame
@@ -366,8 +382,7 @@ class TestBackward:
             dy3, tape.frame_factor, tape.frame_eig, tape.frame_h, cfg.eps
         )
 
-        feats = skeleton.graph_conv(frames, params.conv, graph)
-        fingers = skeleton.finger_partition(feats, graph).transpose(1, 0, 2, 3)
+        fingers = skeleton.graph_conv(frames, params.conv, graph)
         want = np.empty_like(got)
         for s in range(cfg.n_fingers):
             for t in range(cfg.n_F):

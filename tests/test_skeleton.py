@@ -67,12 +67,25 @@ class TestGraphConv:
         weights = rng.standard_normal((3, 4, 3))
         out = skeleton.graph_conv(frame, weights, graph)
         expected = oracles.graph_conv_reference(frame, weights, fingers, jpf)
-        assert np.abs(out - expected).max() < 1e-12
+        assert np.abs(out.reshape(graph.n_out_nodes, 4) - expected).max() < 1e-12
 
     def test_output_shape(self):
         rng = np.random.default_rng(0)
         out = skeleton.graph_conv(rng.standard_normal((22, 3)), rng.standard_normal((3, 9, 3)), HAND)
-        assert out.shape == (20, 9)
+        assert out.shape == (5, 4, 9)
+
+    def test_finger_major_chain_order(self):
+        # A filter that reads the node's own x, on frames whose x is the
+        # 1-based joint id plus 100 per frame: entry [s, t, j] is out-node
+        # 3 + s * J + j of frame t, fingers first and each chain base to tip.
+        frames = np.zeros((7, HAND.n_joints, 3))
+        frames[..., 0] = np.arange(1, HAND.n_joints + 1) + 100.0 * np.arange(7)[:, None]
+        own_x = np.zeros((3, 1, 3))
+        own_x[0, 0, 0] = 1.0
+        out = skeleton.graph_conv(frames, own_x, HAND)
+        assert out.shape == (5, 7, 4, 1)
+        s, t, j = np.meshgrid(np.arange(5), np.arange(7), np.arange(4), indexing="ij")
+        assert np.array_equal(out[..., 0], 3 + 4 * s + j + 100.0 * t)
 
     def test_batched_equals_per_frame(self):
         rng = np.random.default_rng(1)
@@ -80,7 +93,7 @@ class TestGraphConv:
         weights = rng.standard_normal((3, 5, 3))
         batched = skeleton.graph_conv(frames, weights, HAND)
         for t in range(6):
-            assert np.array_equal(batched[t], skeleton.graph_conv(frames[t], weights, HAND))
+            assert np.array_equal(batched[:, t], skeleton.graph_conv(frames[t], weights, HAND))
 
     def test_linearity_in_coordinates(self):
         rng = np.random.default_rng(2)
@@ -96,7 +109,7 @@ class TestGraphConv:
         rng = np.random.default_rng(3)
         frame = rng.standard_normal((graph.n_joints, 3))
         weights = rng.standard_normal((3, 4, 3))
-        cot = rng.standard_normal((graph.n_out_nodes, 4))
+        cot = rng.standard_normal((graph.n_fingers, graph.joints_per_finger, 4))
         gw = skeleton.graph_conv_backward(frame, cot, graph)
         err_w = rel_error(
             gw, fd_grad(lambda w: float(np.sum(cot * skeleton.graph_conv(frame, w, graph))), weights)
@@ -107,11 +120,11 @@ class TestGraphConv:
         graph = HandGraph(2, 2)
         rng = np.random.default_rng(4)
         frames = rng.standard_normal((3, graph.n_joints, 3))
-        cot = rng.standard_normal((3, graph.n_out_nodes, 2))
+        cot = rng.standard_normal((graph.n_fingers, 3, graph.joints_per_finger, 2))
         gw = skeleton.graph_conv_backward(frames, cot, graph)
         gw_sum = np.zeros_like(gw)
         for t in range(3):
-            gw_sum += skeleton.graph_conv_backward(frames[t], cot[t], graph)
+            gw_sum += skeleton.graph_conv_backward(frames[t], cot[:, t], graph)
         assert np.abs(gw - gw_sum).max() < 1e-12
 
     def test_backward_is_the_adjoint_at_full_size(self):
@@ -120,32 +133,7 @@ class TestGraphConv:
         rng = np.random.default_rng(5)
         frames = rng.standard_normal((171, HAND.n_joints, 3))
         weights = rng.standard_normal((3, 9, 3))
-        cot = rng.standard_normal((171, HAND.n_out_nodes, 9))
+        cot = rng.standard_normal((HAND.n_fingers, 171, HAND.joints_per_finger, 9))
         gw = skeleton.graph_conv_backward(frames, cot, HAND)
         inner = np.sum(cot * skeleton.graph_conv(frames, weights, HAND))
         assert abs(np.sum(gw * weights) - inner) <= 1e-12 * abs(inner)
-
-
-class TestFingerPartition:
-    def test_partition_follows_chain_order(self):
-        graph = HandGraph(2, 3)
-        feats = np.arange(6 * 2, dtype=float).reshape(6, 2)
-        parts = skeleton.finger_partition(feats, graph)
-        assert parts.shape == (2, 3, 2)
-        assert np.array_equal(parts[0], feats[0:3])
-        assert np.array_equal(parts[1], feats[3:6])
-        # Partitioning the out-nodes' own joint ids yields each finger's chain.
-        ids = np.arange(3.0, graph.n_joints + 1)[:, None]
-        assert skeleton.finger_partition(ids, graph)[..., 0].tolist() == [[3, 4, 5], [6, 7, 8]]
-        ids = np.arange(3.0, HAND.n_joints + 1)[:, None]
-        assert skeleton.finger_partition(ids, HAND)[..., 0].tolist() == [
-            [3, 4, 5, 6],
-            [7, 8, 9, 10],
-            [11, 12, 13, 14],
-            [15, 16, 17, 18],
-            [19, 20, 21, 22],
-        ]
-
-    def test_default_shape(self):
-        parts = skeleton.finger_partition(np.zeros((7, 20, 9)), HAND)
-        assert parts.shape == (7, 5, 4, 9)
