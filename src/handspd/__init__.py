@@ -3,7 +3,7 @@ gestures, with Riemannian optimization and a linear-SVM classification stage.
 """
 
 from . import classify, data, gradcheck, linalg, network, optim, skeleton, spd_ops
-from .errors import HandSpdError, InvalidInput, RankError, SpectralDomainError
+from .errors import EigenDecompositionError, HandSpdError, InvalidInput, RankError, SpectralDomainError
 from .network import NetworkConfig, NetworkParams
 from .optim import TrainConfig
 
@@ -22,6 +22,7 @@ __all__ = [
     "HandSpdError",
     "InvalidInput",
     "SpectralDomainError",
+    "EigenDecompositionError",
     "RankError",
 ]
 

@@ -42,7 +42,7 @@ class SpectralDomainError(HandSpdError):
 
 
 class EigenDecompositionError(HandSpdError):
-    """LAPACK's eigensolver failed (e.g. on an overflowed matrix)."""
+    """A matrix to eigendecompose is not finite, or LAPACK's eigensolver failed."""
 
 
 class RankError(HandSpdError):

@@ -12,15 +12,15 @@ spectral functions are batched over leading axes, (..., d, d), and take the
 eigendecomposition as a cache so the network decomposes each matrix once;
 there are no unbatched or validating variants.
 
-Operand contract: matrix inputs and cotangents are symmetric and finite,
-and outputs are symmetric up to rounding; nothing re-symmetrizes them.
-``np.linalg.eigh`` reads one triangle only.  Inputs are checked once, in
-``network.forward``, not here; only ``qr_orthonormalize``, which the
-optimizer's step feeds, checks its own stack.  Each operation raises one
-error type, with the caller's ``layer`` and the failing matrix's 1-based
-stack position as fields: ``sym_eig_batch`` ``EigenDecompositionError``,
-``_apply_fn`` ``SpectralDomainError`` and ``qr_orthonormalize``
-``RankError``.
+Operand contract: matrix inputs and cotangents are symmetric, and outputs
+are symmetric up to rounding; nothing re-symmetrizes them.
+``np.linalg.eigh`` reads one triangle only.  Only ``sym_eig_batch`` and
+``qr_orthonormalize`` check their input stack, before the one LAPACK call
+per stack.  Each operation raises one error type, with the caller's
+``layer`` and the failing matrix's 1-based stack position as fields:
+``sym_eig_batch`` ``EigenDecompositionError``, ``_apply_fn``
+``SpectralDomainError`` and ``qr_orthonormalize`` ``RankError``; a failure
+inside LAPACK itself is typed but not located.
 """
 
 from __future__ import annotations
@@ -110,16 +110,19 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 def sym_eig_batch(s: np.ndarray, *, layer: str | None = None, axes: tuple = ()) -> EigenPair:
     """Batched eigendecomposition of symmetric (..., d, d) arrays.
 
-    No input validation; caller guarantees symmetry and finiteness.  A
-    LAPACK failure raises ``EigenDecompositionError`` with ``layer`` and the
-    first matrix that fails alone, by its 1-based index on each leading
-    axis named in ``axes``, as fields.
+    The caller guarantees symmetry.  The first matrix that is not finite (a
+    Gram matrix that overflowed) raises ``EigenDecompositionError`` with
+    ``layer`` and its 1-based index on each leading axis named in ``axes``
+    as fields; a LAPACK failure on a finite stack raises it with ``layer``.
     """
+    bad = ~np.isfinite(s).all(axis=(-2, -1))
+    if np.any(bad):
+        raise EigenDecompositionError("matrix is not finite", layer=layer,
+                                      **{a: int(i) + 1 for a, i in zip(axes, np.argwhere(bad)[0])})
     try:
         vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
-        failed = next((i for i in np.ndindex(s.shape[:-2]) if _fails(np.linalg.eigh, s[i])), ())
-        raise EigenDecompositionError(str(exc), layer=layer, **{a: i + 1 for a, i in zip(axes, failed)}) from exc
+        raise EigenDecompositionError(str(exc), layer=layer) from exc
     return EigenPair(vecs, vals)
 
 
@@ -199,9 +202,9 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     Sign convention: the triangular factor has nonnegative diagonal, making
     the map deterministic and the identity on already-orthonormal input.
     Returns a C-contiguous stack.  Rank-deficient or non-finite input or
-    factors, or a LAPACK failure, raise ``RankError`` with the first
-    offending matrix's 1-based stack index as its ``matrix`` field.  Input
-    and factors are checked whole: when a Householder reflector is the
+    factors raise ``RankError`` with the first offending matrix's 1-based
+    stack index as its ``matrix`` field; a LAPACK failure raises it unlocated.
+    Input and factors are checked whole: when a Householder reflector is the
     identity, a NaN of the input stays above R's diagonal and Q is finite.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -210,8 +213,7 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     try:
         q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
     except np.linalg.LinAlgError as exc:
-        failed = next((i for i in np.ndindex(m.shape[:-2]) if _fails(np.linalg.qr, m[i])), ())
-        raise RankError(f"QR factorization failed: {exc}", **_matrix(failed)) from exc
+        raise RankError(f"QR factorization failed: {exc}") from exc
     _reject(~(np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(r).all(axis=(-2, -1))), "QR factors are not finite")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
@@ -219,14 +221,6 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     _reject((np.abs(diag) <= tol[..., None]).any(axis=-1), "input rows are rank-deficient")
     sign = np.where(diag < 0, -1.0, 1.0)
     return np.ascontiguousarray(np.swapaxes(q * sign[..., None, :], -1, -2))
-
-
-def _fails(decompose: Callable, a: np.ndarray) -> bool:
-    try:
-        decompose(a)
-    except np.linalg.LinAlgError:
-        return True
-    return False
 
 
 def _matrix(index: tuple) -> dict:

@@ -228,10 +228,9 @@ def _batched_gauss(z: np.ndarray, n_T: int, lambda_reg: float) -> np.ndarray:
     cuts, weights = pyramid_segments(z.shape[-2], n_T)
     zt = _with_ones(z)
     dim = zt.shape[-1]
-    moments = np.stack(
-        [np.swapaxes(zt[..., a:b, :], -1, -2) @ zt[..., a:b, :] for a, b in zip(cuts[:-1], cuts[1:])],
-        axis=-3,
-    )
+    moments = np.empty(z.shape[:-2] + (len(cuts) - 1, dim, dim))
+    for s, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+        np.matmul(np.swapaxes(zt[..., a:b, :], -1, -2), zt[..., a:b, :], out=moments[..., s, :, :])
     out = (weights @ moments.reshape(moments.shape[:-2] + (dim * dim,))).reshape(
         moments.shape[:-3] + (len(weights), dim, dim)
     )
@@ -260,7 +259,7 @@ def _frame_log(vectors: np.ndarray, eps: float):
     eigenbasis (X2 = P P^T, P^T P = diag(l)),
     log max(X2, eps) = log(eps) I + P diag(h(l)) P^T, h from
     ``linalg.gram_log_fn``.  Returns (that log, P, eig(B^T B), h(l)); an
-    eigensolver failure or an overflowing h is located on V's leading
+    overflowed Gram matrix or an overflowing h is located on V's leading
     (finger, frame) axes.
     """
     n, d = vectors.shape[-2:]
@@ -268,7 +267,9 @@ def _frame_log(vectors: np.ndarray, eps: float):
     factor[..., :d, :] = np.swapaxes(vectors, -1, -2) @ _frame_basis(n)
     factor[..., d, n - 1] = 1.0
     layer, axes = "frame_log(gram)", ("finger", "frame")
-    gram_eig = linalg.sym_eig_batch(np.swapaxes(factor, -1, -2) @ factor, layer=layer, axes=axes)
+    with np.errstate(over="ignore"):  # an overflow is sym_eig_batch's typed error
+        gram = np.swapaxes(factor, -1, -2) @ factor
+    gram_eig = linalg.sym_eig_batch(gram, layer=layer, axes=axes)
     p = factor @ gram_eig.vectors
     h = linalg._apply_fn(linalg.gram_log_fn(eps), gram_eig.values, layer, axes)
     y = (p * h[..., None, :]) @ np.swapaxes(p, -1, -2)
@@ -313,13 +314,13 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     Raises ``InvalidInput`` for a frame stack not of shape
     (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
     shape does not match ``cfg.param_shapes()``.  A numerical failure
-    carries its ``layer`` field: ``EigenDecompositionError`` when an
-    eigensolver fails (finite coordinates so large that the frame Gram
-    overflows), and ``SpectralDomainError``, with the ``eigenvalue`` field,
-    where a spectral function is undefined or overflows.  Its layer is
-    ``frame_log(gram)``, with the 1-based ``finger`` and ``frame`` fields
-    (coordinates near 1e152), or ``log_eig(final_spd)`` (a non-positive
-    aggregated eigenvalue).
+    carries its ``layer`` field: ``EigenDecompositionError`` when a matrix
+    to eigendecompose is not finite (finite coordinates so large that the
+    frame Gram overflows, near 1e155) or the eigensolver fails, and
+    ``SpectralDomainError``, with the ``eigenvalue`` field, where a spectral
+    function is undefined or overflows.  Its layer is ``frame_log(gram)``,
+    with the 1-based ``finger`` and ``frame`` fields (coordinates near
+    1e152), or ``log_eig(final_spd)`` (a non-positive aggregated eigenvalue).
     """
     graph = graph or cfg.graph()
     frames = np.asarray(getattr(seq, "frames", seq), dtype=np.float64)
@@ -327,7 +328,9 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
 
     fingers = skeleton.graph_conv(frames, params.conv, graph)      # (S, n_F, J, d1)
     y3, frame_factor, frame_eig, frame_h = _frame_log(fingers, cfg.eps)
+    del fingers
     z = spd_ops.half_vec(y3)                                       # (S, n_F, hv)
+    del y3
 
     temp = _batched_gauss(z, cfg.n_T, cfg.lambda_reg)              # (S, n_Q, D, D)
     temp_flat = temp.reshape(cfg.n_L, cfg.temp_dim, cfg.temp_dim)
@@ -391,17 +394,25 @@ def backward(dlogits: np.ndarray, tape: LayerTape, params: NetworkParams, cfg: N
 
     Gradients are Euclidean (un-projected) for the Stiefel parameters.  The
     coordinates are the network's input, so no gradient goes back to them.
+    A tape serves one backward pass: each field is cleared once consumed,
+    so the pass holds less than the whole tape at once.
     """
     graph = graph or cfg.graph()
     dfeature = params.fc_weight.T @ dlogits
     dy = spd_ops.half_vec_adjoint(dfeature, cfg.d_spat)
     dfinal = linalg.spectral_fn_backward_cached(linalg.LOG, dy, tape.final_eig)
     dtemp, dspat = spd_ops.spd_spat_agg_backward(tape.temp_outputs, params.spat, dfinal)
+    tape.temp_outputs = None
     dtemp = dtemp.reshape(cfg.n_fingers, cfg.n_Q, cfg.temp_dim, cfg.temp_dim)
 
     dz = _gauss_backward_batched(tape.z, cfg.n_T, dtemp)
+    del dtemp
+    tape.z = None
     dy3 = spd_ops.half_vec_adjoint(dz, cfg.frame_spd_dim)
+    del dz
     dfingers = _frame_log_backward(dy3, tape.frame_factor, tape.frame_eig, tape.frame_h, cfg.eps)
+    del dy3
+    tape.frame_factor = tape.frame_eig = tape.frame_h = None
     dconv = skeleton.graph_conv_backward(tape.frames, dfingers, graph)
     return NetworkParams(dconv, dspat, np.outer(dlogits, tape.feature), dlogits.copy())
 

@@ -44,7 +44,9 @@ def half_vec(y: np.ndarray) -> np.ndarray:
     """
     d = y.shape[-1]
     upper, scale, _ = _triu_maps(d)
-    return y.reshape(y.shape[:-2] + (d * d,))[..., upper] * scale
+    out = y.reshape(y.shape[:-2] + (d * d,))[..., upper]
+    out *= scale
+    return out
 
 
 def half_vec_adjoint(g: np.ndarray, dim: int) -> np.ndarray:
@@ -55,7 +57,9 @@ def half_vec_adjoint(g: np.ndarray, dim: int) -> np.ndarray:
     """
     _, scale, slot = _triu_maps(dim)
     # Off-diagonal mass splits evenly between (i,j) and (j,i): sqrt(2)/2.
-    return (g / scale)[..., slot].reshape(g.shape[:-1] + (dim, dim))
+    out = g[..., slot]
+    out /= scale[slot]
+    return out.reshape(g.shape[:-1] + (dim, dim))
 
 
 def spd_spat_agg(inputs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -71,4 +75,6 @@ def spd_spat_agg_backward(inputs: np.ndarray, weights: np.ndarray, grad_out: np.
     Manifold projection of the weight gradients happens in the optimizer.
     """
     gw = grad_out @ weights
-    return np.swapaxes(weights, -1, -2) @ gw, 2.0 * gw @ inputs
+    dw = gw @ inputs
+    dw *= 2.0
+    return np.swapaxes(weights, -1, -2) @ gw, dw

@@ -103,6 +103,27 @@ def clamp_eig(x, eps):
     return vecs @ np.diag(np.where(vals > eps, vals, eps)) @ vecs.T
 
 
+def frame_log_mpmath(vectors, eps, dps=60):
+    """log max(X2, eps) of the unbiased Gaussian embedding X2 of n d-vectors,
+    every step in ``dps``-digit arithmetic from the exact float inputs."""
+    import mpmath  # not at the top: perfbench loads this module, and mpmath adds ~4 MB RSS
+
+    with mpmath.workdps(dps):
+        v = [[mpmath.mpf(float(x)) for x in row] for row in vectors]
+        n, d = len(v), len(v[0])
+        mu = [sum(row[i] for row in v) / n for i in range(d)]
+        x2 = mpmath.zeros(d + 1, d + 1)
+        for i in range(d):
+            for j in range(d):
+                scatter = sum((row[i] - mu[i]) * (row[j] - mu[j]) for row in v)
+                x2[i, j] = scatter / (n - 1) + mu[i] * mu[j]
+            x2[i, d] = x2[d, i] = mu[i]
+        x2[d, d] = 1
+        vals, vecs = mpmath.eigsy(x2)
+        logs = mpmath.diag([mpmath.log(max(val, mpmath.mpf(eps))) for val in vals])
+        return np.array((vecs * logs * vecs.T).tolist(), dtype=float)
+
+
 # A scalar map, its derivative and its divided difference; duck-types
 # handspd.linalg.SpectralFn.
 SpectralFn = namedtuple("SpectralFn", "f df dd")

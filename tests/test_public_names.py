@@ -1,5 +1,5 @@
-"""Every public module-level name of the package has a caller, and every
-command-line option a reader.
+"""Every public module-level name of the package has a caller, every
+command-line option a reader, and every error type an export.
 
 A name defined at module level in ``src/handspd/*.py`` without a leading
 underscore must be referenced somewhere in ``src/`` other than its own
@@ -14,7 +14,8 @@ import ast
 import inspect
 from pathlib import Path
 
-from handspd import cli, data, gradcheck
+import handspd
+from handspd import cli, data, errors, gradcheck
 from handspd.classify import SvmConfig
 from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
@@ -111,3 +112,11 @@ def test_options_leave_the_defaults_to_the_library():
                    if (parameter := _parameters(command).get(action.dest)) is not None
                    and parameter.default is not inspect.Parameter.empty and action.default is not None]
     assert not set_by_hand, f"options with a default of their own: {set_by_hand}"
+
+
+def test_every_error_type_is_exported():
+    # A caller catches the package's errors by the names ``handspd`` exports.
+    types = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, errors.HandSpdError)}
+    assert types - set(handspd.__all__) == set()
+    assert all(getattr(handspd, name) is getattr(errors, name) for name in types)
