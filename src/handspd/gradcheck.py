@@ -1,14 +1,17 @@
-"""Finite-difference verification of every analytic backward pass.
+"""Finite-difference verification of every analytic backward pass: ``LAYERS``
+is the package's one such harness.
 
-Each check builds the scalar probe L(theta) = <C, layer(theta)> for a random
-symmetric cotangent C (or the cross-entropy loss for the composed network),
-compares the analytic gradient against central differences at h = 1e-5, and
-reports the worst relative error over seeded random instances.  Each check
-calls the implementation the network runs, on a small stack of inputs where
-that implementation is batched.  The affine FC layer and the softmax
-cross-entropy have no check of their own: the ``network`` check
-finite-differences every parameter, ``fc_weight`` and ``fc_bias`` included,
-through ``network.loss_and_backward``.
+Each layer check compares the analytic gradient of the scalar probe
+L(theta) = <C, layer(theta)>, for a random cotangent C, against central
+differences at step ``H`` (``_probe_error``); the ``network`` check does so
+for the cross-entropy loss.  ``run`` reports the worst relative error over
+seeded random instances.  Each check calls the implementation the network
+runs, on a small stack of inputs where that implementation is batched.  The
+affine FC layer and the softmax cross-entropy have no check of their own: the
+``network`` check finite-differences every parameter, ``fc_weight`` and
+``fc_bias`` included, through ``network.loss_and_backward``.  The command and
+the acceptance suite pass a check below ``THRESHOLD`` (1e-4); the unit tests
+hold each layer check below 1e-8 and the ``network`` check below 1e-6.
 """
 
 from __future__ import annotations
@@ -23,28 +26,31 @@ from .errors import InvalidInput
 from .network import NetworkConfig
 from .skeleton import HandGraph
 
-DEFAULT_H = 1e-5
+H = 1e-5
 THRESHOLD = 1e-4
 
 
-def fd_grad(fn, x: np.ndarray, h: float = DEFAULT_H) -> np.ndarray:
-    """Central finite differences of a scalar function over an ndarray."""
+def fd_grad(fn, x: np.ndarray) -> np.ndarray:
+    """Central finite differences, at step ``H``, of a scalar function over an ndarray."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     grad = np.zeros(x.shape)
-    for i in range(x.size):
-        idx = np.unravel_index(i, x.shape) if x.shape else ()
-        xp = x.copy()
-        xp[idx] += h
-        xm = x.copy()
-        xm[idx] -= h
-        grad[idx] = (fn(xp) - fn(xm)) / (2.0 * h)
+    for idx in np.ndindex(x.shape):
+        xp, xm = x.copy(), x.copy()
+        xp[idx] += H
+        xm[idx] -= H
+        grad[idx] = (fn(xp) - fn(xm)) / (2.0 * H)
     return grad
 
 
 def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
-    num = np.linalg.norm(np.asarray(analytic).ravel() - np.asarray(numeric).ravel())
-    den = max(np.linalg.norm(np.asarray(numeric).ravel()), 1e-8)
-    return float(num / den)
+    num = np.linalg.norm(np.ravel(analytic) - np.ravel(numeric))
+    return float(num / max(np.linalg.norm(np.ravel(numeric)), 1e-8))
+
+
+def _probe_error(analytic: np.ndarray, layer, theta: np.ndarray, cot: np.ndarray) -> float:
+    """Relative error of ``analytic`` against the finite-difference gradient
+    of the probe <cot, layer(theta)> at ``theta``."""
+    return rel_error(analytic, fd_grad(lambda t: float(np.sum(cot * layer(t))), theta))
 
 
 def _check_graph_conv(rng):
@@ -55,21 +61,20 @@ def _check_graph_conv(rng):
     weights = rng.standard_normal((3, d1, 3))
     cot = rng.standard_normal((graph.n_fingers, graph.joints_per_finger, d1))
     analytic = skeleton.graph_conv_backward(frame, cot, graph)
-    numeric = fd_grad(lambda w: float(np.sum(cot * skeleton.graph_conv(frame, w, graph))), weights)
-    return rel_error(analytic, numeric)
+    return _probe_error(analytic, lambda w: skeleton.graph_conv(frame, w, graph), weights, cot)
 
 
 def _check_gauss_range(rng):
     # The pyramid on a (2, 7, d) stack of frames: n_T = 3 gives six
     # overlapping ranges cut into four segments, so every frame enters three
-    # ranges and the segment sums are checked too.
+    # ranges and the segment sums are checked too.  The cotangent is not
+    # symmetric: the adjoint holds for any.
     n_f, n_t, d, lambda_reg = 7, 3, 4, 0.1
     z = rng.standard_normal((2, n_f, d))
     n_q = len(network.pyramid_split(n_f, n_t))
-    cot = linalg.symmetrize(rng.standard_normal((2, n_q, d + 1, d + 1)))
+    cot = rng.standard_normal((2, n_q, d + 1, d + 1))
     analytic = network._gauss_backward_batched(z, n_t, cot)
-    numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, n_t, lambda_reg))), z)
-    return rel_error(analytic, numeric)
+    return _probe_error(analytic, lambda v: network._batched_gauss(v, n_t, lambda_reg), z, cot)
 
 
 def _check_frame_log(rng):
@@ -97,8 +102,7 @@ def _check_frame_log(rng):
     cot = linalg.symmetrize(rng.standard_normal((2, 3, d + 1, d + 1)))
     _, factor, gram_eig, h = network._frame_log(vectors, eps)
     analytic = network._frame_log_backward(cot, factor, gram_eig, h, eps)
-    numeric = fd_grad(lambda v: float(np.sum(cot * network._frame_log(v, eps)[0])), vectors)
-    return rel_error(analytic, numeric)
+    return _probe_error(analytic, lambda v: network._frame_log(v, eps)[0], vectors, cot)
 
 
 def _check_half_vec(rng):
@@ -106,8 +110,7 @@ def _check_half_vec(rng):
     y = linalg.symmetrize(rng.standard_normal((d, d)))
     cot = rng.standard_normal(spd_ops.half_vec_dim(d))
     analytic = spd_ops.half_vec_adjoint(cot, d)
-    numeric = fd_grad(lambda s: float(cot @ spd_ops.half_vec(0.5 * (s + s.T))), y)
-    return rel_error(analytic, linalg.symmetrize(numeric))
+    return _probe_error(analytic, lambda s: spd_ops.half_vec(linalg.symmetrize(s)), y, cot)
 
 
 def _check_spat_agg(rng):
@@ -117,13 +120,10 @@ def _check_spat_agg(rng):
     weights = linalg.qr_orthonormalize(rng.standard_normal((n_l, d_out, d_in)))
     cot = linalg.symmetrize(rng.standard_normal((d_out, d_out)))
     gx, gw = spd_ops.spd_spat_agg_backward(inputs, weights, cot)
-    err_x = rel_error(
-        gx, fd_grad(lambda xs: float(np.sum(cot * spd_ops.spd_spat_agg(xs, weights))), inputs)
+    return max(
+        _probe_error(gx, lambda xs: spd_ops.spd_spat_agg(xs, weights), inputs, cot),
+        _probe_error(gw, lambda ws: spd_ops.spd_spat_agg(inputs, ws), weights, cot),
     )
-    err_w = rel_error(
-        gw, fd_grad(lambda ws: float(np.sum(cot * spd_ops.spd_spat_agg(inputs, ws))), weights)
-    )
-    return max(err_x, err_w)
 
 
 def _check_final_log(rng):
@@ -137,7 +137,7 @@ def _check_final_log(rng):
     cot = linalg.symmetrize(rng.standard_normal((3, 6, 6)))
     analytic = linalg.spectral_fn_backward_cached(linalg.LOG, cot, linalg.sym_eig_batch(s))
     log_of = lambda m: linalg.spectral_apply_cached(linalg.sym_eig_batch(linalg.symmetrize(m)), linalg.LOG)
-    return rel_error(analytic, fd_grad(lambda m: float(np.sum(cot * log_of(m))), s))
+    return _probe_error(analytic, log_of, s, cot)
 
 
 def toy_config(n_classes: int = 3) -> NetworkConfig:
@@ -157,15 +157,9 @@ def _check_network(rng):
         )
         for _ in range(2)
     ]
-
-    def loss_of(vec):
-        p = params.from_vector(vec)
-        loss, _ = network.loss_and_backward(batch, p, cfg, graph)
-        return loss
-
     _, grads = network.loss_and_backward(batch, params, cfg, graph)
-    numeric = fd_grad(loss_of, params.to_vector())
-    return rel_error(grads.to_vector(), numeric)
+    loss_of = lambda v: network.loss_and_backward(batch, params.from_vector(v), cfg, graph)[0]
+    return rel_error(grads.to_vector(), fd_grad(loss_of, params.to_vector()))
 
 
 LAYERS = {
@@ -188,13 +182,11 @@ def run(seed: int = 0, n_instances: int = 20, layers=None):
     for name in names:
         if name not in LAYERS:
             raise InvalidInput(f"unknown layer {name!r}; choose from {sorted(LAYERS)}")
-        check = LAYERS[name]
         count = n_instances if name != "network" else max(1, n_instances // 4)
-        worst = 0.0
-        for k in range(count):
-            rng = np.random.default_rng((seed, zlib.crc32(name.encode()), k))
-            worst = max(worst, check(rng))
-        results[name] = worst
+        # np.max, unlike max, keeps a NaN error, which then reads FAIL.
+        results[name] = float(np.max([
+            LAYERS[name](np.random.default_rng((seed, zlib.crc32(name.encode()), k))) for k in range(count)
+        ]))
     return results
 
 

@@ -31,7 +31,8 @@ n_fingers and joints_per_finger integer; eps and lambda_reg float) and the
 four float ``NetworkParams`` arrays in ``param_shapes()``:
     conv       (3, d1, 3)                    [label, channel, xyz]
     spat       (n_L, d_spat, temp_dim)       branch-major: finger 1..n_fingers,
-                                             ranges level-major
+                                             ranges level-major; rows
+                                             orthonormal (``validate_stiefel``)
     fc_weight  (n_classes, feature_dim)
     fc_bias    (n_classes,)
 """
@@ -472,7 +473,7 @@ def save_checkpoint(path, params: NetworkParams, cfg: NetworkConfig):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint; returns (params, cfg)."""
+    """Read a checkpoint; returns (params, cfg).  Every error names the file."""
     arrays = data.read_npz(path, CHECKPOINT_LAYOUT)
     try:
         cfg = NetworkConfig(**{name: arrays[name].item() for name in _CONFIG_DTYPES})
@@ -482,4 +483,9 @@ def load_checkpoint(path):
     for name, shape in shapes.items():
         if arrays[name].shape != shape:
             raise InvalidInput(f"shape {arrays[name].shape}, expected {shape}", path=path, array=name)
-    return NetworkParams(**{name: arrays[name] for name in shapes}), cfg
+    params = NetworkParams(**{name: arrays[name] for name in shapes})
+    try:
+        params.validate_stiefel()
+    except InvalidInput as exc:
+        raise exc.at(path=path, array="spat")
+    return params, cfg

@@ -84,7 +84,8 @@ def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
 
     Metrics rows carry epoch, mean_loss, train_accuracy and wall_seconds
     (``write_metrics`` writes them as CSV).  A ``RankError`` of a Stiefel
-    step gains the failing weight's ``finger`` and pyramid ``range`` fields.
+    step gains its ``layer``, and the failing weight's ``finger`` and
+    pyramid ``range`` where it names the weight.
     """
     if not dataset:
         raise InvalidInput("dataset must be non-empty")
@@ -109,6 +110,7 @@ def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
             try:
                 params = apply_gradients(params, grads, train_cfg.learning_rate)
             except RankError as exc:
+                exc.at(layer="stiefel_step(spat)")
                 if "matrix" in exc.where:  # the spat weight's 1-based index: finger-major, then range
                     q = exc.where["matrix"] - 1
                     ranges = network.pyramid_split(net_cfg.n_F, net_cfg.n_T)

@@ -104,7 +104,7 @@ class TestArgumentHandling:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists() and not (tmp_path / "m.npz").exists()
 
-    def test_config_file_sets_every_field_and_flags_override(self):
+    def test_flags_set_every_field_and_the_dataclasses_default_the_rest(self):
         # Flags are the only source of train's settings; the dataclass defaults the rest.
         args = cli.make_parser().parse_args([
             "train", "--out-dir", "x", "--classes", "4", "--d1", "2", "--levels", "2", "--length", "8",
@@ -601,8 +601,8 @@ class TestEndToEndCommands:
         code, err, exc = _failure(capsys, "train", *toy_data, *TOY_FLAGS, "--epochs", "1",
                                   "--out-dir", str(tmp_path / "out"))
         assert code == cli.EXIT_NUMERICAL and isinstance(exc, RankError)
-        assert exc.where == {"finger": 3, "range": (1, 4), "matrix": 8}
-        assert err.rstrip().endswith("[finger 3, range (1, 4), matrix 8]")
+        assert exc.where == {"layer": "stiefel_step(spat)", "finger": 3, "range": (1, 4), "matrix": 8}
+        assert err.rstrip().endswith("[layer stiefel_step(spat), finger 3, range (1, 4), matrix 8]")
 
 
 @pytest.fixture(scope="module")

@@ -72,6 +72,21 @@ class TestHarness:
         assert results["half_vec"] >= 1.0
         assert "FAIL" in gradcheck.format_table(results)
 
+    def test_nan_backward_fails(self, monkeypatch):
+        # A NaN error is the worst of its layer's instances, not skipped.
+        monkeypatch.setattr(spd_ops, "half_vec_adjoint", lambda cot, d: np.full((d, d), np.nan))
+        results = gradcheck.run(seed=0, n_instances=2, layers=["half_vec"])
+        assert np.isnan(results["half_vec"])
+        assert "FAIL" in gradcheck.format_table(results)
+
+    @pytest.mark.parametrize("layer", list(gradcheck.LAYERS))
+    def test_backward_matches_finite_differences(self, layer):
+        # The tier-1 bound, far below THRESHOLD: a layer's adjoint is exact,
+        # so its check reads the finite differences' own error, about 1e-10;
+        # the network check sums many of them through the whole chain.
+        results = gradcheck.run(seed=0, n_instances=5, layers=[layer])
+        assert results[layer] < (1e-6 if layer == "network" else 1e-8)
+
     @pytest.mark.parametrize("layer", list(gradcheck.LAYERS))
     def test_scaled_backward_fails(self, layer, monkeypatch, capsys):
         # Negative control: every check must read the analytic gradient of

@@ -218,7 +218,18 @@ class TestTrainLoop:
         monkeypatch.setattr(network, "loss_and_backward", nan_weight_6)
         with pytest.raises(RankError, match="not finite") as err:
             optim.train(_toy_dataset(cfg, 4), cfg, TrainConfig(batch_size=4, epochs=1))
-        assert err.value.where == {"finger": 2, "range": (3, 4), "matrix": 6}
+        assert err.value.where == {"layer": "stiefel_step(spat)", "finger": 2, "range": (3, 4), "matrix": 6}
+
+    def test_unlocated_stiefel_failure_names_its_layer(self, monkeypatch):
+        # A LAPACK failure names no matrix, so the error holds the layer alone.
+        def failing_step(*args):
+            raise RankError("QR factorization failed: stand-in")
+
+        monkeypatch.setattr(optim, "stiefel_step", failing_step)
+        cfg = toy_config()
+        with pytest.raises(RankError, match="QR factorization failed") as err:
+            optim.train(_toy_dataset(cfg, 4), cfg, TrainConfig(batch_size=4, epochs=1))
+        assert err.value.where == {"layer": "stiefel_step(spat)"}
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(InvalidInput):

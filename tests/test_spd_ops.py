@@ -1,7 +1,8 @@
-"""Layer primitives: the pyramid's GaussAgg (network._batched_gauss and its
-adjoint), the per-frame GaussAgg+ReEig+LogEig map (network._frame_log and its
-adjoint), the dense ReEig+LogEig reference map it is checked against, and
-spd_ops' HalfVec and SPDSpatAgg."""
+"""Layer primitives: the pyramid's GaussAgg (network._batched_gauss), the
+per-frame GaussAgg+ReEig+LogEig map (network._frame_log and its adjoint), the
+dense ReEig+LogEig reference map it is checked against, and spd_ops' HalfVec
+and SPDSpatAgg.  gradcheck.LAYERS finite-differences their backward passes
+(tests/test_gradcheck.py)."""
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ def _reeig_log(x, eps):
 
 
 class TestGaussAgg:
-    """The pyramid's biased GaussAgg, network._batched_gauss and its adjoint."""
+    """The pyramid's biased GaussAgg, network._batched_gauss."""
 
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_matches_definitional_oracle(self, lam):
@@ -73,15 +74,6 @@ class TestGaussAgg:
             NetworkConfig(joints_per_finger=1).graph()
         with pytest.raises(InvalidInput):
             NetworkConfig(n_F=2, n_T=3)
-
-    def test_backward_matches_finite_differences(self):
-        # Overlapping ranges: every frame enters three of the six.
-        rng = np.random.default_rng(3)
-        z = rng.standard_normal((2, 7, 3))
-        cot = rng.standard_normal((2, 6, 4, 4))
-        analytic = network._gauss_backward_batched(z, 3, cot)
-        numeric = fd_grad(lambda v: float(np.sum(cot * network._batched_gauss(v, 3, 0.2))), z)
-        assert rel_error(analytic, numeric) < 1e-7
 
 
 class TestFrameLog:
@@ -277,17 +269,3 @@ class TestSpdSpatAgg:
             inputs, weights = self._random_case(seed)
             out = spd_ops.spd_spat_agg(inputs, weights)
             assert np.linalg.eigvalsh(out).min() > 0
-
-    def test_backward_matches_finite_differences(self):
-        inputs, weights = self._random_case(1)
-        rng = np.random.default_rng(9)
-        cot = rng.standard_normal((4, 4))
-        cot = 0.5 * (cot + cot.T)
-        gx, gw = spd_ops.spd_spat_agg_backward(inputs, weights, cot)
-        err_x = rel_error(
-            gx, fd_grad(lambda xs: float(np.sum(cot * spd_ops.spd_spat_agg(xs, weights))), inputs)
-        )
-        err_w = rel_error(
-            gw, fd_grad(lambda ws: float(np.sum(cot * spd_ops.spd_spat_agg(inputs, ws))), weights)
-        )
-        assert err_x < 1e-7 and err_w < 1e-7
