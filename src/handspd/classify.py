@@ -9,6 +9,8 @@ the coordinate moves, two in-place ufuncs (the axpy); everything else is
 Python float arithmetic.  Every iterate is bitwise that of the plain numpy
 loop (``tests/oracles.py``).  ``SvmConfig`` holds C, tol and the visit seed,
 their only defaults and checks; a solver stops after ``MAX_PASSES`` passes.
+``svm_train`` rejects a feature row that is not finite, or whose squared
+norm overflows, before it fits any class; ``svm_predict`` checks no row.
 
 Classes are fitted in parallel by ``fork``ed workers, one per CPU this
 process may run on, which share the features copy-on-write; off Linux or
@@ -177,7 +179,12 @@ def svm_train(
     if present[0] < 1 or present[-1] > n_classes:
         bad = present[0] if present[0] < 1 else present[-1]
         raise InvalidInput(f"label {bad} outside [1, {n_classes}]")
-    fit = (x, labels, _q_diagonal(x, C), C, tol, seed, MAX_PASSES)
+    qii = _q_diagonal(x, C)
+    # A NaN row would read as converged and an overflowing one be ignored.
+    bad = np.flatnonzero(~np.isfinite(qii))
+    if bad.size:
+        raise InvalidInput(f"feature row {bad[0] + 1} is not finite, or its squared norm overflows")
+    fit = (x, labels, qii, C, tol, seed, MAX_PASSES)
     classes = range(1, n_classes + 1)
     workers = _worker_count(n_classes)
     if workers > 1:

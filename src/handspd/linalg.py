@@ -17,10 +17,10 @@ are symmetric up to rounding; nothing re-symmetrizes them.
 ``np.linalg.eigh`` reads one triangle only.  Only ``sym_eig_batch`` and
 ``qr_orthonormalize`` check their input stack, before the one LAPACK call
 per stack.  Each operation raises one error type, with the caller's
-``layer`` and the failing matrix's 1-based stack position as fields:
-``sym_eig_batch`` ``EigenDecompositionError``, ``_apply_fn``
-``SpectralDomainError`` and ``qr_orthonormalize`` ``RankError``; a failure
-inside LAPACK itself is typed but not located.
+``layer`` and the failing matrix's 1-based index on each named leading axis
+as fields (``_first``): ``sym_eig_batch`` ``EigenDecompositionError``,
+``_apply_fn`` ``SpectralDomainError`` and ``qr_orthonormalize`` ``RankError``,
+whose one axis is ``matrix``; a failure inside LAPACK is typed but not located.
 """
 
 from __future__ import annotations
@@ -103,6 +103,12 @@ def gram_log_fn(eps: float) -> SpectralFn:
     return SpectralFn(h, dh, dd)
 
 
+def _first(bad: np.ndarray, axes: tuple) -> dict:
+    """Location fields of the first True entry of ``bad``: its 1-based index
+    on each leading axis named in ``axes``."""
+    return {a: int(i) + 1 for a, i in zip(axes, np.argwhere(bad)[0])}
+
+
 def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.swapaxes(a, -1, -2))
 
@@ -117,8 +123,7 @@ def sym_eig_batch(s: np.ndarray, *, layer: str | None = None, axes: tuple = ()) 
     """
     bad = ~np.isfinite(s).all(axis=(-2, -1))
     if np.any(bad):
-        raise EigenDecompositionError("matrix is not finite", layer=layer,
-                                      **{a: int(i) + 1 for a, i in zip(axes, np.argwhere(bad)[0])})
+        raise EigenDecompositionError("matrix is not finite", layer=layer, **_first(bad, axes))
     try:
         vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
@@ -134,10 +139,8 @@ def _apply_fn(fn: SpectralFn, values: np.ndarray, layer: str | None = None, axes
         out = fn.f(values)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        first = np.argwhere(bad)[0]
         raise SpectralDomainError("spectral function undefined", layer=layer,
-                                  eigenvalue=float(values[tuple(first)]),
-                                  **{a: int(i) + 1 for a, i in zip(axes, first)})
+                                  eigenvalue=float(values[bad][0]), **_first(bad, axes))
     return out
 
 
@@ -203,7 +206,8 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     the map deterministic and the identity on already-orthonormal input.
     Returns a C-contiguous stack.  Rank-deficient or non-finite input or
     factors raise ``RankError`` with the first offending matrix's 1-based
-    stack index as its ``matrix`` field; a LAPACK failure raises it unlocated.
+    index on the stack's first axis as its ``matrix`` field (none for a lone
+    matrix); a LAPACK failure raises it unlocated.
     Input and factors are checked whole: when a Householder reflector is the
     identity, a NaN of the input stays above R's diagonal and Q is finite.
     """
@@ -223,14 +227,7 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.swapaxes(q * sign[..., None, :], -1, -2))
 
 
-def _matrix(index: tuple) -> dict:
-    """The ``matrix`` field of a 0-based stack index: 1-based, one number on a
-    one-axis stack, none for a lone matrix."""
-    one_based = tuple(int(i) + 1 for i in index)
-    return {"matrix": one_based[0] if len(one_based) == 1 else one_based} if one_based else {}
-
-
 def _reject(bad: np.ndarray, message: str):
     """Raise ``RankError`` at the first matrix of a stack where ``bad`` is True."""
     if np.any(bad):
-        raise RankError(message, **_matrix(np.argwhere(bad)[0]))
+        raise RankError(message, **_first(bad, ("matrix",)))

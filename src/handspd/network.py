@@ -25,6 +25,13 @@ eigendecompositions included, that the batched path is checked against.
 parameter shape); the layers below it assume that check passed and
 validate nothing.
 
+Threads: ``sequence_step`` may run on several sequences at once, in threads
+that share ``params``, the config and the ``HandGraph``.  No call writes to
+``params``, the graph or a cached map: every array a step writes it
+allocates itself, and the ``functools.cache`` maps of ``linalg`` and
+``spd_ops`` are read-only arrays.  ``np.errstate`` is context-local in
+numpy 2, so one thread's error settings do not leak into another's.
+
 Checkpoint (``save_checkpoint``): an npz archive (``data.write_npz``) of
 the ``NetworkConfig`` fields as 0-d arrays (d1, n_T, n_F, n_classes, d_spat,
 n_fingers and joints_per_finger integer; eps and lambda_reg float) and the
@@ -85,8 +92,9 @@ class NetworkConfig:
             object.__setattr__(self, "d_spat", self.temp_dim)
         if not 1 <= self.d_spat <= self.temp_dim:
             raise InvalidInput(f"d_spat must be in [1, {self.temp_dim}]")
-        if not self.n_T <= self.n_F <= MAX_FRAMES:
-            raise InvalidInput(f"sequence length must be in [n_T, {MAX_FRAMES}], got {self.n_F}")
+        shortest = max(2, self.n_T)  # data.resample makes no one-frame sequence
+        if not shortest <= self.n_F <= MAX_FRAMES:
+            raise InvalidInput(f"sequence length must be in [{shortest}, {MAX_FRAMES}], got {self.n_F}")
         if (n := sum(math.prod(shape) for shape in self.param_shapes().values())) > MAX_PARAMS:
             raise InvalidInput(f"the network has {n} parameters, more than MAX_PARAMS {MAX_PARAMS}")
 
@@ -129,6 +137,12 @@ class NetworkConfig:
             "fc_weight": (self.n_classes, self.feature_dim),
             "fc_bias": (self.n_classes,),
         }
+
+    def spat_location(self, matrix: int) -> dict:
+        """The ``finger`` and pyramid ``range`` fields of the 1-based spatial
+        weight ``matrix``: ``spat`` is finger-major, then ``pyramid_split`` order."""
+        finger, q = divmod(matrix - 1, self.n_Q)
+        return {"finger": finger + 1, "range": pyramid_split(self.n_F, self.n_T)[q]}
 
 
 @dataclass
@@ -487,5 +501,5 @@ def load_checkpoint(path):
     try:
         params.validate_stiefel()
     except InvalidInput as exc:
-        raise exc.at(path=path, array="spat")
+        raise exc.at(path=path, array="spat", **cfg.spat_location(exc.where["matrix"]))
     return params, cfg

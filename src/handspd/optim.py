@@ -110,12 +110,8 @@ def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
             try:
                 params = apply_gradients(params, grads, train_cfg.learning_rate)
             except RankError as exc:
-                exc.at(layer="stiefel_step(spat)")
-                if "matrix" in exc.where:  # the spat weight's 1-based index: finger-major, then range
-                    q = exc.where["matrix"] - 1
-                    ranges = network.pyramid_split(net_cfg.n_F, net_cfg.n_T)
-                    exc.at(finger=q // net_cfg.n_Q + 1, range=ranges[q % net_cfg.n_Q])
-                raise
+                weight = net_cfg.spat_location(exc.where["matrix"]) if "matrix" in exc.where else {}
+                raise exc.at(layer="stiefel_step(spat)", **weight)
         row = {
             "epoch": epoch,
             "mean_loss": epoch_loss / n,

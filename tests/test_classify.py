@@ -116,6 +116,16 @@ class TestMulticlass:
         with pytest.raises(InvalidInput, match=f"label {bad} outside"):
             classify.svm_train(x, np.array(labels), n_classes=n_classes)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e200], ids=["nan", "inf", "overflowing-norm"])
+    def test_non_finite_row_rejected(self, value):
+        # A NaN row makes every projected gradient NaN, which read as converged;
+        # a row whose squared norm overflows was skipped by every class.
+        x = np.random.default_rng(4).standard_normal((12, 3))
+        x[7, 1] = value
+        with pytest.raises(InvalidInput, match=r"^feature row 8 is not finite") as err:
+            classify.svm_train(x, np.repeat([1, 2, 3], 4))
+        assert err.value.where == {}
+
     def test_explicit_class_count_keeps_empty_rows(self):
         rng = np.random.default_rng(3)
         x, y = _blobs(rng, 8, [(2.0, 0.0), (-2.0, 0.0)])

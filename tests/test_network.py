@@ -1,7 +1,9 @@
 import dataclasses
 import re
+import sys
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -91,6 +93,9 @@ class TestNetworkConfig:
             NetworkConfig(n_classes=1)
         with pytest.raises(InvalidInput):
             NetworkConfig(n_F=2, n_T=3)
+        # data.resample builds no one-frame sequence, so no config asks for one.
+        with pytest.raises(InvalidInput, match=re.escape("sequence length must be in [2, 10000], got 1")):
+            NetworkConfig(n_F=1, n_T=1)
         with pytest.raises(InvalidInput):
             NetworkConfig(d_spat=100)
         with pytest.raises(InvalidInput):
@@ -440,6 +445,33 @@ class TestBackward:
             tracemalloc.stop()
         assert peak < 4.5e6
 
+    @pytest.mark.parametrize("toy", [True, False])
+    def test_sequence_steps_on_two_threads_match_the_serial_run(self, toy):
+        # One step shares params, the config, the graph and the cached maps
+        # with every other step and writes none of them, so a thread pool
+        # over sequences gives bitwise the serial losses, gradients and logits.
+        cfg = toy_config() if toy else NetworkConfig()
+        graph = cfg.graph()
+        params = optim.init_params(cfg, seed=8)
+        rng = np.random.default_rng(8)
+        items = [GestureSequence(rng.standard_normal((cfg.n_F, cfg.n_joints, 3)), k % cfg.n_classes + 1)
+                 for k in range(6)]
+
+        def step(item):
+            term, grads, logits = network.sequence_step(item, params, cfg, graph, len(items))
+            return term, grads.to_vector(), logits
+
+        serial = [step(item) for item in items]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # the threads trade the interpreter lock often
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                for _ in range(3):
+                    for got, want in zip(pool.map(step, items, timeout=60), serial):
+                        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        finally:
+            sys.setswitchinterval(switch)
+
     def test_with_logits_option(self):
         cfg = toy_config()
         rng = np.random.default_rng(3)
@@ -551,7 +583,7 @@ class TestCheckpoint:
         network.save_checkpoint(path, params, cfg)
         with pytest.raises(InvalidInput, match=re.escape("not row-orthonormal (err 8.00e+00)")) as err:
             network.load_checkpoint(path)
-        assert err.value.where == {"path": str(path), "array": "spat", "matrix": 3}
+        assert err.value.where == {"path": str(path), "array": "spat", "finger": 1, "range": (3, 4), "matrix": 3}
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -586,7 +618,8 @@ class TestCheckpoint:
         ({"conv": claimed((3, 2**40, 3))}, "array cannot be read", {"array": "conv"}),
         ({"d1": np.array(0)}, "must be positive", {}),
         ({"n_fingers": np.array(-5)}, "must be positive", {}),
-    ], ids=["huge-n_classes", "huge-d1", "zero-d1", "negative-n_fingers"])
+        ({"n_F": np.array(1), "n_T": np.array(1)}, re.escape("must be in [2, 10000], got 1"), {}),
+    ], ids=["huge-n_classes", "huge-d1", "zero-d1", "negative-n_fingers", "one-frame"])
     def test_header_the_file_cannot_back_rejected(self, change, message, where, tmp_path):
         # A member whose .npy header claims more than memory holds, and a
         # config field NetworkConfig rejects, are errors that name the file.
