@@ -9,8 +9,9 @@ the coordinate moves, two in-place ufuncs (the axpy); everything else is
 Python float arithmetic.  Every iterate is bitwise that of the plain numpy
 loop (``tests/oracles.py``).  ``SvmConfig`` holds C, tol and the visit seed,
 their only defaults and checks; a solver stops after ``MAX_PASSES`` passes.
-``svm_train`` rejects a feature row that is not finite, or whose squared
-norm overflows, before it fits any class; ``svm_predict`` checks no row.
+``svm_train`` rejects features with no column, and a feature row that is
+not finite or whose squared norm overflows, before it fits any class;
+``svm_predict`` checks the feature dimension and no row.
 
 Classes are fitted in parallel by ``fork``ed workers, one per CPU this
 process may run on, which share the features copy-on-write; off Linux or
@@ -168,8 +169,8 @@ def svm_train(
     """One-vs-rest training, the classes in parallel; labels are 1-based integers."""
     x = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if x.ndim != 2 or labels.shape != (x.shape[0],):
-        raise InvalidInput(f"need (n, d) features with n labels, got {x.shape} / {labels.shape}")
+    if x.ndim != 2 or x.shape[1] < 1 or labels.shape != (x.shape[0],):
+        raise InvalidInput(f"need (n, d >= 1) features with n labels, got {x.shape} / {labels.shape}")
     SvmConfig(C, tol, seed)  # the settings' checks
     present = np.unique(labels)
     if present.size < 2:
@@ -208,19 +209,12 @@ def svm_train(
     return model
 
 
-def decision_values(model: SvmModel, features: np.ndarray) -> np.ndarray:
-    x = np.asarray(features, dtype=np.float64)
-    if x.shape[-1] != model.weights.shape[1]:
-        raise InvalidInput(
-            f"feature dim {x.shape[-1]} != model dim {model.weights.shape[1]}"
-        )
-    return x @ model.weights.T
-
-
 def svm_predict(model: SvmModel, features: np.ndarray) -> np.ndarray:
     """Predicted 1-based labels; ties break to the lowest class index."""
-    scores = decision_values(model, features)
-    return np.argmax(scores, axis=-1) + 1
+    x = np.asarray(features, dtype=np.float64)
+    if x.shape[-1] != model.weights.shape[1]:
+        raise InvalidInput(f"feature dim {x.shape[-1]} != model dim {model.weights.shape[1]}")
+    return np.argmax(x @ model.weights.T, axis=-1) + 1
 
 
 def evaluate(model: SvmModel, features: np.ndarray, labels: np.ndarray) -> EvalReport:
@@ -237,8 +231,7 @@ def evaluate(model: SvmModel, features: np.ndarray, labels: np.ndarray) -> EvalR
     confusion = np.zeros((k, k), dtype=np.int64)
     np.add.at(confusion, (labels - 1, predicted - 1), 1)
     totals = confusion.sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        per_class = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), np.nan)
+    per_class = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), np.nan)
     accuracy = 100.0 * np.trace(confusion) / labels.size
     return EvalReport(accuracy=accuracy, confusion=confusion, per_class_accuracy=per_class)
 

@@ -12,7 +12,10 @@ four integers  gesture finger subject essai.  ``load_dhg`` reads each split
 file once, then only the skeleton files that the asked splits list, each at
 the directory its four integers name; a key both files list is an error.  Both
 text formats go through one line reader, so a malformed line of either is
-an error with the file's path and the line.
+an error with the file's path and the line.  ``synth_generate`` checks its
+length against ``MAX_FRAMES``, the bound ``NetworkConfig`` puts on a
+sequence, and its frame count in all against ``MAX_SYNTH_FRAMES`` before it
+allocates anything.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ import numpy as np
 from .errors import InvalidInput
 
 N_JOINTS = 22
+# A sequence the network reads is resampled to at most MAX_FRAMES frames;
+# ``synth_generate`` writes at most MAX_SYNTH_FRAMES frames in all, 1.1 GB
+# of coordinates.
+MAX_FRAMES = 10_000
+MAX_SYNTH_FRAMES = 2_000_000
 
 
 @dataclass
@@ -200,11 +208,16 @@ def synth_generate(
     """Labeled synthetic gestures: one motion prototype per class plus
     additive Gaussian coordinate noise.  Separable by construction."""
     if not 1 <= n_classes <= 8:
-        raise InvalidInput("synthetic generator defines 8 motion prototypes")
+        raise InvalidInput(f"n_classes must be in [1, 8], the motion prototypes, got {n_classes}")
     if n_per_class < 1:
-        raise InvalidInput("n_per_class must be >= 1")
+        raise InvalidInput(f"n_per_class must be >= 1, got {n_per_class}")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
+    if not 2 <= length <= MAX_FRAMES:
+        raise InvalidInput(f"length must be in [2, {MAX_FRAMES}], got {length}")
+    if (total := n_classes * n_per_class * length) > MAX_SYNTH_FRAMES:
+        raise InvalidInput(f"{n_classes} classes x {n_per_class} per class x {length} frames is {total} frames,"
+                           f" more than MAX_SYNTH_FRAMES {MAX_SYNTH_FRAMES}")
     rng = np.random.default_rng(seed)
     pose = rest_pose()
     t = np.linspace(0.0, 1.0, length)

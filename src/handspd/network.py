@@ -57,10 +57,9 @@ from .linalg import EigenPair
 from .skeleton import HandGraph
 
 
-# Bounds that keep a config's arrays in memory: a sequence resampled to at
-# most MAX_FRAMES frames, at most MAX_CLASSES classes to score, and at most
+# Bounds that keep a config's arrays in memory: sequences of at most
+# data.MAX_FRAMES frames, at most MAX_CLASSES classes to score, and at most
 # MAX_PARAMS learnable weights (32 MB a copy; the default config has 116,519).
-MAX_FRAMES = 10_000
 MAX_CLASSES = 1_000
 MAX_PARAMS = 4_000_000
 
@@ -93,8 +92,8 @@ class NetworkConfig:
         if not 1 <= self.d_spat <= self.temp_dim:
             raise InvalidInput(f"d_spat must be in [1, {self.temp_dim}]")
         shortest = max(2, self.n_T)  # data.resample makes no one-frame sequence
-        if not shortest <= self.n_F <= MAX_FRAMES:
-            raise InvalidInput(f"sequence length must be in [{shortest}, {MAX_FRAMES}], got {self.n_F}")
+        if not shortest <= self.n_F <= data.MAX_FRAMES:
+            raise InvalidInput(f"sequence length must be in [{shortest}, {data.MAX_FRAMES}], got {self.n_F}")
         if (n := sum(math.prod(shape) for shape in self.param_shapes().values())) > MAX_PARAMS:
             raise InvalidInput(f"the network has {n} parameters, more than MAX_PARAMS {MAX_PARAMS}")
 

@@ -10,8 +10,8 @@ label is 1 for j == i, 2 for j == i + 1 and 3 for j == i - 1.  Output
 features are produced for the finger joints only (nodes 3..n_joints).
 
 The graph is its 0/1 label-incidence matrix A of shape
-(3 * n_out_nodes, n_joints), built straight from these label rules for
-out-node i = o + 3:
+(3 * (n_joints - 2), n_joints), one row per (out-node, label), built
+straight from these label rules for out-node i = o + 3:
     row 3o      i itself;
     row 3o + 1  i + 1, when it is in the same finger chain;
     row 3o + 2  i - 1, when it is in the same finger chain, or the palm
@@ -52,7 +52,7 @@ class HandGraph:
     joints_per_finger: int = 4
     # Derived, filled in __post_init__.
     n_joints: int = field(init=False)
-    # (3 * n_out_nodes, n_joints) 0/1: row 3*o + (label-1) selects out-node
+    # (3 * (n_joints - 2), n_joints) 0/1: row 3*o + (label-1) selects out-node
     # o's neighbor of that label, or is zero when there is none.
     incidence: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -69,10 +69,6 @@ class HandGraph:
 
         object.__setattr__(self, "n_joints", n)
         object.__setattr__(self, "incidence", incidence.reshape(N_LABELS * (n - 2), n))
-
-    @property
-    def n_out_nodes(self) -> int:
-        return self.n_joints - 2
 
 
 def _gather(frame: np.ndarray, graph: HandGraph) -> np.ndarray:

@@ -61,13 +61,13 @@ class TestMulticlass:
         assert report.accuracy == 100.0
         assert np.array_equal(np.diag(report.confusion), [25, 25, 25, 25])
 
-    def test_decision_values_shape_and_predict(self):
+    def test_predict_is_the_argmax_of_the_scores(self):
         rng = np.random.default_rng(1)
         x, y = _blobs(rng, 10, [(2.0, 0.0), (-2.0, 0.0), (0.0, 2.0)])
         model = classify.svm_train(x, y, seed=0)
-        scores = classify.decision_values(model, x)
-        assert scores.shape == (30, 3)
-        assert np.array_equal(classify.svm_predict(model, x), scores.argmax(axis=1) + 1)
+        predicted = classify.svm_predict(model, x)
+        assert predicted.shape == (30,)
+        assert np.array_equal(predicted, (x @ model.weights.T).argmax(axis=1) + 1)
 
     def test_convergence_recorded_per_class(self):
         rng = np.random.default_rng(0)
@@ -251,6 +251,12 @@ class TestEvaluate:
         assert np.array_equal(report.confusion, [[2, 0], [1, 1]])
         assert report.accuracy == pytest.approx(75.0)
         assert np.allclose(report.per_class_accuracy, [1.0, 0.5])
+
+    def test_class_without_test_rows_reads_nan(self):
+        # No 0/0 is formed, so no RuntimeWarning (an error under tier-1's filter).
+        model = classify.SvmModel(weights=np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
+        report = classify.evaluate(model, np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([1, 2]))
+        assert np.array_equal(report.per_class_accuracy, [1.0, 1.0, np.nan], equal_nan=True)
 
     def test_empty_test_set_rejected(self):
         model = classify.SvmModel(weights=np.zeros((2, 3)))

@@ -286,6 +286,8 @@ FILE_FAULTS = {
         _checkpoint(t / "c.npz"), joints_per_finger=np.array(1)), t, toy), t / "c.npz"),
     "nan-feature": lambda t, toy: (_reading("--features", _one_nan(_features(t / "f.npz"), "features"), t),
                               t / "f.npz"),
+    "zero-width-features": lambda t, toy: (_reading("--features", _features(t / "f.npz", features=np.zeros((6, 0))), t),
+                                      t / "f.npz"),
     "feature-row-norm-overflows": lambda t, toy: (_reading("--features", _features(
         t / "f.npz", features=np.full((6, 3), 1e200)), t), t / "f.npz"),
     "nan-model-weight": lambda t, toy: (_reading("--model", _one_nan(_model(t / "m.npz"), "weights"), t),
@@ -304,7 +306,7 @@ FILE_FAULTS = {
     "one-class-to-fit": lambda t, toy: (_reading("--features", _features(t / "f.npz", labels=np.ones(6, int)), t),
                                    t / "f.npz"),
     "length-past-its-bound-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(
-        _checkpoint(t / "c.npz"), n_F=np.array(network.MAX_FRAMES + 1)), t, toy), t / "c.npz"),
+        _checkpoint(t / "c.npz"), n_F=np.array(data.MAX_FRAMES + 1)), t, toy), t / "c.npz"),
     "classes-past-their-bound-features": lambda t, toy: (_reading("--features", _features(
         t / "f.npz", n_classes=np.array([network.MAX_CLASSES + 1])), t), t / "f.npz"),
     "cache-split-left-empty": lambda t, toy: ([*_reading("--cache", _cache(t / "c.npz"), t), "--per-class", "0"],
@@ -387,7 +389,45 @@ class TestGradcheckCommand:
         assert "frame_log" in capsys.readouterr().err
 
 
+def _run_child(*argv, address_space=None):
+    """``python -m handspd.cli *argv`` in a child process, which imports the
+    package from where this process found it, installed or not.  An
+    ``address_space`` in bytes is the child's RLIMIT_AS, set before it
+    imports numpy and at one BLAS thread, whose buffers then do not grow
+    with the core count; this process keeps its own limit."""
+    paths = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    command = ["-m", "handspd.cli"]
+    if address_space is not None:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+        command = ["-c", f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({address_space},) * 2);"
+                   " from handspd.cli import main; sys.exit(main(sys.argv[1:]))"]
+    return subprocess.run([sys.executable, *command, *argv], capture_output=True, text=True, timeout=120, env=env)
+
+
 class TestSynthCommand:
+    @pytest.mark.parametrize("length", [-3, 0, 1, data.MAX_FRAMES + 1])
+    def test_length_outside_its_bounds_is_config_error(self, length, tmp_path, capsys):
+        out = tmp_path / "c.npz"
+        assert run_cli("synth", "--classes", "1", "--per-class", "1", "--length", str(length),
+                       "--out", str(out)) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: length must be in [2, {data.MAX_FRAMES}], got {length}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, bound", [
+        (["--length", "20000000", "--per-class", "1", "--classes", "1"], f"[2, {data.MAX_FRAMES}], got 20000000"),
+        (["--per-class", "3000000"], f"frames, more than MAX_SYNTH_FRAMES {data.MAX_SYNTH_FRAMES}"),
+    ], ids=["length", "per-class"])
+    def test_too_many_frames_is_config_error_before_any_allocation(self, flags, bound, tmp_path):
+        # Either would take gigabytes or more, so the child runs under a 2 GB
+        # address-space limit: a generator that allocated before it checked
+        # would end in a MemoryError there.
+        out = tmp_path / "c.npz"
+        proc = _run_child("synth", *flags, "--out", str(out), address_space=2 << 30)
+        assert proc.returncode == cli.EXIT_CONFIG, proc.stderr
+        assert proc.stderr.startswith("error: ") and bound in proc.stderr and "Traceback" not in proc.stderr
+        assert not out.exists()
+
     def test_writes_loadable_cache(self, tmp_path):
         out = tmp_path / "cache.npz"
         argv = ["synth", "--classes", "3", "--per-class", "2", "--length", "8"]
@@ -801,23 +841,14 @@ class TestCacheSplit:
 
 
 class TestConsoleScript:
-    @staticmethod
-    def _run(*argv):
-        # The child imports the package from where this process found it,
-        # installed or not.
-        paths = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        return subprocess.run([sys.executable, "-m", "handspd.cli", *argv],
-                              capture_output=True, text=True, timeout=120, env=env)
-
     def test_entry_point_runs(self):
-        proc = self._run("gradcheck", "--instances", "1", "--layer", "half_vec")
+        proc = _run_child("gradcheck", "--instances", "1", "--layer", "half_vec")
         assert proc.returncode == 0
         assert "PASS" in proc.stdout
 
     def test_file_fault_prints_no_traceback(self, tmp_path):
         junk = tmp_path / "junk.npz"
         junk.write_bytes(b"not an archive")
-        proc = self._run("svm", "--features", str(junk), "--out", str(tmp_path / "m.npz"))
+        proc = _run_child("svm", "--features", str(junk), "--out", str(tmp_path / "m.npz"))
         assert proc.returncode == cli.EXIT_CONFIG
         assert str(junk) in proc.stderr and "Traceback" not in proc.stderr

@@ -97,10 +97,18 @@ class TestSyntheticGenerator:
         assert oracles.nearest_mean_accuracy(train, test) >= 0.9
 
     def test_invalid_arguments(self):
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^n_classes must be in \[1, 8\], the motion prototypes, got 9$"):
             data.synth_generate(2, 9, length=8)
-        with pytest.raises(InvalidInput):
+        with pytest.raises(InvalidInput, match=r"^n_per_class must be >= 1, got 0$"):
             data.synth_generate(0, 3, length=8)
+
+    def test_total_frames_bound_is_inclusive(self, monkeypatch):
+        # At the real bound a run would take a gigabyte; the check reads the constant.
+        monkeypatch.setattr(data, "MAX_SYNTH_FRAMES", 32)
+        assert len(data.synth_generate(2, 2, length=8)) == 4
+        with pytest.raises(InvalidInput, match=r"^2 classes x 2 per class x 9 frames is 36 frames, more than "
+                                               r"MAX_SYNTH_FRAMES 32$"):
+            data.synth_generate(2, 2, length=9)
 
 
 class TestCache:

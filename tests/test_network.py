@@ -103,7 +103,7 @@ class TestNetworkConfig:
         with pytest.raises(InvalidInput):
             NetworkConfig(joints_per_finger=-1)
 
-    @pytest.mark.parametrize("field, bound", [("n_F", network.MAX_FRAMES), ("n_classes", network.MAX_CLASSES)])
+    @pytest.mark.parametrize("field, bound", [("n_F", data.MAX_FRAMES), ("n_classes", network.MAX_CLASSES)])
     def test_sizes_past_their_bound_rejected(self, field, bound):
         assert getattr(NetworkConfig(**{field: bound}), field) == bound
         with pytest.raises(InvalidInput, match=f"got {bound + 1}"):
@@ -588,15 +588,6 @@ class TestCheckpoint:
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(InvalidInput):
-            network.load_checkpoint(path)
-
-    def test_truncated_rejected(self, tmp_path):
-        cfg = toy_config()
-        params = optim.init_params(cfg, seed=0)
-        path = tmp_path / "net.bin"
-        network.save_checkpoint(path, params, cfg)
-        path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(InvalidInput):
             network.load_checkpoint(path)
 

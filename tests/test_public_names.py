@@ -1,17 +1,19 @@
-"""Every public module-level name of the package has a caller, every
-command-line option a reader, and every error type an export.
+"""Every public module-level name and class member of the package has a
+caller, every command-line option a reader, and every error type an export.
 
 A name defined at module level in ``src/handspd/*.py`` without a leading
-underscore must be referenced somewhere in ``src/`` other than its own
-definition, or by ``perfbench/``.  Code that only tests use belongs in
-``tests/``.  A reference is a loaded name, an attribute, an imported name, or
-a string that is exactly the name (the benchmark wraps attributes by name);
-the strings of ``__all__`` do not count.
+underscore, and a method or property without one of a public class there,
+must be referenced somewhere in ``src/`` other than its own definition, or
+by ``perfbench/``.  Code that only tests use belongs in ``tests/``.  A
+reference is a loaded name, an attribute, an imported name, or a string that
+is exactly the name (the benchmark wraps attributes by name); the strings of
+``__all__`` do not count.
 """
 
 import argparse
 import ast
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import handspd
@@ -42,7 +44,7 @@ def _defined(tree: ast.Module):
             yield from (t.id for t in targets if isinstance(t, ast.Name))
 
 
-def _referenced(tree: ast.Module):
+def _referenced(tree: ast.Module | ast.FunctionDef):
     exported = {
         id(elt)
         for node in tree.body
@@ -60,18 +62,42 @@ def _referenced(tree: ast.Module):
             yield node.value
 
 
+def _members(tree: ast.Module):
+    """(qualified name, node) of every public method and property of a
+    public class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    yield f"{cls.name}.{node.name}", node
+
+
+TREES = {path: ast.parse(path.read_text(), str(path))
+         for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))}
+REFERENCES = Counter(name for tree in TREES.values() for name in _referenced(tree))
+
+
 def test_every_public_name_has_a_caller_outside_tests():
-    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
-    referenced = {name for tree in trees.values() for name in _referenced(tree)}
     unused = [
         f"{path.stem}.{name}"
-        for path, tree in trees.items()
+        for path, tree in TREES.items()
         if path.parent == PACKAGE
         for name in _defined(tree)
-        if not name.startswith("_") and name not in ALLOWED and name not in referenced
+        if not name.startswith("_") and name not in ALLOWED and not REFERENCES[name]
     ]
     assert not unused, f"public names with no caller in src/ or perfbench/: {unused}"
+
+
+def test_every_public_class_member_has_a_caller_outside_tests():
+    # A reference inside the member's own body does not count.
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path, tree in TREES.items()
+        if path.parent == PACKAGE
+        for qualified, node in _members(tree)
+        if REFERENCES[node.name] <= Counter(_referenced(node))[node.name]
+    ]
+    assert not unused, f"public class members with no caller in src/ or perfbench/: {unused}"
 
 
 def _options():

