@@ -64,7 +64,11 @@ def _load_sequences(args, cfg: NetworkConfig, *splits):
             raise InvalidInput(f"label {bad[0]} outside [1, {cfg.n_classes}]", **where)
         if bad := [s.frames.shape[1] for s in sequences if s.frames.shape[1] != cfg.n_joints]:
             raise InvalidInput(f"a sequence of {bad[0]} joints for a hand of {cfg.n_joints}", path=hand)
-    return [[data.resample(s, cfg.n_F) for s in sequences] for sequences in loaded]
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is GestureSequence's non-finite error
+            return [[data.resample(s, cfg.n_F) for s in sequences] for sequences in loaded]
+    except InvalidInput as exc:
+        raise exc.at(path=args.data or args.cache)
 
 
 def _add_data_flags(sub):

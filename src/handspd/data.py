@@ -213,6 +213,8 @@ def synth_generate(
         raise InvalidInput(f"n_per_class must be >= 1, got {n_per_class}")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
+    if not 0 <= noise_sigma < np.inf:  # NaN fails too
+        raise InvalidInput(f"noise_sigma must be >= 0 and finite, got {noise_sigma}")
     if not 2 <= length <= MAX_FRAMES:
         raise InvalidInput(f"length must be in [2, {MAX_FRAMES}], got {length}")
     if (total := n_classes * n_per_class * length) > MAX_SYNTH_FRAMES:

@@ -47,7 +47,7 @@ four float ``NetworkParams`` arrays in ``param_shapes()``:
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -146,30 +146,29 @@ class NetworkConfig:
 
 @dataclass
 class NetworkParams:
-    """All learnable weights; also reused as the container for gradients."""
+    """All learnable weights, at ``NetworkConfig.param_shapes()``; also the container for gradients."""
 
-    conv: np.ndarray       # (3, d1, 3)
-    spat: np.ndarray       # (n_L, d_spat, temp_dim), orthonormal rows each
-    fc_weight: np.ndarray  # (n_classes, feature_dim)
-    fc_bias: np.ndarray    # (n_classes,)
+    conv: np.ndarray
+    spat: np.ndarray  # orthonormal rows each
+    fc_weight: np.ndarray
+    fc_bias: np.ndarray
+
+    def _arrays(self) -> list[np.ndarray]:
+        return [getattr(self, field.name) for field in fields(self)]
 
     def add_(self, other: "NetworkParams") -> "NetworkParams":
-        self.conv += other.conv
-        self.spat += other.spat
-        self.fc_weight += other.fc_weight
-        self.fc_bias += other.fc_bias
+        for mine, theirs in zip(self._arrays(), other._arrays()):
+            mine += theirs
         return self
 
     def to_vector(self) -> np.ndarray:
-        return np.concatenate(
-            [self.conv.ravel(), self.spat.ravel(), self.fc_weight.ravel(), self.fc_bias.ravel()]
-        )
+        return np.concatenate([arr.ravel() for arr in self._arrays()])
 
     def from_vector(self, vec: np.ndarray) -> "NetworkParams":
         """New params with this object's shapes filled from a flat vector."""
         out = []
         offset = 0
-        for arr in (self.conv, self.spat, self.fc_weight, self.fc_bias):
+        for arr in self._arrays():
             out.append(vec[offset : offset + arr.size].reshape(arr.shape).copy())
             offset += arr.size
         if offset != vec.size:

@@ -61,11 +61,11 @@ def init_params(cfg: NetworkConfig, seed: int = 0) -> NetworkParams:
     """Seeded initialization: QR-orthonormalized Gaussian Stiefel matrices,
     uniform(+-1/sqrt(fan_in)) conv and FC weights, zero FC bias."""
     rng = np.random.default_rng(seed)
-    spat = qr_orthonormalize(rng.standard_normal((cfg.n_L, cfg.d_spat, cfg.temp_dim)))
-    conv = rng.uniform(-1.0, 1.0, size=(3, cfg.d1, 3)) / np.sqrt(3.0)
+    spat = qr_orthonormalize(rng.standard_normal(cfg.param_shapes()["spat"]))
+    conv = rng.uniform(-1.0, 1.0, size=cfg.param_shapes()["conv"]) / np.sqrt(3.0)
     bound = 1.0 / np.sqrt(cfg.feature_dim)
-    fc_weight = rng.uniform(-bound, bound, size=(cfg.n_classes, cfg.feature_dim))
-    return NetworkParams(conv, spat, fc_weight, np.zeros(cfg.n_classes))
+    fc_weight = rng.uniform(-bound, bound, size=cfg.param_shapes()["fc_weight"])
+    return NetworkParams(conv, spat, fc_weight, np.zeros(cfg.param_shapes()["fc_bias"]))
 
 
 def apply_gradients(params: NetworkParams, grads: NetworkParams, lr: float) -> NetworkParams:

@@ -3,9 +3,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 # Make the sibling oracle module importable regardless of invocation directory.
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+
+# Every property test draws the same examples on every run, and takes as long as it needs.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 

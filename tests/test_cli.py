@@ -248,6 +248,23 @@ def _huge_cache(tmp, toy):
     return _reading("--cache", edit_npz(path, meta=claimed((2**40, 5), "<i8")), tmp), path
 
 
+def _overflowing(flag):
+    """``train`` on 2 classes x 3 trials of 5 frames whose coordinates
+    alternate +-1.5e308: finite, but their differences overflow when
+    resampled to 9 frames.  The error names the data source."""
+    def setup(tmp, toy):
+        frames = np.where(np.arange(5)[:, None, None] % 2, -1.5e308, 1.5e308) * np.ones((5, 22, 3))
+        if flag == "--cache":
+            source = tmp / "c.npz"
+            data.save_cache(source, [data.GestureSequence(frames, g, trial=t) for g in (1, 2) for t in range(3)])
+        else:
+            source = tmp / "dhg"
+            write_dhg_tree(source, [(g, 1, s, 1, frames) for g in (1, 2) for s in (1, 2, 3)], test_subjects=(3,))
+        return ["train", flag, str(source), "--per-class", "2", "--classes", "2", "--epochs", "1", "--length", "9",
+                "--out-dir", str(tmp / "out")], source
+    return setup
+
+
 def _one_nan(path, name):
     """Rewrite array ``name`` of the archive at ``path`` with its first value NaN."""
     with np.load(path) as archive:
@@ -309,6 +326,8 @@ FILE_FAULTS = {
         _checkpoint(t / "c.npz"), n_F=np.array(data.MAX_FRAMES + 1)), t, toy), t / "c.npz"),
     "classes-past-their-bound-features": lambda t, toy: (_reading("--features", _features(
         t / "f.npz", n_classes=np.array([network.MAX_CLASSES + 1])), t), t / "f.npz"),
+    "coordinates-overflow-when-resampled-cache": _overflowing("--cache"),
+    "coordinates-overflow-when-resampled-data": _overflowing("--data"),
     "cache-split-left-empty": lambda t, toy: ([*_reading("--cache", _cache(t / "c.npz"), t), "--per-class", "0"],
                                          t / "c.npz"),
 }
@@ -406,12 +425,15 @@ def _run_child(*argv, address_space=None):
 
 
 class TestSynthCommand:
-    @pytest.mark.parametrize("length", [-3, 0, 1, data.MAX_FRAMES + 1])
-    def test_length_outside_its_bounds_is_config_error(self, length, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value", [*(("--length", str(n)) for n in (-3, 0, 1, data.MAX_FRAMES + 1)),
+                                             *(("--noise", x) for x in ("nan", "inf", "-1"))])
+    def test_setting_outside_its_bounds_is_config_error(self, flag, value, tmp_path, capsys):
         out = tmp_path / "c.npz"
-        assert run_cli("synth", "--classes", "1", "--per-class", "1", "--length", str(length),
-                       "--out", str(out)) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err == f"error: length must be in [2, {data.MAX_FRAMES}], got {length}\n"
+        flags = {"--classes": "1", "--per-class": "1", "--length": "8", flag: value, "--out": str(out)}
+        assert run_cli("synth", *[word for pair in flags.items() for word in pair]) == cli.EXIT_CONFIG
+        bound = {"--length": f"length must be in [2, {data.MAX_FRAMES}], got {value}",
+                 "--noise": f"noise_sigma must be >= 0 and finite, got {float(value)}"}[flag]
+        assert capsys.readouterr().err == f"error: {bound}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, bound", [

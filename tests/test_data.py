@@ -101,6 +101,9 @@ class TestSyntheticGenerator:
             data.synth_generate(2, 9, length=8)
         with pytest.raises(InvalidInput, match=r"^n_per_class must be >= 1, got 0$"):
             data.synth_generate(0, 3, length=8)
+        for noise in (np.nan, np.inf, -1.0):
+            with pytest.raises(InvalidInput, match=rf"^noise_sigma must be >= 0 and finite, got {noise}$"):
+                data.synth_generate(2, 3, noise_sigma=noise, length=8)
 
     def test_total_frames_bound_is_inclusive(self, monkeypatch):
         # At the real bound a run would take a gigabyte; the check reads the constant.

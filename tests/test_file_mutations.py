@@ -119,8 +119,7 @@ def _copy(valid):
         yield copy
 
 
-EXAMPLES = settings(max_examples=60, derandomize=True, deadline=None, database=None,
-                    phases=[Phase.explicit, Phase.generate, Phase.shrink])
+EXAMPLES = settings(max_examples=60, phases=[Phase.explicit, Phase.generate, Phase.shrink])
 
 
 @pytest.mark.parametrize("kind", READERS)

@@ -1,17 +1,21 @@
 """The network's input envelope: one training step on a gesture moved, rescaled
-or degenerated gives finite loss and gradients, or a typed error that names
-its layer, and never a numpy warning (``pyproject.toml`` makes every
-``RuntimeWarning`` an error).
+or degenerated, with the pyramid's ridge or without it, gives finite loss and
+gradients, or a typed error that names its layer, and never a numpy warning
+(``pyproject.toml`` makes every ``RuntimeWarning`` an error).
 
 Scales run from 1e-300, where every frame spectrum falls under eps, to 1e160,
 where the frame Gram overflows; offsets to 1e16, where the frame spectra
-span more than 2^53.
+span more than 2^53, past the range of Higham's atanh form of the LOG divided
+difference.  The explicit examples move the default config's first gesture
+far from the origin or rescale it to 1e-160 and 1e100, where the divided
+difference kernel's discarded np.where branches overflow.
 """
 
+import dataclasses
 import functools
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from handspd import data, network, optim
 from handspd.errors import HandSpdError
@@ -27,24 +31,43 @@ def _case(toy: bool):
     return cfg, optim.init_params(cfg, seed=1), [g.frames for g in gestures]
 
 
-@settings(derandomize=True, max_examples=600, deadline=None)
+FIRST_GESTURE = dict(toy=False, ridge=True, gesture=0, shape="as drawn", finger=0)
+
+
+@settings(max_examples=600)
 @given(
     toy=st.booleans(),
+    ridge=st.booleans(),
     gesture=st.integers(0, 7),
     scale=st.floats(-300, 160),
     offset=st.none() | st.floats(0, 16),
-    shape=st.sampled_from(["as drawn", "static", "collapsed finger"]),
+    shape=st.sampled_from(["as drawn", "static", "zero", "collapsed finger", "collapsed palm", "collapsed hand"]),
     finger=st.integers(0, 4),
 )
-def test_one_step_is_finite_or_a_typed_error_naming_its_layer(toy, gesture, scale, offset, shape, finger):
+@example(**FIRST_GESTURE, scale=0.0, offset=6.0)
+@example(**FIRST_GESTURE, scale=0.0, offset=10.0)
+@example(**FIRST_GESTURE, scale=0.0, offset=16.0)
+@example(**FIRST_GESTURE, scale=-160.0, offset=None)
+@example(**FIRST_GESTURE, scale=100.0, offset=None)
+def test_one_step_is_finite_or_a_typed_error_naming_its_layer(toy, ridge, gesture, scale, offset, shape, finger):
     cfg, params, gestures = _case(toy)
+    if not ridge:
+        cfg = dataclasses.replace(cfg, lambda_reg=0.0)  # init_params does not read it
     frames = gestures[gesture][:, : cfg.n_joints].copy()
+    first = 2 + finger % cfg.n_fingers * cfg.joints_per_finger
     if shape == "static":
         frames[:] = frames[0]
+    elif shape == "zero":
+        frames[:] = 0.0
     elif shape == "collapsed finger":
         # Every joint of one finger at its first joint.
-        first = 2 + finger % cfg.n_fingers * cfg.joints_per_finger
         frames[:, first : first + cfg.joints_per_finger] = frames[:, first : first + 1]
+    elif shape == "collapsed palm":
+        # The palm and every joint of one finger at the origin.
+        frames[:, [1, *range(first, first + cfg.joints_per_finger)]] = 0.0
+    elif shape == "collapsed hand":
+        # Every joint of a frame at that frame's wrist.
+        frames[:] = frames[:, :1]
     if offset is not None:
         frames += 10.0**offset
     seq = data.GestureSequence(frames * 10.0**scale, 1)

@@ -2,16 +2,15 @@ import dataclasses
 import re
 import sys
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from handspd import data, linalg, network, optim, skeleton
 from handspd.data import GestureSequence
-from handspd.errors import EigenDecompositionError, HandSpdError, InvalidInput, SpectralDomainError
+from handspd.errors import EigenDecompositionError, InvalidInput, SpectralDomainError
 from handspd.gradcheck import toy_config
 from handspd.network import NetworkConfig
 
@@ -282,54 +281,6 @@ class TestDegenerateInput:
         with pytest.raises(EigenDecompositionError, match="matrix is not finite") as err:
             network.forward(frames, params, cfg)
         assert err.value.where == {"layer": "frame_log(gram)", "finger": finger, "frame": frame}
-
-    @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(
-        toy=st.booleans(),
-        ridge=st.booleans(),
-        shape=st.sampled_from(["random", "static", "zero", "collapsed finger", "collapsed hand"]),
-        exponent=st.integers(-150, 160),
-        seed=st.integers(0, 2**16),
-    )
-    def test_degenerate_hands_give_finite_features_or_typed_errors(self, toy, ridge, shape, exponent, seed):
-        cfg = toy_config() if toy else NetworkConfig()
-        if not ridge:
-            cfg = dataclasses.replace(cfg, lambda_reg=0.0)
-        params = optim.init_params(cfg, seed=0)
-        rng = np.random.default_rng(seed)
-        frames = rng.standard_normal((cfg.n_F, cfg.n_joints, 3))
-        if shape == "static":
-            frames[:] = frames[0]
-        elif shape == "zero":
-            frames[:] = 0.0
-        elif shape == "collapsed finger":
-            # The palm and one finger's joints at the origin.
-            first = 2 + seed % cfg.n_fingers * cfg.joints_per_finger
-            frames[:, [1, *range(first, first + cfg.joints_per_finger)]] = 0.0
-        elif shape == "collapsed hand":
-            # Every joint of a frame at that frame's wrist.
-            frames[:] = frames[:, :1]
-        try:
-            with np.errstate(all="ignore"):
-                feature = network.extract_feature(frames * 10.0**exponent, params, cfg)
-        except HandSpdError:
-            return
-        assert np.all(np.isfinite(feature))
-
-    @pytest.mark.parametrize(
-        "offset,scale", [(1e6, 1.0), (1e10, 1.0), (1e16, 1.0), (0.0, 1e-160), (0.0, 1e100)]
-    )
-    def test_far_or_rescaled_coordinates_give_finite_gradients_without_warnings(self, offset, scale):
-        # Far from the origin the frame Gram spectra span more than 2^53, past
-        # the range of Higham's atanh form of the LOG divided difference.  At
-        # the extreme scales the kernel's discarded np.where branches overflow.
-        cfg = NetworkConfig()
-        seq = data.synth_generate(1, 1, seed=1, length=cfg.n_F)[0]
-        batch = [dataclasses.replace(seq, frames=(seq.frames + offset) * scale)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            loss, grads = network.loss_and_backward(batch, optim.init_params(cfg, 1), cfg)
-        assert np.isfinite(loss) and np.all(np.isfinite(grads.to_vector()))
 
     def test_huge_coordinates_name_the_frame_log(self):
         # At 1e152 the frame Gram stays finite, but h(l) = log(l / eps) / l

@@ -1,15 +1,16 @@
-"""Layer primitives: the pyramid's GaussAgg (network._batched_gauss), the
-per-frame GaussAgg+ReEig+LogEig map (network._frame_log and its adjoint), the
-dense ReEig+LogEig reference map it is checked against, and spd_ops' HalfVec
-and SPDSpatAgg.  gradcheck.LAYERS finite-differences their backward passes
-(tests/test_gradcheck.py)."""
+"""Layer primitives, forward: the pyramid's GaussAgg (network._batched_gauss),
+the per-frame GaussAgg+ReEig+LogEig map (network._frame_log), the dense
+ReEig+LogEig reference map it is checked against, and spd_ops' HalfVec
+and SPDSpatAgg, each against a straight-line oracle.  The backward passes
+are finite-differenced in gradcheck.LAYERS alone (tests/test_gradcheck.py);
+the reference map's adjoint is compared with the checked frame_log backward
+pass in test_network.py's test_frame_log_backward_matches_dense_chain."""
 
 import numpy as np
 import pytest
 
 from handspd import linalg, network, spd_ops
 from handspd.errors import InvalidInput
-from handspd.gradcheck import fd_grad, rel_error
 from handspd.network import NetworkConfig
 
 import oracles
@@ -168,17 +169,6 @@ class TestLogEig:
     def test_log_of_scaled_identity(self):
         out = _reeig_log(3.0 * np.eye(4), 1e-4)
         assert np.allclose(out, np.log(3.0) * np.eye(4), atol=1e-14)
-
-    def test_backward_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((4, 4))
-        x = a @ a.T / 4 + 0.5 * np.eye(4)
-        cot = rng.standard_normal((4, 4))
-        cot = 0.5 * (cot + cot.T)
-        fn = oracles.reeig_log_fn(1e-4)
-        analytic = linalg.spectral_fn_backward_cached(fn, cot, linalg.sym_eig_batch(x))
-        numeric = fd_grad(lambda s: float(np.sum(cot * _reeig_log(0.5 * (s + s.T), 1e-4))), x)
-        assert rel_error(analytic, linalg.symmetrize(numeric)) < 1e-6
 
 
 class TestHalfVec:
