@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,12 @@ class TestFiniteDifferences:
         assert gradcheck.rel_error(a, np.array([1.0, 2.1])) == pytest.approx(
             0.1 / np.linalg.norm([1.0, 2.1])
         )
+
+    def test_no_other_test_takes_finite_differences(self):
+        # Every backward pass is differenced once, through gradcheck.LAYERS.
+        others = [p.name for p in Path(__file__).parent.glob("*.py") if p.name != Path(__file__).name
+                  and any(name in p.read_text() for name in ("fd_grad", "rel_error"))]
+        assert others == []
 
 
 class TestHarness:

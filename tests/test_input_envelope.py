@@ -13,6 +13,7 @@ difference kernel's discarded np.where branches overflow.
 
 import dataclasses
 import functools
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
@@ -77,3 +78,19 @@ def test_one_step_is_finite_or_a_typed_error_naming_its_layer(toy, ridge, gestur
         assert "layer" in exc.where, exc
         return
     assert np.isfinite(loss) and np.all(np.isfinite(grads.to_vector()))
+
+
+def _other_tests_with(*texts):
+    """Names of the other test-suite files that contain any of ``texts``."""
+    files = [p for p in Path(__file__).parent.glob("*.py") if p.name not in ("conftest.py", Path(__file__).name)]
+    return [p.name for p in files if any(text in p.read_text() for text in texts)]
+
+
+def test_property_tests_draw_the_same_examples_every_run():
+    # conftest loads one profile; no @settings repeats or overrides its keys.
+    assert (settings.default.derandomize, settings.default.database, settings.default.deadline) == (True, None, None)
+    assert _other_tests_with("derandomize=", "database=", "deadline=") == []
+
+
+def test_no_test_silences_every_floating_point_warning():
+    assert _other_tests_with('errstate(all="ignore")', "errstate(all='ignore')") == []

@@ -476,16 +476,24 @@ class TestSoftmax:
 
 class TestParamsContainer:
     def test_vector_round_trip(self):
-        cfg = toy_config()
-        params = optim.init_params(cfg, seed=4)
+        params = optim.init_params(toy_config(), seed=4)
         back = params.from_vector(params.to_vector())
-        for a, b in (
-            (params.conv, back.conv),
-            (params.spat, back.spat),
-            (params.fc_weight, back.fc_weight),
-            (params.fc_bias, back.fc_bias),
-        ):
-            assert np.array_equal(a, b)
+        for name in toy_config().param_shapes():
+            assert np.array_equal(getattr(params, name), getattr(back, name))
+
+    def test_fields_are_the_param_shapes_in_order(self):
+        fields = [field.name for field in dataclasses.fields(network.NetworkParams)]
+        assert fields == list(toy_config().param_shapes()) == list(NetworkConfig().param_shapes())
+
+    @pytest.mark.parametrize("name", list(toy_config().param_shapes()))
+    def test_add_sums_one_group_in_place(self, name):
+        params = optim.init_params(toy_config(), seed=0)
+        before, group = params.to_vector(), getattr(params, name)
+        other = params.from_vector(np.zeros(before.size))
+        getattr(other, name)[...] = np.random.default_rng(1).standard_normal(group.shape)
+        assert params.add_(other) is params and getattr(params, name) is group
+        assert np.array_equal(params.to_vector(), before + other.to_vector())
+        assert np.array_equal(params.to_vector() != before, other.to_vector() != 0)
 
     def test_from_vector_length_check(self):
         params = optim.init_params(toy_config(), seed=0)
