@@ -227,34 +227,32 @@ def synth_generate(
     for cls in range(1, n_classes + 1):
         clean = _prototype_motion(cls, t, pose)
         for trial in range(n_per_class):
-            noisy = clean + noise_sigma * rng.standard_normal(clean.shape)
-            sequences.append(
-                GestureSequence(noisy, label_14=cls, label_28=cls, subject=0, trial=trial)
-            )
+            # A noise that overflows a coordinate is the sequence's non-finite
+            # error, with the setting named, not a numpy warning.
+            with np.errstate(over="ignore"):
+                noisy = clean + noise_sigma * rng.standard_normal(clean.shape)
+            try:
+                sequences.append(GestureSequence(noisy, label_14=cls, label_28=cls, subject=0, trial=trial))
+            except InvalidInput as exc:
+                raise InvalidInput(f"{exc.args[0]} at noise_sigma {noise_sigma}") from None
     return sequences
 
 
-CACHE_VERSION = 1
-CACHE_LAYOUT = {"version": ((1,), "i"), "count": ((1,), "i"), "meta": ((None, 5), "i")}
+CACHE_LAYOUT = {"meta": ((None, 5), "i")}
 
 
 def save_cache(path, sequences):
     """Lossless internal dataset cache: ``CACHE_LAYOUT`` plus one
-    ``frames_{i:05d}`` array per sequence."""
+    ``frames_{i:05d}`` array per sequence, the ``i``-th row of ``meta``."""
     meta = [[s.label_14, s.label_28, s.subject, s.trial, s.finger] for s in sequences]
-    write_npz(path, version=np.array([CACHE_VERSION]), count=np.array([len(sequences)]),
-              meta=np.array(meta, dtype=np.int64).reshape(-1, 5),
+    write_npz(path, meta=np.array(meta, dtype=np.int64).reshape(-1, 5),
               **{f"frames_{i:05d}": s.frames for i, s in enumerate(sequences)})
 
 
 def load_cache(path) -> list[GestureSequence]:
     arrays = read_npz(path, CACHE_LAYOUT)
-    if int(arrays["version"][0]) != CACHE_VERSION:
-        raise InvalidInput("unsupported cache version", path=path, array="version")
-    meta, count = arrays["meta"], int(arrays["count"][0])
-    if count != meta.shape[0]:
-        raise InvalidInput(f"count {count} with {meta.shape[0]} rows of meta", path=path, array="meta")
-    names = [f"frames_{i:05d}" for i in range(count)]
+    meta = arrays["meta"]
+    names = [f"frames_{i:05d}" for i in range(meta.shape[0])]
     _check_layout(path, arrays, dict.fromkeys(names, ((None, None, 3), "f")))
     sequences = []
     for name, row in zip(names, meta.tolist()):

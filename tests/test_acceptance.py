@@ -110,8 +110,12 @@ def test_dimension_ledger():
         cfg.d1 == 9
         and cfg.frame_spd_dim == 10
         and cfg.half_dim == 55
+        and cfg.temp_dim == 56
         and cfg.n_Q == 6
         and cfg.n_L == 30
+        and cfg.d_spat == 56
+        and cfg.feature_dim == 1596
+        and cfg.n_joints == 22
         and tape.temp_outputs.shape == (30, 56, 56)
         and final_spd.shape == (56, 56)
         and tape.feature.shape == (1596,)
@@ -145,15 +149,17 @@ def test_oracle_equivalence():
 
 
 def test_isometry_and_round_trips(tmp_path):
-    """Half-vectorization is an isometry, log/exp round-trips SPD matrices,
-    and checkpoints survive save/load bit for bit."""
+    """Half-vectorization is an isometry at sizes 2-10, log/exp round-trips
+    SPD matrices, and checkpoints survive save/load bit for bit, config
+    included."""
     from handspd import linalg, spd_ops
 
     rng = np.random.default_rng(0)
     iso_err = 0.0
     log_exp_err = 0.0
     for _ in range(50):
-        y = rng.standard_normal((7, 7))
+        d = rng.integers(2, 11)
+        y = rng.standard_normal((d, d))
         y = y + y.T
         iso_err = max(iso_err, abs(np.linalg.norm(spd_ops.half_vec(y)) - np.linalg.norm(y)))
         a = rng.standard_normal((6, 6))
@@ -170,7 +176,7 @@ def test_isometry_and_round_trips(tmp_path):
     network.save_checkpoint(p2, loaded, loaded_cfg)
     bitwise = Path(p1).read_bytes() == Path(p2).read_bytes() and np.array_equal(
         loaded.to_vector(), params.to_vector()
-    )
+    ) and loaded_cfg == cfg
     _report(
         "isometry-and-round-trips",
         iso_err < 1e-12 and log_exp_err < 1e-8 and bitwise,

@@ -1,11 +1,18 @@
-"""Every file reader, through ``cli.main``, on a valid file with one thing
-mutated: the bytes truncated or one byte flipped, or one npz array dropped,
-emptied, reshaped, retyped or pushed out of range.  The command that reads
-the file either succeeds, fails numerically naming the layer, or exits 2
-naming the file; no exception escapes ``cli.main``."""
+"""Every file reader on a valid file with one thing wrong.
+
+Each npz array of each file kind, as its ``*_LAYOUT`` names it, is in turn
+dropped, given a header its member cannot back, retyped, given a leading
+axis, or (a float array) given a NaN: the library reader raises InvalidInput
+naming the file and the array.  Then, through ``cli.main``, the bytes are
+truncated or one byte flipped, or one npz array dropped, emptied, reshaped,
+retyped or pushed out of range: the command that reads the file either
+succeeds, fails numerically naming the layer, or exits 2 naming the file;
+no exception escapes ``cli.main``."""
 
 import contextlib
+import importlib
 import io
+import pkgutil
 import re
 import shutil
 import tempfile
@@ -15,13 +22,14 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from handspd import cli, network, optim
-from handspd.network import NetworkConfig
+import handspd
+from handspd import classify, cli, data, network
+from handspd.errors import InvalidInput
 
-from archives import edit_npz
+from archives import claimed, edit_npz
 from dhg import synth_dhg_tree
+from toy import TOY_FLAGS, toy_checkpoint
 
-TOY_FLAGS = ["--d1", "2", "--levels", "2", "--length", "8", "--classes", "4"]
 RETYPES = ["<f8", "<f4", "<i8", "|b1", "<c16", "<U8"]
 # Each kind of file: its name under a copy of the valid files, and the
 # command line (the files' directory given) that reads it.
@@ -47,14 +55,80 @@ def valid(tmp_path_factory):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(["synth", "--classes", "4", "--per-class", "2", "--length", "8",
                          "--out", str(root / "cache.npz")]) == cli.EXIT_OK
-        cfg = NetworkConfig(d1=2, n_T=2, n_F=8, n_classes=4)
-        network.save_checkpoint(root / "net.npz", optim.init_params(cfg), cfg)
+        toy_checkpoint(root / "net.npz")
         assert cli.main(READERS["checkpoint"][1](root)) == cli.EXIT_OK
         (root / "f.npz").rename(root / "features.npz")
         assert cli.main(READERS["features"][1](root)) == cli.EXIT_OK
         (root / "m.npz").rename(root / "model.npz")
     synth_dhg_tree(root / "dhg")
     return root
+
+
+# Each kind of file: the library function that reads it, and the layout
+# ``data.read_npz`` checks it against.  A cache also holds one
+# ``frames_NNNNN`` per ``meta`` row, which ``load_cache`` checks the same way.
+LOADERS = {
+    "cache": (data.load_cache, data.CACHE_LAYOUT),
+    "checkpoint": (network.load_checkpoint, network.CHECKPOINT_LAYOUT),
+    "features": (cli._read_features, cli.FEATURES_LAYOUT),
+    "model": (classify.load_model, classify.MODEL_LAYOUT),
+}
+FRAMES = {"frames_00000": ((None, None, 3), "f")}
+# The row count a member's header claims, over 64 bytes of data: 8 TiB of
+# float64, a negative length, or more rows than the bytes hold.
+CLAIMED_ROWS = {"huge": 2**40, "negative": -1, "overlong": 100}
+
+
+def _container_faults():
+    for kind, (_, layout) in LOADERS.items():
+        for name, (_, dtype_kind) in {**layout, **(FRAMES if kind == "cache" else {})}.items():
+            for fault in ["drop", *CLAIMED_ROWS, "retype", "leading-axis", *(["nan"] if dtype_kind == "f" else [])]:
+                yield pytest.param(kind, name, fault, id=f"{kind}-{name}-{fault}")
+
+
+def _faulty(array, fault):
+    """The member that replaces ``array``: None drops it, and bytes are a
+    claimed header."""
+    if fault == "drop":
+        return None
+    if fault in CLAIMED_ROWS:
+        return claimed((CLAIMED_ROWS[fault], *array.shape[1:]))
+    if fault == "retype":
+        return array.astype(np.int64 if array.dtype.kind == "f" else np.float64)
+    if fault == "leading-axis":
+        return array[None]
+    nan = array.copy()
+    nan.flat[0] = np.nan
+    return nan
+
+
+@pytest.mark.parametrize("kind, name, fault", _container_faults())
+def test_container_fault_names_the_file_and_the_array(kind, name, fault, valid, tmp_path):
+    path = Path(shutil.copy(valid / READERS[kind][0], tmp_path))
+    with np.load(path) as archive:
+        array = archive[name]
+    edit_npz(path, **{name: _faulty(array, fault)})
+    with pytest.raises(InvalidInput) as err:
+        LOADERS[kind][0](path)
+    assert err.value.where == {"path": str(path), "array": name}
+
+
+@pytest.mark.parametrize("kind", LOADERS)
+def test_file_that_is_not_an_npz_archive_names_the_file(kind, tmp_path):
+    path = tmp_path / "junk.npz"
+    path.write_bytes(b"NOPE" + bytes(64))
+    with pytest.raises(InvalidInput, match="not an npz archive") as err:
+        LOADERS[kind][0](path)
+    assert err.value.where == {"path": str(path)}
+
+
+def test_every_layout_has_a_reader_here():
+    # A file kind the package adds cannot skip the container test.
+    read = {id(layout) for _, layout in LOADERS.values()}
+    modules = [importlib.import_module(f"handspd.{m.name}") for m in pkgutil.iter_modules(handspd.__path__)]
+    unread = {f"{module.__name__}.{name}" for module in modules for name, value in vars(module).items()
+              if name.endswith("_LAYOUT") and isinstance(value, dict) and id(value) not in read}
+    assert not unread, f"no entry in LOADERS for {sorted(unread)}"
 
 
 def _check(argv, path):
