@@ -224,17 +224,16 @@ def synth_generate(
     pose = rest_pose()
     t = np.linspace(0.0, 1.0, length)
     sequences = []
-    for cls in range(1, n_classes + 1):
-        clean = _prototype_motion(cls, t, pose)
-        for trial in range(n_per_class):
-            # A noise that overflows a coordinate is the sequence's non-finite
-            # error, with the setting named, not a numpy warning.
-            with np.errstate(over="ignore"):
-                noisy = clean + noise_sigma * rng.standard_normal(clean.shape)
-            try:
-                sequences.append(GestureSequence(noisy, label_14=cls, label_28=cls, subject=0, trial=trial))
-            except InvalidInput as exc:
-                raise InvalidInput(f"{exc.args[0]} at noise_sigma {noise_sigma}") from None
+    # A noise that overflows a coordinate is the sequence's non-finite error naming the setting, not a warning.
+    with np.errstate(over="ignore"):
+        try:
+            for cls in range(1, n_classes + 1):
+                clean = _prototype_motion(cls, t, pose)
+                for trial in range(n_per_class):
+                    noisy = clean + noise_sigma * rng.standard_normal(clean.shape)
+                    sequences.append(GestureSequence(noisy, label_14=cls, label_28=cls, subject=0, trial=trial))
+        except InvalidInput as exc:
+            raise InvalidInput(f"{exc.args[0]} at noise_sigma {noise_sigma}") from None
     return sequences
 
 
@@ -253,6 +252,8 @@ def load_cache(path) -> list[GestureSequence]:
     arrays = read_npz(path, CACHE_LAYOUT)
     meta = arrays["meta"]
     names = [f"frames_{i:05d}" for i in range(meta.shape[0])]
+    if extra := sorted({n for n in arrays if n.startswith("frames_")} - set(names)):
+        raise InvalidInput(f"{extra[0]} has no row among the {meta.shape[0]} rows of meta", path=path, array="meta")
     _check_layout(path, arrays, dict.fromkeys(names, ((None, None, 3), "f")))
     sequences = []
     for name, row in zip(names, meta.tolist()):

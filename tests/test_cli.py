@@ -13,7 +13,7 @@ from handspd.errors import EigenDecompositionError, HandSpdError, InvalidInput, 
 from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
 
-from archives import edit_npz
+from archives import claimed, edit_npz
 from dhg import synth_dhg_tree, write_dhg_tree
 from toy import TOY_CONFIG, TOY_FLAGS, toy_checkpoint
 
@@ -233,6 +233,11 @@ def _not_npz(kind, flag):
     return setup
 
 
+def _huge_cache(tmp, toy):
+    path = _cache(tmp / "cache.npz")
+    return _reading("--cache", edit_npz(path, meta=claimed((2**40, 5), "<i8")), tmp), path
+
+
 def _overflowing(flag):
     """``train`` on 2 classes x 3 trials of 5 frames whose coordinates
     alternate +-1.5e308: finite, but their differences overflow when
@@ -248,6 +253,14 @@ def _overflowing(flag):
         return ["train", flag, str(source), "--per-class", "2", "--classes", "2", "--epochs", "1", "--length", "9",
                 "--out-dir", str(tmp / "out")], source
     return setup
+
+
+def _one_nan(path, name):
+    """Rewrite array ``name`` of the archive at ``path`` with its first value NaN."""
+    with np.load(path) as archive:
+        array = archive[name].copy()
+    array.flat[0] = np.nan
+    return edit_npz(path, **{name: array})
 
 
 # Each case builds its files in a temporary directory, given the toy data
@@ -271,12 +284,25 @@ FILE_FAULTS = {
                                   t / "f.npz"),
     "labels-for-other-rows": lambda t, toy: (_reading("--features", _features(t / "f.npz", labels=np.ones(5, int)), t),
                                         t / "f.npz"),
+    "huge-features": lambda t, toy: (_reading("--features", edit_npz(_features(t / "f.npz"),
+                                                                 features=claimed((2**40, 3))), t), t / "f.npz"),
+    "huge-cache": _huge_cache,
+    "nan-eps-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(toy_checkpoint(t / "c.npz"),
+                                                                          eps=np.array(np.nan)), t, toy), t / "c.npz"),
     "one-joint-finger-checkpoint": lambda t, toy: (_reading("--checkpoint", edit_npz(
         toy_checkpoint(t / "c.npz"), joints_per_finger=np.array(1)), t, toy), t / "c.npz"),
+    "nan-feature": lambda t, toy: (_reading("--features", _one_nan(_features(t / "f.npz"), "features"), t),
+                              t / "f.npz"),
     "zero-width-features": lambda t, toy: (_reading("--features", _features(t / "f.npz", features=np.zeros((6, 0))), t),
                                       t / "f.npz"),
     "feature-row-norm-overflows": lambda t, toy: (_reading("--features", _features(
         t / "f.npz", features=np.full((6, 3), 1e200)), t), t / "f.npz"),
+    "nan-model-weight": lambda t, toy: (_reading("--model", _one_nan(_model(t / "m.npz"), "weights"), t),
+                                   t / "m.npz"),
+    "nan-conv-checkpoint": lambda t, toy: (_reading("--checkpoint", _one_nan(toy_checkpoint(t / "c.npz"), "conv"), t,
+                                                    toy), t / "c.npz"),
+    "nan-spat-checkpoint": lambda t, toy: (_reading("--checkpoint", _one_nan(toy_checkpoint(t / "c.npz"), "spat"), t,
+                                                    toy), t / "c.npz"),
     "features-of-another-dim": lambda t, toy: (_reading("--model", _model(t / "m.npz"), t,
                                                         features=np.zeros((6, 4))), t / "f.npz"),
     "label-outside-the-model": lambda t, toy: (_reading("--model", _model(t / "m.npz"), t,

@@ -159,11 +159,15 @@ class TestCache:
         assert [s.label_14 for s in loaded] == [1, 2]
         assert all(np.array_equal(a.frames, b.frames) for a, b in zip(seqs, loaded))
 
-    def test_meta_of_another_width_rejected(self, tmp_path):
+    @pytest.mark.parametrize("meta, message", [
+        ([[1, 1], [2, 2]], "array is int64 (2, 2), expected kind 'i' (None, 5)"),
+        ([[1, 1, 0, 0, 1]], "frames_00001 has no row among the 1 rows of meta"),
+    ], ids=["two-columns", "one-row"])
+    def test_meta_that_does_not_match_the_frames_rejected(self, meta, message, tmp_path):
         path = tmp_path / "cache.npz"
         data.save_cache(path, data.synth_generate(1, 2, length=8))
-        edit_npz(path, meta=np.array([[1, 1], [2, 2]]))
-        with pytest.raises(InvalidInput, match=re.escape("array is int64 (2, 2), expected kind 'i' (None, 5)")) as err:
+        edit_npz(path, meta=np.array(meta))
+        with pytest.raises(InvalidInput, match=re.escape(message)) as err:
             data.load_cache(path)
         assert err.value.where == {"path": str(path), "array": "meta"}
 

@@ -16,6 +16,7 @@ import pkgutil
 import re
 import shutil
 import tempfile
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -31,18 +32,27 @@ from dhg import synth_dhg_tree
 from toy import TOY_FLAGS, toy_checkpoint
 
 RETYPES = ["<f8", "<f4", "<i8", "|b1", "<c16", "<U8"]
-# Each kind of file: its name under a copy of the valid files, and the
-# command line (the files' directory given) that reads it.
+# Each kind of file: its name under a copy of the valid files, the command
+# line (the files' directory given) that reads it, the library function
+# that reads it, and the layout ``data.read_npz`` checks it against.  A
+# cache also holds one ``frames_NNNNN`` per ``meta`` row, which
+# ``load_cache`` checks the same way.
+Reader = namedtuple("Reader", "file argv load layout")
 READERS = {
-    "cache": ("cache.npz", lambda d: ["train", "--cache", str(d / "cache.npz"), "--per-class", "1", *TOY_FLAGS,
-                                      "--epochs", "1", "--batch-size", "4", "--out-dir", str(d / "out")]),
-    "checkpoint": ("net.npz", lambda d: ["extract", "--cache", str(d / "cache.npz"), "--per-class", "1",
-                                         "--checkpoint", str(d / "net.npz"), "--out", str(d / "f.npz")]),
-    "features": ("features.npz", lambda d: ["svm", "--features", str(d / "features.npz"),
-                                            "--out", str(d / "m.npz")]),
-    "model": ("model.npz", lambda d: ["eval", "--model", str(d / "model.npz"), "--features",
-                                      str(d / "features.npz"), "--report-dir", str(d / "report")]),
+    "cache": Reader("cache.npz", lambda d: ["train", "--cache", str(d / "cache.npz"), "--per-class", "1", *TOY_FLAGS,
+                                            "--epochs", "1", "--batch-size", "4", "--out-dir", str(d / "out")],
+                    data.load_cache, data.CACHE_LAYOUT),
+    "checkpoint": Reader("net.npz", lambda d: ["extract", "--cache", str(d / "cache.npz"), "--per-class", "1",
+                                               "--checkpoint", str(d / "net.npz"), "--out", str(d / "f.npz")],
+                         network.load_checkpoint, network.CHECKPOINT_LAYOUT),
+    "features": Reader("features.npz", lambda d: ["svm", "--features", str(d / "features.npz"),
+                                                  "--out", str(d / "m.npz")],
+                       cli._read_features, cli.FEATURES_LAYOUT),
+    "model": Reader("model.npz", lambda d: ["eval", "--model", str(d / "model.npz"), "--features",
+                                            str(d / "features.npz"), "--report-dir", str(d / "report")],
+                    classify.load_model, classify.MODEL_LAYOUT),
 }
+FRAMES = {"frames_00000": ((None, None, 3), "f")}
 
 
 @pytest.fixture(scope="module")
@@ -56,32 +66,22 @@ def valid(tmp_path_factory):
         assert cli.main(["synth", "--classes", "4", "--per-class", "2", "--length", "8",
                          "--out", str(root / "cache.npz")]) == cli.EXIT_OK
         toy_checkpoint(root / "net.npz")
-        assert cli.main(READERS["checkpoint"][1](root)) == cli.EXIT_OK
+        assert cli.main(READERS["checkpoint"].argv(root)) == cli.EXIT_OK
         (root / "f.npz").rename(root / "features.npz")
-        assert cli.main(READERS["features"][1](root)) == cli.EXIT_OK
+        assert cli.main(READERS["features"].argv(root)) == cli.EXIT_OK
         (root / "m.npz").rename(root / "model.npz")
     synth_dhg_tree(root / "dhg")
     return root
 
 
-# Each kind of file: the library function that reads it, and the layout
-# ``data.read_npz`` checks it against.  A cache also holds one
-# ``frames_NNNNN`` per ``meta`` row, which ``load_cache`` checks the same way.
-LOADERS = {
-    "cache": (data.load_cache, data.CACHE_LAYOUT),
-    "checkpoint": (network.load_checkpoint, network.CHECKPOINT_LAYOUT),
-    "features": (cli._read_features, cli.FEATURES_LAYOUT),
-    "model": (classify.load_model, classify.MODEL_LAYOUT),
-}
-FRAMES = {"frames_00000": ((None, None, 3), "f")}
 # The row count a member's header claims, over 64 bytes of data: 8 TiB of
 # float64, a negative length, or more rows than the bytes hold.
 CLAIMED_ROWS = {"huge": 2**40, "negative": -1, "overlong": 100}
 
 
 def _container_faults():
-    for kind, (_, layout) in LOADERS.items():
-        for name, (_, dtype_kind) in {**layout, **(FRAMES if kind == "cache" else {})}.items():
+    for kind, reader in READERS.items():
+        for name, (_, dtype_kind) in {**reader.layout, **(FRAMES if kind == "cache" else {})}.items():
             for fault in ["drop", *CLAIMED_ROWS, "retype", "leading-axis", *(["nan"] if dtype_kind == "f" else [])]:
                 yield pytest.param(kind, name, fault, id=f"{kind}-{name}-{fault}")
 
@@ -104,31 +104,31 @@ def _faulty(array, fault):
 
 @pytest.mark.parametrize("kind, name, fault", _container_faults())
 def test_container_fault_names_the_file_and_the_array(kind, name, fault, valid, tmp_path):
-    path = Path(shutil.copy(valid / READERS[kind][0], tmp_path))
+    path = Path(shutil.copy(valid / READERS[kind].file, tmp_path))
     with np.load(path) as archive:
         array = archive[name]
     edit_npz(path, **{name: _faulty(array, fault)})
     with pytest.raises(InvalidInput) as err:
-        LOADERS[kind][0](path)
+        READERS[kind].load(path)
     assert err.value.where == {"path": str(path), "array": name}
 
 
-@pytest.mark.parametrize("kind", LOADERS)
+@pytest.mark.parametrize("kind", READERS)
 def test_file_that_is_not_an_npz_archive_names_the_file(kind, tmp_path):
     path = tmp_path / "junk.npz"
     path.write_bytes(b"NOPE" + bytes(64))
     with pytest.raises(InvalidInput, match="not an npz archive") as err:
-        LOADERS[kind][0](path)
+        READERS[kind].load(path)
     assert err.value.where == {"path": str(path)}
 
 
 def test_every_layout_has_a_reader_here():
     # A file kind the package adds cannot skip the container test.
-    read = {id(layout) for _, layout in LOADERS.values()}
+    read = {id(reader.layout) for reader in READERS.values()}
     modules = [importlib.import_module(f"handspd.{m.name}") for m in pkgutil.iter_modules(handspd.__path__)]
     unread = {f"{module.__name__}.{name}" for module in modules for name, value in vars(module).items()
               if name.endswith("_LAYOUT") and isinstance(value, dict) and id(value) not in read}
-    assert not unread, f"no entry in LOADERS for {sorted(unread)}"
+    assert not unread, f"no entry in READERS for {sorted(unread)}"
 
 
 def _check(argv, path):
@@ -200,14 +200,13 @@ EXAMPLES = settings(max_examples=60, phases=[Phase.explicit, Phase.generate, Pha
 @EXAMPLES
 @given(data=st.data())
 def test_mutated_npz_file_reads_fails_numerically_or_exits_2_naming_it(kind, valid, data):
-    name, argv = READERS[kind]
     with _copy(valid) as files:
-        path = files / name
+        path = files / READERS[kind].file
         if data.draw(st.booleans(), label="bytes"):
             _mutate_bytes(data, path)
         else:
             _mutate_array(data, path)
-        _check(argv(files), path)
+        _check(READERS[kind].argv(files), path)
 
 
 @EXAMPLES
