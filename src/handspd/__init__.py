@@ -3,7 +3,7 @@ gestures, with Riemannian optimization and a linear-SVM classification stage.
 """
 
 from . import classify, data, gradcheck, linalg, network, optim, skeleton, spd_ops
-from .errors import EigenDecompositionError, HandSpdError, InvalidInput, RankError, SpectralDomainError
+from .errors import HandSpdError, InvalidInput, NumericalError
 from .network import NetworkConfig, NetworkParams
 from .optim import TrainConfig
 
@@ -21,9 +21,7 @@ __all__ = [
     "TrainConfig",
     "HandSpdError",
     "InvalidInput",
-    "SpectralDomainError",
-    "EigenDecompositionError",
-    "RankError",
+    "NumericalError",
 ]
 
 __version__ = "0.1.0"

@@ -7,11 +7,11 @@ network's from the checkpoint.  Each command reads the data splits it uses
 in one ``load_dhg`` call or one cache read (``_load_sequences``): ``train``
 the train split, ``extract --split S`` split S, and ``pipeline``, which runs
 the ``extract``, ``svm`` and ``eval`` stages, both before it writes a file.
-Exit codes: 0 success, 1 runtime numerical failure (any other
-``HandSpdError``), 2 ``InvalidInput`` (a bad setting, or a file that cannot
-be parsed) or an ``OSError`` on a path (a file, or a ``--data`` root, that
-cannot be read or written).  ``main`` prints the error, whose location
-fields (path, line, array, layer, finger, range, frame, matrix) follow it.
+Exit codes: 0 success, 1 runtime numerical failure (``NumericalError``), 2
+``InvalidInput`` (a bad setting, or a file that cannot be parsed) or an
+``OSError`` on a path (a file, or a ``--data`` root, that cannot be read or
+written).  ``main`` prints the error, whose location fields (path, line,
+array, layer, finger, range, frame, matrix, eigenvalue) follow it.
 """
 
 from __future__ import annotations

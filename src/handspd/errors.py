@@ -1,5 +1,8 @@
 """Exception hierarchy shared by all modules, and its one failure model.
 
+Two types are raised: ``InvalidInput`` for an input, setting or file that is
+invalid, and ``NumericalError`` for a numerical operation that failed.
+
 Every error carries where it happened as fields, in ``where``: path, line,
 array, layer, finger, range, frame, matrix and eigenvalue, every index
 1-based.  A raise site passes them as keywords, a caller that knows more of
@@ -37,14 +40,5 @@ class InvalidInput(HandSpdError):
     """An operation's input, a setting, or a file is invalid, missing or unparseable (exit 2)."""
 
 
-class SpectralDomainError(HandSpdError):
-    """A spectral scalar function was applied outside its domain."""
-
-
-class EigenDecompositionError(HandSpdError):
-    """A matrix to eigendecompose is not finite, or LAPACK's eigensolver failed."""
-
-
-class RankError(HandSpdError):
-    """A stack of matrices to row-orthonormalize is rank-deficient or not
-    finite, or LAPACK's QR factorization failed on it."""
+class NumericalError(HandSpdError):
+    """A numerical operation failed (exit 1)."""

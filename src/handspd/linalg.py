@@ -16,11 +16,10 @@ Operand contract: matrix inputs and cotangents are symmetric, and outputs
 are symmetric up to rounding; nothing re-symmetrizes them.
 ``np.linalg.eigh`` reads one triangle only.  Only ``sym_eig_batch`` and
 ``qr_orthonormalize`` check their input stack, before the one LAPACK call
-per stack.  Each operation raises one error type, with the caller's
-``layer`` and the failing matrix's 1-based index on each named leading axis
-as fields (``_first``): ``sym_eig_batch`` ``EigenDecompositionError``,
-``_apply_fn`` ``SpectralDomainError`` and ``qr_orthonormalize`` ``RankError``,
-whose one axis is ``matrix``; a failure inside LAPACK is typed but not located.
+per stack.  ``sym_eig_batch``, ``_apply_fn`` and ``qr_orthonormalize`` raise
+``NumericalError``, with the caller's ``layer`` and the failing matrix's
+1-based index on each named leading axis as fields (``_first``; the QR's one
+axis is ``matrix``); a failure inside LAPACK is typed but not located.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import EigenDecompositionError, RankError, SpectralDomainError
+from .errors import NumericalError
 
 
 class EigenPair(NamedTuple):
@@ -117,30 +116,30 @@ def sym_eig_batch(s: np.ndarray, *, layer: str | None = None, axes: tuple = ()) 
     """Batched eigendecomposition of symmetric (..., d, d) arrays.
 
     The caller guarantees symmetry.  The first matrix that is not finite (a
-    Gram matrix that overflowed) raises ``EigenDecompositionError`` with
+    Gram matrix that overflowed) raises ``NumericalError`` with
     ``layer`` and its 1-based index on each leading axis named in ``axes``
     as fields; a LAPACK failure on a finite stack raises it with ``layer``.
     """
     bad = ~np.isfinite(s).all(axis=(-2, -1))
     if np.any(bad):
-        raise EigenDecompositionError("matrix is not finite", layer=layer, **_first(bad, axes))
+        raise NumericalError("matrix is not finite", layer=layer, **_first(bad, axes))
     try:
         vals, vecs = np.linalg.eigh(s)
     except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(str(exc), layer=layer) from exc
+        raise NumericalError(str(exc), layer=layer) from exc
     return EigenPair(vecs, vals)
 
 
 def _apply_fn(fn: SpectralFn, values: np.ndarray, layer: str | None = None, axes: tuple = ()) -> np.ndarray:
-    """f(values); a non-finite result raises ``SpectralDomainError`` at the first
+    """f(values); a non-finite result raises ``NumericalError`` at the first
     such eigenvalue, with ``layer`` and its 1-based index on each leading axis
     named in ``axes`` as fields."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         out = fn.f(values)
     bad = ~np.isfinite(out)
     if np.any(bad):
-        raise SpectralDomainError("spectral function undefined", layer=layer,
-                                  eigenvalue=float(values[bad][0]), **_first(bad, axes))
+        raise NumericalError("spectral function undefined", layer=layer,
+                             eigenvalue=float(values[bad][0]), **_first(bad, axes))
     return out
 
 
@@ -205,7 +204,7 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     Sign convention: the triangular factor has nonnegative diagonal, making
     the map deterministic and the identity on already-orthonormal input.
     Returns a C-contiguous stack.  Rank-deficient or non-finite input or
-    factors raise ``RankError`` with the first offending matrix's 1-based
+    factors raise ``NumericalError`` with the first offending matrix's 1-based
     index on the stack's first axis as its ``matrix`` field (none for a lone
     matrix); a LAPACK failure raises it unlocated.
     Input and factors are checked whole: when a Householder reflector is the
@@ -217,7 +216,7 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
     try:
         q, r = np.linalg.qr(np.swapaxes(m, -1, -2))
     except np.linalg.LinAlgError as exc:
-        raise RankError(f"QR factorization failed: {exc}") from exc
+        raise NumericalError(f"QR factorization failed: {exc}") from exc
     _reject(~(np.isfinite(q).all(axis=(-2, -1)) & np.isfinite(r).all(axis=(-2, -1))), "QR factors are not finite")
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     scale = np.maximum(1.0, np.abs(r).max(axis=(-2, -1)))
@@ -228,6 +227,6 @@ def qr_orthonormalize(m: np.ndarray) -> np.ndarray:
 
 
 def _reject(bad: np.ndarray, message: str):
-    """Raise ``RankError`` at the first matrix of a stack where ``bad`` is True."""
+    """Raise ``NumericalError`` at the first matrix of a stack where ``bad`` is True."""
     if np.any(bad):
-        raise RankError(message, **_first(bad, ("matrix",)))
+        raise NumericalError(message, **_first(bad, ("matrix",)))

@@ -77,8 +77,9 @@ class NetworkConfig:
     d_spat: int | None = None
 
     def __post_init__(self):
-        if min(self.d1, self.n_T, self.n_F, self.n_classes, self.n_fingers) < 1:
-            raise InvalidInput("d1, n_T, n_F, n_classes and n_fingers must be positive")
+        for name in ("d1", "n_T", "n_fingers"):
+            if (value := getattr(self, name)) < 1:
+                raise InvalidInput(f"{name} must be >= 1, got {value}")
         if self.joints_per_finger < 2:
             raise InvalidInput("joints_per_finger must be at least 2")
         if not 2 <= self.n_classes <= MAX_CLASSES:
@@ -326,14 +327,15 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
 
     Raises ``InvalidInput`` for a frame stack not of shape
     (n_F, n_joints, 3), non-finite coordinates, or a parameter array whose
-    shape does not match ``cfg.param_shapes()``.  A numerical failure
-    carries its ``layer`` field: ``EigenDecompositionError`` when a matrix
-    to eigendecompose is not finite (finite coordinates so large that the
-    frame Gram overflows, near 1e155) or the eigensolver fails, and
-    ``SpectralDomainError``, with the ``eigenvalue`` field, where a spectral
-    function is undefined or overflows.  Its layer is ``frame_log(gram)``,
-    with the 1-based ``finger`` and ``frame`` fields (coordinates near
-    1e152), or ``log_eig(final_spd)`` (a non-positive aggregated eigenvalue).
+    shape does not match ``cfg.param_shapes()``.  A numerical failure is a
+    ``NumericalError`` with its ``layer`` field: a matrix to eigendecompose
+    that is not finite (finite coordinates so large that the frame Gram
+    overflows, near 1e155, or a ``lambda_reg`` so large that the final SPD
+    matrix does) or an eigensolver failure, and, with the ``eigenvalue``
+    field, a spectral function that is undefined or overflows.  Its layer is
+    ``frame_log(gram)``, with the 1-based ``finger`` and ``frame`` fields
+    (coordinates near 1e152), or ``log_eig(final_spd)`` (a non-positive
+    aggregated eigenvalue).
     """
     graph = graph or cfg.graph()
     frames = np.asarray(getattr(seq, "frames", seq), dtype=np.float64)
@@ -348,7 +350,8 @@ def forward(seq, params: NetworkParams, cfg: NetworkConfig, graph: HandGraph | N
     temp = _batched_gauss(z, cfg.n_T, cfg.lambda_reg)              # (S, n_Q, D, D)
     temp_flat = temp.reshape(cfg.n_L, cfg.temp_dim, cfg.temp_dim)
 
-    final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
+    with np.errstate(over="ignore"):  # an overflow is sym_eig_batch's typed error
+        final_spd = spd_ops.spd_spat_agg(temp_flat, params.spat)
     final_eig = linalg.sym_eig_batch(final_spd, layer="log_eig(final_spd)")
     y = linalg.spectral_apply_cached(final_eig, linalg.LOG, "log_eig(final_spd)")
     feature = spd_ops.half_vec(y)                                  # (feature_dim,)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import network
-from .errors import InvalidInput, RankError
+from .errors import InvalidInput, NumericalError
 from .linalg import qr_orthonormalize, symmetrize
 from .network import NetworkConfig, NetworkParams
 
@@ -35,11 +35,11 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise InvalidInput("batch_size must be >= 1")
+            raise InvalidInput(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
             raise InvalidInput(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.epochs < 1:
-            raise InvalidInput("epochs must be >= 1")
+            raise InvalidInput(f"epochs must be >= 1, got {self.epochs}")
         if self.seed < 0:
             raise InvalidInput(f"seed must be >= 0, got {self.seed}")
 
@@ -83,7 +83,7 @@ def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
     returns (params, per-epoch metrics) and writes no file.
 
     Metrics rows carry epoch, mean_loss, train_accuracy and wall_seconds
-    (``write_metrics`` writes them as CSV).  A ``RankError`` of a Stiefel
+    (``write_metrics`` writes them as CSV).  A ``NumericalError`` of a Stiefel
     step gains its ``layer``, and the failing weight's ``finger`` and
     pyramid ``range`` where it names the weight.
     """
@@ -109,7 +109,7 @@ def train(dataset, net_cfg: NetworkConfig, train_cfg: TrainConfig, log=None):
             epoch_loss += loss * len(batch)
             try:
                 params = apply_gradients(params, grads, train_cfg.learning_rate)
-            except RankError as exc:
+            except NumericalError as exc:
                 weight = net_cfg.spat_location(exc.where["matrix"]) if "matrix" in exc.where else {}
                 raise exc.at(layer="stiefel_step(spat)", **weight)
         row = {

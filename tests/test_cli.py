@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from handspd import classify, cli, data, gradcheck, network, optim
-from handspd.errors import EigenDecompositionError, HandSpdError, InvalidInput, RankError, SpectralDomainError
+from handspd.errors import HandSpdError, InvalidInput, NumericalError
 from handspd.network import NetworkConfig
 from handspd.optim import TrainConfig
 
@@ -43,6 +43,50 @@ def toy_data(tmp_path_factory):
     return ["--cache", str(path), "--per-class", "4"]
 
 
+def _rows(command, flag, values, exits):
+    return [(command, flag, value, exit) for value, exit in zip(values, exits, strict=True)]
+
+
+REALS = ("-1", "0", "1e-300", "1e300", "1e308", "1.7e308")
+INTS = ("-1", "0", "1")
+# (command, flag, value, exit code) for every numeric flag of train, svm,
+# synth and gradcheck.  A valid gradcheck seed runs the whole check, so it
+# is left out.
+NUMERIC_FLAGS = [
+    *(("train", flag, value, 2) for flag in ("--eps", "--lambda-reg", "--lr") for value in ("nan", "inf")),
+    *_rows("svm", "--svm-c", ("nan", "inf", "1e-320"), (2, 2, 2)),
+    *_rows("svm", "--svm-tol", ("nan", "inf"), (2, 2)),
+    *_rows("train", "--eps", REALS, (2, 2, 0, 0, 0, 0)),
+    *_rows("train", "--lambda-reg", REALS, (2, 0, 0, 0, 1, 1)),
+    *_rows("train", "--lr", REALS, (2, 2, 0, 1, 1, 1)),
+    *_rows("svm", "--svm-c", REALS, (2, 2, 0, 0, 2, 2)),
+    *_rows("svm", "--svm-tol", REALS, (2, 2, 0, 0, 0, 0)),
+    *_rows("synth", "--noise", REALS, (2, 0, 0, 0, 2, 2)),
+    *_rows("train", "--d1", INTS, (2, 2, 0)),
+    *_rows("train", "--levels", INTS, (2, 2, 0)),
+    *_rows("train", "--length", INTS, (2, 2, 2)),
+    *_rows("train", "--classes", INTS, (2, 2, 2)),
+    *_rows("train", "--epochs", INTS, (2, 2, 0)),
+    *_rows("train", "--batch-size", INTS, (2, 2, 0)),
+    *_rows("train", "--seed", INTS, (2, 0, 0)),
+    *_rows("train", "--per-class", INTS, (2, 2, 0)),
+    *_rows("synth", "--classes", INTS, (2, 2, 0)),
+    *_rows("synth", "--per-class", INTS, (2, 2, 0)),
+    *_rows("synth", "--length", INTS, (2, 2, 2)),
+    *_rows("synth", "--seed", INTS, (2, 0, 0)),
+    *_rows("svm", "--seed", ("-1",), (2,)),
+    *_rows("gradcheck", "--instances", ("-1", "0"), (2, 2)),
+    *_rows("gradcheck", "--seed", ("-1",), (2,)),
+]
+# The setting each flag's error message names, hyphens read as underscores.
+SETTING = {
+    "--eps": "eps", "--lambda-reg": "lambda_reg", "--lr": "learning_rate", "--svm-c": "C=", "--svm-tol": "tol=",
+    "--noise": "noise_sigma", "--d1": "d1", "--levels": "n_T", "--length": "length", "--classes": "classes",
+    "--epochs": "epochs", "--batch-size": "batch_size", "--seed": "seed", "--per-class": "per_class",
+    "--instances": "n_instances",
+}
+
+
 class TestArgumentHandling:
     def test_no_data_source_is_config_error(self, tmp_path):
         code = run_cli("train", "--out-dir", str(tmp_path), *TOY_FLAGS)
@@ -68,10 +112,6 @@ class TestArgumentHandling:
         err = capsys.readouterr().err
         assert "not an npz archive" in err and f"[path {path}]" in err
 
-    def test_invalid_network_option_value(self, tmp_path, toy_data):
-        code = run_cli("train", *toy_data, "--d1", "0", "--out-dir", str(tmp_path))
-        assert code == cli.EXIT_CONFIG
-
     def test_one_frame_length_is_config_error_naming_the_setting(self, tmp_path, capsys, toy_data):
         # data.resample builds no one-frame sequence, so the network config rejects the length.
         code = run_cli("train", *toy_data, "--length", "1", "--levels", "1", "--out-dir", str(tmp_path / "out"))
@@ -92,21 +132,30 @@ class TestArgumentHandling:
         assert err.startswith("error: the network has ") and f"more than MAX_PARAMS {network.MAX_PARAMS}" in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("command, flag, value", [
-        ("train", "--eps", "nan"), ("train", "--eps", "inf"), ("train", "--lambda-reg", "nan"),
-        ("train", "--lambda-reg", "inf"), ("train", "--lr", "nan"), ("train", "--lr", "inf"),
-        ("svm", "--svm-c", "nan"), ("svm", "--svm-tol", "nan"), ("svm", "--svm-c", "inf"),
-        ("svm", "--svm-c", "1e-320"), ("svm", "--svm-tol", "inf"),
-    ])
-    def test_non_finite_setting_is_config_error(self, command, flag, value, tmp_path, capsys, toy_data):
-        # NaN fails every ordered comparison, so each check must be written to reject it.
-        if command == "train":
-            argv = ["train", *toy_data, *TOY_FLAGS, "--out-dir", str(tmp_path / "out")]
-        else:
-            argv = ["svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(tmp_path / "m.npz")]
-        assert run_cli(*argv, flag, value) == cli.EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: ")
-        assert not (tmp_path / "out").exists() and not (tmp_path / "m.npz").exists()
+    @pytest.mark.parametrize("command, flag, value, expected", NUMERIC_FLAGS)
+    def test_numeric_flag_keeps_the_exit_code_contract(self, command, flag, value, expected, tmp_path, capsys,
+                                                       toy_data):
+        # Exit 0 completes, exit 1 names its layer, and exit 2 names the
+        # setting and its value before anything is written.  NaN fails every
+        # ordered comparison, so each check must be written to reject it.
+        out = tmp_path / "out"
+        argv = {"train": ["train", *toy_data, *_flags("train", tmp_path)],
+                "svm": ["svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(out)],
+                "synth": ["synth", "--classes", "1", "--per-class", "1", "--length", "8", "--out", str(out)],
+                "gradcheck": ["gradcheck"]}[command] + [flag, value]
+        if expected == cli.EXIT_NUMERICAL:
+            code, err, exc = _failure(capsys, *argv)
+            assert code == expected and err.startswith("numerical failure: ") and "layer" in exc.where
+            return
+        assert run_cli(*argv) == expected
+        captured = capsys.readouterr()
+        if expected == cli.EXIT_OK:
+            assert out.exists()
+            return
+        # The train error names the --per-class flag, the library ones the parameter.
+        assert captured.err.startswith("error: ") and SETTING[flag] in captured.err.replace("-", "_")
+        assert (value if value.lstrip("-").isdigit() else str(float(value))) in captured.err
+        assert captured.out == "" and not out.exists()
 
     def test_flags_set_every_field_and_the_dataclasses_default_the_rest(self):
         # Flags are the only source of train's settings; the dataclass defaults the rest.
@@ -124,23 +173,6 @@ class TestArgumentHandling:
         args = cli.make_parser().parse_args(["train", "--out-dir", "x"])
         assert cli._configure(NetworkConfig, args) == NetworkConfig()
         assert cli._configure(TrainConfig, args) == TrainConfig()
-
-    @pytest.mark.parametrize("command", ["synth", "train", "svm", "pipeline", "gradcheck", "gradcheck-instances"])
-    def test_negative_seed_or_no_gradcheck_instance_is_config_error(self, command, tmp_path, capsys, toy_data):
-        argv = {
-            "synth": ["synth", "--out", str(tmp_path / "c.npz"), "--seed", "-1"],
-            "train": ["train", *toy_data, *TOY_FLAGS, "--out-dir", str(tmp_path / "out"), "--seed", "-1"],
-            "svm": ["svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(tmp_path / "m.npz"),
-                    "--seed", "-1"],
-            "pipeline": ["pipeline", *toy_data, "--checkpoint", str(toy_checkpoint(tmp_path / "ck.npz")),
-                         "--out-dir", str(tmp_path / "eval"), "--seed", "-1"],
-            "gradcheck": ["gradcheck", "--layer", "half_vec", "--seed", "-1"],
-            "gradcheck-instances": ["gradcheck", "--instances", "0"],
-        }[command]
-        assert run_cli(*argv) == cli.EXIT_CONFIG
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
-        assert "PASS" not in captured.out
 
     @pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--svm-c", "nan"), ("--svm-tol", "inf")])
     def test_pipeline_checks_the_svm_settings_before_any_work(self, flag, value, tmp_path, capsys, toy_data):
@@ -633,13 +665,13 @@ class TestEndToEndCommands:
     def test_overflowing_coordinates_exit_numerical(self, tmp_path, capsys):
         # The frame Gram overflows: one typed error, and no overflow warning first.
         exc = self._train_failure(tmp_path, capsys, 1e160)
-        assert isinstance(exc, EigenDecompositionError)
+        assert isinstance(exc, NumericalError)
         assert str(exc) == "matrix is not finite [layer frame_log(gram), finger 3, frame 5]"
 
     def test_huge_coordinates_exit_numerical_at_the_frame_log(self, tmp_path, capsys):
         # The frame Gram stays finite, but h(l) overflows at its largest eigenvalue.
         exc = self._train_failure(tmp_path, capsys, 1e154)
-        assert isinstance(exc, SpectralDomainError)
+        assert isinstance(exc, NumericalError) and exc.args[0] == "spectral function undefined"
         assert exc.where.pop("eigenvalue") > 1e300
         assert exc.where == {"layer": "frame_log(gram)", "finger": 3, "frame": 5}
 
@@ -656,7 +688,8 @@ class TestEndToEndCommands:
         monkeypatch.setattr(network, "loss_and_backward", nan_weight_8)
         code, err, exc = _failure(capsys, "train", *toy_data, *TOY_FLAGS, "--epochs", "1",
                                   "--out-dir", str(tmp_path / "out"))
-        assert code == cli.EXIT_NUMERICAL and isinstance(exc, RankError)
+        assert code == cli.EXIT_NUMERICAL and isinstance(exc, NumericalError)
+        assert exc.args[0] == "input is not finite"
         assert exc.where == {"layer": "stiefel_step(spat)", "finger": 3, "range": (1, 4), "matrix": 8}
         assert err.rstrip().endswith("[layer stiefel_step(spat), finger 3, range (1, 4), matrix 8]")
 

@@ -5,7 +5,7 @@ import pytest
 
 from handspd import network, optim
 from handspd.data import GestureSequence
-from handspd.errors import InvalidInput, RankError
+from handspd.errors import InvalidInput, NumericalError
 from handspd.gradcheck import toy_config
 from handspd.linalg import qr_orthonormalize
 from handspd.optim import TrainConfig
@@ -143,7 +143,7 @@ class TestApplyGradients:
         params = optim.init_params(toy_config(), seed=0)
         grads = params.from_vector(np.zeros(params.to_vector().size))
         grads.spat[1, 0, 2] = np.nan
-        with pytest.raises(RankError, match="not finite") as err:
+        with pytest.raises(NumericalError, match="not finite") as err:
             optim.apply_gradients(params, grads, 0.01)
         assert err.value.where == {"matrix": 2}
 
@@ -216,18 +216,18 @@ class TestTrainLoop:
             return loss, grads, logits
 
         monkeypatch.setattr(network, "loss_and_backward", nan_weight_6)
-        with pytest.raises(RankError, match="not finite") as err:
+        with pytest.raises(NumericalError, match="not finite") as err:
             optim.train(_toy_dataset(cfg, 4), cfg, TrainConfig(batch_size=4, epochs=1))
         assert err.value.where == {"layer": "stiefel_step(spat)", "finger": 2, "range": (3, 4), "matrix": 6}
 
     def test_unlocated_stiefel_failure_names_its_layer(self, monkeypatch):
         # A LAPACK failure names no matrix, so the error holds the layer alone.
         def failing_step(*args):
-            raise RankError("QR factorization failed: stand-in")
+            raise NumericalError("QR factorization failed: stand-in")
 
         monkeypatch.setattr(optim, "stiefel_step", failing_step)
         cfg = toy_config()
-        with pytest.raises(RankError, match="QR factorization failed") as err:
+        with pytest.raises(NumericalError, match="QR factorization failed") as err:
             optim.train(_toy_dataset(cfg, 4), cfg, TrainConfig(batch_size=4, epochs=1))
         assert err.value.where == {"layer": "stiefel_step(spat)"}
 

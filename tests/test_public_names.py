@@ -1,5 +1,6 @@
 """Every public module-level name and class member of the package has a
-caller, every command-line option a reader, and every error type an export.
+caller, every command-line option a reader, and every error type an export
+and a raise.
 
 A name defined at module level in ``src/handspd/*.py`` without a leading
 underscore, and a method or property without one of a public class there,
@@ -140,9 +141,21 @@ def test_options_leave_the_defaults_to_the_library():
     assert not set_by_hand, f"options with a default of their own: {set_by_hand}"
 
 
+ERROR_TYPES = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, errors.HandSpdError)}
+
+
 def test_every_error_type_is_exported():
     # A caller catches the package's errors by the names ``handspd`` exports.
-    types = {name for name, value in vars(errors).items()
-             if isinstance(value, type) and issubclass(value, errors.HandSpdError)}
-    assert types - set(handspd.__all__) == set()
-    assert all(getattr(handspd, name) is getattr(errors, name) for name in types)
+    assert ERROR_TYPES - set(handspd.__all__) == set()
+    assert all(getattr(handspd, name) is getattr(errors, name) for name in ERROR_TYPES)
+
+
+def test_every_error_subclass_is_raised_in_src():
+    # A type that no ``raise Type(...)`` in src/ builds names a failure that
+    # cannot happen; importing or exporting it does not count.
+    raised = {node.exc.func.id
+              for path, tree in TREES.items() if path.parent == PACKAGE
+              for node in ast.walk(tree)
+              if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and isinstance(node.exc.func, ast.Name)}
+    assert ERROR_TYPES - {"HandSpdError"} - raised == set()

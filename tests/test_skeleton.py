@@ -51,7 +51,7 @@ class TestHandGraphTopology:
 
     def test_invalid_sizes_rejected(self):
         # NetworkConfig checks the sizes that HandGraph is built from.
-        with pytest.raises(InvalidInput, match="n_fingers must be positive"):
+        with pytest.raises(InvalidInput, match="n_fingers must be >= 1, got 0"):
             NetworkConfig(n_fingers=0, joints_per_finger=4)
         with pytest.raises(InvalidInput, match="joints_per_finger must be at least 2"):
             NetworkConfig(n_fingers=3, joints_per_finger=1)
