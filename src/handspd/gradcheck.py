@@ -140,10 +140,10 @@ def _check_final_log(rng):
     return _probe_error(analytic, log_of, s, cot)
 
 
-def toy_config(n_classes: int = 3) -> NetworkConfig:
+def toy_config() -> NetworkConfig:
     return NetworkConfig(
         d1=2, n_T=2, n_F=4, eps=1e-4, lambda_reg=1e-3,
-        n_classes=n_classes, n_fingers=2, joints_per_finger=2, d_spat=4,
+        n_classes=3, n_fingers=2, joints_per_finger=2, d_spat=4,
     )
 
 

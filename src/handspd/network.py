@@ -77,11 +77,13 @@ class NetworkConfig:
     d_spat: int | None = None
 
     def __post_init__(self):
-        for name in ("d1", "n_T", "n_fingers"):
+        for name in ("d1", "n_fingers"):
             if (value := getattr(self, name)) < 1:
                 raise InvalidInput(f"{name} must be >= 1, got {value}")
+        if not 1 <= self.n_T <= data.MAX_FRAMES:
+            raise InvalidInput(f"n_T must be in [1, {data.MAX_FRAMES}], got {self.n_T}")
         if self.joints_per_finger < 2:
-            raise InvalidInput("joints_per_finger must be at least 2")
+            raise InvalidInput(f"joints_per_finger must be >= 2, got {self.joints_per_finger}")
         if not 2 <= self.n_classes <= MAX_CLASSES:
             raise InvalidInput(f"need 2 to {MAX_CLASSES} classes, got {self.n_classes}")
         if not 0 < self.eps < np.inf:  # NaN fails too
@@ -91,7 +93,7 @@ class NetworkConfig:
         if self.d_spat is None:
             object.__setattr__(self, "d_spat", self.temp_dim)
         if not 1 <= self.d_spat <= self.temp_dim:
-            raise InvalidInput(f"d_spat must be in [1, {self.temp_dim}]")
+            raise InvalidInput(f"d_spat must be in [1, {self.temp_dim}], got {self.d_spat}")
         shortest = max(2, self.n_T)  # data.resample makes no one-frame sequence
         if not shortest <= self.n_F <= data.MAX_FRAMES:
             raise InvalidInput(f"sequence length must be in [{shortest}, {data.MAX_FRAMES}], got {self.n_F}")

@@ -49,9 +49,11 @@ def _rows(command, flag, values, exits):
 
 REALS = ("-1", "0", "1e-300", "1e300", "1e308", "1.7e308")
 INTS = ("-1", "0", "1")
+HUGE = str(10**18)
 # (command, flag, value, exit code) for every numeric flag of train, svm,
-# synth and gradcheck.  A valid gradcheck seed runs the whole check, so it
-# is left out.
+# synth and gradcheck, and extract's and pipeline's --per-class.  A valid
+# gradcheck seed runs the whole check, so it is left out; so is HUGE where a
+# count loops (--epochs, --instances) or a test of its own holds it.
 NUMERIC_FLAGS = [
     *(("train", flag, value, 2) for flag in ("--eps", "--lambda-reg", "--lr") for value in ("nan", "inf")),
     *_rows("svm", "--svm-c", ("nan", "inf", "1e-320"), (2, 2, 2)),
@@ -63,18 +65,20 @@ NUMERIC_FLAGS = [
     *_rows("svm", "--svm-tol", REALS, (2, 2, 0, 0, 0, 0)),
     *_rows("synth", "--noise", REALS, (2, 0, 0, 0, 2, 2)),
     *_rows("train", "--d1", INTS, (2, 2, 0)),
-    *_rows("train", "--levels", INTS, (2, 2, 0)),
-    *_rows("train", "--length", INTS, (2, 2, 2)),
-    *_rows("train", "--classes", INTS, (2, 2, 2)),
+    *_rows("train", "--levels", (*INTS, HUGE), (2, 2, 0, 2)),
+    *_rows("train", "--length", (*INTS, HUGE), (2, 2, 2, 2)),
+    *_rows("train", "--classes", (*INTS, HUGE), (2, 2, 2, 2)),
     *_rows("train", "--epochs", INTS, (2, 2, 0)),
-    *_rows("train", "--batch-size", INTS, (2, 2, 0)),
-    *_rows("train", "--seed", INTS, (2, 0, 0)),
-    *_rows("train", "--per-class", INTS, (2, 2, 0)),
-    *_rows("synth", "--classes", INTS, (2, 2, 0)),
+    *_rows("train", "--batch-size", (*INTS, HUGE), (2, 2, 0, 0)),
+    *_rows("train", "--seed", (*INTS, HUGE), (2, 0, 0, 0)),
+    *_rows("train", "--per-class", (*INTS, HUGE), (2, 2, 0, 0)),
+    *_rows("synth", "--classes", (*INTS, HUGE), (2, 2, 0, 2)),
     *_rows("synth", "--per-class", INTS, (2, 2, 0)),
-    *_rows("synth", "--length", INTS, (2, 2, 2)),
-    *_rows("synth", "--seed", INTS, (2, 0, 0)),
-    *_rows("svm", "--seed", ("-1",), (2,)),
+    *_rows("synth", "--length", (*INTS, HUGE), (2, 2, 2, 2)),
+    *_rows("synth", "--seed", (*INTS, HUGE), (2, 0, 0, 0)),
+    *_rows("svm", "--seed", ("-1", HUGE), (2, 0)),
+    *_rows("extract", "--per-class", (HUGE,), (2,)),
+    *_rows("pipeline", "--per-class", (HUGE,), (2,)),
     *_rows("gradcheck", "--instances", ("-1", "0"), (2, 2)),
     *_rows("gradcheck", "--seed", ("-1",), (2,)),
 ]
@@ -140,6 +144,8 @@ class TestArgumentHandling:
         # ordered comparison, so each check must be written to reject it.
         out = tmp_path / "out"
         argv = {"train": ["train", *toy_data, *_flags("train", tmp_path)],
+                "extract": ["extract", *toy_data, *_flags("extract", tmp_path), "--out", str(out)],
+                "pipeline": ["pipeline", *toy_data, *_flags("pipeline", tmp_path)],
                 "svm": ["svm", "--features", str(_features(tmp_path / "f.npz")), "--out", str(out)],
                 "synth": ["synth", "--classes", "1", "--per-class", "1", "--length", "8", "--out", str(out)],
                 "gradcheck": ["gradcheck"]}[command] + [flag, value]

@@ -1,10 +1,9 @@
 """Layer primitives, forward: the pyramid's GaussAgg (network._batched_gauss),
-the per-frame GaussAgg+ReEig+LogEig map (network._frame_log), the dense
-ReEig+LogEig reference map it is checked against, and spd_ops' HalfVec
-and SPDSpatAgg, each against a straight-line oracle.  The backward passes
-are finite-differenced in gradcheck.LAYERS alone (tests/test_gradcheck.py);
-the reference map's adjoint is compared with the checked frame_log backward
-pass in test_network.py's test_frame_log_backward_matches_dense_chain."""
+the per-frame GaussAgg+ReEig+LogEig map (network._frame_log), and spd_ops'
+HalfVec and SPDSpatAgg, by hand-computed values and the properties their
+callers rely on.  Each is compared with its straight-line oracle in
+test_oracle_layers.py's LAYERS alone, and its backward pass is
+finite-differenced in gradcheck.LAYERS alone (tests/test_gradcheck.py)."""
 
 import numpy as np
 import pytest
@@ -21,30 +20,8 @@ def _single_range(vectors, lambda_reg=0.0):
     return network._batched_gauss(vectors[None], 1, lambda_reg)[0, 0]
 
 
-def _reeig_log(x, eps):
-    return linalg.spectral_apply_cached(linalg.sym_eig_batch(x), oracles.reeig_log_fn(eps))
-
-
 class TestGaussAgg:
     """The pyramid's biased GaussAgg, network._batched_gauss."""
-
-    @pytest.mark.parametrize("lam", [0.0, 0.5])
-    def test_matches_definitional_oracle(self, lam):
-        rng = np.random.default_rng(0)
-        vectors = rng.standard_normal((7, 4))
-        expected = oracles.gauss_agg_reference(vectors, lambda_reg=lam)
-        assert np.abs(_single_range(vectors, lam) - expected).max() < 1e-12
-
-    def test_pyramid_stack_matches_oracle_range_by_range(self):
-        # n_F = 7, n_T = 3: overlapping ranges of 7, 3, 4, 2, 2 and 3 frames.
-        rng = np.random.default_rng(4)
-        z = rng.standard_normal((2, 7, 4))
-        out = network._batched_gauss(z, 3, 0.5)
-        assert out.shape == (2, 6, 5, 5)
-        for s in range(2):
-            for q, (tb, te) in enumerate(network.pyramid_split(7, 3)):
-                expected = oracles.gauss_agg_reference(z[s, tb - 1 : te], lambda_reg=0.5)
-                assert np.abs(out[s, q] - expected).max() < 1e-12
 
     def test_hand_computed_two_samples(self):
         # Samples (0,) and (2,): mu = 1, biased sigma = 1.
@@ -82,21 +59,6 @@ class TestFrameLog:
     X2 = B B^T, computed from the Gram matrix B^T B = U diag(l) U^T; it
     returns the factor P = B U in that eigenbasis and h(l)."""
 
-    @staticmethod
-    def _dense(vectors, eps):
-        x2 = oracles.gauss_agg_reference(vectors, unbiased=True)
-        return oracles.logm(oracles.clamp_eig(x2, eps))
-
-    def test_batched_stack_matches_dense_oracle(self):
-        rng = np.random.default_rng(0)
-        vectors = rng.standard_normal((2, 3, 4, 9))
-        out, factor, gram_eig, _ = network._frame_log(vectors, 1e-4)
-        assert out.shape == (2, 3, 10, 10) and factor.shape == (2, 3, 10, 4)
-        assert gram_eig.values.shape == (2, 3, 4)
-        for i in range(2):
-            for j in range(3):
-                assert np.abs(out[i, j] - self._dense(vectors[i, j], 1e-4)).max() < 1e-10
-
     def test_factor_reproduces_the_embedding(self):
         rng = np.random.default_rng(1)
         vectors = rng.standard_normal((4, 3))
@@ -107,81 +69,10 @@ class TestFrameLog:
         assert np.abs(factor.T @ factor - np.diag(gram_eig.values)).max() < 1e-12
         assert np.array_equal(h, linalg.gram_log_fn(1e-4).f(gram_eig.values))
 
-    def test_gram_eigenvalues_between_zero_and_eps(self):
-        # Small centered spread: three Gram eigenvalues in (0, eps) besides
-        # the mean direction's eigenvalue near 1.
-        rng = np.random.default_rng(2)
-        vectors = 0.5 + 1e-3 * rng.standard_normal((4, 3))
-        out, _, gram_eig, _ = network._frame_log(vectors, 1e-2)
-        assert ((gram_eig.values > 1e-9) & (gram_eig.values < 1e-2)).sum() == 3
-        assert np.abs(out - self._dense(vectors, 1e-2)).max() < 1e-10
-
-    def test_collapsed_vectors(self):
-        # All vectors equal: B, and so P = B U, has rank 1 and X2 has one
-        # eigenvalue 1 + |mu|^2.
-        vectors = np.tile([0.3, -1.2, 2.0], (4, 1))
-        out, factor, _, _ = network._frame_log(vectors, 1e-4)
-        assert np.linalg.matrix_rank(factor) == 1
-        assert np.all(np.isfinite(out))
-        assert np.abs(out - self._dense(vectors, 1e-4)).max() < 1e-10
-
-
-class TestReEig:
-    """The rectifying half of the dense ReEig+LogEig reference map."""
-
-    def test_clamps_small_eigenvalues(self):
-        out = _reeig_log(np.diag([5.0, 1e-9, -2.0]), 1e-4)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(out)), np.log([1e-4, 1e-4, 5.0]))
-
-    def test_identity_above_threshold(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((4, 4))
-        x = a @ a.T + np.eye(4)
-        assert np.abs(_reeig_log(x, 1e-4) - oracles.logm(x)).max() < 1e-12
-
-    def test_matches_basis_free_oracle(self):
-        rng = np.random.default_rng(1)
-        a = rng.standard_normal((5, 5))
-        x = a @ a.T / 50.0  # eigenvalues straddle the threshold
-        expected = oracles.logm(oracles.clamp_eig(x, 1e-2))
-        assert np.abs(_reeig_log(x, 1e-2) - expected).max() < 1e-10
-
-    def test_output_always_positive_definite(self):
-        # The rectified matrix exp(out) has every eigenvalue >= eps.
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            s = rng.standard_normal((4, 4))
-            s = s + s.T
-            out = _reeig_log(s, 1e-4)
-            assert np.exp(np.linalg.eigvalsh(out).min()) >= 1e-4 * (1 - 1e-6)
-
-
-class TestLogEig:
-    """The logarithm half of the dense ReEig+LogEig reference map."""
-
-    def test_matches_basis_free_oracle(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal((5, 5))
-        x = a @ a.T + 0.3 * np.eye(5)
-        expected = oracles.logm(oracles.clamp_eig(x, 1e-4))
-        assert np.abs(_reeig_log(x, 1e-4) - expected).max() < 1e-10
-
-    def test_log_of_scaled_identity(self):
-        out = _reeig_log(3.0 * np.eye(4), 1e-4)
-        assert np.allclose(out, np.log(3.0) * np.eye(4), atol=1e-14)
-
-
 class TestHalfVec:
     def test_hand_computed_2x2(self):
         y = np.array([[1.0, 2.0], [2.0, 3.0]])
         assert np.allclose(spd_ops.half_vec(y), [1.0, 2.0 * np.sqrt(2.0), 3.0], atol=1e-15)
-
-    @pytest.mark.parametrize("d", [2, 3, 6])
-    def test_matches_literal_oracle(self, d):
-        rng = np.random.default_rng(d)
-        y = rng.standard_normal((d, d))
-        y = y + y.T
-        assert np.abs(spd_ops.half_vec(y) - oracles.half_vec_reference(y)).max() < 1e-14
 
     def test_batched_agrees_with_single(self):
         rng = np.random.default_rng(1)
@@ -238,13 +129,6 @@ class TestSpdSpatAgg:
             [linalg.qr_orthonormalize(rng.standard_normal((d_out, d_in))) for _ in range(n_l)]
         )
         return inputs, weights
-
-    def test_matches_loop_reference(self):
-        inputs, weights = self._random_case(0)
-        expected = np.zeros((4, 4))
-        for w, x in zip(weights, inputs):
-            expected += w @ x @ w.T
-        assert np.abs(spd_ops.spd_spat_agg(inputs, weights) - expected).max() < 1e-12
 
     def test_output_positive_definite(self):
         for seed in range(5):
